@@ -1,7 +1,8 @@
 """Two-mode model of period-tripling oscillations in a tunable resonator."""
 
 from . import calibration, circuit, config, dynamics, io, steady
-from .circuit import CircuitParams, ModeCouplings, ModeProfile, reference_params
+from .circuit import (CircuitParams, FluxPoint, ModeCouplings, ModeProfile,
+                      reference_params)
 from .dynamics import NoiseConfig, Trajectory, TwoModeSystem
 from .steady import DimensionlessPoint, SteadyState
 
@@ -10,6 +11,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CircuitParams",
     "DimensionlessPoint",
+    "FluxPoint",
     "ModeCouplings",
     "ModeProfile",
     "NoiseConfig",

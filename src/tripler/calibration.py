@@ -19,11 +19,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import hbar as HBAR
-from scipy.optimize import minimize_scalar
 
 from . import circuit, steady
-from .errors import BelowThresholdError, ConvergenceError, NoSignalError
+from ._roots import golden_min
+from .circuit import HBAR
+from .errors import ConvergenceError, NoSignalError
 
 
 def dbm_to_watt(p_dbm):
@@ -50,6 +50,26 @@ def drive_amplitude_sq(p_d, att_db: float, omega: float):
         raise ValueError("omega must be positive")
     return np.asarray(p_d, dtype=float) * 10.0 ** (-att_db / 10.0) \
         / (3.0 * HBAR * omega)
+
+
+def drive_power_through_x(b2_sq, x: float, fp: circuit.FluxPoint,
+                          delta1: float):
+    """Generator-plane drive power (W) from |B2|^2 (s^-1) through X.
+
+    P_d = 3*hbar*omega*|B2|^2 * X / Q_2ext with omega = omega1 + delta1 and
+    Q_2ext = omega2 / (2*Gamma_2ext); the attenuation enters only through X.
+    """
+    q2_ext = fp.mode2.omega / (2.0 * fp.mode2.gamma_ext)
+    omega = fp.mode1.omega + delta1
+    return 3.0 * HBAR * omega * np.asarray(b2_sq, dtype=float) * x / q2_ext
+
+
+def drive_amplitude_sq_through_x(p_d, x: float, fp: circuit.FluxPoint,
+                                 delta1: float):
+    """Inverse of :func:`drive_power_through_x`: |B2|^2 (s^-1) from P_d (W)."""
+    q2_ext = fp.mode2.omega / (2.0 * fp.mode2.gamma_ext)
+    omega = fp.mode1.omega + delta1
+    return np.asarray(p_d, dtype=float) * q2_ext / (3.0 * HBAR * omega * x)
 
 
 def output_power(a1_sq, gamma1_ext: float, gain_db: float, omega: float):
@@ -85,8 +105,13 @@ class CalibrationChain:
     scale07: float = 0.7
 
     def __post_init__(self):
-        if self.noise_floor_w <= 0:
-            raise ValueError("noise floor must be positive")
+        if not math.isfinite(self.gain_db):
+            raise ValueError(f"gain_db must be finite, got {self.gain_db!r}")
+        if not 0.0 < self.noise_floor_w < math.inf:
+            raise ValueError("noise_floor_w must be positive and finite, "
+                             f"got {self.noise_floor_w!r}")
+        if self.x is not None and not 0.0 < self.x < math.inf:
+            raise ValueError(f"x must be positive and finite, got {self.x!r}")
         if not 0.0 < self.scale07 <= 1.0:
             raise ValueError("scale07 must lie in (0, 1]")
 
@@ -113,45 +138,25 @@ class Linecut:
             raise ValueError("output powers must be non-negative")
 
 
-@dataclass(frozen=True)
-class _FluxCoeffs:
-    """Mode coefficients at one flux, cached for linecut models."""
-
-    omega1: float
-    omega2: float
-    anh: float
-    alpha1: float
-    Gamma1: float
-    Gamma1_ext: float
-    beta: float
-
-    @classmethod
-    def at(cls, params: circuit.CircuitParams, flux: float) -> "_FluxCoeffs":
-        m1 = circuit.mode_profile(params, flux, 1)
-        m2 = circuit.mode_profile(params, flux, 2)
-        return cls(omega1=m1.omega, omega2=m2.omega,
-                   anh=3.0 * m1.omega - m2.omega, alpha1=m1.alpha,
-                   Gamma1=m1.gamma, Gamma1_ext=m1.gamma_ext,
-                   beta=circuit.couplings(m1, m2).beta)
-
-
-def pump_intensity(p_d, x: float, co: _FluxCoeffs, delta1: float):
+def pump_intensity(p_d, x: float, fp: circuit.FluxPoint, delta1: float):
     """Reduced pump intensity r2^2 from generator power, in the stiff-pump limit.
 
     r2^2 = beta^2*omega2*P_d / (3*hbar*omega*(3w1-w2)^2*X); the attenuation
     and the pump external Q enter only through X.
     """
-    omega = co.omega1 + delta1
-    return (co.beta**2 * co.omega2 * np.asarray(p_d, dtype=float)
-            / (3.0 * HBAR * omega * co.anh**2 * x))
+    m1, m2 = fp.mode1, fp.mode2
+    omega = m1.omega + delta1
+    return (fp.couplings.beta**2 * m2.omega * np.asarray(p_d, dtype=float)
+            / (3.0 * HBAR * omega * (3.0 * m1.omega - m2.omega)**2 * x))
 
 
-def _linecut_model(p_d, x: float, co: _FluxCoeffs, delta1: float,
+def _linecut_model(p_d, x: float, fp: circuit.FluxPoint, delta1: float,
                    gain_db: float, scale: float = 1.0):
     """Model detected power along a linecut for a given chain parameter."""
-    delta = delta1 / co.alpha1
-    gamma1 = co.Gamma1 / co.alpha1
-    v = pump_intensity(p_d, x, co, delta1)
+    m1 = fp.mode1
+    delta = delta1 / m1.alpha
+    gamma1 = m1.gamma / m1.alpha
+    v = pump_intensity(p_d, x, fp, delta1)
     window = steady.existence_window(delta, gamma1)
     out = np.zeros_like(np.asarray(p_d, dtype=float))
     if window is None:
@@ -161,8 +166,8 @@ def _linecut_model(p_d, x: float, co: _FluxCoeffs, delta1: float,
     if np.any(mask):
         disc = -v[mask] * delta - 1.75 * v[mask] ** 2 - gamma1**2
         r1 = -(delta + 1.5 * v[mask]) + np.sqrt(np.maximum(disc, 0.0))
-        out[mask] = output_power(scale * r1, co.Gamma1_ext, gain_db,
-                                 co.omega1 + delta1)
+        out[mask] = output_power(scale * r1, m1.gamma_ext, gain_db,
+                                 m1.omega + delta1)
     return out
 
 
@@ -191,20 +196,20 @@ def fit_x(linecuts, params: circuit.CircuitParams, chain: CalibrationChain,
     prepared = []
     n_points = 0
     for lc in linecuts:
-        co = _FluxCoeffs.at(params, lc.flux)
+        fp = circuit.at_flux(params, lc.flux)
         mask = lc.pout_w > chain.noise_floor_w
         if int(mask.sum()) < min_points:
             raise NoSignalError(
                 f"linecut at delta1={lc.delta1:.3g} has {int(mask.sum())} points "
                 f"above the noise floor; need {min_points}")
-        prepared.append((lc, co, mask))
+        prepared.append((lc, fp, mask))
         n_points += int(mask.sum())
 
     def rss(log10x: float) -> float:
         x = 10.0 ** log10x
         total = 0.0
-        for lc, co, mask in prepared:
-            model = _linecut_model(lc.pd_w[mask], x, co, lc.delta1, chain.gain_db)
+        for lc, fp, mask in prepared:
+            model = _linecut_model(lc.pd_w[mask], x, fp, lc.delta1, chain.gain_db)
             total += float(np.sum((model - lc.pout_w[mask]) ** 2))
         return total
 
@@ -215,20 +220,16 @@ def fit_x(linecuts, params: circuit.CircuitParams, chain: CalibrationChain,
     if k in (0, len(grid) - 1):
         raise ConvergenceError("objective minimized at the search boundary",
                                diagnostics={"bounds": bounds})
-    res = minimize_scalar(rss, bracket=(grid[k - 1], grid[k], grid[k + 1]),
-                          method="brent", options={"xtol": 1e-12})
-    if not res.success:
-        raise ConvergenceError("chain-parameter fit did not converge",
-                               diagnostics={"message": res.message})
-    x = 10.0 ** res.x
+    log10x = golden_min(rss, grid[k - 1], grid[k], grid[k + 1])
+    x = 10.0 ** log10x
     # 1-sigma from the curvature of chi^2 with respect to x itself
     h = 1e-4 * x
-    chi = rss(res.x)
+    chi = rss(log10x)
     curv = (rss(math.log10(x + h)) - 2.0 * chi + rss(math.log10(x - h))) / h**2
     dof = max(n_points - 1, 1)
     sigma = math.sqrt(2.0 * (chi / dof) / curv) if curv > 0 else math.inf
-    curves = tuple(_linecut_model(lc.pd_w, x, co, lc.delta1, chain.gain_db)
-                   for lc, co, _ in prepared)
+    curves = tuple(_linecut_model(lc.pd_w, x, fp, lc.delta1, chain.gain_db)
+                   for lc, fp, _ in prepared)
     return FitResult(x=x, x_sigma=sigma, residual=chi, n_points=n_points,
                      curves=curves)
 
@@ -240,12 +241,17 @@ def predict_max_output(params: circuit.CircuitParams, flux: float,
     The predicted peak intensity is scaled by the empirical ``scale07``
     before conversion to detected power.
     """
-    co = _FluxCoeffs.at(params, flux)
-    delta = delta1 / co.alpha1
-    gamma1 = co.Gamma1 / co.alpha1
+    return _max_output(circuit.at_flux(params, flux), delta1, chain)
+
+
+def _max_output(fp: circuit.FluxPoint, delta1: float,
+                chain: CalibrationChain) -> float:
+    m1 = fp.mode1
+    delta = delta1 / m1.alpha
+    gamma1 = m1.gamma / m1.alpha
     r1_max, _ = steady.max_intensity(delta, gamma1)   # raises above threshold
-    return float(output_power(chain.scale07 * r1_max, co.Gamma1_ext,
-                              chain.gain_db, co.omega1 + delta1))
+    return float(output_power(chain.scale07 * r1_max, m1.gamma_ext,
+                              chain.gain_db, m1.omega + delta1))
 
 
 def visible_threshold(params: circuit.CircuitParams, flux: float,
@@ -257,11 +263,11 @@ def visible_threshold(params: circuit.CircuitParams, flux: float,
     red, where the predicted peak power crosses the floor.  Returns the
     larger magnitude of the two.
     """
-    co = _FluxCoeffs.at(params, flux)
-    true_th = steady.THRESHOLD_FACTOR * co.Gamma1
+    fp = circuit.at_flux(params, flux)
+    true_th = steady.THRESHOLD_FACTOR * fp.mode1.gamma
 
     def peak(mag):
-        return predict_max_output(params, flux, -mag, chain)
+        return _max_output(fp, -mag, chain)
 
     if peak(true_th * (1.0 + 1e-12)) >= chain.noise_floor_w:
         return -true_th
@@ -303,15 +309,14 @@ class RegionMap:
 
 
 def region_map(params: circuit.CircuitParams, flux: float,
-               chain: CalibrationChain, delta1_grid, pd_grid_w,
-               threads: int = 1) -> RegionMap:
+               chain: CalibrationChain, delta1_grid, pd_grid_w) -> RegionMap:
     """Classify a (detuning x drive power) grid and trace the upper boundary.
 
     Requires the fitted ``chain.x``.  A cell supports excited states when
     its detuning is past threshold and the stiff-pump intensity falls
-    inside the existence window; the boundary polyline is the closed-form
-    maximum drive power restored to generator-plane watts through X.
-    Detuning columns are independent and split across ``threads`` workers.
+    inside the existence window; the boundary polyline is
+    :func:`steady.max_drive` at the column's operating point, restored to
+    generator-plane watts through X.
     """
     if chain.x is None:
         raise ValueError("region_map needs the fitted chain parameter x")
@@ -319,33 +324,16 @@ def region_map(params: circuit.CircuitParams, flux: float,
     pd = np.asarray(pd_grid_w, dtype=float)
     if d1.size == 0 or pd.size == 0 or np.any(pd <= 0):
         raise ValueError("grids must be non-empty and powers positive")
-    co = _FluxCoeffs.at(params, flux)
+    fp = circuit.at_flux(params, flux)
+    m1 = fp.mode1
     labels = np.full((d1.size, pd.size), "I", dtype=object)
     boundary = np.full(d1.size, np.nan)
-
-    def column(i):
-        dd = d1[i]
-        delta = dd / co.alpha1
-        gamma1 = co.Gamma1 / co.alpha1
-        window = steady.existence_window(delta, gamma1)
+    for i, dd in enumerate(d1):
+        window = steady.existence_window(dd / m1.alpha, m1.gamma / m1.alpha)
         if window is None:
-            return
-        v = pump_intensity(pd, chain.x, co, dd)
-        inside = (v >= window[0]) & (v <= window[1])
-        labels[i, inside] = "exists"
-        # generator power at the closed-form maximum drive, via X only:
-        # P_d,max = 3*hbar*omega * (4*Delta^2*|delta|*alpha1^2/(7*beta^2*omega2)) * X
-        omega = co.omega1 + dd
-        big_delta = co.anh / co.alpha1
-        bmax_times_att = (4.0 * big_delta**2 * abs(delta) * co.alpha1**2
-                          / (7.0 * co.beta**2 * co.omega2)) * chain.x
-        boundary[i] = 3.0 * HBAR * omega * bmax_times_att
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(column, range(d1.size)))
-    else:
-        for i in range(d1.size):
-            column(i)
+            continue
+        v = pump_intensity(pd, chain.x, fp, dd)
+        labels[i, (v >= window[0]) & (v <= window[1])] = "exists"
+        b2_max = steady.max_drive(fp.operating_point(dd))
+        boundary[i] = drive_power_through_x(b2_max, chain.x, fp, dd)
     return RegionMap(delta1=d1, pd_w=pd, labels=labels, boundary_pd_w=boundary)

@@ -15,9 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from scipy.constants import hbar as HBAR
-from scipy.constants import physical_constants
-
 from ._roots import bisect
 from .errors import (
     DegenerateFluxError,
@@ -27,7 +24,10 @@ from .errors import (
 )
 from .steady import DimensionlessPoint
 
-PHI0 = physical_constants["mag. flux quantum"][0]
+#: reduced Planck constant (J s) and magnetic flux quantum h/2e (Wb), both
+#: exact in SI from the defined Planck constant and elementary charge
+HBAR = 6.62607015e-34 / (2 * math.pi)
+PHI0 = 6.62607015e-34 / (2 * 1.602176634e-19)
 
 #: beyond this flux magnitude the two-mode description degrades and the
 #: dispersion equation approaches its degenerate point
@@ -192,9 +192,10 @@ def squid_inductance(params: CircuitParams, flux: float, current: float = 0.0) -
 
 
 def _check_flux(flux: float):
-    if abs(flux) > FLUX_LIMIT:
+    if not abs(flux) <= FLUX_LIMIT:     # also rejects NaN
         raise FluxRangeError(
-            f"|flux| = {abs(flux)} exceeds the model validity limit {FLUX_LIMIT}")
+            f"flux {flux} is outside the model validity range "
+            f"|flux| <= {FLUX_LIMIT}")
 
 
 def _dispersion_rhs_coeffs(params: CircuitParams, flux: float):
@@ -300,15 +301,35 @@ def reduce_operating_point(mode1: ModeProfile, mode2: ModeProfile,
     )
 
 
+@dataclass(frozen=True)
+class FluxPoint:
+    """The device at one flux bias: both mode profiles and their couplings."""
+
+    flux: float
+    mode1: ModeProfile
+    mode2: ModeProfile
+    couplings: ModeCouplings
+
+    def operating_point(self, delta1: float, drive_b2: float = 0.0,
+                        drive_phase: float = 0.0) -> DimensionlessPoint:
+        """Reduced operating point at signal detuning ``delta1`` (rad/s)."""
+        return reduce_operating_point(self.mode1, self.mode2, self.couplings,
+                                      signal_omega=self.mode1.omega + delta1,
+                                      drive_b2=drive_b2,
+                                      drive_phase=drive_phase, flux=self.flux)
+
+
+def at_flux(params: CircuitParams, flux: float) -> FluxPoint:
+    """Both filled-in mode profiles and their couplings at one flux bias."""
+    m1 = mode_profile(params, flux, 1)
+    m2 = mode_profile(params, flux, 2)
+    return FluxPoint(flux=flux, mode1=m1, mode2=m2, couplings=couplings(m1, m2))
+
+
 def device_point(params: CircuitParams, flux: float, delta1: float,
                  drive_b2: float = 0.0, drive_phase: float = 0.0) -> DimensionlessPoint:
     """Operating point for a device at given flux and signal detuning (rad/s)."""
-    m1 = mode_profile(params, flux, 1)
-    m2 = mode_profile(params, flux, 2)
-    return reduce_operating_point(m1, m2, couplings(m1, m2),
-                                  signal_omega=m1.omega + delta1,
-                                  drive_b2=drive_b2, drive_phase=drive_phase,
-                                  flux=flux)
+    return at_flux(params, flux).operating_point(delta1, drive_b2, drive_phase)
 
 
 def reference_params() -> CircuitParams:

@@ -57,6 +57,17 @@ _EXIT_CODES = (
 )
 
 
+def _reject_constant(name):
+    raise ConfigError(f"non-finite number {name} is not allowed")
+
+
+def _finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"number {text} overflows a float")
+    return value
+
+
 def _exit_code(exc: TriplerError) -> int:
     for code, classes in _EXIT_CODES:
         if isinstance(exc, classes):
@@ -73,16 +84,17 @@ class _Run:
         self.config_path = path
         if path:
             try:
-                self.doc = json.loads(Path(path).read_text(encoding="utf-8"))
+                self.doc = json.loads(Path(path).read_text(encoding="utf-8"),
+                                      parse_constant=_reject_constant,
+                                      parse_float=_finite_float)
             except FileNotFoundError:
                 raise ConfigError(f"run configuration {path!r} not found")
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, ConfigError) as exc:
                 raise ConfigError(f"run configuration {path!r}: {exc}")
         if args.out is not None:
             self.doc["out"] = args.out
         if args.seed is not None:
             self.doc["seed"] = args.seed
-        self.threads = args.threads
         self.format = args.format
 
     @property
@@ -111,16 +123,19 @@ class _Run:
 
     def chain(self) -> calibration.CalibrationChain:
         sec = self.section("chain")
+        x = sec.get("x")
         try:
             return calibration.CalibrationChain(
                 gain_db=float(sec["gain_db"]),
                 noise_floor_w=float(sec["noise_floor_w"]),
                 att_db=sec.get("att_db"),
-                x=sec.get("x"),
+                x=None if x is None else float(x),
                 scale07=float(sec.get("scale07", 0.7)),
             )
         except KeyError as exc:
             raise ConfigError(f"chain section missing {exc}")
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"chain section: {exc}")
 
     def meta(self, command: str) -> dict:
         return {"command": command, "config": self.doc, "seed": self.seed}
@@ -134,23 +149,33 @@ def _flux_axis(axis_spec) -> np.ndarray:
         raise ConfigError(f"expected a [lo, hi, n] axis, got {axis_spec!r}")
     if axis.size == 0:
         raise ConfigError("empty axis")
+    if not np.all(np.isfinite(axis)):
+        raise ConfigError(f"axis {axis_spec!r} is not finite")
     return axis
 
 
-def _b2_sq_from(sec, chain, params, flux) -> float:
+def _number(sec, key, nonnegative=False) -> float:
+    """A finite (and, if asked, non-negative) number from a config section."""
+    try:
+        value = float(sec[key])
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key!r} must be a number, got {sec[key]!r}")
+    if not math.isfinite(value) or (nonnegative and value < 0):
+        kind = "a finite non-negative" if nonnegative else "a finite"
+        raise ConfigError(f"{key!r} must be {kind} number, got {value!r}")
+    return value
+
+
+def _b2_sq_from(sec, chain, fp, delta1) -> float:
     """Drive |B2|^2 from the config: direct, or generator power through X."""
     if "b2_sq" in sec:
-        return float(sec["b2_sq"])
+        return _number(sec, "b2_sq", nonnegative=True)
     if "pd_dbm" in sec:
         if chain is None or chain.x is None:
             raise ConfigError("drive given as power: the chain needs x")
-        m1 = circuit.mode_profile(params, flux, 1)
-        m2 = circuit.mode_profile(params, flux, 2)
-        q2_ext = m2.omega / (2.0 * m2.gamma_ext)
-        pd = float(calibration.dbm_to_watt(float(sec["pd_dbm"])))
-        omega = m1.omega + 2.0 * math.pi * float(sec["delta1_hz"])
-        from scipy.constants import hbar
-        return pd * q2_ext / (3.0 * hbar * omega * chain.x)
+        pd = float(calibration.dbm_to_watt(_number(sec, "pd_dbm")))
+        return float(calibration.drive_amplitude_sq_through_x(
+            pd, chain.x, fp, delta1))
     raise ConfigError("steady/simulate sections need b2_sq or pd_dbm")
 
 
@@ -172,8 +197,8 @@ def cmd_spectrum(run: _Run) -> int:
              "flux_frac,f1_hz,f2_hz,anharmonicity_hz,"
              "alpha1_rad_s,alpha2_rad_s,gamma1_rad_s,gamma2_rad_s\n"]
     for phi in axis:
-        m1 = circuit.mode_profile(params, float(phi), 1)
-        m2 = circuit.mode_profile(params, float(phi), 2)
+        fp = circuit.at_flux(params, float(phi))
+        m1, m2 = fp.mode1, fp.mode2
         f1 = m1.omega / (2.0 * math.pi)
         f2 = m2.omega / (2.0 * math.pi)
         lines.append(",".join(repr(float(x)) for x in (
@@ -205,11 +230,12 @@ def cmd_steady(run: _Run) -> int:
     params = run.device()
     sec = run.section("steady")
     flux = float(sec.get("flux", 0.0))
-    delta1 = 2.0 * math.pi * float(sec["delta1_hz"])
+    delta1 = 2.0 * math.pi * _number(sec, "delta1_hz")
     chain = run.chain() if "chain" in run.doc else None
-    b2_sq = _b2_sq_from(sec, chain, params, flux)
-    point = circuit.device_point(params, flux, delta1, drive_b2=math.sqrt(b2_sq),
-                                 drive_phase=float(sec.get("drive_phase", 0.0)))
+    fp = circuit.at_flux(params, flux)
+    b2_sq = _b2_sq_from(sec, chain, fp, delta1)
+    point = fp.operating_point(delta1, drive_b2=math.sqrt(b2_sq),
+                               drive_phase=float(sec.get("drive_phase", 0.0)))
     states = steady.solve_selfconsistent(point)
     if run.format == "csv":
         lines = [io._meta_lines(run.meta("steady") | _kerr_meta(params)),
@@ -248,8 +274,7 @@ def cmd_sweep(run: _Run) -> int:
     flux = float(sec.get("flux", 0.0))
     d1 = 2.0 * math.pi * _flux_axis(sec["delta1_hz"])
     pd = calibration.dbm_to_watt(_flux_axis(sec["pd_dbm"]))
-    rmap = calibration.region_map(params, flux, chain, d1, pd,
-                                  threads=run.threads)
+    rmap = calibration.region_map(params, flux, chain, d1, pd)
     meta = run.meta("sweep")
     lines = [io._meta_lines(meta), "delta1_hz,pd_dbm,label\n"]
     for i, dd in enumerate(rmap.delta1):
@@ -276,10 +301,11 @@ def cmd_simulate(run: _Run) -> int:
     params = run.device()
     sec = run.section("simulate")
     flux = float(sec.get("flux", 0.0))
-    delta1 = 2.0 * math.pi * float(sec["delta1_hz"])
+    delta1 = 2.0 * math.pi * _number(sec, "delta1_hz")
     chain = run.chain() if "chain" in run.doc else None
-    b2_sq = _b2_sq_from(sec, chain, params, flux)
-    point = circuit.device_point(params, flux, delta1, drive_b2=math.sqrt(b2_sq))
+    fp = circuit.at_flux(params, flux)
+    b2_sq = _b2_sq_from(sec, chain, fp, delta1)
+    point = fp.operating_point(delta1, drive_b2=math.sqrt(b2_sq))
     system = dynamics.TwoModeSystem.from_point(point)
     init = sec.get("initial", [0.0, 0.0, 0.0, 0.0])
     a10 = complex(init[0], init[1])
@@ -324,16 +350,8 @@ def cmd_thresholds(run: _Run) -> int:
     params = run.device()
     chain = run.chain()
     axis = _flux_axis(run.section("thresholds").get("flux", [0.0, 0.4, 17]))
-
-    def solve(phi):
-        return calibration.visible_threshold(params, float(phi), chain)
-
-    if run.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=run.threads) as pool:
-            ths = list(pool.map(solve, axis))
-    else:
-        ths = [solve(phi) for phi in axis]
+    ths = [calibration.visible_threshold(params, float(phi), chain)
+           for phi in axis]
     lines = [io._meta_lines(run.meta("thresholds")),
              "flux_frac,delta1_threshold_hz\n"]
     for phi, th in zip(axis, ths):
@@ -354,7 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output directory (overrides config)")
     parser.add_argument("--seed", type=int, help="master RNG seed")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for grid sweeps")
+                        help="accepted for compatibility; has no effect")
     parser.add_argument("--format", choices=("csv", "json"), default=None,
                         help="preferred tabular output format")
     sub = parser.add_subparsers(dest="command", required=True)

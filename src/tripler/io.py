@@ -35,12 +35,19 @@ _HEADER = struct.Struct("<dqddQ")
 
 
 def atomic_write_bytes(path, payload: bytes):
-    """Write bytes through a sibling temp file and an atomic rename."""
+    """Write bytes through a sibling temp file and an atomic rename.
+
+    The file gets the mode a plain ``open`` would give it (0o666 less the
+    umask), not the owner-only 0o600 of the temp file.
+    """
     path = Path(path)
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -78,6 +78,10 @@ class DimensionlessPoint:
     flux: float | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.gamma1 < 0 or self.gamma2 < 0 or self.gamma2_ext < 0:
             raise ValueError("dampings must be non-negative")
         if self.gamma2_ext > self.gamma2 * (1 + 1e-12):

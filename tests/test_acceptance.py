@@ -280,9 +280,10 @@ def test_criterion_09_fit(params, chain):
                f"({(res.x/x0-1)*100:+.2f}%, target 2%)")
 
     # shape of the modeled linecut in dB units, observed above the floor
-    co = cal._FluxCoeffs.at(params, 0.0)
+    co = circuit.at_flux(params, 0.0)
     d1 = -TWO_PI * 8e6
-    window = steady.existence_window(d1 / co.alpha1, co.Gamma1 / co.alpha1)
+    window = steady.existence_window(d1 / co.mode1.alpha,
+                                     co.mode1.gamma / co.mode1.alpha)
     per_watt = cal.pump_intensity(1.0, chain.x, co, d1)
     pd = np.geomspace(0.3 * window[0] / per_watt, 1.05 * window[1] / per_watt,
                       40)

@@ -5,10 +5,12 @@ import pytest
 
 from tripler import calibration as cal
 from tripler import circuit, steady
+from tripler._roots import golden_min
 from tripler.calibration import CalibrationChain, Linecut
 from tripler.errors import BelowThresholdError, NoSignalError
 
 TWO_PI = 2.0 * math.pi
+HBAR = 6.62607015e-34 / TWO_PI
 
 
 @pytest.fixture(scope="module")
@@ -21,10 +23,11 @@ def synthetic_linecuts(params, chain, x_true, deltas_hz, noise=0.0, seed=0,
     """Linecuts generated from the forward model at a known chain parameter."""
     rng = np.random.default_rng(seed)
     cuts = []
-    co = cal._FluxCoeffs.at(params, 0.0)
+    co = circuit.at_flux(params, 0.0)
     for dhz in deltas_hz:
         d1 = TWO_PI * dhz
-        window = steady.existence_window(d1 / co.alpha1, co.Gamma1 / co.alpha1)
+        window = steady.existence_window(d1 / co.mode1.alpha,
+                                         co.mode1.gamma / co.mode1.alpha)
         per_watt = cal.pump_intensity(1.0, x_true, co, d1)
         pd = np.geomspace(0.5 * window[0] / per_watt,
                           1.2 * window[1] / per_watt, n)
@@ -75,6 +78,16 @@ class TestPowerConversions:
                 pytest.approx(dbm, abs=1e-12)
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("gain_db", math.nan), ("noise_floor_w", -1.0), ("noise_floor_w", math.nan),
+    ("noise_floor_w", math.inf), ("x", 0.0), ("x", math.nan), ("x", math.inf)])
+def test_chain_rejects_bad_field(field, bad):
+    kw = dict(gain_db=66.0, noise_floor_w=1e-10, x=1e12)
+    kw[field] = bad
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        CalibrationChain(**kw)
+
+
 class TestFit:
     def test_recovery_with_noise(self, params, chain):
         x0 = 1e12
@@ -92,7 +105,7 @@ class TestFit:
 
         def rss(x):
             total = 0.0
-            co = cal._FluxCoeffs.at(params, 0.0)
+            co = circuit.at_flux(params, 0.0)
             for lc in cuts:
                 mask = lc.pout_w > chain.noise_floor_w
                 model = cal._linecut_model(lc.pd_w[mask], x, co, lc.delta1,
@@ -110,6 +123,18 @@ class TestFit:
         assert np.all(np.diff(vals[:k + 1]) <= tol)
         assert np.all(np.diff(vals[k:]) >= -tol)
 
+    @pytest.mark.parametrize("xm", [-3.7, 0.0, 0.25, 12.001])
+    def test_golden_section_oracle(self, xm):
+        # a V-shaped objective pins the minimizer exactly, with b on
+        # either side of it and in the short or the long sub-interval
+        def f(x):
+            return abs(x - xm)
+
+        for a, b, c in ((xm - 1.0, xm + 0.1, xm + 0.3),
+                        (xm - 0.05, xm - 0.01, xm + 2.0),
+                        (xm - 0.5, xm, xm + 0.5)):
+            assert golden_min(f, a, b, c) == pytest.approx(xm, abs=1e-11)
+
     @pytest.mark.skip(reason="no digitized measured linecuts are bundled; "
                              "when supplied, the fit is expected to land on "
                              "X = 9.97e11 within 5%")
@@ -117,7 +142,7 @@ class TestFit:
         pass
 
     def test_no_signal_error(self, params, chain):
-        co = cal._FluxCoeffs.at(params, 0.0)
+        co = circuit.at_flux(params, 0.0)
         d1 = -TWO_PI * 8e6
         pd = np.geomspace(1e-9, 1e-6, 10)
         quiet = Linecut(delta1=d1, flux=0.0, pd_w=pd,
@@ -138,12 +163,12 @@ class TestFit:
 
 class TestMaxOutput:
     def test_threshold_closed_form(self, params, chain):
-        co = cal._FluxCoeffs.at(params, 0.0)
-        th = steady.THRESHOLD_FACTOR * co.Gamma1
+        co = circuit.at_flux(params, 0.0)
+        th = steady.THRESHOLD_FACTOR * co.mode1.gamma
         got = cal.predict_max_output(params, 0.0, -th, chain)
-        expect = cal.output_power(0.7 * 4 * th / (7 * co.alpha1),
-                                  co.Gamma1_ext, chain.gain_db,
-                                  co.omega1 - th)
+        expect = cal.output_power(0.7 * 4 * th / (7 * co.mode1.alpha),
+                                  co.mode1.gamma_ext, chain.gain_db,
+                                  co.mode1.omega - th)
         assert got == pytest.approx(expect, rel=1e-6)
 
     def test_below_threshold_error(self, params, chain):
@@ -151,16 +176,16 @@ class TestMaxOutput:
             cal.predict_max_output(params, 0.0, -1e3, chain)
 
     def test_monotone_beyond_twice_threshold(self, params, chain):
-        co = cal._FluxCoeffs.at(params, 0.0)
-        th = steady.THRESHOLD_FACTOR * co.Gamma1
+        co = circuit.at_flux(params, 0.0)
+        th = steady.THRESHOLD_FACTOR * co.mode1.gamma
         mags = np.linspace(2 * th, 40 * th, 100)
         vals = [cal.predict_max_output(params, 0.0, -m, chain) for m in mags]
         assert np.all(np.diff(vals) > 0)
 
     def test_slope_ratio_matches_coefficient_oracle(self, params, chain):
         def slope(flux):
-            co = cal._FluxCoeffs.at(params, flux)
-            th = steady.THRESHOLD_FACTOR * co.Gamma1
+            co = circuit.at_flux(params, flux)
+            th = steady.THRESHOLD_FACTOR * co.mode1.gamma
             d = np.array([20 * th, 21 * th])
             p = [cal.predict_max_output(params, flux, -m, chain) for m in d]
             return (p[1] - p[0]) / (d[1] - d[0])
@@ -168,38 +193,54 @@ class TestMaxOutput:
         def coeff(flux):
             # far from threshold: P ~ 0.7*(8/7)*hbar*w1*2*Gamma_ext*10^(G/10)
             #                          * |delta1| / alpha1
-            co = cal._FluxCoeffs.at(params, flux)
-            return co.omega1 * co.Gamma1_ext / co.alpha1
+            co = circuit.at_flux(params, flux)
+            return co.mode1.omega * co.mode1.gamma_ext / co.mode1.alpha
 
         ratio = slope(0.3) / slope(0.0)
         oracle = coeff(0.3) / coeff(0.0)
         assert ratio == pytest.approx(oracle, rel=5e-3)
         # to leading order this is the inverse Kerr-coefficient ratio
-        a0 = cal._FluxCoeffs.at(params, 0.0).alpha1
-        a3 = cal._FluxCoeffs.at(params, 0.3).alpha1
+        a0 = circuit.at_flux(params, 0.0).mode1.alpha
+        a3 = circuit.at_flux(params, 0.3).mode1.alpha
         assert ratio == pytest.approx(a0 / a3, rel=0.15)
 
 
 class TestVisibleThreshold:
+    def test_builds_the_modes_once(self, params, chain, monkeypatch):
+        calls = []
+        real = circuit.mode_profile
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(circuit, "mode_profile", counted)
+        th = cal.visible_threshold(params, 0.3, chain)
+        # noise limited at this chain, so the search probed many detunings
+        assert -th > steady.THRESHOLD_FACTOR * 1.001 * \
+            real(params, 0.3, 1).gamma
+        assert sorted(n for _, _, n in calls) == [1, 2]
+
     def test_vanishing_floor_gives_true_threshold(self, params):
         quiet = CalibrationChain(gain_db=66.0, noise_floor_w=1e-30)
-        co = cal._FluxCoeffs.at(params, 0.0)
+        co = circuit.at_flux(params, 0.0)
         got = cal.visible_threshold(params, 0.0, quiet)
-        assert got == pytest.approx(-steady.THRESHOLD_FACTOR * co.Gamma1,
+        assert got == pytest.approx(-steady.THRESHOLD_FACTOR * co.mode1.gamma,
                                     rel=1e-9)
 
     def test_never_shallower_than_true_threshold(self, params, chain):
         for flux in np.linspace(0.0, 0.42, 15):
-            co = cal._FluxCoeffs.at(params, flux)
+            co = circuit.at_flux(params, flux)
             got = cal.visible_threshold(params, flux, chain)
-            assert -got >= steady.THRESHOLD_FACTOR * co.Gamma1 * (1 - 1e-12)
+            assert -got >= \
+                steady.THRESHOLD_FACTOR * co.mode1.gamma * (1 - 1e-12)
 
     def test_noise_limited_threshold_crossing(self, params):
         # with the floor exactly at the predicted threshold-peak power the
         # visible threshold sits at the true one; raising the floor pushes
         # it deeper into the red
-        co = cal._FluxCoeffs.at(params, 0.0)
-        th = steady.THRESHOLD_FACTOR * co.Gamma1
+        co = circuit.at_flux(params, 0.0)
+        th = steady.THRESHOLD_FACTOR * co.mode1.gamma
         p_at_th = cal.predict_max_output(
             params, 0.0, -th * (1 + 1e-9),
             CalibrationChain(gain_db=66.0, noise_floor_w=1.0))
@@ -214,9 +255,31 @@ class TestVisibleThreshold:
 
 
 class TestRegionMap:
+    def test_boundary_matches_max_drive_oracle(self, params, chain):
+        flux = 0.2
+        m1 = circuit.mode_profile(params, flux, 1)
+        m2 = circuit.mode_profile(params, flux, 2)
+        q2_ext = m2.omega / (2.0 * m2.gamma_ext)
+        beta_sq = math.sqrt(m2.alpha / m1.alpha)
+        anh = 3.0 * m1.omega - m2.omega
+        d1 = -TWO_PI * np.array([2e6, 5e6, 12e6, 20e6])
+        rmap = cal.region_map(params, flux, chain, d1,
+                              np.geomspace(1e-9, 1e-3, 3))
+        for dd, got in zip(d1, rmap.boundary_pd_w):
+            omega = m1.omega + dd
+            b2_max = steady.max_drive(circuit.device_point(params, flux, dd))
+            assert got == pytest.approx(
+                3.0 * HBAR * omega * b2_max * chain.x / q2_ext,
+                rel=1e-12, abs=0.0)
+            # the same bound grouped in laboratory quantities:
+            # 3*hbar*omega * 4*(3w1-w2)^2*|delta1| / (7*beta^2*w2*alpha1) * X
+            lab = (3.0 * HBAR * omega * 4.0 * anh**2 * abs(dd)
+                   / (7.0 * beta_sq * m2.omega * m1.alpha) * chain.x)
+            assert got == pytest.approx(lab, rel=1e-11, abs=0.0)
+
     def test_above_threshold_all_region_one(self, params, chain):
-        co = cal._FluxCoeffs.at(params, 0.0)
-        th = steady.THRESHOLD_FACTOR * co.Gamma1
+        co = circuit.at_flux(params, 0.0)
+        th = steady.THRESHOLD_FACTOR * co.mode1.gamma
         d1 = np.array([-0.5 * th, -0.9 * th])
         pd = np.geomspace(1e-9, 1e-3, 20)
         rmap = cal.region_map(params, 0.0, chain, d1, pd)
@@ -224,8 +287,8 @@ class TestRegionMap:
         assert np.all(np.isnan(rmap.boundary_pd_w))
 
     def test_boundary_linear_in_detuning(self, params, chain):
-        co = cal._FluxCoeffs.at(params, 0.0)
-        th = steady.THRESHOLD_FACTOR * co.Gamma1
+        co = circuit.at_flux(params, 0.0)
+        th = steady.THRESHOLD_FACTOR * co.mode1.gamma
         d1 = np.array([-10 * th, -20 * th])
         pd = np.geomspace(1e-9, 1e-3, 5)
         rmap = cal.region_map(params, 0.0, chain, d1, pd)
@@ -235,7 +298,7 @@ class TestRegionMap:
             pytest.approx(2.0, rel=1e-3)
 
     def test_cells_match_window(self, params, chain):
-        co = cal._FluxCoeffs.at(params, 0.0)
+        co = circuit.at_flux(params, 0.0)
         d1 = np.array([-TWO_PI * 8e6])
         pd = np.geomspace(1e-12, 1e-2, 400)
         rmap = cal.region_map(params, 0.0, chain, d1, pd)
@@ -245,14 +308,14 @@ class TestRegionMap:
         # contiguous band
         assert np.all(np.diff(inside) == 1)
         v = cal.pump_intensity(pd, chain.x, co, d1[0])
-        window = steady.existence_window(d1[0] / co.alpha1,
-                                         co.Gamma1 / co.alpha1)
+        window = steady.existence_window(d1[0] / co.mode1.alpha,
+                                         co.mode1.gamma / co.mode1.alpha)
         expect = (v >= window[0]) & (v <= window[1])
         assert np.array_equal(labels == "exists", expect)
 
     def test_boundary_concave_monotone_in_dbm(self, params, chain):
-        co = cal._FluxCoeffs.at(params, 0.0)
-        th = steady.THRESHOLD_FACTOR * co.Gamma1
+        co = circuit.at_flux(params, 0.0)
+        th = steady.THRESHOLD_FACTOR * co.mode1.gamma
         d1 = -np.linspace(2 * th, 60 * th, 40)
         pd = np.geomspace(1e-9, 1e-3, 5)
         rmap = cal.region_map(params, 0.0, chain, d1, pd)

@@ -95,6 +95,11 @@ class TestSpectrum:
         with pytest.raises(FluxRangeError):
             circuit.solve_spectrum(params, 0.46, 1)
 
+    @pytest.mark.parametrize("flux", [math.nan, math.inf, -math.inf])
+    def test_non_finite_flux_rejected(self, params, flux):
+        with pytest.raises(FluxRangeError):
+            circuit.at_flux(params, flux)
+
     def test_frequency_non_increasing_in_flux(self, params):
         fluxes = np.linspace(0.0, 0.45, 51)
         f1 = [circuit.solve_spectrum(params, f, 1).omega for f in fluxes]

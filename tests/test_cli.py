@@ -1,15 +1,30 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tripler
 from tripler import calibration as cal
+from tripler import circuit
 from tripler import io as tio
 from tripler.cli import main
 from tripler.config import dump_device_config
 
 TWO_PI = 2.0 * math.pi
+SRC = str(Path(tripler.__file__).resolve().parents[1])
+
+
+def run_python(args, cwd):
+    """A fresh interpreter importing this checkout's tripler."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, text=True,
+                          capture_output=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
 
 
 @pytest.fixture()
@@ -87,6 +102,22 @@ class TestSteady:
         assert main(["--config", cfg, "steady"]) == 0
         doc = json.loads((workdir / "out" / "steady.json").read_text())
         assert [s["kind"] for s in doc["states"]] == ["ground"]
+
+    def test_pd_dbm_drive_oracle(self, workdir, params):
+        x, pd_dbm, d1_hz, flux = 9.97e11, -25.0, -12e6, 0.1
+        cfg = write_config(workdir, {
+            "chain": {"gain_db": 66.0, "noise_floor_w": 4.4e-10, "x": x},
+            "steady": {"flux": flux, "delta1_hz": d1_hz, "pd_dbm": pd_dbm}})
+        assert main(["--config", cfg, "steady"]) == 0
+        doc = json.loads((workdir / "out" / "steady.json").read_text())
+        m1 = circuit.mode_profile(params, flux, 1)
+        m2 = circuit.mode_profile(params, flux, 2)
+        q2_ext = m2.omega / (2.0 * m2.gamma_ext)
+        omega = m1.omega + TWO_PI * d1_hz
+        hbar = 6.62607015e-34 / TWO_PI
+        pd_w = 1e-3 * 10.0 ** (pd_dbm / 10.0)
+        assert doc["point"]["b2_sq"] == pytest.approx(
+            pd_w * q2_ext / (3.0 * hbar * omega * x), rel=1e-12)
 
     def test_csv_format(self, workdir):
         cfg = write_config(workdir, {"steady": {
@@ -217,3 +248,73 @@ class TestConfigResolution:
         alt = workdir / "alt"
         assert main(["--config", cfg, "--out", str(alt), "spectrum"]) == 0
         assert (alt / "spectrum.csv").exists()
+
+
+class TestConfigErrors:
+    """Bad values end in exit code 2 and one line on stderr, never a traceback."""
+
+    STEADY = {"flux": 0.0, "delta1_hz": -12e6, "b2_sq": 6.25e10}
+    CHAIN = {"gain_db": 66.0, "noise_floor_w": 4.4e-10, "x": 9.97e11}
+
+    @pytest.mark.parametrize("command, doc, needle", [
+        ("steady", {"steady": {**STEADY, "delta1_hz": math.nan}}, "NaN"),
+        ("thresholds", {"chain": {**CHAIN, "noise_floor_w": -1},
+                        "thresholds": {"flux": [0.0, 0.1, 2]}},
+         "noise_floor_w"),
+        ("steady", {"steady": {**STEADY, "b2_sq": -1}}, "b2_sq"),
+    ], ids=["nan-delta1", "negative-floor", "negative-b2"])
+    def test_fresh_process(self, workdir, command, doc, needle):
+        cfg = write_config(workdir, doc)
+        proc = run_python(["-m", "tripler", "--config", cfg, command], workdir)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and needle in lines[0]
+
+    @pytest.mark.parametrize("command, doc, needle", [
+        ("steady", {"steady": {**STEADY, "b2_sq": math.inf}}, "Infinity"),
+        ("simulate", {"simulate": {**STEADY, "delta1_hz": "nan",
+                                   "duration_s": 1e-9, "dt_s": 1e-11}},
+         "delta1_hz"),
+        ("steady", {"chain": CHAIN,
+                    "steady": {"flux": 0.0, "delta1_hz": -12e6,
+                               "pd_dbm": "inf"}}, "pd_dbm"),
+        ("steady", {"steady": {**STEADY, "b2_sq": "-inf"}}, "b2_sq"),
+        ("sweep", {"chain": CHAIN,
+                   "sweep": {"delta1_hz": [-10e6, "nan", 3],
+                             "pd_dbm": [-40, 0, 3]}}, "axis"),
+        ("sweep", {"chain": {**CHAIN, "x": "abc"},
+                   "sweep": {"delta1_hz": [-10e6, -1e6, 3],
+                             "pd_dbm": [-40, 0, 3]}}, "abc"),
+        ("sweep", {"chain": {**CHAIN, "x": -1},
+                   "sweep": {"delta1_hz": [-10e6, -1e6, 3],
+                             "pd_dbm": [-40, 0, 3]}}, "x must be positive"),
+        ("thresholds", {"chain": {**CHAIN, "gain_db": "nan"},
+                        "thresholds": {"flux": [0.0, 0.1, 2]}}, "gain_db"),
+    ])
+    def test_in_process(self, workdir, capsys, command, doc, needle):
+        cfg = write_config(workdir, doc)
+        assert main(["--config", cfg, command]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and needle in err[0]
+
+    def test_non_finite_flux_is_a_domain_error(self, workdir, capsys):
+        cfg = write_config(workdir, {"steady": {**self.STEADY, "flux": "nan"}})
+        assert main(["--config", cfg, "steady"]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "flux nan" in err[0]
+
+    def test_overflowing_literal(self, workdir, capsys):
+        cfg = write_config(workdir, {"steady": self.STEADY})
+        text = Path(cfg).read_text().replace("62500000000.0", "1e999")
+        Path(cfg).write_text(text)
+        assert main(["--config", cfg, "steady"]) == 2
+        assert "1e999" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    proc = run_python(["-c", "import sys, tripler.cli; print(sorted("
+                       "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+                      tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

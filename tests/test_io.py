@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -146,3 +148,15 @@ def test_atomic_write_leaves_no_droppings(tmp_path):
     tio.atomic_write_bytes(target, b"payload")
     assert target.read_bytes() == b"payload"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]
+
+
+def test_atomic_write_mode_follows_umask(tmp_path):
+    payload = bytes(range(256)) * 3
+    path = tmp_path / "artifact.bin"
+    old = os.umask(0o022)
+    try:
+        tio.atomic_write_bytes(path, payload)
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o644
+    assert path.read_bytes() == payload

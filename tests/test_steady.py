@@ -22,6 +22,18 @@ def make_point(delta=-20.0, Delta=1500.0, gamma1=1.93, gamma2=13.6,
                               drive_phase=drive_phase)
 
 
+@pytest.mark.parametrize("field", [
+    "delta", "Delta", "gamma1", "gamma2", "gamma2_ext", "beta", "alpha1",
+    "drive_b2", "drive_phase", "flux"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_point_rejects_non_finite_field(field, bad):
+    kw = dict(delta=-20.0, Delta=1500.0, gamma1=1.93, gamma2=13.6,
+              gamma2_ext=13.1, beta=1.3, alpha1=1.0, flux=0.0)
+    kw[field] = bad
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        DimensionlessPoint(**kw)
+
+
 # ---------------------------------------------------------------------------
 # brute-force oracles, independent of the library code paths
 
