@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from ._roots import bisect
 from .errors import (
@@ -138,6 +139,12 @@ class CircuitParams:
 
     def coupling_ratio_sq(self) -> float:
         """(Cc/C_cav)^2, direct or inverted from Q_ext_1 at zero flux."""
+        return self._coupling_ratio_sq
+
+    @cached_property
+    def _coupling_ratio_sq(self) -> float:
+        # solved once per instance: every mode profile needs it, and the
+        # inversion from Q_ext_1 costs a dispersion bisection
         if self.Cc is not None:
             return (self.Cc / self.C_cav) ** 2
         if self.Q_ext_1 is not None:

@@ -154,16 +154,49 @@ def _flux_axis(axis_spec) -> np.ndarray:
     return axis
 
 
-def _number(sec, key, nonnegative=False) -> float:
-    """A finite (and, if asked, non-negative) number from a config section."""
+def _finite(key, value, nonnegative=False, positive=False) -> float:
+    """``value`` of config key ``key`` as a finite float, bounded below if asked."""
     try:
-        value = float(sec[key])
+        number = float(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key!r} must be a number, got {sec[key]!r}")
-    if not math.isfinite(value) or (nonnegative and value < 0):
-        kind = "a finite non-negative" if nonnegative else "a finite"
-        raise ConfigError(f"{key!r} must be {kind} number, got {value!r}")
+        raise ConfigError(f"{key!r} must be a number, got {value!r}")
+    if not math.isfinite(number) or (nonnegative and number < 0) \
+            or (positive and number <= 0):
+        kind = "a finite positive" if positive else \
+            "a finite non-negative" if nonnegative else "a finite"
+        raise ConfigError(f"{key!r} must be {kind} number, got {number!r}")
+    return number
+
+
+def _number(sec, key, nonnegative=False, positive=False,
+            default=None) -> float:
+    """A finite number from a config section; ``default`` if the key is absent.
+
+    Without a default the key is required.
+    """
+    if default is not None and key not in sec:
+        return default
+    return _finite(key, sec[key], nonnegative=nonnegative, positive=positive)
+
+
+def _count(sec, key, default: int) -> int:
+    """A positive integer from a config section (integral floats allowed)."""
+    value = sec.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{key!r} must be a positive integer, got {value!r}")
     return value
+
+
+def _number_list(sec, key, default, length=None, positive=False) -> list:
+    """A list of finite numbers from a config section, of ``length`` if given."""
+    values = sec.get(key, default)
+    if not isinstance(values, list) or (length is not None
+                                        and len(values) != length):
+        size = f"{length} numbers" if length is not None else "numbers"
+        raise ConfigError(f"{key!r} must be a list of {size}, got {values!r}")
+    return [_finite(key, v, positive=positive) for v in values]
 
 
 def _b2_sq_from(sec, chain, fp, delta1) -> float:
@@ -235,7 +268,8 @@ def cmd_steady(run: _Run) -> int:
     fp = circuit.at_flux(params, flux)
     b2_sq = _b2_sq_from(sec, chain, fp, delta1)
     point = fp.operating_point(delta1, drive_b2=math.sqrt(b2_sq),
-                               drive_phase=float(sec.get("drive_phase", 0.0)))
+                               drive_phase=_number(sec, "drive_phase",
+                                                   default=0.0))
     states = steady.solve_selfconsistent(point)
     if run.format == "csv":
         lines = [io._meta_lines(run.meta("steady") | _kerr_meta(params)),
@@ -302,29 +336,39 @@ def cmd_simulate(run: _Run) -> int:
     sec = run.section("simulate")
     flux = float(sec.get("flux", 0.0))
     delta1 = 2.0 * math.pi * _number(sec, "delta1_hz")
+    duration = _number(sec, "duration_s", positive=True)
+    dt = _number(sec, "dt_s", positive=True)
+    steps = duration / dt
+    if not 0.5 < steps < math.inf:     # integrate rounds to whole steps
+        raise ConfigError(f"'duration_s' / 'dt_s' must give at least one "
+                          f"and finitely many steps, got {steps!r}")
+    store_every = _count(sec, "store_every", 1)
+    re1, im1, re2, im2 = _number_list(sec, "initial", [0.0, 0.0, 0.0, 0.0],
+                                      length=4)
+    n_th = _number(sec, "noise_n_th", nonnegative=True, default=0.0)
+    fs_list = _number_list(sec, "fs_hz", [], positive=True)
+    bins = _count(sec, "bins", 101)
+    phase = _number(sec, "drive_phase", default=0.0)
     chain = run.chain() if "chain" in run.doc else None
     fp = circuit.at_flux(params, flux)
     b2_sq = _b2_sq_from(sec, chain, fp, delta1)
-    point = fp.operating_point(delta1, drive_b2=math.sqrt(b2_sq))
+    point = fp.operating_point(delta1, drive_b2=math.sqrt(b2_sq),
+                               drive_phase=phase)
     system = dynamics.TwoModeSystem.from_point(point)
-    init = sec.get("initial", [0.0, 0.0, 0.0, 0.0])
-    a10 = complex(init[0], init[1])
-    a20 = complex(init[2], init[3])
-    noise = None
-    if sec.get("noise_n_th"):
-        noise = dynamics.NoiseConfig.thermal(system, float(sec["noise_n_th"]))
+    noise = dynamics.NoiseConfig.thermal(system, n_th) if n_th > 0 else None
     traj = dynamics.integrate(
-        system, (a10, a20), duration=float(sec["duration_s"]),
-        dt=float(sec["dt_s"]), noise=noise, seed=run.seed,
-        store_every=int(sec.get("store_every", 1)))
+        system, (complex(re1, im1), complex(re2, im2)), duration=duration,
+        dt=dt, noise=noise, seed=run.seed, store_every=store_every)
     out_bin = run.out_dir / "trajectory.trpl"
     io.write_trajectory(out_bin, traj)
     print(out_bin)
     meta = run.meta("simulate")
-    for fs in sec.get("fs_hz", []):
-        hist = dynamics.demodulate_histogram(traj, float(fs),
-                                             bins=int(sec.get("bins", 101)))
-        out_h = run.out_dir / f"histogram_fs{float(fs):.0f}.csv"
+    for fs in fs_list:
+        try:
+            hist = dynamics.demodulate_histogram(traj, fs, bins=bins)
+        except ValueError as exc:   # fs above the stored sampling rate
+            raise ConfigError(f"'fs_hz': {exc}")
+        out_h = run.out_dir / f"histogram_fs{fs:.0f}.csv"
         io.write_histogram_csv(out_h, hist, meta=meta)
         print(out_h)
     return 0

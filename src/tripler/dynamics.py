@@ -17,7 +17,9 @@ attractors qualitatively.
 
 Ensembles integrate concurrently as a trailing vector axis; each member
 consumes its own RNG stream spawned from the master seed, so results do
-not depend on how an ensemble is batched.
+not depend on how an ensemble is batched.  A single trajectory, given as
+scalar initial amplitudes, runs the same schemes on Python complex numbers,
+where numpy's per-call overhead would dominate a one-member step.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,14 +86,51 @@ class TwoModeSystem:
 
     def flow(self, a1, a2):
         """Right-hand side of the equations of motion; array friendly."""
-        n1 = np.abs(a1) ** 2
-        n2 = np.abs(a2) ** 2
-        da1 = (1j * (self.delta1 + self.alpha1 * n1 + 2.0 * self.alpha_cross * n2)
-               - self.Gamma1) * a1 + 1j * self.alpha_tilde * np.conj(a1) ** 2 * a2
-        da2 = (1j * (self.delta2 + self.alpha2 * n2 + 2.0 * self.alpha_cross * n1)
-               - self.Gamma2) * a2 + 1j * (self.alpha_tilde / 3.0) * a1**3 \
-            - 1j * self.drive
-        return da1, da2
+        return _flow(_Coefficients.of(self), a1, a2)
+
+
+class _Coefficients(NamedTuple):
+    """Constants of the flow as plain Python numbers, hoisted per integration.
+
+    Plain ``float``/``complex`` values keep numpy scalars out of the scalar
+    hot loop.  Each hoisted product is the leading factor of its term in
+    the equations, so hoisting leaves the rounding of array runs unchanged.
+    """
+
+    delta1: float
+    delta2: float
+    alpha1: float
+    alpha2: float
+    alpha_cross2: float         # 2*alpha_x
+    Gamma1: float
+    Gamma2: float
+    i_alpha_tilde: complex      # i*alpha_t
+    i_alpha_tilde3: complex     # i*alpha_t/3
+    i_drive: complex            # i*sqrt(2*Gamma2_ext)*B2
+
+    @classmethod
+    def of(cls, system: TwoModeSystem) -> "_Coefficients":
+        at = float(system.alpha_tilde)
+        return cls(float(system.delta1), float(system.delta2),
+                   float(system.alpha1), float(system.alpha2),
+                   2.0 * float(system.alpha_cross),
+                   float(system.Gamma1), float(system.Gamma2),
+                   1j * at, 1j * (at / 3.0), complex(1j * system.drive))
+
+
+def _flow(c: _Coefficients, a1, a2):
+    """The equations of motion over hoisted constants.
+
+    Uses only operators that Python ``complex`` and numpy arrays share, so
+    one expression serves single trajectories and ensembles.
+    """
+    d1, d2, al1, al2, ax2, g1, g2, iat, iat3, idrive = c
+    n1 = abs(a1) ** 2
+    n2 = abs(a2) ** 2
+    da1 = (1j * (d1 + al1 * n1 + ax2 * n2) - g1) * a1 \
+        + iat * a1.conjugate() ** 2 * a2
+    da2 = (1j * (d2 + al2 * n2 + ax2 * n1) - g2) * a2 + iat3 * a1**3 - idrive
+    return da1, da2
 
 
 @dataclass(frozen=True)
@@ -222,7 +262,12 @@ def integrate(system: TwoModeSystem, initial, duration: float, dt: float,
     deterministic function of ``seed``.
 
     ``initial`` entries may be scalars or equally shaped arrays (a
-    vectorized ensemble).  Only every ``store_every``-th step is stored.
+    vectorized ensemble).  A scalar initial condition integrates on Python
+    complex numbers, which is an order of magnitude faster per step than
+    numpy for one trajectory; it draws the same random numbers as member 0
+    of an ensemble with the same seed and matches that member to ~1e-15
+    relative, not bitwise, because numpy's vectorized complex arithmetic
+    rounds differently.  Only every ``store_every``-th step is stored.
     Raises :class:`DivergenceError` when any amplitude passes ``ceiling``.
     """
     a1 = np.asarray(initial[0], dtype=complex)
@@ -245,23 +290,24 @@ def integrate(system: TwoModeSystem, initial, duration: float, dt: float,
             f"dt = {dt:.3e} s exceeds the stability guideline {dt_ok:.3e} s "
             "for the fastest system timescale", StepSizeWarning, stacklevel=2)
 
+    n_members = a1.size
+    shape = a1.shape
+    if scalar:
+        a1, a2, shape = complex(a1[0]), complex(a2[0]), ()
     n_stored = n_steps // store_every
-    m = a1.shape
-    out1 = np.empty((n_stored,) + m, dtype=complex)
-    out2 = np.empty((n_stored,) + m, dtype=complex)
+    out1 = np.empty((n_stored,) + shape, dtype=complex)
+    out2 = np.empty((n_stored,) + shape, dtype=complex)
+    c = _Coefficients.of(system)
 
     # overflow en route to the divergence check is expected, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         if noise is None:
-            _run_rk4(system, a1, a2, dt, n_steps, store_every, out1, out2,
-                     ceiling)
+            _run_rk4(c, a1, a2, dt, n_steps, store_every, out1, out2, ceiling)
         else:
-            rngs = _member_rngs(seed, int(np.prod(m)))
-            _run_euler_maruyama(system, a1, a2, dt, n_steps, store_every,
+            rngs = _member_rngs(seed, n_members)
+            _run_euler_maruyama(c, a1, a2, dt, n_steps, store_every,
                                 out1, out2, ceiling, noise, rngs)
 
-    if scalar:
-        out1, out2 = out1[:, 0], out2[:, 0]
     return Trajectory(dt=dt * store_every, a1=out1, a2=out2,
                       drive_b2=system.drive_b2, drive_phase=system.drive_phase,
                       seed=seed)
@@ -280,45 +326,60 @@ def _check_finite(a1, a2, ceiling, step, dt):
             f"amplitude {top:.3e} exceeded ceiling {ceiling:.3e}", t=step * dt)
 
 
-def _run_rk4(system, a1, a2, dt, n_steps, store_every, out1, out2, ceiling):
+def _overflow(step, dt):
+    # Python complex arithmetic raises where numpy would return inf
+    return DivergenceError("amplitude overflowed a float", t=step * dt)
+
+
+def _run_rk4(c, a1, a2, dt, n_steps, store_every, out1, out2, ceiling):
     idx = 0
-    for step in range(1, n_steps + 1):
-        k1a, k1b = system.flow(a1, a2)
-        k2a, k2b = system.flow(a1 + 0.5 * dt * k1a, a2 + 0.5 * dt * k1b)
-        k3a, k3b = system.flow(a1 + 0.5 * dt * k2a, a2 + 0.5 * dt * k2b)
-        k4a, k4b = system.flow(a1 + dt * k3a, a2 + dt * k3b)
-        a1 = a1 + dt / 6.0 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-        a2 = a2 + dt / 6.0 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-        if step % store_every == 0:
-            out1[idx], out2[idx] = a1, a2
-            idx += 1
-        if step % 64 == 0 or step == n_steps:
-            _check_finite(a1, a2, ceiling, step, dt)
+    step = 0
+    try:
+        for step in range(1, n_steps + 1):
+            k1a, k1b = _flow(c, a1, a2)
+            k2a, k2b = _flow(c, a1 + 0.5 * dt * k1a, a2 + 0.5 * dt * k1b)
+            k3a, k3b = _flow(c, a1 + 0.5 * dt * k2a, a2 + 0.5 * dt * k2b)
+            k4a, k4b = _flow(c, a1 + dt * k3a, a2 + dt * k3b)
+            a1 = a1 + dt / 6.0 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+            a2 = a2 + dt / 6.0 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+            if step % store_every == 0:
+                out1[idx], out2[idx] = a1, a2
+                idx += 1
+            if step % 64 == 0 or step == n_steps:
+                _check_finite(a1, a2, ceiling, step, dt)
+    except OverflowError:
+        raise _overflow(step, dt) from None
 
 
-def _run_euler_maruyama(system, a1, a2, dt, n_steps, store_every,
+def _run_euler_maruyama(c, a1, a2, dt, n_steps, store_every,
                         out1, out2, ceiling, noise, rngs):
-    m = a1.size
-    shape = a1.shape
+    shape = out1.shape[1:]
     s1 = math.sqrt(noise.d1 * dt)
     s2 = math.sqrt(noise.d2 * dt)
     idx = 0
     chunk = 4096
     step = 0
-    while step < n_steps:
-        todo = min(chunk, n_steps - step)
-        # per-member streams drawn chunkwise: (todo, 4) per member
-        draws = np.stack([rng.standard_normal((todo, 4)) for rng in rngs], axis=-1)
-        draws = draws.reshape(todo, 4, *shape)
-        for i in range(todo):
-            f1, f2 = system.flow(a1, a2)
-            a1 = a1 + dt * f1 + s1 * (draws[i, 0] + 1j * draws[i, 1])
-            a2 = a2 + dt * f2 + s2 * (draws[i, 2] + 1j * draws[i, 3])
-            step += 1
-            if step % store_every == 0:
-                out1[idx], out2[idx] = a1, a2
-                idx += 1
-        _check_finite(a1, a2, ceiling, step, dt)
+    try:
+        while step < n_steps:
+            todo = min(chunk, n_steps - step)
+            # per-member streams drawn chunkwise: (todo, 4) per member
+            if shape:
+                draws = np.stack([rng.standard_normal((todo, 4))
+                                  for rng in rngs], axis=-1)
+                draws = draws.reshape(todo, 4, *shape)
+            else:
+                draws = rngs[0].standard_normal((todo, 4)).tolist()
+            for x0, x1, x2, x3 in draws:
+                f1, f2 = _flow(c, a1, a2)
+                a1 = a1 + dt * f1 + s1 * (x0 + 1j * x1)
+                a2 = a2 + dt * f2 + s2 * (x2 + 1j * x3)
+                step += 1
+                if step % store_every == 0:
+                    out1[idx], out2[idx] = a1, a2
+                    idx += 1
+            _check_finite(a1, a2, ceiling, step, dt)
+    except OverflowError:
+        raise _overflow(step, dt) from None
 
 
 def boxcar_demodulate(traj: Trajectory, fs: float,

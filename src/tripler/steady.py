@@ -556,9 +556,38 @@ def _triad_states(point: DimensionlessPoint, v: float, branch_id: int,
                          root_sign=root_sign)
         u1, u2 = st.amplitudes(point)
         res = stationary_residual(point, u1, u2)
+        if res > STATIONARY_TOL:
+            st, res = _newton_polish(point, st, u1, u2)
         verdict, eig = stability(replace(st, residual=res), point)
         states.append(replace(st, stable=verdict, eigenvalues=eig, residual=res))
     return states
+
+
+def _newton_polish(point: DimensionlessPoint, state: SteadyState,
+                   u1: complex, u2: complex):
+    """Up to 3 Newton steps on the full stationary equations from (u1, u2).
+
+    Next to a window edge the closed branch r1^2(r2^2) has a square-root
+    singularity, so the 1D reduction loses digits there; the 4x4 Jacobian
+    stays well conditioned.  Returns the state rebuilt from the polished
+    amplitudes (stability not yet assessed) and its residual.
+    """
+    for _ in range(3):
+        du1, du2 = flow(point, u1, u2)
+        dx = np.linalg.solve(jacobian(point, u1, u2),
+                             [du1.real, du1.imag, du2.real, du2.imag])
+        u1 -= complex(dx[0], dx[1])
+        u2 -= complex(dx[2], dx[3])
+        phi1 = cmath.phase(u1) % (2.0 * math.pi)
+        phi2 = cmath.phase(u2) % (2.0 * math.pi)
+        state = replace(state, r1_sq=abs(u1) ** 2,
+                        r2_sq=(point.beta * abs(u2)) ** 2,
+                        theta=(3.0 * phi1 - phi2) % (2.0 * math.pi),
+                        phi1=phi1, phi2=phi2)
+        res = stationary_residual(point, *state.amplitudes(point))
+        if res <= STATIONARY_TOL:
+            break
+    return state, res
 
 
 def _ground_states(point: DimensionlessPoint):

@@ -168,6 +168,24 @@ class TestDamping:
         m_b = circuit.mode_profile(direct, 0.2, 1)
         assert m_b.gamma_ext == pytest.approx(m_a.gamma_ext, rel=1e-12)
 
+    def test_coupling_ratio_solved_once(self, monkeypatch):
+        params = circuit.reference_params()    # a fresh instance
+        calls = []
+        root = circuit._dispersion_root
+
+        def counted(p, flux, n):
+            calls.append((flux, n))
+            return root(p, flux, n)
+
+        monkeypatch.setattr(circuit, "_dispersion_root", counted)
+        circuit.at_flux(params, 0.2)
+        # the zero-flux inversion of Q_ext_1 runs on first use only
+        assert calls == [(0.2, 1), (0.0, 1), (0.2, 2)]
+        calls.clear()
+        for flux in (0.0, 0.1, 0.3):
+            circuit.at_flux(params, flux)
+        assert len(calls) == 6
+
     def test_second_mode_internal_q_default(self, params):
         from dataclasses import replace
         m2 = circuit.mode_profile(params, 0.0, 2)

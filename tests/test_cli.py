@@ -148,6 +148,14 @@ class TestSimulate:
         assert "trajectory.trpl" in first
         assert any(n.startswith("histogram_fs") for n in first)
 
+    def test_drive_phase_reaches_the_trajectory(self, workdir):
+        sim = {"flux": 0.0, "delta1_hz": -12e6, "b2_sq": 6.25e10,
+               "duration_s": 1e-9, "dt_s": 1e-11, "drive_phase": 0.5}
+        cfg = write_config(workdir, {"simulate": sim})
+        assert main(["--config", cfg, "simulate"]) == 0
+        traj = tio.read_trajectory(workdir / "out" / "trajectory.trpl")
+        assert traj.drive_phase == 0.5
+
     def test_seed_changes_output(self, workdir):
         sim = {"flux": 0.0, "delta1_hz": -12e6, "b2_sq": 6.25e10,
                "duration_s": 2e-7, "dt_s": 2e-11, "store_every": 100,
@@ -255,6 +263,7 @@ class TestConfigErrors:
 
     STEADY = {"flux": 0.0, "delta1_hz": -12e6, "b2_sq": 6.25e10}
     CHAIN = {"gain_db": 66.0, "noise_floor_w": 4.4e-10, "x": 9.97e11}
+    SIM = {**STEADY, "duration_s": 1e-9, "dt_s": 1e-11}
 
     @pytest.mark.parametrize("command, doc, needle", [
         ("steady", {"steady": {**STEADY, "delta1_hz": math.nan}}, "NaN"),
@@ -262,7 +271,8 @@ class TestConfigErrors:
                         "thresholds": {"flux": [0.0, 0.1, 2]}},
          "noise_floor_w"),
         ("steady", {"steady": {**STEADY, "b2_sq": -1}}, "b2_sq"),
-    ], ids=["nan-delta1", "negative-floor", "negative-b2"])
+        ("simulate", {"simulate": {**SIM, "store_every": 0}}, "store_every"),
+    ], ids=["nan-delta1", "negative-floor", "negative-b2", "zero-store"])
     def test_fresh_process(self, workdir, command, doc, needle):
         cfg = write_config(workdir, doc)
         proc = run_python(["-m", "tripler", "--config", cfg, command], workdir)
@@ -291,6 +301,26 @@ class TestConfigErrors:
                              "pd_dbm": [-40, 0, 3]}}, "x must be positive"),
         ("thresholds", {"chain": {**CHAIN, "gain_db": "nan"},
                         "thresholds": {"flux": [0.0, 0.1, 2]}}, "gain_db"),
+        ("simulate", {"simulate": {**SIM, "dt_s": -1e-11}}, "dt_s"),
+        ("simulate", {"simulate": {**SIM, "store_every": 0}}, "store_every"),
+        ("simulate", {"simulate": {**SIM, "initial": [1]}}, "initial"),
+        ("simulate", {"simulate": {**SIM, "duration_s": 1e-12}},
+         "duration_s"),
+        ("simulate", {"simulate": {**SIM, "dt_s": 1e-320}}, "duration_s"),
+        ("simulate", {"simulate": {**SIM, "store_every": 2.5}},
+         "store_every"),
+        ("simulate", {"simulate": {**SIM, "initial": [0, 0, "a", 0]}},
+         "initial"),
+        ("simulate", {"simulate": {**SIM, "noise_n_th": -0.1}}, "noise_n_th"),
+        ("simulate", {"simulate": {**SIM, "fs_hz": 2.5e7}}, "fs_hz"),
+        ("simulate", {"simulate": {**SIM, "fs_hz": [0.0]}}, "fs_hz"),
+        ("simulate", {"simulate": {**SIM, "fs_hz": [1e12]}}, "fs_hz"),
+        ("simulate", {"simulate": {**SIM, "fs_hz": [1e9], "bins": 0}},
+         "bins"),
+        ("simulate", {"simulate": {**SIM, "drive_phase": "east"}},
+         "drive_phase"),
+        ("steady", {"steady": {**STEADY, "drive_phase": None}},
+         "drive_phase"),
     ])
     def test_in_process(self, workdir, capsys, command, doc, needle):
         cfg = write_config(workdir, doc)

@@ -3,8 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tripler import dynamics, steady
+from tripler import circuit, dynamics, steady
 from tripler.dynamics import NoiseConfig, Trajectory, TwoModeSystem
 from tripler.errors import (
     DivergenceError,
@@ -109,8 +111,9 @@ class TestIntegrate:
         assert not np.array_equal(runs[0].a1, other.a1)
 
     def test_member_streams_isolated(self, soft_point):
-        # member j of a vector run reproduces a solo run seeded with the
-        # j-th spawned stream
+        # member j of a vector run draws from the j-th stream spawned from
+        # the master seed (a solo run draws member 0's stream and agrees
+        # with it to rounding, see TestScalarPath)
         pt = driven_soft_point(soft_point)
         system = TwoModeSystem.from_point(pt)
         noise = NoiseConfig(d1=0.05, d2=0.05)
@@ -161,6 +164,127 @@ class TestIntegrate:
         ends = traj.a1[-1]
         for z in ends:
             assert min(abs(z - r) for r in refs1) < 1e-3
+
+
+def agree(got, ref):
+    """Largest deviation within 1e-12 of the largest reference amplitude."""
+    return np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def scalar_and_solo_ensemble(system, a1, a2, **kw):
+    """The same run on the scalar path and as an ensemble of one."""
+    scalar = dynamics.integrate(system, (a1, a2), **kw)
+    ens = dynamics.integrate(system, (np.array([a1]), np.array([a2])), **kw)
+    return scalar, ens.member(0)
+
+
+@pytest.fixture(scope="module")
+def readme_system():
+    """The README ``simulate`` operating point (flux 0, -12 MHz)."""
+    pt = circuit.device_point(circuit.reference_params(), 0.0,
+                              delta1=-2 * math.pi * 12e6,
+                              drive_b2=math.sqrt(6.25e10))
+    return TwoModeSystem.from_point(pt)
+
+
+@pytest.fixture(scope="module")
+def region2():
+    """Region-II point with four attractors, its steps and start radius."""
+    base = steady.DimensionlessPoint(delta=-8.0, Delta=40.0, gamma1=1.0,
+                                     gamma2=4.0, gamma2_ext=3.6, beta=1.0,
+                                     alpha1=1.0)
+    pt = base.with_drive(consistent_drive(base, 1.5))
+    amps = [s.amplitudes(pt) for s in stable_states(pt)]
+    n1 = 2.0 * max(abs(u1) ** 2 for u1, _ in amps)
+    n2 = 2.0 * max(abs(u2) ** 2 for _, u2 in amps)
+    system = TwoModeSystem.from_point(pt)
+    return {"system": system, "radius": math.sqrt(n1),
+            "dt_rk4": dynamics.suggested_timestep(system, n1, n2),
+            "dt_em": dynamics.suggested_timestep(system, n1, n2,
+                                                 stochastic=True)}
+
+
+class TestScalarPath:
+    """Scalar initial conditions integrate on Python complex numbers.
+
+    The numpy ensemble path is the reference: the two paths share the
+    random streams and differ only in how their arithmetic rounds.
+    """
+
+    README = {"duration": 4e-7, "dt": 2e-11, "store_every": 100}
+
+    def test_rk4_matches_solo_ensemble(self, readme_system):
+        scalar, ens = scalar_and_solo_ensemble(readme_system, 0.0, 0.0,
+                                               **self.README)
+        assert scalar.a1.shape == ens.a1.shape == (200,)
+        assert np.all(scalar.a1 == 0.0)
+        assert agree(scalar.a2, ens.a2)
+
+    def test_em_matches_solo_ensemble(self, readme_system):
+        noise = NoiseConfig.thermal(readme_system, 0.1)
+        kw = dict(self.README, noise=noise, seed=7)
+        scalar, ens = scalar_and_solo_ensemble(readme_system, 0.0, 0.0, **kw)
+        assert agree(scalar.a1, ens.a1)
+        assert agree(scalar.a2, ens.a2)
+        again = dynamics.integrate(readme_system, (0.0, 0.0), **kw)
+        assert np.array_equal(again.a1, scalar.a1)
+        assert np.array_equal(again.a2, scalar.a2)
+
+    def test_rk4_linear_mode_closed_form(self):
+        # with every Kerr term off the modes decouple into linear damped
+        # rotations, a2 relaxing toward the driven response i*D/lambda2
+        system = TwoModeSystem(delta1=-3.0, delta2=2.0, alpha1=0.0,
+                               alpha2=0.0, Gamma1=0.5, Gamma2=0.8,
+                               Gamma2_ext=0.4, drive_b2=1.3, drive_phase=0.7)
+        lam1 = complex(-system.Gamma1, system.delta1)
+        lam2 = complex(-system.Gamma2, system.delta2)
+        a2_ss = 1j * system.drive / lam2
+        init = (0.6 + 0.3j, -0.2 + 0.5j)
+
+        def errors(dt, ensemble):
+            a1, a2 = init
+            if ensemble:
+                a1, a2 = np.full(2, a1), np.full(2, a2)
+            traj = dynamics.integrate(system, (a1, a2), duration=4.0, dt=dt)
+            t = traj.dt * np.arange(1, traj.n_samples + 1)
+            if ensemble:
+                t = t[:, None]
+            e1 = traj.a1 - init[0] * np.exp(lam1 * t)
+            e2 = traj.a2 - (a2_ss + (init[1] - a2_ss) * np.exp(lam2 * t))
+            return max(np.max(np.abs(e1)), np.max(np.abs(e2)))
+
+        for ensemble in (False, True):
+            coarse, fine = errors(0.05, ensemble), errors(0.025, ensemble)
+            assert coarse < 1e-5
+            # fourth order: halving dt cuts the global error sixteenfold
+            assert 15.0 < coarse / fine < 17.0
+
+    @settings(max_examples=20, deadline=None, derandomize=True,
+              database=None)
+    @given(seed=st.integers(0, 2**31 - 1),
+           radius=st.floats(0.0, 1.0), angle=st.floats(0.0, 2 * math.pi))
+    def test_property_matches_solo_ensemble(self, region2, seed, radius,
+                                            angle):
+        system = region2["system"]
+        a1 = region2["radius"] * math.sqrt(radius) * complex(
+            math.cos(angle), math.sin(angle))
+        runs = (dict(dt=region2["dt_rk4"]),
+                dict(dt=region2["dt_em"], seed=seed,
+                     noise=NoiseConfig.thermal(system, 0.15)))
+        for kw in runs:
+            scalar, ens = scalar_and_solo_ensemble(system, a1, 0j,
+                                                   duration=1.0, **kw)
+            assert agree(scalar.a1, ens.a1)
+            assert agree(scalar.a2, ens.a2)
+
+    def test_overflow_is_divergence(self, soft_point):
+        # Python complex arithmetic raises OverflowError where numpy
+        # would return inf; both paths must report a DivergenceError
+        system = TwoModeSystem.from_point(driven_soft_point(soft_point))
+        for init in ((50.0, 50.0), (np.full(1, 50.0), np.full(1, 50.0))):
+            with pytest.raises(DivergenceError):
+                dynamics.integrate(system, init, duration=50.0, dt=1.0,
+                                   ceiling=math.inf)
 
 
 class TestDemodulation:

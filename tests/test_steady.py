@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tripler import steady
+from tripler import circuit, steady
 from tripler.errors import (
     BelowThresholdError,
     PhaseDomainError,
@@ -450,6 +450,70 @@ class TestSolveSelfConsistent:
         for (v_or, s_or), (v_lib, s_lib) in zip(sorted(found), triad_roots):
             assert s_or == s_lib
             assert v_or == pytest.approx(v_lib, abs=1e-5)
+
+
+def oracle_flow(pt, u1, u2):
+    """The reduced equations of motion, written out apart from steady.flow."""
+    b = pt.beta
+    n1, n2 = abs(u1) ** 2, abs(u2) ** 2
+    drive = pt.drive_scale / b * cmath.exp(1j * pt.drive_phase)
+    du1 = (1j * (pt.delta + n1 + 2 * b**2 * n2) - pt.gamma1) * u1 \
+        + 1j * b * u1.conjugate() ** 2 * u2
+    du2 = (1j * (pt.delta2 + b**4 * n2 + 2 * b**2 * n1) - pt.gamma2) * u2 \
+        + 1j * (b / 3) * u1**3 - 1j * drive
+    return du1, du2
+
+
+def oracle_max_growth(pt, u1, u2, h=1e-6):
+    """Largest real part of the central-difference Jacobian's eigenvalues."""
+    def f(x):
+        du1, du2 = oracle_flow(pt, complex(x[0], x[1]), complex(x[2], x[3]))
+        return np.array([du1.real, du1.imag, du2.real, du2.imag])
+
+    x0 = np.array([u1.real, u1.imag, u2.real, u2.imag])
+    J = np.column_stack([(f(x0 + h * e) - f(x0 - h * e)) / (2 * h)
+                         for e in np.eye(4)])
+    return max(np.linalg.eigvals(J).real)
+
+
+class TestFoldPolish:
+    """Triad roots beside a window edge, where the closed branch r1^2(r2^2)
+    loses digits and the 1D reduction alone misses the stationary tolerance.
+    """
+
+    @pytest.mark.parametrize("delta1_hz, b2_sq", [
+        (-10.999815781787537e6, 8.656948295074792e11),
+        (-11.5525e6, 9.0469e11),
+        # the steady-map benchmark point of seed 6007
+        (-11552506.105142672, 904690237110.1542),
+    ])
+    def test_states_meet_tolerance(self, params, delta1_hz, b2_sq):
+        pt = circuit.device_point(params, 0.0, 2 * math.pi * delta1_hz,
+                                  drive_b2=math.sqrt(b2_sq))
+        states = steady.solve_selfconsistent(pt, all_branches=True)
+        triads = [s for s in states if s.kind == "triad"]
+        assert len(triads) == 6
+        for s in triads:
+            u1, u2 = s.amplitudes(pt)
+            assert max(abs(z) for z in oracle_flow(pt, u1, u2)) \
+                <= steady.STATIONARY_TOL
+            assert s.residual <= steady.STATIONARY_TOL
+            growth = oracle_max_growth(pt, u1, u2)
+            assert abs(growth) > 1.0 and s.stable == (growth < 0)
+        for branch in {s.branch for s in triads}:
+            phis = sorted(s.phi1 for s in triads if s.branch == branch)
+            assert np.diff(phis) == pytest.approx([2 * math.pi / 3] * 2,
+                                                  abs=1e-9)
+
+    def test_passing_states_skip_the_polish(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("polish ran on a state within tolerance")
+
+        monkeypatch.setattr(steady, "_newton_polish", refuse)
+        pt = make_point()
+        pt = pt.with_drive(consistent_drive(pt, 1.429))
+        states = steady.solve_selfconsistent(pt, all_branches=True)
+        assert sum(s.kind == "triad" for s in states) == 6
 
 
 class TestStability:
