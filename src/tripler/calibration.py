@@ -130,6 +130,13 @@ class Linecut:
         po = np.asarray(self.pout_w, dtype=float)
         object.__setattr__(self, "pd_w", pd)
         object.__setattr__(self, "pout_w", po)
+        for name in ("delta1", "flux"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, "
+                                 f"got {getattr(self, name)!r}")
+        for name, arr in (("pd_w", pd), ("pout_w", po)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
         if pd.shape != po.shape or pd.ndim != 1:
             raise ValueError("pd_w and pout_w must be matching 1-D arrays")
         if not np.all(np.diff(pd) > 0):
@@ -150,25 +157,26 @@ def pump_intensity(p_d, x: float, fp: circuit.FluxPoint, delta1: float):
             / (3.0 * HBAR * omega * (3.0 * m1.omega - m2.omega)**2 * x))
 
 
-def _linecut_model(p_d, x: float, fp: circuit.FluxPoint, delta1: float,
+def _linecut_model(p_d, x, fp: circuit.FluxPoint, delta1: float,
                    gain_db: float, scale: float = 1.0):
-    """Model detected power along a linecut for a given chain parameter."""
+    """Model detected power along a linecut for a given chain parameter.
+
+    ``x`` is a scalar or a column ``(k, 1)`` of chain parameters; the
+    result then has one row per value.  Drive powers whose pump intensity
+    falls outside the existence window give zero.
+    """
     m1 = fp.mode1
     delta = delta1 / m1.alpha
     gamma1 = m1.gamma / m1.alpha
     v = pump_intensity(p_d, x, fp, delta1)
     window = steady.existence_window(delta, gamma1)
-    out = np.zeros_like(np.asarray(p_d, dtype=float))
     if window is None:
-        return out
+        return np.zeros_like(v)
     lo, hi = window
-    mask = (v >= lo) & (v <= hi)
-    if np.any(mask):
-        disc = -v[mask] * delta - 1.75 * v[mask] ** 2 - gamma1**2
-        r1 = -(delta + 1.5 * v[mask]) + np.sqrt(np.maximum(disc, 0.0))
-        out[mask] = output_power(scale * r1, m1.gamma_ext, gain_db,
-                                 m1.omega + delta1)
-    return out
+    disc = -v * delta - 1.75 * v ** 2 - gamma1**2
+    r1 = -(delta + 1.5 * v) + np.sqrt(np.maximum(disc, 0.0))
+    out = output_power(scale * r1, m1.gamma_ext, gain_db, m1.omega + delta1)
+    return np.where((v >= lo) & (v <= hi), out, 0.0)
 
 
 @dataclass(frozen=True)
@@ -182,6 +190,21 @@ class FitResult:
     curves: tuple        # model P_out per linecut at the fitted x
 
 
+def _rss(cuts, log10x, gain_db: float):
+    """Sum of squared residuals at each value of a 1-D sequence of log10 X.
+
+    ``cuts`` holds ``(delta1, FluxPoint, pd_w, pout_w)`` per linecut,
+    restricted to the points used in the fit; the per-linecut sums are
+    added in the order given.
+    """
+    x = np.array([10.0 ** float(g) for g in log10x])[:, None]
+    total = np.zeros(len(log10x))
+    for delta1, fp, pd, po in cuts:
+        model = _linecut_model(pd, x, fp, delta1, gain_db)
+        total = total + np.sum((model - po) ** 2, axis=-1)
+    return total
+
+
 def fit_x(linecuts, params: circuit.CircuitParams, chain: CalibrationChain,
           bounds=(1e8, 1e16), min_points: int = 5) -> FitResult:
     """Least-squares fit of the chain parameter X to power linecuts.
@@ -191,45 +214,42 @@ def fit_x(linecuts, params: circuit.CircuitParams, chain: CalibrationChain,
     points.  The achieved 1-sigma uncertainty comes from the curvature of
     the residual near the optimum.
     """
+    linecuts = list(linecuts)
     if not linecuts:
         raise NoSignalError("no linecuts supplied")
-    prepared = []
-    n_points = 0
+    by_flux = {}
+    cuts = []
     for lc in linecuts:
-        fp = circuit.at_flux(params, lc.flux)
+        if lc.flux not in by_flux:
+            by_flux[lc.flux] = circuit.at_flux(params, lc.flux)
         mask = lc.pout_w > chain.noise_floor_w
         if int(mask.sum()) < min_points:
             raise NoSignalError(
                 f"linecut at delta1={lc.delta1:.3g} has {int(mask.sum())} points "
                 f"above the noise floor; need {min_points}")
-        prepared.append((lc, fp, mask))
-        n_points += int(mask.sum())
-
-    def rss(log10x: float) -> float:
-        x = 10.0 ** log10x
-        total = 0.0
-        for lc, fp, mask in prepared:
-            model = _linecut_model(lc.pd_w[mask], x, fp, lc.delta1, chain.gain_db)
-            total += float(np.sum((model - lc.pout_w[mask]) ** 2))
-        return total
+        cuts.append((lc.delta1, by_flux[lc.flux], lc.pd_w[mask],
+                     lc.pout_w[mask]))
+    n_points = sum(pd.size for _, _, pd, _ in cuts)
 
     lo, hi = math.log10(bounds[0]), math.log10(bounds[1])
     grid = np.linspace(lo, hi, 161)
-    vals = np.array([rss(g) for g in grid])
+    vals = _rss(cuts, grid, chain.gain_db)
     k = int(np.argmin(vals))
     if k in (0, len(grid) - 1):
         raise ConvergenceError("objective minimized at the search boundary",
                                diagnostics={"bounds": bounds})
-    log10x = golden_min(rss, grid[k - 1], grid[k], grid[k + 1])
+    log10x = golden_min(lambda g: _rss(cuts, [g], chain.gain_db)[0],
+                        grid[k - 1], grid[k], grid[k + 1])
     x = 10.0 ** log10x
     # 1-sigma from the curvature of chi^2 with respect to x itself
     h = 1e-4 * x
-    chi = rss(log10x)
-    curv = (rss(math.log10(x + h)) - 2.0 * chi + rss(math.log10(x - h))) / h**2
+    chi, up, down = (float(v) for v in _rss(
+        cuts, [log10x, math.log10(x + h), math.log10(x - h)], chain.gain_db))
+    curv = (up - 2.0 * chi + down) / h**2
     dof = max(n_points - 1, 1)
     sigma = math.sqrt(2.0 * (chi / dof) / curv) if curv > 0 else math.inf
-    curves = tuple(_linecut_model(lc.pd_w, x, fp, lc.delta1, chain.gain_db)
-                   for lc, fp, _ in prepared)
+    curves = tuple(_linecut_model(lc.pd_w, x, by_flux[lc.flux], lc.delta1,
+                                  chain.gain_db) for lc in linecuts)
     return FitResult(x=x, x_sigma=sigma, residual=chi, n_points=n_points,
                      curves=curves)
 
@@ -326,14 +346,18 @@ def region_map(params: circuit.CircuitParams, flux: float,
         raise ValueError("grids must be non-empty and powers positive")
     fp = circuit.at_flux(params, flux)
     m1 = fp.mode1
-    labels = np.full((d1.size, pd.size), "I", dtype=object)
+    lo = np.full((d1.size, 1), np.nan)
+    hi = np.full((d1.size, 1), np.nan)
     boundary = np.full(d1.size, np.nan)
     for i, dd in enumerate(d1):
         window = steady.existence_window(dd / m1.alpha, m1.gamma / m1.alpha)
         if window is None:
             continue
-        v = pump_intensity(pd, chain.x, fp, dd)
-        labels[i, (v >= window[0]) & (v <= window[1])] = "exists"
+        lo[i], hi[i] = window
         b2_max = steady.max_drive(fp.operating_point(dd))
         boundary[i] = drive_power_through_x(b2_max, chain.x, fp, dd)
+    # rows without a window keep NaN bounds, so no cell of theirs compares true
+    v = pump_intensity(pd[None, :], chain.x, fp, d1[:, None])
+    labels = np.full((d1.size, pd.size), "I", dtype=object)
+    labels[(v >= lo) & (v <= hi)] = "exists"
     return RegionMap(delta1=d1, pd_w=pd, labels=labels, boundary_pd_w=boundary)

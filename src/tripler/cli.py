@@ -199,6 +199,14 @@ def _number_list(sec, key, default, length=None, positive=False) -> list:
     return [_finite(key, v, positive=positive) for v in values]
 
 
+def _memory_bytes() -> int:
+    """Physical memory in bytes, or numpy's largest array size if unknown."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return int(np.iinfo(np.intp).max)
+
+
 def _b2_sq_from(sec, chain, fp, delta1) -> float:
     """Drive |B2|^2 from the config: direct, or generator power through X."""
     if "b2_sq" in sec:
@@ -343,6 +351,12 @@ def cmd_simulate(run: _Run) -> int:
         raise ConfigError(f"'duration_s' / 'dt_s' must give at least one "
                           f"and finitely many steps, got {steps!r}")
     store_every = _count(sec, "store_every", 1)
+    n_stored = int(round(steps)) // store_every
+    need, have = 2 * 16 * n_stored, _memory_bytes()   # a1, a2 as complex128
+    if need > have:
+        raise ConfigError(f"'dt_s' and 'store_every' give {n_stored:.3g} "
+                          f"stored samples ({need:.3g} bytes), more than "
+                          f"the {have:.3g} bytes of memory")
     re1, im1, re2, im2 = _number_list(sec, "initial", [0.0, 0.0, 0.0, 0.0],
                                       length=4)
     n_th = _number(sec, "noise_n_th", nonnegative=True, default=0.0)

@@ -140,6 +140,13 @@ class NoiseConfig:
     d1: float
     d2: float
 
+    def __post_init__(self):
+        for name in ("d1", "d2"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite, "
+                                 f"got {value!r}")
+
     @classmethod
     def thermal(cls, system: TwoModeSystem, n_th: float = 0.05) -> "NoiseConfig":
         """Strengths Gamma_n * n_th, giving ~n_th photons of steady jitter."""

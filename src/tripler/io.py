@@ -238,17 +238,23 @@ def read_linecut_csv(path):
     side_path = path.with_name(path.name + ".meta.json")
     if not side_path.exists():
         raise FormatError(f"missing metadata sidecar {side_path.name}")
-    sidecar = json.loads(side_path.read_text(encoding="utf-8"))
     try:
+        sidecar = json.loads(side_path.read_text(encoding="utf-8"))
         delta1 = float(sidecar["delta1_rad_s"])
         flux = float(sidecar["flux_frac"])
     except KeyError as exc:
         raise FormatError(f"sidecar missing {exc}") from exc
-    pd = dbm_to_watt([float(r[0]) for r in rows])
-    pout = np.asarray([float(r[1]) for r in rows])
-    order = np.argsort(pd)
-    return Linecut(delta1=delta1, flux=flux, pd_w=pd[order],
-                   pout_w=pout[order]), sidecar
+    except (ValueError, TypeError) as exc:
+        raise FormatError(f"sidecar {side_path.name}: {exc}") from exc
+    try:
+        pd = dbm_to_watt([float(r[0]) for r in rows])
+        pout = np.asarray([float(r[1]) for r in rows])
+        order = np.argsort(pd)
+        cut = Linecut(delta1=delta1, flux=flux, pd_w=pd[order],
+                      pout_w=pout[order])
+    except (ValueError, IndexError) as exc:
+        raise FormatError(f"linecut {path}: {exc}") from exc
+    return cut, sidecar
 
 
 def write_fit_report(path, result, meta: dict | None = None):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripler import calibration as cal
 from tripler import circuit, steady
@@ -19,11 +21,11 @@ def chain():
 
 
 def synthetic_linecuts(params, chain, x_true, deltas_hz, noise=0.0, seed=0,
-                       n=40):
+                       n=40, flux=0.0):
     """Linecuts generated from the forward model at a known chain parameter."""
     rng = np.random.default_rng(seed)
     cuts = []
-    co = circuit.at_flux(params, 0.0)
+    co = circuit.at_flux(params, flux)
     for dhz in deltas_hz:
         d1 = TWO_PI * dhz
         window = steady.existence_window(d1 / co.mode1.alpha,
@@ -33,7 +35,7 @@ def synthetic_linecuts(params, chain, x_true, deltas_hz, noise=0.0, seed=0,
                           1.2 * window[1] / per_watt, n)
         pout = cal._linecut_model(pd, x_true, co, d1, chain.gain_db)
         pout = pout * (1.0 + noise * rng.standard_normal(pout.shape))
-        cuts.append(Linecut(delta1=d1, flux=0.0, pd_w=pd,
+        cuts.append(Linecut(delta1=d1, flux=flux, pd_w=pd,
                             pout_w=np.maximum(pout, 0.0)))
     return cuts
 
@@ -88,7 +90,86 @@ def test_chain_rejects_bad_field(field, bad):
         CalibrationChain(**kw)
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("delta1", math.nan), ("flux", math.inf), ("pd_w", [1.0, math.nan]),
+    ("pout_w", [0.0, math.inf]), ("pout_w", [math.nan, 0.0])])
+def test_linecut_rejects_non_finite(field, bad):
+    kw = dict(delta1=-1.0, flux=0.0, pd_w=[1.0, 2.0], pout_w=[0.0, 0.0])
+    kw[field] = bad
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        Linecut(**kw)
+
+
+def closed_form_output(p_d, x, fp, delta1, gain_db):
+    """Detected power at one drive power, written out on Python floats.
+
+    Stiff-pump intensity v, existence window 2|delta|/7 (1 -+ root) and
+    upper branch r1 = -(delta + 1.5 v) + sqrt(-v delta - 1.75 v^2 -
+    gamma1^2), each grouped as the model groups it so the result is
+    comparable bit for bit.
+    """
+    m1, m2 = fp.mode1, fp.mode2
+    omega = m1.omega + delta1
+    delta, gamma1 = delta1 / m1.alpha, m1.gamma / m1.alpha
+    v = (fp.couplings.beta**2 * m2.omega * p_d
+         / (3.0 * HBAR * omega * (3.0 * m1.omega - m2.omega)**2 * x))
+    root = math.sqrt(max(1.0 - 7.0 * gamma1**2 / delta**2, 0.0))
+    lo = 2.0 * -delta / 7.0 * (1.0 - root)
+    hi = 2.0 * -delta / 7.0 * (1.0 + root)
+    if not lo <= v <= hi:
+        return 0.0
+    disc = -v * delta - 1.75 * (v * v) - gamma1**2
+    r1 = -(delta + 1.5 * v) + math.sqrt(max(disc, 0.0))
+    return HBAR * omega * r1 * 2.0 * m1.gamma_ext * 10.0 ** (gain_db / 10.0)
+
+
 class TestFit:
+    def test_objective_matches_scalar_closed_form(self, params, chain):
+        cuts = (synthetic_linecuts(params, chain, 1e12, [-5e6, -11e6],
+                                   noise=0.01, seed=6)
+                + synthetic_linecuts(params, chain, 1e12, [-9e6],
+                                     noise=0.01, seed=7, flux=0.25))
+        prepared = []
+        for lc in cuts:
+            keep = lc.pout_w > chain.noise_floor_w
+            prepared.append((lc.delta1, circuit.at_flux(params, lc.flux),
+                             lc.pd_w[keep], lc.pout_w[keep]))
+        grid = np.linspace(8.0, 16.0, 161)
+        got = cal._rss(prepared, grid, chain.gain_db)
+        expect = []
+        for g in grid:
+            x = 10.0 ** float(g)
+            total = 0.0
+            for d1, fp, pd, po in prepared:
+                model = np.array([closed_form_output(float(p), x, fp, d1,
+                                                     chain.gain_db)
+                                  for p in pd])
+                total += float(np.sum((model - po) ** 2))
+            expect.append(total)
+        # near the true X every linecut has points inside its window, so
+        # the comparison covers the closed-form branch, not just zeros
+        assert all(sum(closed_form_output(float(p), 1e12, fp, d1,
+                                          chain.gain_db) > 0 for p in pd) > 3
+                   for d1, fp, pd, _ in prepared)
+        assert got.tolist() == expect
+
+    def test_builds_each_flux_once(self, params, chain, monkeypatch):
+        cuts = (synthetic_linecuts(params, chain, 1e12, [-4e6, -8e6, -12e6],
+                                   noise=0.01, seed=4)
+                + synthetic_linecuts(params, chain, 1e12, [-10e6],
+                                     noise=0.01, seed=5, flux=0.25))
+        calls = []
+        real = circuit.at_flux
+
+        def counted(p, flux):
+            calls.append(flux)
+            return real(p, flux)
+
+        monkeypatch.setattr(circuit, "at_flux", counted)
+        res = cal.fit_x(cuts, params, chain)
+        assert calls == [0.0, 0.25]
+        assert res.x == pytest.approx(1e12, rel=0.02)
+
     def test_recovery_with_noise(self, params, chain):
         x0 = 1e12
         cuts = synthetic_linecuts(params, chain, x0,
@@ -324,6 +405,37 @@ class TestRegionMap:
         slope = np.diff(dbm) / np.diff(mag)
         assert np.all(slope > 0)
         assert np.all(np.diff(slope) < 1e-12)
+
+    @pytest.mark.filterwarnings("ignore::tripler.errors.RegimeWarning")
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              database=None)
+    @given(flux=st.floats(0.0, 0.44), log10x=st.floats(10.0, 14.0),
+           d1_mhz=st.tuples(st.floats(-40.0, -1.0),
+                            st.floats(-1.0, -0.05)),
+           dbm=st.tuples(st.floats(-80.0, 10.0), st.floats(-80.0, 10.0)))
+    def test_property_cells_and_boundary(self, params, flux, log10x, d1_mhz,
+                                         dbm):
+        x = 10.0 ** log10x
+        chain = CalibrationChain(gain_db=66.0, noise_floor_w=0.44e-9, x=x)
+        d1 = TWO_PI * 1e6 * np.linspace(*d1_mhz, 7)
+        pd = cal.dbm_to_watt(np.linspace(*dbm, 9))
+        rmap = cal.region_map(params, flux, chain, d1, pd)
+        fp = circuit.at_flux(params, flux)
+        m1 = fp.mode1
+        for i, dd in enumerate(d1):
+            window = steady.existence_window(dd / m1.alpha,
+                                             m1.gamma / m1.alpha)
+            for j, p in enumerate(pd):
+                v = float(cal.pump_intensity(p, x, fp, dd))
+                inside = window is not None and window[0] <= v <= window[1]
+                assert rmap.labels[i, j] == ("exists" if inside else "I")
+            if window is None:
+                assert math.isnan(rmap.boundary_pd_w[i])
+            else:
+                b2_max = steady.max_drive(fp.operating_point(dd))
+                want = cal.drive_power_through_x(b2_max, x, fp, dd)
+                assert rmap.boundary_pd_w[i] == pytest.approx(
+                    want, rel=1e-12, abs=0.0)
 
     def test_requires_fitted_x(self, params):
         nochain = CalibrationChain(gain_db=66.0, noise_floor_w=1e-10)

@@ -236,6 +236,21 @@ class TestFitCommand:
         assert doc["x"] == pytest.approx(1e12, rel=0.02)
         assert doc["n_points"] > 10
 
+    def test_repeated_drive_power_is_a_format_error(self, workdir):
+        path = workdir / "dup.csv"
+        tio.write_linecut_csv(path, [-30.0, -20.0, -20.0, -10.0],
+                              [1e-12, 2e-12, 3e-12, 4e-12],
+                              sidecar={"delta1_rad_s": -TWO_PI * 8e6,
+                                       "flux_frac": 0.0})
+        cfg = write_config(workdir, {
+            "chain": {"gain_db": 66.0, "noise_floor_w": 1e-13}})
+        proc = run_python(["-m", "tripler", "--config", cfg, "fit",
+                           str(path)], workdir)
+        assert proc.returncode == 7
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and "dup.csv" in lines[0]
+
     def test_no_files_error(self, workdir):
         cfg = write_config(workdir, {
             "chain": {"gain_db": 66.0, "noise_floor_w": 1e-13}})
@@ -272,7 +287,9 @@ class TestConfigErrors:
          "noise_floor_w"),
         ("steady", {"steady": {**STEADY, "b2_sq": -1}}, "b2_sq"),
         ("simulate", {"simulate": {**SIM, "store_every": 0}}, "store_every"),
-    ], ids=["nan-delta1", "negative-floor", "negative-b2", "zero-store"])
+        ("simulate", {"simulate": {**SIM, "dt_s": 1e-300}}, "store_every"),
+    ], ids=["nan-delta1", "negative-floor", "negative-b2", "zero-store",
+            "unallocatable-samples"])
     def test_fresh_process(self, workdir, command, doc, needle):
         cfg = write_config(workdir, doc)
         proc = run_python(["-m", "tripler", "--config", cfg, command], workdir)
@@ -321,6 +338,8 @@ class TestConfigErrors:
          "drive_phase"),
         ("steady", {"steady": {**STEADY, "drive_phase": None}},
          "drive_phase"),
+        # numpy refuses this many samples outright, so nothing is allocated
+        ("simulate", {"simulate": {**SIM, "dt_s": 1e-300}}, "dt_s"),
     ])
     def test_in_process(self, workdir, capsys, command, doc, needle):
         cfg = write_config(workdir, doc)

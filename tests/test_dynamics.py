@@ -49,6 +49,15 @@ class TestFlowConsistency:
             (system.alpha1**3 * system.alpha2) ** 0.25, rel=1e-12)
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("d1", math.nan), ("d1", -1.0), ("d2", math.inf), ("d2", -1e-30)])
+def test_noise_config_rejects_bad_strength(field, bad):
+    kw = dict(d1=0.05, d2=0.05)
+    kw[field] = bad
+    with pytest.raises(ValueError, match=f"^{field} must be non-negative"):
+        NoiseConfig(**kw)
+
+
 class TestIntegrate:
     def test_fixed_point_held_over_thousand_damping_times(self, soft_point):
         pt = driven_soft_point(soft_point)

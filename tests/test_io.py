@@ -120,6 +120,29 @@ class TestLinecuts:
         with pytest.raises(FormatError):
             tio.read_linecut_csv(path)
 
+    @pytest.mark.parametrize("pd_dbm, pout, needle", [
+        ([-20.0, -10.0, -10.0], [1e-12, 1e-11, 2e-11], "strictly increasing"),
+        ([-20.0, -15.0, -10.0], [1e-12, math.nan, 2e-11], "pout_w"),
+    ], ids=["repeated-power", "nan-output"])
+    def test_bad_rows_name_the_file(self, tmp_path, pd_dbm, pout, needle):
+        path = tmp_path / "bad_cut.csv"
+        tio.write_linecut_csv(path, pd_dbm, pout, sidecar={
+            "delta1_rad_s": -2 * math.pi * 8e6, "flux_frac": 0.0})
+        with pytest.raises(FormatError, match="bad_cut.csv") as err:
+            tio.read_linecut_csv(path)
+        assert needle in str(err.value)
+
+    @pytest.mark.parametrize("text", [
+        '{"delta1_rad_s": -5e7, "flux_frac": 0.0',
+        '{"delta1_rad_s": "abc", "flux_frac": 0.0}',
+        '[-5e7, 0.0]'], ids=["truncated", "not-a-number", "not-an-object"])
+    def test_bad_sidecar_is_a_format_error(self, tmp_path, text):
+        path = tmp_path / "cut.csv"
+        path.write_text("pd_dbm,pout_w\n-10.0,1e-10\n")
+        (tmp_path / "cut.csv.meta.json").write_text(text)
+        with pytest.raises(FormatError, match="cut.csv.meta.json"):
+            tio.read_linecut_csv(path)
+
     def test_sidecar_required_fields(self, tmp_path):
         with pytest.raises(ValueError):
             tio.write_linecut_csv(tmp_path / "c.csv", [0.0], [0.0],
