@@ -173,8 +173,8 @@ def _linecut_model(p_d, x, fp: circuit.FluxPoint, delta1: float,
     if window is None:
         return np.zeros_like(v)
     lo, hi = window
-    disc = -v * delta - 1.75 * v ** 2 - gamma1**2
-    r1 = -(delta + 1.5 * v) + np.sqrt(np.maximum(disc, 0.0))
+    base, disc = steady.branch_quadratic(delta, gamma1, v)
+    r1 = base + np.sqrt(np.maximum(disc, 0.0))
     out = output_power(scale * r1, m1.gamma_ext, gain_db, m1.omega + delta1)
     return np.where((v >= lo) & (v <= hi), out, 0.0)
 

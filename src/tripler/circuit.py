@@ -13,7 +13,7 @@ Flux is always expressed in units of the flux quantum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 from ._roots import bisect
@@ -82,6 +82,10 @@ class CircuitParams:
     kerr_energy: str = "per_junction"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         for name in ("d", "Ic", "CJ", "L0", "C0", "Q_int_1", "Phi0"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")

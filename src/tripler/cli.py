@@ -124,11 +124,12 @@ class _Run:
     def chain(self) -> calibration.CalibrationChain:
         sec = self.section("chain")
         x = sec.get("x")
+        att_db = sec.get("att_db")
         try:
             return calibration.CalibrationChain(
                 gain_db=float(sec["gain_db"]),
                 noise_floor_w=float(sec["noise_floor_w"]),
-                att_db=sec.get("att_db"),
+                att_db=None if att_db is None else _finite("att_db", att_db),
                 x=None if x is None else float(x),
                 scale07=float(sec.get("scale07", 0.7)),
             )
@@ -154,12 +155,20 @@ def _flux_axis(axis_spec) -> np.ndarray:
     return axis
 
 
-def _finite(key, value, nonnegative=False, positive=False) -> float:
-    """``value`` of config key ``key`` as a finite float, bounded below if asked."""
+def _float(key, value) -> float:
+    """``value`` of config key ``key`` as a float, finite or not.
+
+    ``flux`` is read this way: a non-finite flux fails the flux range check.
+    """
     try:
-        number = float(value)
+        return float(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key!r} must be a number, got {value!r}")
+
+
+def _finite(key, value, nonnegative=False, positive=False) -> float:
+    """``value`` of config key ``key`` as a finite float, bounded below if asked."""
+    number = _float(key, value)
     if not math.isfinite(number) or (nonnegative and number < 0) \
             or (positive and number <= 0):
         kind = "a finite positive" if positive else \
@@ -270,7 +279,7 @@ def _state_doc(st: steady.SteadyState) -> dict:
 def cmd_steady(run: _Run) -> int:
     params = run.device()
     sec = run.section("steady")
-    flux = float(sec.get("flux", 0.0))
+    flux = _float("flux", sec.get("flux", 0.0))
     delta1 = 2.0 * math.pi * _number(sec, "delta1_hz")
     chain = run.chain() if "chain" in run.doc else None
     fp = circuit.at_flux(params, flux)
@@ -313,7 +322,7 @@ def cmd_sweep(run: _Run) -> int:
     params = run.device()
     chain = run.chain()
     sec = run.section("sweep")
-    flux = float(sec.get("flux", 0.0))
+    flux = _float("flux", sec.get("flux", 0.0))
     d1 = 2.0 * math.pi * _flux_axis(sec["delta1_hz"])
     pd = calibration.dbm_to_watt(_flux_axis(sec["pd_dbm"]))
     rmap = calibration.region_map(params, flux, chain, d1, pd)
@@ -342,7 +351,7 @@ def cmd_sweep(run: _Run) -> int:
 def cmd_simulate(run: _Run) -> int:
     params = run.device()
     sec = run.section("simulate")
-    flux = float(sec.get("flux", 0.0))
+    flux = _float("flux", sec.get("flux", 0.0))
     delta1 = 2.0 * math.pi * _number(sec, "delta1_hz")
     duration = _number(sec, "duration_s", positive=True)
     dt = _number(sec, "dt_s", positive=True)
@@ -351,12 +360,19 @@ def cmd_simulate(run: _Run) -> int:
         raise ConfigError(f"'duration_s' / 'dt_s' must give at least one "
                           f"and finitely many steps, got {steps!r}")
     store_every = _count(sec, "store_every", 1)
-    n_stored = int(round(steps)) // store_every
+    n_steps = int(round(steps))
+    n_stored = n_steps // store_every
     need, have = 2 * 16 * n_stored, _memory_bytes()   # a1, a2 as complex128
     if need > have:
         raise ConfigError(f"'dt_s' and 'store_every' give {n_stored:.3g} "
                           f"stored samples ({need:.3g} bytes), more than "
                           f"the {have:.3g} bytes of memory")
+    if n_stored == 0:
+        raise ConfigError(f"'store_every' exceeds the {n_steps:g} "
+                          "integration steps: nothing is stored")
+    if n_steps > 2**63 - 1:
+        raise ConfigError(f"'dt_s' gives {n_steps:g} integration steps, "
+                          "more than 2**63 - 1")
     re1, im1, re2, im2 = _number_list(sec, "initial", [0.0, 0.0, 0.0, 0.0],
                                       length=4)
     n_th = _number(sec, "noise_n_th", nonnegative=True, default=0.0)

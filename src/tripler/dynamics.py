@@ -7,7 +7,9 @@ The quasiclassical amplitudes evolve under
     da2/dt = i*(delta2 + alpha2*|a2|^2 + 2*alpha_x*|a1|^2)*a2 - Gamma2*a2
              + i*(alpha_t/3)*a1^3 - i*sqrt(2*Gamma2_ext)*B2
 
-in laboratory units (rad/s).  Deterministic runs use classical RK4;
+in laboratory units (rad/s).  They are written once, as ``steady._flow``,
+which the reduced view ``steady.flow`` shares with ``TwoModeSystem.flow``
+and both integrators.  Deterministic runs use classical RK4;
 stochastic runs add complex white Gaussian forcing per mode and fall back
 to Euler-Maruyama.  The noise model is a device-agnostic stand-in (the
 underlying fluctuation mechanism is not modeled here): independent
@@ -27,7 +29,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .errors import (
     OverlappingRadiusError,
     StepSizeWarning,
 )
-from .steady import DimensionlessPoint
+from .steady import DimensionlessPoint, _Coefficients, _flow
 
 
 @dataclass(frozen=True)
@@ -84,53 +85,18 @@ class TwoModeSystem:
             drive_phase=point.drive_phase,
         )
 
+    def _coefficients(self) -> _Coefficients:
+        """The constants of the shared flow, in laboratory units."""
+        at = float(self.alpha_tilde)
+        return _Coefficients(float(self.delta1), float(self.delta2),
+                             float(self.alpha1), float(self.alpha2),
+                             2.0 * float(self.alpha_cross),
+                             float(self.Gamma1), float(self.Gamma2),
+                             1j * at, 1j * (at / 3.0), complex(1j * self.drive))
+
     def flow(self, a1, a2):
         """Right-hand side of the equations of motion; array friendly."""
-        return _flow(_Coefficients.of(self), a1, a2)
-
-
-class _Coefficients(NamedTuple):
-    """Constants of the flow as plain Python numbers, hoisted per integration.
-
-    Plain ``float``/``complex`` values keep numpy scalars out of the scalar
-    hot loop.  Each hoisted product is the leading factor of its term in
-    the equations, so hoisting leaves the rounding of array runs unchanged.
-    """
-
-    delta1: float
-    delta2: float
-    alpha1: float
-    alpha2: float
-    alpha_cross2: float         # 2*alpha_x
-    Gamma1: float
-    Gamma2: float
-    i_alpha_tilde: complex      # i*alpha_t
-    i_alpha_tilde3: complex     # i*alpha_t/3
-    i_drive: complex            # i*sqrt(2*Gamma2_ext)*B2
-
-    @classmethod
-    def of(cls, system: TwoModeSystem) -> "_Coefficients":
-        at = float(system.alpha_tilde)
-        return cls(float(system.delta1), float(system.delta2),
-                   float(system.alpha1), float(system.alpha2),
-                   2.0 * float(system.alpha_cross),
-                   float(system.Gamma1), float(system.Gamma2),
-                   1j * at, 1j * (at / 3.0), complex(1j * system.drive))
-
-
-def _flow(c: _Coefficients, a1, a2):
-    """The equations of motion over hoisted constants.
-
-    Uses only operators that Python ``complex`` and numpy arrays share, so
-    one expression serves single trajectories and ensembles.
-    """
-    d1, d2, al1, al2, ax2, g1, g2, iat, iat3, idrive = c
-    n1 = abs(a1) ** 2
-    n2 = abs(a2) ** 2
-    da1 = (1j * (d1 + al1 * n1 + ax2 * n2) - g1) * a1 \
-        + iat * a1.conjugate() ** 2 * a2
-    da2 = (1j * (d2 + al2 * n2 + ax2 * n1) - g2) * a2 + iat3 * a1**3 - idrive
-    return da1, da2
+        return _flow(self._coefficients(), a1, a2)
 
 
 @dataclass(frozen=True)
@@ -304,7 +270,7 @@ def integrate(system: TwoModeSystem, initial, duration: float, dt: float,
     n_stored = n_steps // store_every
     out1 = np.empty((n_stored,) + shape, dtype=complex)
     out2 = np.empty((n_stored,) + shape, dtype=complex)
-    c = _Coefficients.of(system)
+    c = system._coefficients()
 
     # overflow en route to the divergence check is expected, not a warning
     with np.errstate(over="ignore", invalid="ignore"):

@@ -19,6 +19,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -175,8 +176,14 @@ def existence_window(delta: float, gamma1: float):
     return lo, hi
 
 
-def _branch_discriminant(delta: float, gamma1: float, r2_sq: float) -> float:
-    return -r2_sq * delta - 1.75 * r2_sq**2 - gamma1**2
+def branch_quadratic(delta, gamma1, r2_sq):
+    """Centre and discriminant of the closed fundamental-mode equation.
+
+    The stationary fundamental intensity obeys (r1^2 - base)^2 = disc, so
+    ``r1^2 = base +- sqrt(disc)`` with base = -(delta + 1.5*r2^2) and
+    disc = -r2^2*delta - 1.75*r2^4 - gamma1^2.  Array friendly.
+    """
+    return -(delta + 1.5 * r2_sq), -r2_sq * delta - 1.75 * r2_sq**2 - gamma1**2
 
 
 def subharmonic_branches(delta: float, gamma1: float, r2_sq: float):
@@ -189,11 +196,10 @@ def subharmonic_branches(delta: float, gamma1: float, r2_sq: float):
     """
     if r2_sq < 0:
         raise ValueError("r2_sq must be non-negative")
-    disc = _branch_discriminant(delta, gamma1, r2_sq)
+    base, disc = branch_quadratic(delta, gamma1, r2_sq)
     scale = max(1.0, delta**2, gamma1**2)
     if disc < -1e-12 * scale:
         return []
-    base = -(delta + 1.5 * r2_sq)
     if disc <= 1e-12 * scale:
         return [(base, +1)] if base >= 0 else []
     root = math.sqrt(disc)
@@ -297,33 +303,21 @@ def max_drive_physical(point: DimensionlessPoint) -> float:
 # second-mode response
 
 
-def _response_poly_coeffs(point: DimensionlessPoint, r1_sq: float):
-    """Coefficients (ascending) of the degree-6 response polynomial in r2.
+def _response_cubic(point: DimensionlessPoint, r1_sq: float):
+    """Coefficients (b2, c1, c0) of the second-mode response cubic in r2.
 
-    With M(x) = beta^2 x^3 + c1 x + c0 the stationary response satisfies
+    With M(x) = b2 x^3 + c1 x + c0 the stationary response satisfies
     M(x)^2 + gamma2^2 x^2 = R^2 where R is the dimensionless drive.  The
     cubic back-action term enters with the sign of the stable relative
     phase (theta = pi).
     """
     b2 = point.beta**2
-    c1 = point.delta2 + 2.0 * b2 * r1_sq
-    c0 = -(b2 / 3.0) * r1_sq**1.5
-    R = point.drive_scale
-    # (b2 x^3 + c1 x + c0)^2 + g2^2 x^2 - R^2, ascending powers of x
-    return np.array([
-        c0**2 - R * R,
-        2.0 * c0 * c1,
-        c1**2 + point.gamma2**2,
-        2.0 * b2 * c0,
-        2.0 * b2 * c1,
-        0.0,
-        b2**2,
-    ])
+    return b2, point.delta2 + 2.0 * b2 * r1_sq, -(b2 / 3.0) * r1_sq**1.5
 
 
 def _response_mismatch(point: DimensionlessPoint, r1_sq: float, x: float) -> float:
-    b2 = point.beta**2
-    M = b2 * x**3 + (point.delta2 + 2.0 * b2 * r1_sq) * x - (b2 / 3.0) * r1_sq**1.5
+    b2, c1, c0 = _response_cubic(point, r1_sq)
+    M = b2 * x**3 + c1 * x + c0
     return M * M + (point.gamma2 * x) ** 2 - point.drive_scale**2
 
 
@@ -342,26 +336,24 @@ def second_mode_response(point: DimensionlessPoint, r1_sq: float = 0.0,
     if r1_sq < 0:
         raise ValueError("r1_sq must be non-negative")
     scale = max(1.0, abs(point.delta2), point.drive_scale ** (1 / 3.0))
-    b2 = point.beta**2
+    b2, c1, c0 = _response_cubic(point, r1_sq)
+    R = point.drive_scale
     if point.gamma2 == 0.0:
         # the squared equation factors into the two phase sectors
         # M(x) = +R and M(x) = -R; rooting the cubics directly avoids the
         # double roots the squared form would produce
-        c1 = point.delta2 + 2.0 * b2 * r1_sq
-        c0 = -(b2 / 3.0) * r1_sq**1.5
-        R = point.drive_scale
         raw = []
         for rhs in {R, -R}:
             raw.extend(np.polynomial.polynomial.polyroots(
                 np.array([c0 - rhs, c1, 0.0, b2])))
     else:
-        raw = np.polynomial.polynomial.polyroots(
-            _response_poly_coeffs(point, r1_sq))
+        # (b2 x^3 + c1 x + c0)^2 + g2^2 x^2 - R^2, ascending powers of x
+        raw = np.polynomial.polynomial.polyroots(np.array([
+            c0**2 - R * R, 2.0 * c0 * c1, c1**2 + point.gamma2**2,
+            2.0 * b2 * c0, 2.0 * b2 * c1, 0.0, b2**2]))
     xs = sorted(r.real for r in raw
                 if abs(r.imag) <= 1e-9 * scale and r.real >= -1e-12 * scale)
 
-    c1 = point.delta2 + 2.0 * b2 * r1_sq
-    c0 = -(b2 / 3.0) * r1_sq**1.5
     out = []
     for x in xs:
         x = max(x, 0.0)
@@ -384,21 +376,61 @@ def second_mode_response(point: DimensionlessPoint, r1_sq: float = 0.0,
 # full flow, Jacobian, stability
 
 
+class _Coefficients(NamedTuple):
+    """Constants of :func:`_flow`: laboratory (rad/s) or reduced (:meth:`reduced`).
+
+    Plain ``float``/``complex`` values keep numpy scalars out of the scalar
+    hot loop.  Each hoisted product is the leading factor of its term in
+    the equations, so hoisting leaves the rounding of array runs unchanged.
+    """
+
+    delta1: float
+    delta2: float
+    alpha1: float
+    alpha2: float
+    alpha_cross2: float         # 2*alpha_x
+    Gamma1: float
+    Gamma2: float
+    i_alpha_tilde: complex      # i*alpha_t
+    i_alpha_tilde3: complex     # i*alpha_t/3
+    i_drive: complex            # i*sqrt(2*Gamma2_ext)*B2
+
+    @classmethod
+    def reduced(cls, point: DimensionlessPoint) -> "_Coefficients":
+        """The laboratory constants divided by alpha1, with u = a.
+
+        alpha1 -> 1, alpha2 -> beta^4, 2*alpha_x -> 2*beta^2,
+        alpha_t -> beta and the drive -> drive_scale/beta * exp(i*phi_B).
+        """
+        b = point.beta
+        b2 = b * b
+        drive = point.drive_scale / b * np.exp(1j * point.drive_phase)
+        return cls(point.delta, point.delta2, 1.0, b2 * b2, 2.0 * b2,
+                   point.gamma1, point.gamma2, 1j * b, 1j * (b / 3.0),
+                   complex(1j * drive))
+
+
+def _flow(c: _Coefficients, a1, a2):
+    """The equations of motion over hoisted constants.
+
+    Uses only operators that Python ``complex`` and numpy arrays share, so
+    one expression serves single trajectories and ensembles.
+    """
+    d1, d2, al1, al2, ax2, g1, g2, iat, iat3, idrive = c
+    n1 = abs(a1) ** 2
+    n2 = abs(a2) ** 2
+    da1 = (1j * (d1 + al1 * n1 + ax2 * n2) - g1) * a1 \
+        + iat * a1.conjugate() ** 2 * a2
+    da2 = (1j * (d2 + al2 * n2 + ax2 * n1) - g2) * a2 + iat3 * a1**3 - idrive
+    return da1, da2
+
+
 def flow(point: DimensionlessPoint, u1, u2):
     """Time derivatives (du1/dtau, du2/dtau) of the reduced two-mode system.
 
     tau = alpha1 * t; accepts scalars or numpy arrays.
     """
-    b = point.beta
-    b2 = b * b
-    drive = point.drive_scale / b * np.exp(1j * point.drive_phase)
-    n1 = np.abs(u1) ** 2
-    n2 = np.abs(u2) ** 2
-    du1 = (1j * (point.delta + n1 + 2.0 * b2 * n2) - point.gamma1) * u1 \
-        + 1j * b * np.conj(u1) ** 2 * u2
-    du2 = (1j * (point.delta2 + b2 * b2 * n2 + 2.0 * b2 * n1) - point.gamma2) * u2 \
-        + 1j * (b / 3.0) * u1**3 - 1j * drive
-    return du1, du2
+    return _flow(_Coefficients.reduced(point), u1, u2)
 
 
 def stationary_residual(point: DimensionlessPoint, u1: complex, u2: complex) -> float:
@@ -419,20 +451,19 @@ def jacobian(point: DimensionlessPoint, u1: complex, u2: complex) -> np.ndarray:
     """4x4 real Jacobian of the flow in quadratures (p1, q1, p2, q2).
 
     Includes the damping terms; the drive is held fixed, so it drops out of
-    the linearization.
+    the linearization.  The constants are those of :func:`flow`.
     """
-    b = point.beta
-    b2 = b * b
+    d1, d2, al1, al2, ax2, g1, g2, iat, _, _ = _Coefficients.reduced(point)
     n1 = abs(u1) ** 2
     n2 = abs(u2) ** 2
-    A11 = 1j * (point.delta + 2.0 * n1 + 2.0 * b2 * n2) - point.gamma1
-    B11 = 1j * (u1 * u1 + 2.0 * b * np.conj(u1) * u2)
-    A12 = 1j * (2.0 * b2 * np.conj(u2) * u1 + b * np.conj(u1) ** 2)
-    B12 = 2j * b2 * u2 * u1
-    A21 = 1j * (2.0 * b2 * np.conj(u1) * u2 + b * u1 * u1)
-    B21 = 2j * b2 * u1 * u2
-    A22 = 1j * (point.delta2 + 2.0 * b2 * b2 * n2 + 2.0 * b2 * n1) - point.gamma2
-    B22 = 1j * b2 * b2 * u2 * u2
+    A11 = 1j * (d1 + 2.0 * al1 * n1 + ax2 * n2) - g1
+    B11 = 1j * al1 * u1 * u1 + 2.0 * iat * np.conj(u1) * u2
+    A12 = 1j * ax2 * np.conj(u2) * u1 + iat * np.conj(u1) ** 2
+    B12 = 1j * ax2 * u2 * u1
+    A21 = 1j * ax2 * np.conj(u1) * u2 + iat * u1 * u1    # 3*iat3 = iat
+    B21 = 1j * ax2 * u1 * u2
+    A22 = 1j * (d2 + 2.0 * al2 * n2 + ax2 * n1) - g2
+    B22 = 1j * al2 * u2 * u2
     J = np.empty((4, 4))
     J[0:2, 0:2] = _real_block(A11, B11)
     J[0:2, 2:4] = _real_block(A12, B12)
@@ -526,9 +557,11 @@ def _response_lhs(point: DimensionlessPoint, v: float, branch: int = +1):
 
     v is the pump intensity r2^2; the fundamental amplitude and the exact
     relative phase are substituted from the closed branch solution, so a
-    zero of |LHS| - R solves both stationary equations at once.
+    zero of |LHS| - R solves both stationary equations at once.  ``branch``
+    is +1 or -1 for the upper or lower closed branch, and 0 for the silent
+    state r1 = 0, where every back-action term vanishes exactly.
     """
-    r1_sq = _branch_value(point.delta, point.gamma1, v, branch)
+    r1_sq = _branch_value(point.delta, point.gamma1, v, branch) if branch else 0.0
     if r1_sq is None:
         raise BelowThresholdError(
             f"branch {branch} absent at delta={point.delta}, r2_sq={v}")
@@ -598,9 +631,7 @@ def _ground_states(point: DimensionlessPoint):
     for i, br in enumerate(branches):
         v = br.r2_sq
         if v > 0:
-            b2 = point.beta**2
-            lhs = complex((point.delta2 + b2 * v) * math.sqrt(v),
-                          point.gamma2 * math.sqrt(v))
+            lhs, _ = _response_lhs(point, v, branch=0)
             phi2 = (point.drive_phase - cmath.phase(lhs)) % (2.0 * math.pi)
         else:
             phi2 = 0.0

@@ -288,8 +288,11 @@ class TestConfigErrors:
         ("steady", {"steady": {**STEADY, "b2_sq": -1}}, "b2_sq"),
         ("simulate", {"simulate": {**SIM, "store_every": 0}}, "store_every"),
         ("simulate", {"simulate": {**SIM, "dt_s": 1e-300}}, "store_every"),
+        # nothing stored, so nothing to allocate: rejected before any step
+        ("simulate", {"simulate": {**SIM, "dt_s": 1e-300,
+                                   "store_every": 1e300}}, "store_every"),
     ], ids=["nan-delta1", "negative-floor", "negative-b2", "zero-store",
-            "unallocatable-samples"])
+            "unallocatable-samples", "nothing-stored"])
     def test_fresh_process(self, workdir, command, doc, needle):
         cfg = write_config(workdir, doc)
         proc = run_python(["-m", "tripler", "--config", cfg, command], workdir)
@@ -340,6 +343,25 @@ class TestConfigErrors:
          "drive_phase"),
         # numpy refuses this many samples outright, so nothing is allocated
         ("simulate", {"simulate": {**SIM, "dt_s": 1e-300}}, "dt_s"),
+        ("simulate", {"simulate": {**SIM, "store_every": 1000}},
+         "store_every"),
+        ("simulate", {"simulate": {**SIM, "dt_s": 1e-300,
+                                   "store_every": 1e300}}, "store_every"),
+        # ten stored samples, but ~1e291 steps to reach them
+        ("simulate", {"simulate": {**SIM, "dt_s": 1e-300,
+                                   "store_every": 1e290}}, "dt_s"),
+        ("steady", {"steady": {**STEADY, "flux": "zero"}}, "'flux'"),
+        ("steady", {"steady": {**STEADY, "flux": None}}, "'flux'"),
+        ("simulate", {"simulate": {**SIM, "flux": [0.0]}}, "'flux'"),
+        ("sweep", {"chain": CHAIN,
+                   "sweep": {"flux": "zero", "delta1_hz": [-10e6, -1e6, 3],
+                             "pd_dbm": [-40, 0, 3]}}, "'flux'"),
+        ("sweep", {"chain": {**CHAIN, "att_db": "loud"},
+                   "sweep": {"delta1_hz": [-10e6, -1e6, 3],
+                             "pd_dbm": [-40, 0, 3]}}, "att_db"),
+        ("sweep", {"chain": {**CHAIN, "att_db": "inf"},
+                   "sweep": {"delta1_hz": [-10e6, -1e6, 3],
+                             "pd_dbm": [-40, 0, 3]}}, "att_db"),
     ])
     def test_in_process(self, workdir, capsys, command, doc, needle):
         cfg = write_config(workdir, doc)

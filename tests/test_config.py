@@ -1,6 +1,11 @@
 import pytest
 
-from tripler.config import dump_device_config, load_device_config, parse_device_config
+from tripler.config import (
+    _KEYS,
+    dump_device_config,
+    load_device_config,
+    parse_device_config,
+)
 from tripler.errors import ConfigError
 
 GOOD = """\
@@ -84,3 +89,17 @@ def test_roundtrip(tmp_path, params):
     path.write_text(dump_device_config(params))
     back = load_device_config(path)
     assert back == params
+
+
+NUMERIC_KEYS = [(key, field, unit) for key, (field, unit, _) in _KEYS.items()
+                if unit != "enum"]
+
+
+@pytest.mark.parametrize("key, field, unit", NUMERIC_KEYS,
+                         ids=[k for k, _, _ in NUMERIC_KEYS])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_field_named(key, field, unit, bad):
+    lines = [ln for ln in GOOD.splitlines() if not ln.startswith(key + " ")]
+    text = "\n".join(lines + [f"{key} = {bad} {unit}"]) + "\n"
+    with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+        parse_device_config(text)

@@ -408,6 +408,26 @@ class TestMetapotential:
             h1 = dynamics.metapotential(system, a1 * rot, a2)
             assert h1 == pytest.approx(h0, rel=1e-12, abs=1e-12)
 
+    def test_undamped_flow_is_hamiltonian(self, soft_point):
+        # da/dt = -i dH/da* with dH/da* = (dH/dRe a + i dH/dIm a) / 2
+        pt = replace(driven_soft_point(soft_point), alpha1=2.7e5,
+                     drive_phase=0.4)
+        system = replace(TwoModeSystem.from_point(pt), Gamma1=0.0, Gamma2=0.0)
+        rng = np.random.default_rng(13)
+        h = 1e-5
+        for _ in range(10):
+            z = rng.standard_normal(4)
+            a = [complex(z[0], z[1]), complex(z[2], z[3])]
+            flow = system.flow(*a)
+            for k in range(2):
+                def H(step):
+                    b = list(a)
+                    b[k] += step
+                    return dynamics.metapotential(system, *b)
+
+                dH = (H(h) - H(-h) + 1j * (H(1j * h) - H(-1j * h))) / (4 * h)
+                assert -1j * dH == pytest.approx(flow[k], rel=1e-7)
+
     def test_conserved_without_damping(self):
         # dampings off but the drive source kept on via Gamma2_ext
         system = TwoModeSystem(delta1=-9.0, delta2=-7.0, alpha1=1.0,

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripler import circuit, steady
 from tripler.errors import (
@@ -130,6 +132,19 @@ class TestBranches:
         roots = steady.subharmonic_branches(-20.0, 1.93, hi)
         assert len(roots) == 1
         assert roots[0][0] == pytest.approx(20.0 - 1.5 * hi, rel=1e-6)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(adelta=st.floats(1e-3, 1e3),
+           frac=st.floats(0.0, 0.999))
+    def test_window_edges_are_double_roots(self, adelta, frac):
+        # gamma1 = frac * |delta|/sqrt(7) keeps the detuning past threshold
+        delta, gamma1 = -adelta, frac * adelta / math.sqrt(7.0)
+        for edge in steady.existence_window(delta, gamma1):
+            base, disc = steady.branch_quadratic(delta, gamma1, edge)
+            assert abs(disc) <= 1e-12 * max(1.0, delta**2)
+            roots = steady.subharmonic_branches(delta, gamma1, edge)
+            assert roots == [(base, +1)]
+            assert base == pytest.approx(-delta - 1.5 * edge, rel=1e-12)
 
     def test_branch_continuity_and_endpoint_merge(self):
         lo, hi = steady.existence_window(-20.0, 1.93)
@@ -462,6 +477,23 @@ def oracle_flow(pt, u1, u2):
     du2 = (1j * (pt.delta2 + b**4 * n2 + 2 * b**2 * n1) - pt.gamma2) * u2 \
         + 1j * (b / 3) * u1**3 - 1j * drive
     return du1, du2
+
+
+class TestFlow:
+    """The shared equations of motion against the separately written oracle."""
+
+    @pytest.mark.parametrize("beta", [3.0**0.25, 1.2, 0.7])
+    def test_matches_oracle(self, beta):
+        pt = make_point(beta=beta, drive_b2=3.0, drive_phase=0.7)
+        z = 3.0 * np.random.default_rng(5).standard_normal((4, 40))
+        u1, u2 = z[0] + 1j * z[1], z[2] + 1j * z[3]
+        want = oracle_flow(pt, u1, u2)
+        scalars = [steady.flow(pt, complex(a), complex(b))
+                   for a, b in zip(u1, u2)]
+        for got in (steady.flow(pt, u1, u2), np.array(scalars).T):
+            for g, w in zip(got, want):
+                assert np.all(np.abs(w) > 1e-3)     # not a stationary point
+                assert np.all(np.abs(g - w) <= 1e-13 * np.abs(w))
 
 
 def oracle_max_growth(pt, u1, u2, h=1e-6):
