@@ -1,8 +1,7 @@
 """Two-mode model of period-tripling oscillations in a tunable resonator."""
 
 from . import calibration, circuit, config, dynamics, io, steady
-from .circuit import (CircuitParams, FluxPoint, ModeCouplings, ModeProfile,
-                      reference_params)
+from .circuit import CircuitParams, FluxPoint, ModeProfile, reference_params
 from .dynamics import NoiseConfig, Trajectory, TwoModeSystem
 from .steady import DimensionlessPoint, SteadyState
 
@@ -12,7 +11,6 @@ __all__ = [
     "CircuitParams",
     "DimensionlessPoint",
     "FluxPoint",
-    "ModeCouplings",
     "ModeProfile",
     "NoiseConfig",
     "SteadyState",

@@ -90,17 +90,14 @@ def photon_number(p_out, gamma1_ext: float, gain_db: float, omega: float):
 class CalibrationChain:
     """Measurement-chain constants.
 
-    ``att_db`` is the drive-line attenuation magnitude in dB (used as the
-    factor 10**(att_db/10) that maps resonator-plane drive back to the
-    generator plane); ``gain_db`` the output gain; ``noise_floor_w`` the
-    detected noise power; ``x`` the fitted chain parameter when known;
-    ``scale07`` the empirical ratio of the observed to the predicted
-    maximum intensity.
+    ``gain_db`` is the output gain; ``noise_floor_w`` the detected noise
+    power; ``x`` the fitted chain parameter when known; ``scale07`` the
+    empirical ratio of the observed to the predicted maximum intensity.
+    The drive-line attenuation enters only through ``x``.
     """
 
     gain_db: float
     noise_floor_w: float
-    att_db: float | None = None
     x: float | None = None
     scale07: float = 0.7
 
@@ -153,7 +150,7 @@ def pump_intensity(p_d, x: float, fp: circuit.FluxPoint, delta1: float):
     """
     m1, m2 = fp.mode1, fp.mode2
     omega = m1.omega + delta1
-    return (fp.couplings.beta**2 * m2.omega * np.asarray(p_d, dtype=float)
+    return (fp.beta**2 * m2.omega * np.asarray(p_d, dtype=float)
             / (3.0 * HBAR * omega * (3.0 * m1.omega - m2.omega)**2 * x))
 
 

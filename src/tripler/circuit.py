@@ -5,7 +5,11 @@ capacitively read out at the other end.  This module turns the physical
 circuit constants (geometry, critical current, line constants, quality
 factors) into the mode quantities the dynamics needs: wave numbers, angular
 frequencies, Kerr coefficients and dampings, all as functions of the flux
-bias.  Everything is a pure function of immutable inputs.
+bias.  Everything is a pure function of immutable inputs.  One path leads
+from device to dynamics: :func:`mode_profile` builds one mode,
+:func:`at_flux` both as a :class:`FluxPoint`, and
+:meth:`FluxPoint.operating_point` reduces them to units of the fundamental
+Kerr shift; :func:`device_point` does all three in one call.
 
 Flux is always expressed in units of the flux quantum.
 """
@@ -13,7 +17,7 @@ Flux is always expressed in units of the flux quantum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 from ._roots import bisect
@@ -141,14 +145,13 @@ class CircuitParams:
         e = self.squid_energy(flux)
         return 0.5 * e if self.kerr_energy == "per_junction" else e
 
-    def coupling_ratio_sq(self) -> float:
-        """(Cc/C_cav)^2, direct or inverted from Q_ext_1 at zero flux."""
-        return self._coupling_ratio_sq
-
     @cached_property
-    def _coupling_ratio_sq(self) -> float:
-        # solved once per instance: every mode profile needs it, and the
-        # inversion from Q_ext_1 costs a dispersion bisection
+    def coupling_ratio_sq(self) -> float:
+        """(Cc/C_cav)^2, direct or inverted from Q_ext_1 at zero flux.
+
+        Solved once per instance: every mode profile needs it, and the
+        inversion from Q_ext_1 costs a dispersion bisection.
+        """
         if self.Cc is not None:
             return (self.Cc / self.C_cav) ** 2
         if self.Q_ext_1 is not None:
@@ -161,28 +164,15 @@ class CircuitParams:
 
 @dataclass(frozen=True)
 class ModeProfile:
-    """Derived quantities of one resonator mode at a given flux.
-
-    ``alpha`` and the dampings are ``None`` until filled in by
-    :func:`mode_kerr` / :func:`mode_damping` (or use :func:`mode_profile`).
-    """
+    """One resonator mode at a given flux; ``kd`` aside, all in rad/s."""
 
     n: int
     kd: float
     omega: float
-    alpha: float | None = None
-    gamma_ext: float | None = None
-    gamma_int: float | None = None
-    gamma: float | None = None
-
-
-@dataclass(frozen=True)
-class ModeCouplings:
-    """Cross-mode Kerr couplings derived from the two mode Kerr constants."""
-
-    alpha_cross: float   # sqrt(alpha1*alpha2)
-    alpha_tilde: float   # (alpha1^3*alpha2)^(1/4)
-    beta: float          # (alpha2/alpha1)^(1/4)
+    alpha: float
+    gamma_ext: float
+    gamma_int: float
+    gamma: float
 
 
 def squid_inductance(params: CircuitParams, flux: float, current: float = 0.0) -> float:
@@ -202,27 +192,15 @@ def squid_inductance(params: CircuitParams, flux: float, current: float = 0.0) -
     return params.Phi0 / (2.0 * math.pi * c * math.sqrt(params.Ic**2 - current**2))
 
 
-def _check_flux(flux: float):
-    if not abs(flux) <= FLUX_LIMIT:     # also rejects NaN
-        raise FluxRangeError(
-            f"flux {flux} is outside the model validity range "
-            f"|flux| <= {FLUX_LIMIT}")
-
-
-def _dispersion_rhs_coeffs(params: CircuitParams, flux: float):
-    A = params.squid_energy(flux) / params.inductive_energy
-    B = params.CJ / params.C_cav
-    return A, B
-
-
 def _dispersion_root(params: CircuitParams, flux: float, n: int) -> float:
     """Root of (kd)tan(kd) = A - B*(kd)^2 inside ((n-1)pi, (n-1)pi + pi/2).
 
-    The left side rises monotonically from 0 to +inf across the bracket
-    while the right side falls, so the root exists and is unique; plain
-    bisection to 1e-12 relative is ample.
+    A = E_S(flux)/E_L and B = CJ/C_cav.  The left side rises monotonically
+    from 0 to +inf across the bracket while the right side falls, so the
+    root exists and is unique; plain bisection to 1e-12 relative is ample.
     """
-    A, B = _dispersion_rhs_coeffs(params, flux)
+    A = params.squid_energy(flux) / params.inductive_energy
+    B = params.CJ / params.C_cav
     lo = (n - 1) * math.pi
     hi = lo + 0.5 * math.pi
 
@@ -233,108 +211,76 @@ def _dispersion_root(params: CircuitParams, flux: float, n: int) -> float:
     return bisect(f, lo + eps, hi - eps, rtol=_SPECTRUM_RTOL)
 
 
-def solve_spectrum(params: CircuitParams, flux: float, n: int) -> ModeProfile:
-    """Wave number and frequency of mode ``n`` (1 or 2) at the given flux.
+def mode_profile(params: CircuitParams, flux: float, n: int) -> ModeProfile:
+    """Spectrum, Kerr coefficient and dampings of mode ``n`` (1 or 2).
 
-    Solves the dispersion relation of the SQUID-terminated line,
-    ``(kd)tan(kd) = E_S(flux)/E_L - (CJ/C_cav)(kd)^2``, on the branch
-    bracketed in ``((n-1)*pi, (n-1)*pi + pi/2)``; ``omega = kd*v/d``.
-    """
-    if n not in (1, 2):
-        raise ValueError("only the two lowest modes are modeled")
-    _check_flux(flux)
-    kd = _dispersion_root(params, flux, n)
-    return ModeProfile(n=n, kd=kd, omega=kd * params.velocity / params.d)
-
-
-def mode_kerr(params: CircuitParams, flux: float, profile: ModeProfile) -> float:
-    """Kerr coefficient alpha_n = hbar*omega_n^2*E_L^2 / (16*E_J^3(flux)) in rad/s."""
-    _check_flux(flux)
-    ej = params.kerr_josephson_energy(flux)
-    return HBAR * profile.omega**2 * params.inductive_energy**2 / (16.0 * ej**3)
-
-
-def mode_damping(params: CircuitParams, flux: float, profile: ModeProfile):
-    """External, internal and total damping of a mode (rad/s).
-
+    The wave number solves the dispersion relation of the SQUID-terminated
+    line, ``(kd)tan(kd) = E_S(flux)/E_L - (CJ/C_cav)(kd)^2``, on the branch
+    bracketed in ``((n-1)*pi, (n-1)*pi + pi/2)``; ``omega = kd*v/d``.  The
+    Kerr coefficient is ``alpha = hbar*omega^2*E_L^2 / (16*E_J^3(flux))``.
     Gamma_ext = omega*kd*(Cc/C_cav)^2 with the coupling ratio held flux
     independent; Gamma_int = omega/(2*Q_int), also flux independent in Q.
     """
-    _check_flux(flux)
-    cc2 = params.coupling_ratio_sq()
-    gamma_ext = profile.omega * profile.kd * cc2
-    q_int = params.Q_int_1 if (profile.n == 1 or params.Q_int_2 is None) \
+    if n not in (1, 2):
+        raise ValueError("only the two lowest modes are modeled")
+    if not abs(flux) <= FLUX_LIMIT:     # also rejects NaN
+        raise FluxRangeError(
+            f"flux {flux} is outside the model validity range "
+            f"|flux| <= {FLUX_LIMIT}")
+    kd = _dispersion_root(params, flux, n)
+    omega = kd * params.velocity / params.d
+    ej = params.kerr_josephson_energy(flux)
+    gamma_ext = omega * kd * params.coupling_ratio_sq
+    q_int = params.Q_int_1 if (n == 1 or params.Q_int_2 is None) \
         else params.Q_int_2
-    gamma_int = profile.omega / (2.0 * q_int)
-    return gamma_ext, gamma_int, gamma_ext + gamma_int
-
-
-def mode_profile(params: CircuitParams, flux: float, n: int) -> ModeProfile:
-    """Complete :class:`ModeProfile` (spectrum, Kerr and dampings) for one mode."""
-    prof = solve_spectrum(params, flux, n)
-    alpha = mode_kerr(params, flux, prof)
-    g_ext, g_int, g = mode_damping(params, flux, prof)
-    return replace(prof, alpha=alpha, gamma_ext=g_ext, gamma_int=g_int, gamma=g)
-
-
-def couplings(mode1: ModeProfile, mode2: ModeProfile) -> ModeCouplings:
-    """Cross-Kerr couplings from the two filled-in mode profiles."""
-    a1, a2 = mode1.alpha, mode2.alpha
-    if a1 is None or a2 is None:
-        raise ValueError("mode profiles must carry Kerr coefficients")
-    return ModeCouplings(alpha_cross=math.sqrt(a1 * a2),
-                         alpha_tilde=(a1**3 * a2) ** 0.25,
-                         beta=(a2 / a1) ** 0.25)
-
-
-def reduce_operating_point(mode1: ModeProfile, mode2: ModeProfile,
-                           cpl: ModeCouplings, signal_omega: float,
-                           drive_b2: float = 0.0, drive_phase: float = 0.0,
-                           flux: float | None = None) -> DimensionlessPoint:
-    """Reduce a physical operating point to alpha1 units.
-
-    ``signal_omega`` is the angular frequency of the fundamental-mode
-    response; the drive sits at three times it.  The identity
-    delta2/alpha1 = 3*delta + Delta holds by construction.
-    """
-    a1 = mode1.alpha
-    return DimensionlessPoint(
-        delta=(signal_omega - mode1.omega) / a1,
-        Delta=(3.0 * mode1.omega - mode2.omega) / a1,
-        gamma1=mode1.gamma / a1,
-        gamma2=mode2.gamma / a1,
-        gamma2_ext=mode2.gamma_ext / a1,
-        beta=cpl.beta,
-        alpha1=a1,
-        drive_b2=drive_b2,
-        drive_phase=drive_phase,
-        flux=flux,
-    )
+    gamma_int = omega / (2.0 * q_int)
+    return ModeProfile(
+        n=n, kd=kd, omega=omega,
+        alpha=HBAR * omega**2 * params.inductive_energy**2 / (16.0 * ej**3),
+        gamma_ext=gamma_ext, gamma_int=gamma_int, gamma=gamma_ext + gamma_int)
 
 
 @dataclass(frozen=True)
 class FluxPoint:
-    """The device at one flux bias: both mode profiles and their couplings."""
+    """The device at one flux bias: both mode profiles."""
 
     flux: float
     mode1: ModeProfile
     mode2: ModeProfile
-    couplings: ModeCouplings
+
+    @property
+    def beta(self) -> float:
+        """Mode coupling ratio (alpha2/alpha1)^(1/4)."""
+        return (self.mode2.alpha / self.mode1.alpha) ** 0.25
 
     def operating_point(self, delta1: float, drive_b2: float = 0.0,
                         drive_phase: float = 0.0) -> DimensionlessPoint:
-        """Reduced operating point at signal detuning ``delta1`` (rad/s)."""
-        return reduce_operating_point(self.mode1, self.mode2, self.couplings,
-                                      signal_omega=self.mode1.omega + delta1,
-                                      drive_b2=drive_b2,
-                                      drive_phase=drive_phase, flux=self.flux)
+        """Operating point at signal detuning ``delta1`` (rad/s) in alpha1 units.
+
+        The signal oscillates at omega1 + delta1 and the drive at three
+        times that, so delta2/alpha1 = 3*delta + Delta holds by construction.
+        """
+        m1, m2 = self.mode1, self.mode2
+        a1 = m1.alpha
+        return DimensionlessPoint(
+            # detuning from the signal frequency, rounded as that frequency is
+            delta=((m1.omega + delta1) - m1.omega) / a1,
+            Delta=(3.0 * m1.omega - m2.omega) / a1,
+            gamma1=m1.gamma / a1,
+            gamma2=m2.gamma / a1,
+            gamma2_ext=m2.gamma_ext / a1,
+            beta=self.beta,
+            alpha1=a1,
+            drive_b2=drive_b2,
+            drive_phase=drive_phase,
+            flux=self.flux,
+        )
 
 
 def at_flux(params: CircuitParams, flux: float) -> FluxPoint:
-    """Both filled-in mode profiles and their couplings at one flux bias."""
-    m1 = mode_profile(params, flux, 1)
-    m2 = mode_profile(params, flux, 2)
-    return FluxPoint(flux=flux, mode1=m1, mode2=m2, couplings=couplings(m1, m2))
+    """Both mode profiles at one flux bias."""
+    return FluxPoint(flux=flux, mode1=mode_profile(params, flux, 1),
+                     mode2=mode_profile(params, flux, 2))
 
 
 def device_point(params: CircuitParams, flux: float, delta1: float,

@@ -57,6 +57,33 @@ _EXIT_CODES = (
 )
 
 
+#: every key a run configuration may hold: the top level (``None``), then
+#: each section a command reads
+_RUN_KEYS = {
+    None: ("device", "out", "seed", "chain", "spectrum", "steady", "sweep",
+           "simulate", "thresholds"),
+    "chain": ("gain_db", "noise_floor_w", "x", "scale07"),
+    "spectrum": ("flux",),
+    "steady": ("flux", "delta1_hz", "b2_sq", "pd_dbm", "drive_phase"),
+    "sweep": ("flux", "delta1_hz", "pd_dbm"),
+    "simulate": ("flux", "delta1_hz", "b2_sq", "pd_dbm", "drive_phase",
+                 "duration_s", "dt_s", "store_every", "initial",
+                 "noise_n_th", "fs_hz", "bins"),
+    "thresholds": ("flux",),
+}
+
+
+def _check_keys(doc: dict, section=None):
+    """Reject the first key of ``doc`` that ``_RUN_KEYS[section]`` lacks."""
+    known = _RUN_KEYS[section]
+    for key in doc:
+        if key not in known:
+            where = "at the top level" if section is None \
+                else f"in the {section!r} section"
+            raise ConfigError(f"unknown key {key!r} {where} "
+                              f"(known keys: {', '.join(known)})")
+
+
 def _reject_constant(name):
     raise ConfigError(f"non-finite number {name} is not allowed")
 
@@ -87,10 +114,15 @@ class _Run:
                 self.doc = json.loads(Path(path).read_text(encoding="utf-8"),
                                       parse_constant=_reject_constant,
                                       parse_float=_finite_float)
-            except FileNotFoundError:
-                raise ConfigError(f"run configuration {path!r} not found")
-            except (json.JSONDecodeError, ConfigError) as exc:
+            except OSError as exc:
+                raise ConfigError(f"run configuration {path!r}: {exc.strerror}")
+            except (UnicodeDecodeError, json.JSONDecodeError,
+                    ConfigError) as exc:
                 raise ConfigError(f"run configuration {path!r}: {exc}")
+            if not isinstance(self.doc, dict):
+                raise ConfigError(f"run configuration {path!r} must be a "
+                                  "JSON object at the top level")
+            _check_keys(self.doc)
         if args.out is not None:
             self.doc["out"] = args.out
         if args.seed is not None:
@@ -100,7 +132,10 @@ class _Run:
     @property
     def out_dir(self) -> Path:
         out = Path(self.doc.get("out", "."))
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"output directory {str(out)!r}: {exc.strerror}")
         return out
 
     @property
@@ -111,6 +146,7 @@ class _Run:
         sec = self.doc.get(name)
         if not isinstance(sec, dict):
             raise ConfigError(f"run configuration lacks a {name!r} section")
+        _check_keys(sec, name)
         return sec
 
     def device(self) -> circuit.CircuitParams:
@@ -124,12 +160,10 @@ class _Run:
     def chain(self) -> calibration.CalibrationChain:
         sec = self.section("chain")
         x = sec.get("x")
-        att_db = sec.get("att_db")
         try:
             return calibration.CalibrationChain(
                 gain_db=float(sec["gain_db"]),
                 noise_floor_w=float(sec["noise_floor_w"]),
-                att_db=None if att_db is None else _finite("att_db", att_db),
                 x=None if x is None else float(x),
                 scale07=float(sec.get("scale07", 0.7)),
             )
@@ -411,7 +445,10 @@ def cmd_fit(run: _Run, files) -> int:
         raise NoSignalError("no linecut files given")
     linecuts = []
     for f in files:
-        lc, _ = io.read_linecut_csv(f)
+        try:
+            lc, _ = io.read_linecut_csv(f)
+        except OSError as exc:
+            raise ConfigError(f"linecut file {f!r}: {exc.strerror}")
         linecuts.append(lc)
     result = calibration.fit_x(linecuts, params, chain)
     out = run.out_dir / "fit_report.json"

@@ -111,7 +111,7 @@ def closed_form_output(p_d, x, fp, delta1, gain_db):
     m1, m2 = fp.mode1, fp.mode2
     omega = m1.omega + delta1
     delta, gamma1 = delta1 / m1.alpha, m1.gamma / m1.alpha
-    v = (fp.couplings.beta**2 * m2.omega * p_d
+    v = (fp.beta**2 * m2.omega * p_d
          / (3.0 * HBAR * omega * (3.0 * m1.omega - m2.omega)**2 * x))
     root = math.sqrt(max(1.0 - 7.0 * gamma1**2 / delta**2, 0.0))
     lo = 2.0 * -delta / 7.0 * (1.0 - root)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripler import circuit
 from tripler.errors import (
@@ -71,10 +73,11 @@ class TestSpectrum:
     def test_bracket_and_residual(self, params):
         for flux in np.linspace(0.0, 0.45, 51):
             for n in (1, 2):
-                prof = circuit.solve_spectrum(params, flux, n)
+                prof = circuit.mode_profile(params, flux, n)
                 lo = (n - 1) * math.pi
                 assert lo < prof.kd < lo + math.pi / 2
-                A, B = circuit._dispersion_rhs_coeffs(params, flux)
+                A = params.squid_energy(flux) / params.inductive_energy
+                B = params.CJ / params.C_cav
                 rhs = A - B * prof.kd**2
                 resid = abs(prof.kd * math.tan(prof.kd) - rhs)
                 assert resid < 1e-9 * abs(rhs)
@@ -84,16 +87,16 @@ class TestSpectrum:
     def test_stiff_squid_limit_quarter_wave(self, params):
         from dataclasses import replace
         stiff = replace(params, Ic=params.Ic * 1e6)
-        prof = circuit.solve_spectrum(stiff, 0.0, 1)
+        prof = circuit.mode_profile(stiff, 0.0, 1)
         assert prof.kd == pytest.approx(math.pi / 2, rel=1e-5)
 
     def test_mode_index_validation(self, params):
         with pytest.raises(ValueError):
-            circuit.solve_spectrum(params, 0.0, 3)
+            circuit.mode_profile(params, 0.0, 3)
 
     def test_flux_range_guard(self, params):
         with pytest.raises(FluxRangeError):
-            circuit.solve_spectrum(params, 0.46, 1)
+            circuit.mode_profile(params, 0.46, 1)
 
     @pytest.mark.parametrize("flux", [math.nan, math.inf, -math.inf])
     def test_non_finite_flux_rejected(self, params, flux):
@@ -102,8 +105,17 @@ class TestSpectrum:
 
     def test_frequency_non_increasing_in_flux(self, params):
         fluxes = np.linspace(0.0, 0.45, 51)
-        f1 = [circuit.solve_spectrum(params, f, 1).omega for f in fluxes]
+        f1 = [circuit.mode_profile(params, f, 1).omega for f in fluxes]
         assert np.all(np.diff(f1) <= 0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(flux=st.floats(0.0, 0.45), n=st.sampled_from((1, 2)),
+           kerr=st.sampled_from(circuit.KERR_CONVENTIONS))
+    def test_even_in_flux(self, params, flux, n, kerr):
+        from dataclasses import replace
+        device = replace(params, kerr_energy=kerr)
+        assert circuit.mode_profile(device, -flux, n) == \
+            circuit.mode_profile(device, flux, n)
 
 
 class TestKerr:
@@ -120,8 +132,7 @@ class TestKerr:
 
     def test_kerr_non_decreasing_in_flux(self, params):
         fluxes = np.linspace(0.0, 0.45, 51)
-        alphas = [circuit.mode_kerr(params, f, circuit.solve_spectrum(params, f, 1))
-                  for f in fluxes]
+        alphas = [circuit.mode_profile(params, f, 1).alpha for f in fluxes]
         assert np.all(np.diff(alphas) >= 0)
 
     def test_total_convention_is_eight_times_smaller(self, params):
@@ -156,13 +167,12 @@ class TestDamping:
     def test_missing_coupling_error(self, params):
         from dataclasses import replace
         bare = replace(params, Q_ext_1=None, Cc=None)
-        prof = circuit.solve_spectrum(bare, 0.0, 1)
         with pytest.raises(MissingCouplingError):
-            circuit.mode_damping(bare, 0.0, prof)
+            circuit.mode_profile(bare, 0.0, 1)
 
     def test_explicit_cc_matches_inverted(self, params):
         from dataclasses import replace
-        cc = math.sqrt(params.coupling_ratio_sq()) * params.C_cav
+        cc = math.sqrt(params.coupling_ratio_sq) * params.C_cav
         direct = replace(params, Cc=cc, Q_ext_1=None)
         m_a = circuit.mode_profile(params, 0.2, 1)
         m_b = circuit.mode_profile(direct, 0.2, 1)
@@ -199,11 +209,8 @@ class TestDamping:
 class TestCouplingsAndReduction:
     def test_coupling_identities(self, modes0):
         m1, m2 = modes0
-        c = circuit.couplings(m1, m2)
-        assert c.alpha_cross**2 == pytest.approx(m1.alpha * m2.alpha, rel=1e-12)
-        assert c.beta**4 == pytest.approx(m2.alpha / m1.alpha, rel=1e-12)
-        assert c.alpha_tilde**4 == pytest.approx(
-            m1.alpha**3 * m2.alpha, rel=1e-12)
+        fp = circuit.FluxPoint(flux=0.0, mode1=m1, mode2=m2)
+        assert fp.beta**4 == pytest.approx(m2.alpha / m1.alpha, rel=1e-12)
 
     def test_zero_detuning(self, point0):
         assert point0.delta == 0.0
@@ -217,9 +224,8 @@ class TestCouplingsAndReduction:
         m1, m2 = modes0
         from dataclasses import replace
         m1_quoted = replace(m1, alpha=TWO_PI * 85e3)
-        pt = circuit.reduce_operating_point(
-            m1_quoted, m2, circuit.couplings(m1_quoted, m2),
-            signal_omega=m1_quoted.omega - TWO_PI * 12e6)
+        pt = circuit.FluxPoint(flux=0.0, mode1=m1_quoted, mode2=m2) \
+            .operating_point(-TWO_PI * 12e6)
         assert pt.delta == pytest.approx(-12e6 / 85e3, rel=1e-12)
         assert pt.delta == pytest.approx(-141, abs=1.0)
 

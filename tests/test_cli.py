@@ -362,6 +362,13 @@ class TestConfigErrors:
         ("sweep", {"chain": {**CHAIN, "att_db": "inf"},
                    "sweep": {"delta1_hz": [-10e6, -1e6, 3],
                              "pd_dbm": [-40, 0, 3]}}, "att_db"),
+        # a misspelt key would otherwise be ignored and the run exit 0
+        ("simulate", {"seeds": 3, "simulate": SIM}, "'seeds'"),
+        ("simulate", {"simulate": {**SIM, "noise_nth": 0.1}}, "'noise_nth'"),
+        ("steady", {"steady": {**STEADY, "delta_hz": -4e6}}, "'delta_hz'"),
+        ("thresholds", {"chain": {**CHAIN, "gain": 66.0},
+                        "thresholds": {"flux": [0.0, 0.1, 2]}}, "'gain'"),
+        ("spectrum", {"spectrum": {"fluxes": [0.0, 0.1, 2]}}, "'fluxes'"),
     ])
     def test_in_process(self, workdir, capsys, command, doc, needle):
         cfg = write_config(workdir, doc)
@@ -381,6 +388,68 @@ class TestConfigErrors:
         Path(cfg).write_text(text)
         assert main(["--config", cfg, "steady"]) == 2
         assert "1e999" in capsys.readouterr().err
+
+
+def _file_case(workdir, case):
+    """Files for one unreadable-input case; returns (argv, exit code, needle)."""
+    chain = {"gain_db": 66.0, "noise_floor_w": 1e-13}
+    cfg = write_config(workdir, {"chain": chain,
+                                 "spectrum": {"flux": [0.0, 0.1, 2]}})
+    if case == "config-is-directory":
+        (workdir / "cfgdir").mkdir()
+        return ["--config", str(workdir / "cfgdir"), "spectrum"], 2, "cfgdir"
+    if case == "missing-device":
+        cfg = write_config(workdir, {"device": "nodev.cfg", "spectrum": {}})
+        return ["--config", cfg, "spectrum"], 2, "nodev.cfg"
+    if case == "missing-linecut":
+        return ["--config", cfg, "fit", str(workdir / "nocut.csv")], 2, \
+            "nocut.csv"
+    if case == "out-is-file":
+        (workdir / "afile").write_text("")
+        return ["--config", cfg, "--out", str(workdir / "afile"),
+                "spectrum"], 2, "afile"
+    if case == "config-not-utf8":
+        (workdir / "run.json").write_bytes(b"\xff\xfe{}")
+        return ["--config", cfg, "spectrum"], 2, "utf-8"
+    if case == "device-not-utf8":
+        (workdir / "device.cfg").write_bytes(
+            (workdir / "device.cfg").read_bytes() + b"# caf\xe9\n")
+        return ["--config", cfg, "spectrum"], 2, "utf-8"
+    if case == "linecut-not-utf8":
+        path = workdir / "cut.csv"
+        tio.write_linecut_csv(path, [-30.0, -20.0], [1e-12, 2e-12],
+                              sidecar={"delta1_rad_s": -TWO_PI * 8e6,
+                                       "flux_frac": 0.0})
+        path.write_bytes(path.read_bytes() + b"# \xff\n")
+        return ["--config", cfg, "fit", str(path)], 7, "cut.csv"
+    if case == "config-not-object":
+        (workdir / "run.json").write_text("[1, 2]")
+        return ["--config", cfg, "spectrum"], 2, "JSON object"
+    raise AssertionError(case)
+
+
+FILE_CASES = ["config-is-directory", "missing-device", "missing-linecut",
+              "out-is-file", "config-not-utf8", "device-not-utf8",
+              "linecut-not-utf8", "config-not-object"]
+
+
+class TestFileErrors:
+    """Unreadable inputs and outputs end in one line naming the file."""
+
+    @pytest.mark.parametrize("case", FILE_CASES)
+    def test_in_process(self, workdir, capsys, case):
+        argv, code, needle = _file_case(workdir, case)
+        assert main(argv) == code
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and needle in err[0]
+
+    def test_fresh_process(self, workdir):
+        argv, code, needle = _file_case(workdir, "device-not-utf8")
+        proc = run_python(["-m", "tripler", *argv], workdir)
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and needle in lines[0]
 
 
 def test_cli_import_loads_no_scipy(tmp_path):

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from tripler.circuit import KERR_CONVENTIONS, CircuitParams
 from tripler.config import (
     _KEYS,
     dump_device_config,
@@ -103,3 +106,36 @@ def test_non_finite_field_named(key, field, unit, bad):
     text = "\n".join(lines + [f"{key} = {bad} {unit}"]) + "\n"
     with pytest.raises(ConfigError, match=f"^{field} must be finite"):
         parse_device_config(text)
+
+
+def _positive(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def devices(draw):
+    """Valid CircuitParams over every field, optional ones present or not."""
+    fields = {
+        "d": draw(_positive(1e-3, 2e-2)),
+        "Ic": draw(_positive(2e-7, 2e-5)),
+        "CJ": draw(_positive(1e-16, 1e-13)),
+        "L0": draw(_positive(1e-7, 2e-6)),
+        "C0": draw(_positive(5e-11, 1e-9)),
+        "Q_int_1": draw(_positive(1e2, 1e7)),
+        "Q_ext_1": draw(st.none() | _positive(1e2, 1e7)),
+        "Cc": draw(st.none() | _positive(1e-16, 1e-13)),
+        "Q_int_2": draw(st.none() | _positive(1e2, 1e7)),
+        "kerr_energy": draw(st.sampled_from(KERR_CONVENTIONS)),
+    }
+    if draw(st.booleans()):
+        fields["Phi0"] = draw(_positive(1e-15, 5e-15))
+    try:
+        return CircuitParams(**fields)
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(params=devices())
+def test_roundtrip_every_field(params):
+    assert parse_device_config(dump_device_config(params)) == params
