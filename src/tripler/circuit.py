@@ -164,7 +164,8 @@ class CircuitParams:
 
 @dataclass(frozen=True)
 class ModeProfile:
-    """One resonator mode at a given flux; ``kd`` aside, all in rad/s."""
+    """One resonator mode at a given flux: index ``n``, wave number ``kd``,
+    and ``omega``, ``alpha`` and the dampings in rad/s."""
 
     n: int
     kd: float

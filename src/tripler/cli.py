@@ -114,8 +114,6 @@ class _Run:
                 self.doc = json.loads(Path(path).read_text(encoding="utf-8"),
                                       parse_constant=_reject_constant,
                                       parse_float=_finite_float)
-            except OSError as exc:
-                raise ConfigError(f"run configuration {path!r}: {exc.strerror}")
             except (UnicodeDecodeError, json.JSONDecodeError,
                     ConfigError) as exc:
                 raise ConfigError(f"run configuration {path!r}: {exc}")
@@ -132,10 +130,7 @@ class _Run:
     @property
     def out_dir(self) -> Path:
         out = Path(self.doc.get("out", "."))
-        try:
-            out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"output directory {str(out)!r}: {exc.strerror}")
+        out.mkdir(parents=True, exist_ok=True)
         return out
 
     @property
@@ -445,10 +440,7 @@ def cmd_fit(run: _Run, files) -> int:
         raise NoSignalError("no linecut files given")
     linecuts = []
     for f in files:
-        try:
-            lc, _ = io.read_linecut_csv(f)
-        except OSError as exc:
-            raise ConfigError(f"linecut file {f!r}: {exc.strerror}")
+        lc, _ = io.read_linecut_csv(f)
         linecuts.append(lc)
     result = calibration.fit_x(linecuts, params, chain)
     out = run.out_dir / "fit_report.json"
@@ -516,6 +508,10 @@ def main(argv=None) -> int:
         return _exit_code(exc)
     except KeyError as exc:
         print(f"tripler {args.command}: missing configuration key {exc}",
+              file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"tripler {args.command}: {exc.filename}: {exc.strerror}",
               file=sys.stderr)
         return 2
 

@@ -86,12 +86,10 @@ def parse_device_config(text: str, source: str = "<string>") -> CircuitParams:
 
 
 def load_device_config(path) -> CircuitParams:
-    """Read and parse a device-parameter file; an unreadable one is a ConfigError."""
+    """Read and parse a device-parameter file; non-UTF-8 bytes are a ConfigError."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"device file {str(path)!r}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"device file {str(path)!r}: {exc}") from exc
     return parse_device_config(text, source=str(path))

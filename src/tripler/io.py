@@ -177,40 +177,36 @@ def read_histogram_csv(path) -> Histogram2D:
                        fs=fs, window=window, units=units)
 
 
-def _utf8_lines(path):
-    """Lines of a text file; bytes that are not UTF-8 raise FormatError."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            yield from fh
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: {exc}") from exc
-
-
 def _read_csv(path, expected_header):
     meta = {}
     rows = []
     header_seen = False
-    for raw in _utf8_lines(path):
-        line = raw.rstrip("\n")
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if ":" in body:
-                k, _, v = body.partition(":")
-                try:
-                    meta[k.strip()] = json.loads(v.strip())
-                except json.JSONDecodeError:
-                    meta[k.strip()] = v.strip()
-            continue
-        cells = line.split(",")
-        if not header_seen:
-            if tuple(cells) != tuple(expected_header):
-                raise FormatError(
-                    f"expected header {expected_header}, got {tuple(cells)}")
-            header_seen = True
-            continue
-        rows.append(cells)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for raw in fh:
+                line = raw.rstrip("\n")
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    body = line[1:].strip()
+                    if ":" in body:
+                        k, _, v = body.partition(":")
+                        try:
+                            meta[k.strip()] = json.loads(v.strip())
+                        except json.JSONDecodeError:
+                            meta[k.strip()] = v.strip()
+                    continue
+                cells = line.split(",")
+                if not header_seen:
+                    if tuple(cells) != tuple(expected_header):
+                        raise FormatError(
+                            f"expected header {expected_header}, "
+                            f"got {tuple(cells)}")
+                    header_seen = True
+                    continue
+                rows.append(cells)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     if not header_seen:
         raise FormatError("missing mandatory column-name row")
     return meta, rows
