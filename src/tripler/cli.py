@@ -84,6 +84,23 @@ def _check_keys(doc: dict, section=None):
                               f"(known keys: {', '.join(known)})")
 
 
+def _check_top_level(doc: dict):
+    """Reject top-level values of the wrong type before any command runs.
+
+    The seed must fit the signed 64-bit ``.trpl`` header field, where -1
+    marks an unseeded run.
+    """
+    for key in ("device", "out"):
+        if key in doc and not isinstance(doc[key], str):
+            raise ConfigError(f"{key!r} must be a path string, "
+                              f"got {doc[key]!r}")
+    seed = doc.get("seed")
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)
+                             or not 0 <= seed <= 2**63 - 1):
+        raise ConfigError(f"'seed' must be an integer in [0, 2**63 - 1], "
+                          f"got {seed!r}")
+
+
 def _reject_constant(name):
     raise ConfigError(f"non-finite number {name} is not allowed")
 
@@ -125,6 +142,7 @@ class _Run:
             self.doc["out"] = args.out
         if args.seed is not None:
             self.doc["seed"] = args.seed
+        _check_top_level(self.doc)
         self.format = args.format
 
     @property

@@ -38,8 +38,14 @@ _KEYS = {
 }
 
 
-def parse_device_config(text: str, source: str = "<string>") -> CircuitParams:
-    """Parse device-parameter text into :class:`CircuitParams`."""
+def parse_device_config(text: str, source: str | None = None) -> CircuitParams:
+    """Parse device-parameter text into :class:`CircuitParams`.
+
+    ``source``, when given, names the text at the head of every error.
+    """
+    def error(message, lineno=None):
+        return ConfigError(message, lineno, source)
+
     fields: dict = {}
     seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -47,52 +53,53 @@ def parse_device_config(text: str, source: str = "<string>") -> CircuitParams:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"expected 'key = value unit', got {raw!r}", lineno)
+            raise error(f"expected 'key = value unit', got {raw!r}", lineno)
         key, _, rhs = (s.strip() for s in line.partition("="))
         if key not in _KEYS:
             known = ", ".join(sorted(_KEYS))
-            raise ConfigError(f"unknown key {key!r} (known keys: {known})", lineno)
+            raise error(f"unknown key {key!r} (known keys: {known})", lineno)
         if key in seen:
-            raise ConfigError(
+            raise error(
                 f"duplicate key {key!r} (first given on line {seen[key]})", lineno)
         seen[key] = lineno
         field, unit, _ = _KEYS[key]
         parts = rhs.split()
         if unit == "enum":
             if len(parts) != 1:
-                raise ConfigError(f"{key!r} takes a single word", lineno)
+                raise error(f"{key!r} takes a single word", lineno)
             fields[field] = parts[0]
             continue
         if len(parts) != 2:
-            raise ConfigError(
+            raise error(
                 f"{key!r} needs a value and its unit, e.g. '1.0 {unit}'", lineno)
         value_s, unit_s = parts
         if unit_s != unit:
-            raise ConfigError(
+            raise error(
                 f"{key!r} must be given in {unit!r}, not {unit_s!r}", lineno)
         try:
             fields[field] = float(value_s)
         except ValueError:
-            raise ConfigError(f"cannot parse {value_s!r} as a number", lineno) from None
+            raise error(f"cannot parse {value_s!r} as a number", lineno) from None
 
     missing = [k for k, (_, _, req) in _KEYS.items()
                if req and _KEYS[k][0] not in fields]
     if missing:
-        raise ConfigError(f"missing required keys: {', '.join(sorted(missing))}")
+        raise error(f"missing required keys: {', '.join(sorted(missing))}")
     try:
         return CircuitParams(**fields)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise error(str(exc)) from exc
 
 
 def load_device_config(path) -> CircuitParams:
     """Read and parse a device-parameter file; non-UTF-8 bytes are a ConfigError."""
+    source = f"device file {str(path)!r}"
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"device file {str(path)!r}: {exc}") from exc
-    return parse_device_config(text, source=str(path))
+        raise ConfigError(str(exc), source=source) from exc
+    return parse_device_config(text, source=source)
 
 
 def dump_device_config(params: CircuitParams) -> str:

@@ -17,11 +17,16 @@ additive strengths D1, D2 in s^-1, by default Gamma_n times a configurable
 effective occupation, which reproduces activated switching between the
 attractors qualitatively.
 
-Ensembles integrate concurrently as a trailing vector axis; each member
-consumes its own RNG stream spawned from the master seed, so results do
-not depend on how an ensemble is batched.  A single trajectory, given as
-scalar initial amplitudes, runs the same schemes on Python complex numbers,
-where numpy's per-call overhead would dominate a one-member step.
+Ensembles integrate concurrently: both modes of all M members form one
+(2, M) complex state, mode 1 in row 0 and mode 2 in row 1, and every step
+runs in place on buffers allocated once per run (``steady._flow_into``
+evaluates the shared terms once for both rows).  Each member consumes its
+own RNG stream spawned from the master seed, drawn chunkwise into one
+buffer, so results do not depend on how an ensemble is batched.  The
+stacked step rounds every element exactly as ``steady._flow`` does on one
+array per mode.  A single trajectory, given as scalar initial amplitudes,
+runs the same schemes on Python complex numbers, where numpy's per-call
+overhead would dominate a one-member step.
 """
 
 from __future__ import annotations
@@ -38,7 +43,16 @@ from .errors import (
     OverlappingRadiusError,
     StepSizeWarning,
 )
-from .steady import DimensionlessPoint, _Coefficients, _flow
+from .steady import (
+    DimensionlessPoint,
+    _Coefficients,
+    _flow,
+    _flow_into,
+    _FlowWork,
+)
+
+#: integration steps of noise drawn per member at a time
+_NOISE_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -235,13 +249,17 @@ def integrate(system: TwoModeSystem, initial, duration: float, dt: float,
     deterministic function of ``seed``.
 
     ``initial`` entries may be scalars or equally shaped arrays (a
-    vectorized ensemble).  A scalar initial condition integrates on Python
-    complex numbers, which is an order of magnitude faster per step than
-    numpy for one trajectory; it draws the same random numbers as member 0
-    of an ensemble with the same seed and matches that member to ~1e-15
-    relative, not bitwise, because numpy's vectorized complex arithmetic
-    rounds differently.  Only every ``store_every``-th step is stored.
-    Raises :class:`DivergenceError` when any amplitude passes ``ceiling``.
+    vectorized ensemble).  An ensemble integrates as one (2, M) state over
+    its M members in C order, stepped in place without allocating; member j
+    draws from the j-th RNG stream spawned from ``seed``, so the leading
+    members of a wider run are bit-identical.  A scalar initial condition
+    integrates on Python complex numbers, which is an order of magnitude
+    faster per step than numpy for one trajectory; it draws the same random
+    numbers as member 0 of an ensemble with the same seed and matches that
+    member to ~1e-15 relative, not bitwise, because numpy's vectorized
+    complex arithmetic rounds differently.  Only every ``store_every``-th
+    step is stored.  Raises :class:`DivergenceError` when any amplitude
+    passes ``ceiling`` or stops being finite.
     """
     a1 = np.asarray(initial[0], dtype=complex)
     a2 = np.asarray(initial[1], dtype=complex)
@@ -264,22 +282,34 @@ def integrate(system: TwoModeSystem, initial, duration: float, dt: float,
             "for the fastest system timescale", StepSizeWarning, stacklevel=2)
 
     n_members = a1.size
-    shape = a1.shape
-    if scalar:
-        a1, a2, shape = complex(a1[0]), complex(a2[0]), ()
     n_stored = n_steps // store_every
-    out1 = np.empty((n_stored,) + shape, dtype=complex)
-    out2 = np.empty((n_stored,) + shape, dtype=complex)
+    out1 = np.empty((n_stored,) + (() if scalar else a1.shape), dtype=complex)
+    out2 = np.empty_like(out1)
     c = system._coefficients()
+    rngs = None if noise is None else _member_rngs(seed, n_members)
 
     # overflow en route to the divergence check is expected, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        if noise is None:
-            _run_rk4(c, a1, a2, dt, n_steps, store_every, out1, out2, ceiling)
+        if scalar:
+            a1, a2 = complex(a1[0]), complex(a2[0])
+            if noise is None:
+                _run_rk4(c, a1, a2, dt, n_steps, store_every, out1, out2,
+                         ceiling)
+            else:
+                _run_euler_maruyama(c, a1, a2, dt, n_steps, store_every,
+                                    out1, out2, ceiling, noise, rngs[0])
         else:
-            rngs = _member_rngs(seed, n_members)
-            _run_euler_maruyama(c, a1, a2, dt, n_steps, store_every,
-                                out1, out2, ceiling, noise, rngs)
+            # both modes as one (2, M) state; rows of the stored samples
+            a = np.stack((a1.ravel(), a2.ravel()))
+            flat1 = out1.reshape(n_stored, n_members)
+            flat2 = out2.reshape(n_stored, n_members)
+            if noise is None:
+                _run_rk4_stacked(c, a, dt, n_steps, store_every, flat1,
+                                 flat2, ceiling)
+            else:
+                _run_euler_maruyama_stacked(c, a, dt, n_steps, store_every,
+                                            flat1, flat2, ceiling, noise,
+                                            rngs)
 
     return Trajectory(dt=dt * store_every, a1=out1, a2=out2,
                       drive_b2=system.drive_b2, drive_phase=system.drive_phase,
@@ -292,8 +322,8 @@ def _member_rngs(seed, m):
     return [np.random.default_rng(s) for s in ss.spawn(m)]
 
 
-def _check_finite(a1, a2, ceiling, step, dt):
-    top = max(np.max(np.abs(a1)), np.max(np.abs(a2)))
+def _check_finite(a, ceiling, step, dt):
+    top = np.max(np.abs(a))
     if not np.isfinite(top) or top > ceiling:
         raise DivergenceError(
             f"amplitude {top:.3e} exceeded ceiling {ceiling:.3e}", t=step * dt)
@@ -319,30 +349,63 @@ def _run_rk4(c, a1, a2, dt, n_steps, store_every, out1, out2, ceiling):
                 out1[idx], out2[idx] = a1, a2
                 idx += 1
             if step % 64 == 0 or step == n_steps:
-                _check_finite(a1, a2, ceiling, step, dt)
+                _check_finite((a1, a2), ceiling, step, dt)
     except OverflowError:
         raise _overflow(step, dt) from None
 
 
+def _complex_constants(*values):
+    """Real step factors as the 0-d complex arrays numpy converts them to.
+
+    A Python float times a complex array is converted to x + 0j on every
+    call; converting once gives the same products for less time per step.
+    """
+    return [np.asarray(complex(x)) for x in values]
+
+
+def _run_rk4_stacked(c, a, dt, n_steps, store_every, out1, out2, ceiling):
+    """RK4 of the (2, M) ensemble ``a`` in place, rounding as :func:`_run_rk4`."""
+    work = _FlowWork.build(c, a.shape[1])
+    c = c.as_arrays()
+    acc, k, y = (np.empty_like(a) for _ in range(3))
+    half, sixth, step_dt, two = _complex_constants(0.5 * dt, dt / 6.0, dt,
+                                                   2.0)
+    idx = 0
+    for step in range(1, n_steps + 1):
+        _flow_into(c, a, acc, work)                 # acc = k1
+        np.multiply(half, acc, out=y)
+        np.add(a, y, out=y)
+        _flow_into(c, y, k, work)                   # k2
+        np.multiply(half, k, out=y)
+        np.add(a, y, out=y)
+        np.multiply(two, k, out=k)
+        np.add(acc, k, out=acc)
+        _flow_into(c, y, k, work)                   # k3
+        np.multiply(step_dt, k, out=y)
+        np.add(a, y, out=y)
+        np.multiply(two, k, out=k)
+        np.add(acc, k, out=acc)
+        _flow_into(c, y, k, work)                   # k4
+        np.add(acc, k, out=acc)
+        np.multiply(sixth, acc, out=acc)
+        np.add(a, acc, out=a)
+        if step % store_every == 0:
+            out1[idx], out2[idx] = a
+            idx += 1
+        if step % 64 == 0 or step == n_steps:
+            _check_finite(a, ceiling, step, dt)
+
+
 def _run_euler_maruyama(c, a1, a2, dt, n_steps, store_every,
-                        out1, out2, ceiling, noise, rngs):
-    shape = out1.shape[1:]
+                        out1, out2, ceiling, noise, rng):
     s1 = math.sqrt(noise.d1 * dt)
     s2 = math.sqrt(noise.d2 * dt)
     idx = 0
-    chunk = 4096
     step = 0
     try:
         while step < n_steps:
-            todo = min(chunk, n_steps - step)
-            # per-member streams drawn chunkwise: (todo, 4) per member
-            if shape:
-                draws = np.stack([rng.standard_normal((todo, 4))
-                                  for rng in rngs], axis=-1)
-                draws = draws.reshape(todo, 4, *shape)
-            else:
-                draws = rngs[0].standard_normal((todo, 4)).tolist()
-            for x0, x1, x2, x3 in draws:
+            todo = min(_NOISE_CHUNK, n_steps - step)
+            for x0, x1, x2, x3 in rng.standard_normal((todo, 4)).tolist():
                 f1, f2 = _flow(c, a1, a2)
                 a1 = a1 + dt * f1 + s1 * (x0 + 1j * x1)
                 a2 = a2 + dt * f2 + s2 * (x2 + 1j * x3)
@@ -350,9 +413,44 @@ def _run_euler_maruyama(c, a1, a2, dt, n_steps, store_every,
                 if step % store_every == 0:
                     out1[idx], out2[idx] = a1, a2
                     idx += 1
-            _check_finite(a1, a2, ceiling, step, dt)
+            _check_finite((a1, a2), ceiling, step, dt)
     except OverflowError:
         raise _overflow(step, dt) from None
+
+
+def _run_euler_maruyama_stacked(c, a, dt, n_steps, store_every,
+                                out1, out2, ceiling, noise, rngs):
+    """Euler-Maruyama of the (2, M) ensemble ``a`` in place.
+
+    Member j draws its (steps, 4) normals from ``rngs[j]`` chunkwise into
+    one buffer, scaled once per chunk into the complex kicks
+    s1*(x0 + i*x1) and s2*(x2 + i*x3); the step rounds as
+    :func:`_run_euler_maruyama`.
+    """
+    work = _FlowWork.build(c, a.shape[1])
+    c = c.as_arrays()
+    f = np.empty_like(a)
+    (step_dt,) = _complex_constants(dt)
+    scale = np.array([math.sqrt(noise.d1 * dt), math.sqrt(noise.d2 * dt)])
+    draws = np.empty((a.shape[1], min(_NOISE_CHUNK, n_steps), 4))
+    kicks = draws.view(complex)                     # (M, chunk, 2)
+    idx = 0
+    step = 0
+    while step < n_steps:
+        todo = min(_NOISE_CHUNK, n_steps - step)
+        for row, rng in zip(draws, rngs):
+            rng.standard_normal((todo, 4), out=row[:todo])
+        np.multiply(scale, kicks[:, :todo], out=kicks[:, :todo])
+        for i in range(todo):
+            _flow_into(c, a, f, work)
+            np.multiply(step_dt, f, out=f)
+            np.add(a, f, out=a)
+            np.add(a, kicks[:, i].T, out=a)
+            step += 1
+            if step % store_every == 0:
+                out1[idx], out2[idx] = a
+                idx += 1
+        _check_finite(a, ceiling, step, dt)
 
 
 def boxcar_demodulate(traj: Trajectory, fs: float,

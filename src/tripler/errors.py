@@ -8,11 +8,15 @@ class TriplerError(Exception):
 class ConfigError(TriplerError):
     """Malformed or incomplete configuration input."""
 
-    def __init__(self, message, line=None):
+    def __init__(self, message, line=None, source=None):
+        where = [source] if source else []
         if line is not None:
-            message = f"line {line}: {message}"
+            where.append(f"line {line}")
+        if where:
+            message = f"{', '.join(where)}: {message}"
         super().__init__(message)
         self.line = line
+        self.source = source
 
 
 class DegenerateFluxError(TriplerError):

@@ -409,6 +409,14 @@ class _Coefficients(NamedTuple):
                    point.gamma1, point.gamma2, 1j * b, 1j * (b / 3.0),
                    complex(1j * drive))
 
+    def as_arrays(self) -> "_Coefficients":
+        """The same constants as numpy 0-d arrays.
+
+        A ufunc takes these without the per-call conversion of a Python
+        scalar, to the same value, so :func:`_flow_into` rounds alike.
+        """
+        return _Coefficients(*map(np.asarray, self))
+
 
 def _flow(c: _Coefficients, a1, a2):
     """The equations of motion over hoisted constants.
@@ -423,6 +431,72 @@ def _flow(c: _Coefficients, a1, a2):
         + iat * a1.conjugate() ** 2 * a2
     da2 = (1j * (d2 + al2 * n2 + ax2 * n1) - g2) * a2 + iat3 * a1**3 - idrive
     return da1, da2
+
+
+#: 1j as a 0-d array, which a ufunc takes without converting it per call
+_I = np.asarray(1j)
+
+
+class _FlowWork(NamedTuple):
+    """Constant rows and scratch of :func:`_flow_into` for M stacked members.
+
+    Built once per ensemble run by :meth:`build`; row 0 is mode 1 and row 1
+    mode 2 throughout.
+    """
+
+    delta: np.ndarray       # (2, M) detunings
+    alpha: np.ndarray       # (2, M) self-Kerr coefficients
+    gamma: np.ndarray       # (2, M) complex dampings Gamma + 0j
+    n: np.ndarray           # (2, M) scratch: |a|^2
+    kerr: np.ndarray        # (2, M) scratch: detuning plus self-Kerr
+    cross: np.ndarray       # (2, M) scratch: cross-Kerr
+    phase: np.ndarray       # (2, M) complex scratch, imaginary part kept 0
+    linear: np.ndarray      # (2, M) complex scratch
+    coupling: np.ndarray    # (2, M) complex scratch
+
+    @classmethod
+    def build(cls, c: _Coefficients, m: int) -> "_FlowWork":
+        def rows(x1, x2, dtype=float):
+            return np.repeat(np.array([[x1], [x2]], dtype=dtype), m, axis=1)
+
+        return cls(rows(c.delta1, c.delta2), rows(c.alpha1, c.alpha2),
+                   rows(c.Gamma1, c.Gamma2, complex),
+                   *(np.empty((2, m)) for _ in range(3)),
+                   np.zeros((2, m), dtype=complex),
+                   *(np.empty((2, m), dtype=complex) for _ in range(2)))
+
+
+def _flow_into(c: _Coefficients, a: np.ndarray, out: np.ndarray,
+               work: _FlowWork) -> None:
+    """:func:`_flow` of a stacked ``(2, M)`` ensemble, written into ``out``.
+
+    ``a`` holds mode 1 in row 0 and mode 2 in row 1; ``out`` must not share
+    memory with ``a``.  The terms both modes share are evaluated once for
+    both rows, the couplings and the drive per row, and nothing is
+    allocated.  Each elementwise operation and the order of its operands
+    are those of :func:`_flow`, and no complex product is written over one
+    of its factors (numpy rounds such a product differently when M = 1),
+    so the result is bit-identical to ``np.stack(_flow(c, *a))``.  ``c``
+    may be :meth:`_Coefficients.as_arrays`, which saves time per call.
+    """
+    delta, alpha, gamma, n, kerr, cross, phase, linear, coupling = work
+    np.abs(a, out=n)
+    np.square(n, out=n)
+    np.multiply(alpha, n, out=kerr)
+    np.add(delta, kerr, out=kerr)
+    np.multiply(c.alpha_cross2, n[::-1], out=cross)
+    np.add(kerr, cross, out=phase.real)
+    np.multiply(_I, phase, out=linear)
+    np.subtract(linear, gamma, out=linear)
+    np.multiply(linear, a, out=out)
+    np.conjugate(a[0], out=linear[0])
+    np.square(linear[0], out=linear[1])
+    np.multiply(c.i_alpha_tilde, linear[1], out=linear[0])
+    np.multiply(linear[0], a[1], out=coupling[0])
+    np.power(a[0], 3, out=linear[1])
+    np.multiply(c.i_alpha_tilde3, linear[1], out=coupling[1])
+    np.add(out, coupling, out=out)
+    np.subtract(out[1], c.i_drive, out=out[1])
 
 
 def flow(point: DimensionlessPoint, u1, u2):

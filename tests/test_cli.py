@@ -291,8 +291,10 @@ class TestConfigErrors:
         # nothing stored, so nothing to allocate: rejected before any step
         ("simulate", {"simulate": {**SIM, "dt_s": 1e-300,
                                    "store_every": 1e300}}, "store_every"),
+        ("simulate", {"seed": "abc", "simulate": {**SIM, "noise_n_th": 0.1}},
+         "'seed'"),
     ], ids=["nan-delta1", "negative-floor", "negative-b2", "zero-store",
-            "unallocatable-samples", "nothing-stored"])
+            "unallocatable-samples", "nothing-stored", "string-seed"])
     def test_fresh_process(self, workdir, command, doc, needle):
         cfg = write_config(workdir, doc)
         proc = run_python(["-m", "tripler", "--config", cfg, command], workdir)
@@ -369,12 +371,41 @@ class TestConfigErrors:
         ("thresholds", {"chain": {**CHAIN, "gain": 66.0},
                         "thresholds": {"flux": [0.0, 0.1, 2]}}, "'gain'"),
         ("spectrum", {"spectrum": {"fluxes": [0.0, 0.1, 2]}}, "'fluxes'"),
+        # top-level values of the wrong type, named before any command runs
+        ("steady", {"out": 5, "steady": STEADY}, "'out'"),
+        ("steady", {"device": 3, "steady": STEADY}, "'device'"),
+        ("simulate", {"seed": "abc", "simulate": {**SIM, "noise_n_th": 0.1}},
+         "'seed'"),
+        ("simulate", {"seed": -1, "simulate": {**SIM, "noise_n_th": 0.1}},
+         "'seed'"),
+        # without noise -1 would be written as the .trpl "unseeded" marker
+        ("simulate", {"seed": -1, "simulate": SIM}, "'seed'"),
+        ("simulate", {"seed": 2**63, "simulate": SIM}, "'seed'"),
+        ("simulate", {"seed": 1.5, "simulate": SIM}, "'seed'"),
+        ("simulate", {"seed": True, "simulate": SIM}, "'seed'"),
     ])
     def test_in_process(self, workdir, capsys, command, doc, needle):
         cfg = write_config(workdir, doc)
         assert main(["--config", cfg, command]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and needle in err[0]
+
+    def test_seed_flag_checked_too(self, workdir, capsys):
+        cfg = write_config(workdir, {"simulate": self.SIM})
+        assert main(["--config", cfg, "--seed", "-1", "simulate"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "'seed'" in err[0]
+
+    def test_device_error_names_file_and_line(self, workdir, capsys):
+        path = workdir / "device.cfg"
+        path.write_text(path.read_text() + "foo = 1.0 m\n")
+        line = len(path.read_text().splitlines())
+        cfg = write_config(workdir, {"spectrum": {"flux": [0.0, 0.1, 2]}})
+        assert main(["--config", cfg, "spectrum"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert f"device file {str(path)!r}, line {line}: unknown key 'foo'" \
+            in err[0]
 
     def test_non_finite_flux_is_a_domain_error(self, workdir, capsys):
         cfg = write_config(workdir, {"steady": {**self.STEADY, "flux": "nan"}})

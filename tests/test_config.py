@@ -40,6 +40,19 @@ def test_unknown_key_reports_line():
     assert "unknown key" in str(err.value)
 
 
+@pytest.mark.parametrize("text, where", [
+    (GOOD + "squid_inductance = 1.0 H\n", "dev.cfg, line 9: unknown key"),
+    (GOOD + "length = 1.0e-3 m\n", "dev.cfg, line 9: duplicate key"),
+    ("length = 1e-3 m\n", "dev.cfg: missing required keys"),
+    (GOOD.replace("= 1.90e-6    A", "= -1.90e-6   A"), "dev.cfg: "),
+])
+def test_source_heads_every_error(text, where):
+    with pytest.raises(ConfigError) as err:
+        parse_device_config(text, source="dev.cfg")
+    assert str(err.value).startswith(where)
+    assert err.value.source == "dev.cfg"
+
+
 def test_missing_required_keys_listed():
     with pytest.raises(ConfigError) as err:
         parse_device_config("length = 1e-3 m\n")

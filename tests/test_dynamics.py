@@ -120,20 +120,55 @@ class TestIntegrate:
         assert not np.array_equal(runs[0].a1, other.a1)
 
     def test_member_streams_isolated(self, soft_point):
-        # member j of a vector run draws from the j-th stream spawned from
-        # the master seed (a solo run draws member 0's stream and agrees
-        # with it to rounding, see TestScalarPath)
+        # member j (in C order) of a vector run draws from the j-th stream
+        # spawned from the master seed (a solo run draws member 0's stream
+        # and agrees with it to rounding, see TestScalarPath)
         pt = driven_soft_point(soft_point)
         system = TwoModeSystem.from_point(pt)
-        noise = NoiseConfig(d1=0.05, d2=0.05)
-        ens = dynamics.integrate(system, (np.zeros(3), np.zeros(3)),
-                                 duration=2.0, dt=0.01, noise=noise, seed=7)
-        assert ens.a1.shape == (200, 3)
-        # re-run with a wider ensemble sharing the master seed: leading
-        # members must be bit-identical
-        wide = dynamics.integrate(system, (np.zeros(5), np.zeros(5)),
-                                  duration=2.0, dt=0.01, noise=noise, seed=7)
-        assert np.array_equal(wide.a1[:, :3], ens.a1)
+        rng = np.random.default_rng(3)
+        em = dict(noise=NoiseConfig(d1=0.05, d2=0.03), seed=7)
+        for shape, wide_shape in (((3,), (5,)), ((2, 3), (3, 3))):
+            wide1 = 0.5 * (rng.uniform(-1, 1, wide_shape)
+                           + 1j * rng.uniform(-1, 1, wide_shape))
+            wide2 = np.zeros(wide_shape, dtype=complex)
+            lead = tuple(slice(n) for n in shape)
+            samples = (slice(None),) + lead
+            for kw in (em, {}):
+                ens = dynamics.integrate(system, (wide1[lead], wide2[lead]),
+                                         duration=2.0, dt=0.01, **kw)
+                assert ens.a1.shape == (200,) + shape
+                # re-run with a wider ensemble sharing the master seed:
+                # leading members must be bit-identical
+                wide = dynamics.integrate(system, (wide1, wide2),
+                                          duration=2.0, dt=0.01, **kw)
+                assert np.array_equal(wide.a1[samples], ens.a1)
+                assert np.array_equal(wide.a2[samples], ens.a2)
+
+    def test_em_linear_mode_stationary_occupation(self):
+        # For da = lambda*a dt + sqrt(D) dW, lambda = -Gamma + i*delta, the
+        # Euler-Maruyama map a -> (1 + lambda*dt)*a + sqrt(D*dt)*xi with
+        # E|xi|^2 = 2 is stationary at exactly
+        #     E|a|^2 = D / (Gamma - (Gamma^2 + delta^2)*dt/2),
+        # not D/Gamma: a rotating mode inflates unless dt << Gamma/omega^2,
+        # which is why suggested_timestep(stochastic=True) shrinks dt.
+        system = TwoModeSystem(delta1=3.0, delta2=-1.0, alpha1=0.0,
+                               alpha2=0.0, Gamma1=1.0, Gamma2=2.0,
+                               Gamma2_ext=0.5)
+        noise = NoiseConfig(d1=0.3, d2=0.8)
+        dt = 0.1      # Gamma1/(Gamma1^2 + delta1^2): mode 1 at twice D1/Gamma1
+        m, burn = 200, 200
+        with pytest.warns(StepSizeWarning):
+            traj = dynamics.integrate(system, (np.zeros(m), np.zeros(m)),
+                                      duration=2400 * dt, dt=dt, noise=noise,
+                                      seed=19)
+        for a, d, g, w in ((traj.a1, noise.d1, 1.0, 3.0),
+                           (traj.a2, noise.d2, 2.0, -1.0)):
+            exact = d / (g - (g * g + w * w) * dt / 2)
+            per_member = np.mean(np.abs(a[burn:]) ** 2, axis=0)
+            mean = per_member.mean()
+            stderr = per_member.std(ddof=1) / math.sqrt(m)
+            assert abs(mean - exact) < 5 * stderr
+            assert abs(mean - d / g) > 20 * stderr
 
     def test_thermal_noise_occupation(self):
         # linear damped mode: steady |a|^2 averages to the configured n_th
@@ -294,6 +329,104 @@ class TestScalarPath:
             with pytest.raises(DivergenceError):
                 dynamics.integrate(system, init, duration=50.0, dt=1.0,
                                    ceiling=math.inf)
+
+
+def same_bits(x, y):
+    """Arrays of equal shape whose every bit agrees (signed zeros too)."""
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def reference_integrate(system, a1, a2, duration, dt, noise=None, seed=None,
+                        store_every=1):
+    """The ensemble schemes as plain loops over ``steady._flow``.
+
+    Each mode is its own array and every expression allocates; member j
+    draws its normals from the j-th stream of ``_member_rngs`` all at once.
+    """
+    c = system._coefficients()
+    shape = np.shape(a1)
+    a1 = np.array(a1, dtype=complex).ravel()
+    a2 = np.array(a2, dtype=complex).ravel()
+    n = int(round(duration / dt))
+    if noise is not None:
+        draws = np.stack([rng.standard_normal((n, 4)) for rng in
+                          dynamics._member_rngs(seed, a1.size)], axis=-1)
+        s1, s2 = math.sqrt(noise.d1 * dt), math.sqrt(noise.d2 * dt)
+    out1, out2 = [], []
+    for step in range(1, n + 1):
+        if noise is None:
+            k1a, k1b = steady._flow(c, a1, a2)
+            k2a, k2b = steady._flow(c, a1 + 0.5 * dt * k1a,
+                                    a2 + 0.5 * dt * k1b)
+            k3a, k3b = steady._flow(c, a1 + 0.5 * dt * k2a,
+                                    a2 + 0.5 * dt * k2b)
+            k4a, k4b = steady._flow(c, a1 + dt * k3a, a2 + dt * k3b)
+            a1 = a1 + dt / 6.0 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+            a2 = a2 + dt / 6.0 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+        else:
+            x0, x1, x2, x3 = draws[step - 1]
+            f1, f2 = steady._flow(c, a1, a2)
+            a1 = a1 + dt * f1 + s1 * (x0 + 1j * x1)
+            a2 = a2 + dt * f2 + s2 * (x2 + 1j * x3)
+        if step % store_every == 0:
+            out1.append(a1)
+            out2.append(a2)
+    return (np.reshape(out1, (len(out1),) + shape),
+            np.reshape(out2, (len(out2),) + shape))
+
+
+finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+class TestStackedStep:
+    """The (2, M) in-place ensemble step rounds exactly as ``steady._flow``."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(m=st.integers(1, 9), data=st.data(),
+           delta=st.tuples(finite, finite),
+           alpha=st.tuples(st.floats(0, 10), st.floats(0, 10)),
+           gamma=st.tuples(st.floats(0, 10), st.floats(0, 10)),
+           ext=st.floats(0, 10), drive=st.floats(0, 10),
+           phase=st.floats(0, 2 * math.pi))
+    def test_flow_into_matches_flow_bitwise(self, m, data, delta, alpha,
+                                            gamma, ext, drive, phase):
+        system = TwoModeSystem(delta1=delta[0], delta2=delta[1],
+                               alpha1=alpha[0], alpha2=alpha[1],
+                               Gamma1=gamma[0], Gamma2=gamma[1],
+                               Gamma2_ext=ext, drive_b2=drive,
+                               drive_phase=phase)
+        c = system._coefficients()
+        parts = data.draw(st.lists(finite, min_size=4 * m, max_size=4 * m))
+        x = np.array(parts).reshape(2, 2, m)
+        a = x[:, 0] + 1j * x[:, 1]
+        out = np.empty((2, m), dtype=complex)
+        steady._flow_into(c, a, out, steady._FlowWork.build(c, m))
+        want1, want2 = steady._flow(c, a[0].copy(), a[1].copy())
+        assert same_bits(out[0], want1)
+        assert same_bits(out[1], want2)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3)])
+    @pytest.mark.parametrize("noisy", [False, True], ids=["rk4", "em"])
+    def test_integrate_matches_reference_loops(self, region2, shape, noisy):
+        system = region2["system"]
+        rng = np.random.default_rng(23)
+        a1 = region2["radius"] * (rng.uniform(-0.7, 0.7, shape)
+                                  + 1j * rng.uniform(-0.7, 0.7, shape))
+        a2 = 0.3 * (rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape))
+        if noisy:
+            # a noise chunk boundary falls inside the run
+            dt = region2["dt_em"]
+            kw = dict(duration=(dynamics._NOISE_CHUNK + 300) * dt, dt=dt,
+                      noise=NoiseConfig.thermal(system, 0.15), seed=31,
+                      store_every=7)
+        else:
+            dt = region2["dt_rk4"]
+            kw = dict(duration=700 * dt, dt=dt, store_every=3)
+        traj = dynamics.integrate(system, (a1, a2), **kw)
+        want1, want2 = reference_integrate(system, a1, a2, **kw)
+        assert same_bits(traj.a1, want1)
+        assert same_bits(traj.a2, want2)
 
 
 class TestDemodulation:
