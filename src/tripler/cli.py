@@ -46,6 +46,11 @@ from .errors import (
 
 ENV_CONFIG = "TRIPLER_CONFIG"
 
+#: longest expected ``simulate`` integration, in seconds: the step count
+#: times the scheme's ``dynamics.SCALAR_STEP_S``; a longer run is refused
+#: before it starts
+MAX_SIMULATE_S = 24 * 3600.0
+
 _EXIT_CODES = (
     (2, (ConfigError, MissingCouplingError)),
     (3, (DegenerateFluxError, FluxRangeError, OvercurrentError,
@@ -417,12 +422,16 @@ def cmd_simulate(run: _Run) -> int:
     if n_stored == 0:
         raise ConfigError(f"'store_every' exceeds the {n_steps:g} "
                           "integration steps: nothing is stored")
-    if n_steps > 2**63 - 1:
+    n_th = _number(sec, "noise_n_th", nonnegative=True, default=0.0)
+    scheme = "etd1" if n_th > 0 else "rk4"
+    step_s = dynamics.SCALAR_STEP_S[scheme]
+    if n_steps * step_s > MAX_SIMULATE_S:
         raise ConfigError(f"'dt_s' gives {n_steps:g} integration steps, "
-                          "more than 2**63 - 1")
+                          f"about {n_steps * step_s:.3g} s at {step_s:g} s "
+                          f"per {scheme} step, over the {MAX_SIMULATE_S:g} s "
+                          "limit")
     re1, im1, re2, im2 = _number_list(sec, "initial", [0.0, 0.0, 0.0, 0.0],
                                       length=4)
-    n_th = _number(sec, "noise_n_th", nonnegative=True, default=0.0)
     fs_list = _number_list(sec, "fs_hz", [], positive=True)
     bins = _count(sec, "bins", 101)
     phase = _number(sec, "drive_phase", default=0.0)
@@ -433,13 +442,15 @@ def cmd_simulate(run: _Run) -> int:
                                drive_phase=phase)
     system = dynamics.TwoModeSystem.from_point(point)
     noise = dynamics.NoiseConfig.thermal(system, n_th) if n_th > 0 else None
-    traj = dynamics.integrate(
-        system, (complex(re1, im1), complex(re2, im2)), duration=duration,
-        dt=dt, noise=noise, seed=run.seed, store_every=store_every)
+    initial = (complex(re1, im1), complex(re2, im2))
+    traj = dynamics.integrate(system, initial, duration=duration, dt=dt,
+                              noise=noise, seed=run.seed,
+                              store_every=store_every)
     out_bin = run.out_dir / "trajectory.trpl"
     io.write_trajectory(out_bin, traj)
     print(out_bin)
-    meta = run.meta("simulate")
+    meta = dict(run.meta("simulate"), scheme=scheme,
+                dt_guideline_s=dynamics.guideline_timestep(system, initial))
     for fs in fs_list:
         try:
             hist = dynamics.demodulate_histogram(traj, fs, bins=bins)

@@ -418,18 +418,29 @@ class _Coefficients(NamedTuple):
         return _Coefficients(*map(np.asarray, self))
 
 
-def _flow(c: _Coefficients, a1, a2):
-    """The equations of motion over hoisted constants.
+def _rates_and_flow(c: _Coefficients, a1, a2):
+    """Linear rates ``L = i*(detuning + Kerr) - Gamma`` and the flow.
 
-    Uses only operators that Python ``complex`` and numpy arrays share, so
-    one expression serves single trajectories and ensembles.
+    Returns ``(L1, L2, da1/dt, da2/dt)``; each mode's flow is ``L*a`` plus
+    its coupling (and, for mode 2, drive) term.  Uses only operators that
+    Python ``complex`` and numpy arrays share, so one expression serves
+    single trajectories and ensembles.
     """
     d1, d2, al1, al2, ax2, g1, g2, iat, iat3, idrive = c
     n1 = abs(a1) ** 2
     n2 = abs(a2) ** 2
-    da1 = (1j * (d1 + al1 * n1 + ax2 * n2) - g1) * a1 \
-        + iat * a1.conjugate() ** 2 * a2
-    da2 = (1j * (d2 + al2 * n2 + ax2 * n1) - g2) * a2 + iat3 * a1**3 - idrive
+    l1 = 1j * (d1 + al1 * n1 + ax2 * n2) - g1
+    l2 = 1j * (d2 + al2 * n2 + ax2 * n1) - g2
+    return (l1, l2, l1 * a1 + iat * a1.conjugate() ** 2 * a2,
+            l2 * a2 + iat3 * a1**3 - idrive)
+
+
+def _flow(c: _Coefficients, a1, a2):
+    """The equations of motion over hoisted constants.
+
+    The flow of :func:`_rates_and_flow`, without the rates.
+    """
+    _, _, da1, da2 = _rates_and_flow(c, a1, a2)
     return da1, da2
 
 
@@ -451,8 +462,9 @@ class _FlowWork(NamedTuple):
     kerr: np.ndarray        # (2, M) scratch: detuning plus self-Kerr
     cross: np.ndarray       # (2, M) scratch: cross-Kerr
     phase: np.ndarray       # (2, M) complex scratch, imaginary part kept 0
-    linear: np.ndarray      # (2, M) complex scratch
+    linear: np.ndarray      # (2, M) complex: the rates L of the last call
     coupling: np.ndarray    # (2, M) complex scratch
+    term: np.ndarray        # (2, M) complex scratch
 
     @classmethod
     def build(cls, c: _Coefficients, m: int) -> "_FlowWork":
@@ -463,7 +475,7 @@ class _FlowWork(NamedTuple):
                    rows(c.Gamma1, c.Gamma2, complex),
                    *(np.empty((2, m)) for _ in range(3)),
                    np.zeros((2, m), dtype=complex),
-                   *(np.empty((2, m), dtype=complex) for _ in range(2)))
+                   *(np.empty((2, m), dtype=complex) for _ in range(3)))
 
 
 def _flow_into(c: _Coefficients, a: np.ndarray, out: np.ndarray,
@@ -476,10 +488,12 @@ def _flow_into(c: _Coefficients, a: np.ndarray, out: np.ndarray,
     allocated.  Each elementwise operation and the order of its operands
     are those of :func:`_flow`, and no complex product is written over one
     of its factors (numpy rounds such a product differently when M = 1),
-    so the result is bit-identical to ``np.stack(_flow(c, *a))``.  ``c``
-    may be :meth:`_Coefficients.as_arrays`, which saves time per call.
+    so the result is bit-identical to ``np.stack(_flow(c, *a))``.  After
+    the call ``work.linear`` holds the rates L of :func:`_rates_and_flow`,
+    bit for bit.  ``c`` may be :meth:`_Coefficients.as_arrays`, which saves
+    time per call.
     """
-    delta, alpha, gamma, n, kerr, cross, phase, linear, coupling = work
+    delta, alpha, gamma, n, kerr, cross, phase, linear, coupling, term = work
     np.abs(a, out=n)
     np.square(n, out=n)
     np.multiply(alpha, n, out=kerr)
@@ -489,12 +503,12 @@ def _flow_into(c: _Coefficients, a: np.ndarray, out: np.ndarray,
     np.multiply(_I, phase, out=linear)
     np.subtract(linear, gamma, out=linear)
     np.multiply(linear, a, out=out)
-    np.conjugate(a[0], out=linear[0])
-    np.square(linear[0], out=linear[1])
-    np.multiply(c.i_alpha_tilde, linear[1], out=linear[0])
-    np.multiply(linear[0], a[1], out=coupling[0])
-    np.power(a[0], 3, out=linear[1])
-    np.multiply(c.i_alpha_tilde3, linear[1], out=coupling[1])
+    np.conjugate(a[0], out=term[0])
+    np.square(term[0], out=term[1])
+    np.multiply(c.i_alpha_tilde, term[1], out=term[0])
+    np.multiply(term[0], a[1], out=coupling[0])
+    np.power(a[0], 3, out=term[1])
+    np.multiply(c.i_alpha_tilde3, term[1], out=coupling[1])
     np.add(out, coupling, out=out)
     np.subtract(out[1], c.i_drive, out=out[1])
 

@@ -10,7 +10,7 @@ import pytest
 
 import tripler
 from tripler import calibration as cal
-from tripler import circuit
+from tripler import circuit, cli, dynamics
 from tripler import io as tio
 from tripler.cli import main
 from tripler.config import dump_device_config
@@ -132,8 +132,9 @@ class TestSteady:
 
 class TestSimulate:
     def test_byte_identical_reruns(self, workdir):
-        # the pump mode rotates at ~2pi*100 MHz in frame: the explicit
-        # stochastic scheme needs dt below Gamma2/omega2^2 ~ 2e-11 s
+        # the pump mode rotates at ~2pi*100 MHz in frame; the noisy ETD1
+        # step integrates that rotation exactly, and 2e-11 s is the
+        # README's step
         sim = {"flux": 0.0, "delta1_hz": -12e6, "b2_sq": 6.25e10,
                "duration_s": 4e-7, "dt_s": 2e-11, "store_every": 100,
                "noise_n_th": 0.1, "fs_hz": [2.5e7], "bins": 31}
@@ -147,6 +148,42 @@ class TestSimulate:
         assert first == second
         assert "trajectory.trpl" in first
         assert any(n.startswith("histogram_fs") for n in first)
+
+    @pytest.mark.parametrize("n_th, scheme", [(0.1, "etd1"), (0.0, "rk4")])
+    def test_histogram_header_names_scheme_and_guideline(self, workdir,
+                                                         params, n_th,
+                                                         scheme):
+        sim = {"flux": 0.0, "delta1_hz": -12e6, "b2_sq": 6.25e10,
+               "duration_s": 2e-8, "dt_s": 2e-11, "store_every": 10,
+               "noise_n_th": n_th, "fs_hz": [2.5e8], "bins": 11}
+        cfg = write_config(workdir, {"simulate": sim, "seed": 3})
+        assert main(["--config", cfg, "simulate"]) == 0
+        meta, _, _ = read_csv(workdir / "out" / "histogram_fs250000000.csv")
+        assert json.loads(meta["scheme"]) == scheme
+        # 0.1 over the fastest rate: the pump's detuning plus its Kerr shift
+        # at the linear drive response, the signal mode at one photon
+        system = dynamics.TwoModeSystem.from_point(circuit.device_point(
+            params, 0.0, delta1=TWO_PI * -12e6, drive_b2=math.sqrt(6.25e10)))
+        n2 = 2 * system.Gamma2_ext * 6.25e10 / (system.delta2**2
+                                                + system.Gamma2**2)
+        w1 = abs(system.delta1) + system.alpha1 + 2 * system.alpha_cross * n2
+        w2 = abs(system.delta2) + system.alpha2 * n2 + 2 * system.alpha_cross
+        assert n2 > 1
+        assert json.loads(meta["dt_guideline_s"]) == pytest.approx(
+            0.1 / max(w1, w2, system.Gamma1, system.Gamma2), rel=1e-12)
+
+    def test_run_time_limit(self, workdir, monkeypatch, capsys):
+        # 100 noiseless steps are expected to take 100 RK4 steps' time
+        sim = {"flux": 0.0, "delta1_hz": -12e6, "b2_sq": 6.25e10,
+               "duration_s": 2e-9, "dt_s": 2e-11}
+        cfg = write_config(workdir, {"simulate": sim})
+        expected = 100 * dynamics.SCALAR_STEP_S["rk4"]
+        monkeypatch.setattr(cli, "MAX_SIMULATE_S", 0.99 * expected)
+        assert main(["--config", cfg, "simulate"]) == 2
+        assert "'dt_s' gives 100 integration steps" in capsys.readouterr().err
+        assert not (workdir / "out" / "trajectory.trpl").exists()
+        monkeypatch.setattr(cli, "MAX_SIMULATE_S", 1.01 * expected)
+        assert main(["--config", cfg, "simulate"]) == 0
 
     def test_drive_phase_reaches_the_trajectory(self, workdir):
         sim = {"flux": 0.0, "delta1_hz": -12e6, "b2_sq": 6.25e10,
@@ -293,8 +330,12 @@ class TestConfigErrors:
                                    "store_every": 1e300}}, "store_every"),
         ("simulate", {"seed": "abc", "simulate": {**SIM, "noise_n_th": 0.1}},
          "'seed'"),
+        # 1e16 steps and 1e6 stored samples: years at a few us per step
+        ("simulate", {"simulate": {**SIM, "dt_s": 1e-25,
+                                   "store_every": 1e10}}, "'dt_s'"),
     ], ids=["nan-delta1", "negative-floor", "negative-b2", "zero-store",
-            "unallocatable-samples", "nothing-stored", "string-seed"])
+            "unallocatable-samples", "nothing-stored", "string-seed",
+            "unfinishable"])
     def test_fresh_process(self, workdir, command, doc, needle):
         cfg = write_config(workdir, doc)
         proc = run_python(["-m", "tripler", "--config", cfg, command], workdir)

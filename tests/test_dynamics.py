@@ -1,9 +1,10 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tripler import circuit, dynamics, steady
@@ -144,18 +145,19 @@ class TestIntegrate:
                 assert np.array_equal(wide.a1[samples], ens.a1)
                 assert np.array_equal(wide.a2[samples], ens.a2)
 
-    def test_em_linear_mode_stationary_occupation(self):
-        # For da = lambda*a dt + sqrt(D) dW, lambda = -Gamma + i*delta, the
-        # Euler-Maruyama map a -> (1 + lambda*dt)*a + sqrt(D*dt)*xi with
-        # E|xi|^2 = 2 is stationary at exactly
-        #     E|a|^2 = D / (Gamma - (Gamma^2 + delta^2)*dt/2),
-        # not D/Gamma: a rotating mode inflates unless dt << Gamma/omega^2,
-        # which is why suggested_timestep(stochastic=True) shrinks dt.
-        system = TwoModeSystem(delta1=3.0, delta2=-1.0, alpha1=0.0,
-                               alpha2=0.0, Gamma1=1.0, Gamma2=2.0,
-                               Gamma2_ext=0.5)
+    LINEAR = TwoModeSystem(delta1=3.0, delta2=-1.0, alpha1=0.0, alpha2=0.0,
+                           Gamma1=1.0, Gamma2=2.0, Gamma2_ext=0.5)
+
+    def test_linear_mode_stationary_occupation_exact(self):
+        # da = lambda*a dt + sqrt(D) dW, lambda = -Gamma + i*delta, is
+        # stationary at E|a|^2 = D/Gamma.  The step with exact
+        # Ornstein-Uhlenbeck kicks keeps that at any dt; Euler-Maruyama,
+        # a -> (1 + lambda*dt)*a + sqrt(D*dt)*xi with E|xi|^2 = 2, would
+        # give D / (Gamma - (Gamma^2 + delta^2)*dt/2) instead.
+        system = self.LINEAR
         noise = NoiseConfig(d1=0.3, d2=0.8)
-        dt = 0.1      # Gamma1/(Gamma1^2 + delta1^2): mode 1 at twice D1/Gamma1
+        # Gamma1/(Gamma1^2 + delta1^2), where Euler-Maruyama doubles D1/Gamma1
+        dt = 0.1
         m, burn = 200, 200
         with pytest.warns(StepSizeWarning):
             traj = dynamics.integrate(system, (np.zeros(m), np.zeros(m)),
@@ -163,12 +165,41 @@ class TestIntegrate:
                                       seed=19)
         for a, d, g, w in ((traj.a1, noise.d1, 1.0, 3.0),
                            (traj.a2, noise.d2, 2.0, -1.0)):
-            exact = d / (g - (g * g + w * w) * dt / 2)
+            euler_maruyama = d / (g - (g * g + w * w) * dt / 2)
             per_member = np.mean(np.abs(a[burn:]) ** 2, axis=0)
             mean = per_member.mean()
             stderr = per_member.std(ddof=1) / math.sqrt(m)
-            assert abs(mean - exact) < 5 * stderr
-            assert abs(mean - d / g) > 20 * stderr
+            assert abs(mean - d / g) < 5 * stderr
+            assert abs(mean - euler_maruyama) > 20 * stderr
+
+    def test_linear_mode_lag_one_autocorrelation(self):
+        # started stationary, a linear mode's lag-dt autocorrelation
+        # E[a(t+dt) conj(a(t))] / E|a(t)|^2 is exp(lambda*dt) exactly
+        system = self.LINEAR
+        noise = NoiseConfig(d1=0.3, d2=0.8)
+        dt = 0.1
+        m, n = 200, 1000
+        rng = np.random.default_rng(41)
+        start = []
+        for d, g in ((noise.d1, 1.0), (noise.d2, 2.0)):
+            sd = math.sqrt(d / g / 2)
+            start.append(sd * (rng.standard_normal(m)
+                               + 1j * rng.standard_normal(m)))
+        with pytest.warns(StepSizeWarning):
+            traj = dynamics.integrate(system, tuple(start), duration=n * dt,
+                                      dt=dt, noise=noise, seed=43)
+        for a, g, w in ((traj.a1, 1.0, 3.0), (traj.a2, 2.0, -1.0)):
+            lam = complex(-g, w)
+            per_member = (np.sum(a[1:] * a[:-1].conj(), axis=0)
+                          / np.sum(np.abs(a[:-1]) ** 2, axis=0))
+            mean = per_member.mean()
+            se = complex(per_member.real.std(ddof=1),
+                         per_member.imag.std(ddof=1)) / math.sqrt(m)
+            want = np.exp(lam * dt)
+            assert abs(mean.real - want.real) < 5 * se.real
+            assert abs(mean.imag - want.imag) < 5 * se.imag
+            # Euler-Maruyama's 1 + lambda*dt is far outside that error
+            assert abs(mean - (1 + lam * dt)) > 10 * abs(se)
 
     def test_thermal_noise_occupation(self):
         # linear damped mode: steady |a|^2 averages to the configured n_th
@@ -186,6 +217,15 @@ class TestIntegrate:
         with pytest.warns(StepSizeWarning):
             with pytest.raises(DivergenceError):
                 dynamics.integrate(system, (50.0, 50.0), duration=50.0, dt=1.0)
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["rk4", "etd1"])
+    def test_empty_ensemble_rejected(self, soft_point, noisy):
+        system = TwoModeSystem.from_point(driven_soft_point(soft_point))
+        noise = NoiseConfig(d1=0.05, d2=0.05) if noisy else None
+        with pytest.raises(ValueError, match="^initial holds an ensemble of "
+                                             "no members$"):
+            dynamics.integrate(system, (np.zeros(0), np.zeros(0)),
+                               duration=1.0, dt=0.01, noise=noise, seed=1)
 
     def test_step_warning(self, soft_point):
         system = TwoModeSystem.from_point(driven_soft_point(soft_point))
@@ -342,6 +382,9 @@ def reference_integrate(system, a1, a2, duration, dt, noise=None, seed=None,
 
     Each mode is its own array and every expression allocates; member j
     draws its normals from the j-th stream of ``_member_rngs`` all at once.
+    The noisy scheme is ETD1: a <- a + expm1(L*dt)/L * f + kick, with L the
+    mode's linear rate i*(detuning + Kerr) - Gamma, written out here, and
+    the exact Ornstein-Uhlenbeck kick of that rate's damping.
     """
     c = system._coefficients()
     shape = np.shape(a1)
@@ -351,7 +394,8 @@ def reference_integrate(system, a1, a2, duration, dt, noise=None, seed=None,
     if noise is not None:
         draws = np.stack([rng.standard_normal((n, 4)) for rng in
                           dynamics._member_rngs(seed, a1.size)], axis=-1)
-        s1, s2 = math.sqrt(noise.d1 * dt), math.sqrt(noise.d2 * dt)
+        s1, s2 = (math.sqrt(0.5 * (-d * math.expm1(-2.0 * g * dt) / g))
+                  for d, g in ((noise.d1, c.Gamma1), (noise.d2, c.Gamma2)))
     out1, out2 = [], []
     for step in range(1, n + 1):
         if noise is None:
@@ -366,8 +410,12 @@ def reference_integrate(system, a1, a2, duration, dt, noise=None, seed=None,
         else:
             x0, x1, x2, x3 = draws[step - 1]
             f1, f2 = steady._flow(c, a1, a2)
-            a1 = a1 + dt * f1 + s1 * (x0 + 1j * x1)
-            a2 = a2 + dt * f2 + s2 * (x2 + 1j * x3)
+            n1, n2 = abs(a1) ** 2, abs(a2) ** 2
+            ax2 = c.alpha_cross2
+            l1 = 1j * (c.delta1 + c.alpha1 * n1 + ax2 * n2) - c.Gamma1
+            l2 = 1j * (c.delta2 + c.alpha2 * n2 + ax2 * n1) - c.Gamma2
+            a1 = a1 + np.expm1(dt * l1) / l1 * f1 + s1 * (x0 + 1j * x1)
+            a2 = a2 + np.expm1(dt * l2) / l2 * f2 + s2 * (x2 + 1j * x3)
         if step % store_every == 0:
             out1.append(a1)
             out2.append(a2)
@@ -376,6 +424,10 @@ def reference_integrate(system, a1, a2, duration, dt, noise=None, seed=None,
 
 
 finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+small = st.floats(-3, 3)
+rate = st.just(0.0) | st.floats(-50, 50)
+kerr = st.just(0.0) | st.floats(0, 5)
+damping = st.just(0.0) | st.floats(0, 10)
 
 
 class TestStackedStep:
@@ -405,6 +457,85 @@ class TestStackedStep:
         want1, want2 = steady._flow(c, a[0].copy(), a[1].copy())
         assert same_bits(out[0], want1)
         assert same_bits(out[1], want2)
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(amps=st.lists(st.tuples(small, small, small, small), min_size=1,
+                         max_size=9),
+           delta=st.tuples(rate, rate), alpha=st.tuples(kerr, kerr),
+           gamma=st.tuples(damping, damping), ext=st.floats(0, 5),
+           drive=st.floats(0, 5), phase=st.floats(0, 2 * math.pi),
+           d=st.tuples(st.floats(0, 2), st.floats(0, 2)),
+           dt=st.floats(1e-3, 0.05), seed=st.integers(0, 2**31 - 1))
+    # L = 0 in both modes; in mode 1 only; in mode 1 by cancelling Kerr
+    # shifts, with a coupling term N != 0; L*dt subnormal, and tiny
+    @example(amps=[(0.5, -0.2, 0.1, 0.3), (0.0, 0.0, 0.0, 0.0)],
+             delta=(0.0, 0.0), alpha=(0.0, 0.0), gamma=(0.0, 0.0), ext=1.0,
+             drive=0.5, phase=0.3, d=(0.4, 0.6), dt=0.01, seed=5)
+    @example(amps=[(0.5, -0.2, 0.1, 0.3)], delta=(0.0, 2.0),
+             alpha=(0.0, 1.0), gamma=(0.0, 1.5), ext=1.0, drive=0.5,
+             phase=0.3, d=(0.4, 0.6), dt=0.01, seed=6)
+    @example(amps=[(1.0, 0.0, 0.5, 0.0), (0.3, 0.2, -0.1, 0.4)],
+             delta=(-1.5, 0.0), alpha=(1.0, 1.0), gamma=(0.0, 0.0), ext=1.0,
+             drive=0.5, phase=0.3, d=(0.4, 0.6), dt=0.01, seed=7)
+    @example(amps=[(0.5, -0.2, 0.1, 0.3)], delta=(0.0, 0.0),
+             alpha=(0.0, 0.0), gamma=(1e-300, 1e-320), ext=1.0, drive=0.5,
+             phase=0.3, d=(0.4, 0.6), dt=0.01, seed=8)
+    def test_noisy_step_matches_scalar_formula(self, amps, delta, alpha, gamma,
+                                               ext, drive, phase, d, dt, seed):
+        # one step per member, on the stacked and the scalar path, against
+        # a + expm1(L*dt)*(a + N/L) + kick, written per element on Python
+        # complex numbers (a + dt*f + kick where L*dt ~ 0); N is the coupling
+        # plus drive term, and the kick has per-quadrature variance
+        # D*(1 - exp(-2*Gamma*dt))/(2*Gamma), D*dt at Gamma = 0
+        system = TwoModeSystem(delta1=delta[0], delta2=delta[1],
+                               alpha1=alpha[0], alpha2=alpha[1],
+                               Gamma1=gamma[0], Gamma2=gamma[1],
+                               Gamma2_ext=ext, drive_b2=drive,
+                               drive_phase=phase)
+        noise = NoiseConfig(d1=d[0], d2=d[1])
+        ax, at = system.alpha_cross, system.alpha_tilde
+        rngs = dynamics._member_rngs(seed, len(amps))
+        want = []
+        for (r1, i1, r2, i2), rng in zip(amps, rngs):
+            a1, a2 = complex(r1, i1), complex(r2, i2)
+            x = rng.standard_normal(4)
+            n1, n2 = abs(a1) ** 2, abs(a2) ** 2
+            new = []
+            for a, det, kerr, g, n_self, n_other, nonlin, dk, kick in (
+                    (a1, delta[0], alpha[0], gamma[0], n1, n2,
+                     1j * at * a1.conjugate() ** 2 * a2, d[0], x[:2]),
+                    (a2, delta[1], alpha[1], gamma[1], n2, n1,
+                     1j * at / 3 * a1 ** 3 - 1j * complex(system.drive),
+                     d[1], x[2:])):
+                lam = 1j * (det + kerr * n_self + 2 * ax * n_other) - g
+                x2 = 2 * g * dt     # 1 - exp(-x2) by its series below 1e-3
+                decay = x2 * (1 - x2 / 2 * (1 - x2 / 3 * (1 - x2 / 4))) \
+                    if x2 < 1e-3 else 1 - math.exp(-x2)
+                sd = math.sqrt(dk * dt * (decay / x2)) if x2 else \
+                    math.sqrt(dk * dt)
+                kick = sd * complex(*kick)
+                if abs(lam * dt) < 2.0 ** -60:
+                    # (exp(L*dt) - 1)/L is dt(1 + L*dt/2 + ...), dt to rounding
+                    new.append(a + dt * (lam * a + nonlin) + kick)
+                else:
+                    em1 = complex(np.expm1(lam * dt))
+                    new.append(a + em1 * (a + nonlin / lam) + kick)
+            want.append(new)
+        want = np.array(want).T                          # (2, M)
+        kw = dict(duration=dt, dt=dt, noise=noise, seed=seed,
+                  ceiling=math.inf)
+        init = np.array([complex(r1, i1) for r1, i1, _, _ in amps]), \
+            np.array([complex(r2, i2) for _, _, r2, i2 in amps])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StepSizeWarning)
+            ens = dynamics.integrate(system, init, **kw)
+            solo = dynamics.integrate(system, (init[0][0], init[1][0]), **kw)
+        got = np.stack((ens.a1[0], ens.a2[0]))
+        tol = 1e-12 * (np.max(np.abs(want)) + np.max(np.abs(init)) + 1.0)
+        assert np.max(np.abs(got - want)) <= tol
+        assert abs(solo.a1[0] - want[0, 0]) <= tol
+        assert abs(solo.a2[0] - want[1, 0]) <= tol
 
     @pytest.mark.parametrize("shape", [(4,), (2, 3)])
     @pytest.mark.parametrize("noisy", [False, True], ids=["rk4", "em"])
@@ -645,3 +776,8 @@ class TestTrajectoryUtils:
         system = TwoModeSystem.from_point(driven_soft_point(soft_point))
         dt = dynamics.suggested_timestep(system, 10.0, 5.0)
         assert 0 < dt < 0.1
+
+    def test_noisy_guideline_is_rk4s(self, region2):
+        # the noisy step integrates each mode's rotation exactly, so no
+        # Gamma/omega^2 guard shrinks its step below RK4's
+        assert region2["dt_em"] == region2["dt_rk4"]
