@@ -8,8 +8,8 @@ the drive chain only through the single combination
 
 which is the one parameter fitted to measured power linecuts.  Drive
 power here is the generator-plane quantity ``P_d = 3*hbar*omega*|B2|^2 *
-10**(Att/10)`` (three quanta of the signal frequency per drive photon),
-and the detected power is ``P_out = hbar*omega*|a1|^2 * 2*Gamma_1ext *
+X / Q_2ext`` (three quanta of the signal frequency per drive photon), and
+the detected power is ``P_out = hbar*omega*|a1|^2 * 2*Gamma_1ext *
 10**(G/10)``.
 """
 
@@ -34,22 +34,6 @@ def dbm_to_watt(p_dbm):
 def watt_to_dbm(p_w):
     """P[dBm] = 10*log10(P / 1 mW)."""
     return 10.0 * np.log10(np.asarray(p_w, dtype=float) / 1e-3)
-
-
-def drive_power(b2_sq, att_db: float, omega: float):
-    """Generator-plane drive power (W) from |B2|^2 (s^-1)."""
-    if omega <= 0:
-        raise ValueError("omega must be positive")
-    return 3.0 * HBAR * omega * np.asarray(b2_sq, dtype=float) \
-        * 10.0 ** (att_db / 10.0)
-
-
-def drive_amplitude_sq(p_d, att_db: float, omega: float):
-    """Inverse of :func:`drive_power`: |B2|^2 (s^-1) from P_d (W)."""
-    if omega <= 0:
-        raise ValueError("omega must be positive")
-    return np.asarray(p_d, dtype=float) * 10.0 ** (-att_db / 10.0) \
-        / (3.0 * HBAR * omega)
 
 
 def drive_power_through_x(b2_sq, x: float, fp: circuit.FluxPoint,
@@ -78,12 +62,6 @@ def output_power(a1_sq, gamma1_ext: float, gain_db: float, omega: float):
         raise ValueError("gamma1_ext and omega must be positive")
     return HBAR * omega * np.asarray(a1_sq, dtype=float) * 2.0 * gamma1_ext \
         * 10.0 ** (gain_db / 10.0)
-
-
-def photon_number(p_out, gamma1_ext: float, gain_db: float, omega: float):
-    """Inverse of :func:`output_power`."""
-    return np.asarray(p_out, dtype=float) \
-        / (HBAR * omega * 2.0 * gamma1_ext * 10.0 ** (gain_db / 10.0))
 
 
 @dataclass(frozen=True)
@@ -176,6 +154,13 @@ def _linecut_model(p_d, x, fp: circuit.FluxPoint, delta1: float,
     return np.where((v >= lo) & (v <= hi), out, 0.0)
 
 
+#: search interval of the chain parameter X in :func:`fit_x`
+_X_BOUNDS = (1e8, 1e16)
+
+#: fewest points above the noise floor a linecut must give :func:`fit_x`
+_MIN_POINTS = 5
+
+
 @dataclass(frozen=True)
 class FitResult:
     """Single-parameter calibration fit output."""
@@ -202,14 +187,14 @@ def _rss(cuts, log10x, gain_db: float):
     return total
 
 
-def fit_x(linecuts, params: circuit.CircuitParams, chain: CalibrationChain,
-          bounds=(1e8, 1e16), min_points: int = 5) -> FitResult:
+def fit_x(linecuts, params: circuit.CircuitParams,
+          chain: CalibrationChain) -> FitResult:
     """Least-squares fit of the chain parameter X to power linecuts.
 
     Uniform absolute-power weighting over the points above the noise
-    floor; each linecut must contribute at least ``min_points`` such
-    points.  The achieved 1-sigma uncertainty comes from the curvature of
-    the residual near the optimum.
+    floor; each linecut must contribute at least ``_MIN_POINTS`` such
+    points, and X is searched within ``_X_BOUNDS``.  The achieved 1-sigma
+    uncertainty comes from the curvature of the residual near the optimum.
     """
     linecuts = list(linecuts)
     if not linecuts:
@@ -220,21 +205,21 @@ def fit_x(linecuts, params: circuit.CircuitParams, chain: CalibrationChain,
         if lc.flux not in by_flux:
             by_flux[lc.flux] = circuit.at_flux(params, lc.flux)
         mask = lc.pout_w > chain.noise_floor_w
-        if int(mask.sum()) < min_points:
+        if int(mask.sum()) < _MIN_POINTS:
             raise NoSignalError(
                 f"linecut at delta1={lc.delta1:.3g} has {int(mask.sum())} points "
-                f"above the noise floor; need {min_points}")
+                f"above the noise floor; need {_MIN_POINTS}")
         cuts.append((lc.delta1, by_flux[lc.flux], lc.pd_w[mask],
                      lc.pout_w[mask]))
     n_points = sum(pd.size for _, _, pd, _ in cuts)
 
-    lo, hi = math.log10(bounds[0]), math.log10(bounds[1])
+    lo, hi = math.log10(_X_BOUNDS[0]), math.log10(_X_BOUNDS[1])
     grid = np.linspace(lo, hi, 161)
     vals = _rss(cuts, grid, chain.gain_db)
     k = int(np.argmin(vals))
     if k in (0, len(grid) - 1):
         raise ConvergenceError("objective minimized at the search boundary",
-                               diagnostics={"bounds": bounds})
+                               diagnostics={"bounds": _X_BOUNDS})
     log10x = golden_min(lambda g: _rss(cuts, [g], chain.gain_db)[0],
                         grid[k - 1], grid[k], grid[k + 1])
     x = 10.0 ** log10x

@@ -281,6 +281,30 @@ def _b2_sq_from(sec, chain, fp, delta1) -> float:
     raise ConfigError("steady/simulate sections need b2_sq or pd_dbm")
 
 
+def _operating_point(run: _Run, sec, params):
+    """The reduced operating point of a ``steady``/``simulate`` section.
+
+    Returns it with the drive |B2|^2 (s^-1).  A detuning or a drive that
+    overflows a float on the way is a configuration error naming its key.
+    """
+    flux = _float("flux", sec.get("flux", 0.0))
+    delta1 = 2.0 * math.pi * _number(sec, "delta1_hz")
+    if not math.isfinite(delta1):
+        raise ConfigError(f"'delta1_hz' overflows a float as 2*pi*delta1, "
+                          f"got {sec['delta1_hz']!r}")
+    chain = run.chain() if "chain" in run.doc else None
+    fp = circuit.at_flux(params, flux)
+    with np.errstate(over="ignore"):    # reported below, not warned
+        b2_sq = _b2_sq_from(sec, chain, fp, delta1)
+    if not math.isfinite(b2_sq):
+        raise ConfigError(f"'pd_dbm' gives a drive |B2|^2 that overflows a "
+                          f"float, got {sec['pd_dbm']!r}")
+    point = fp.operating_point(delta1, drive_b2=math.sqrt(b2_sq),
+                               drive_phase=_number(sec, "drive_phase",
+                                                   default=0.0))
+    return point, b2_sq
+
+
 def _kerr_meta(params) -> dict:
     m1 = circuit.mode_profile(params, 0.0, 1)
     return {
@@ -330,15 +354,7 @@ def _state_doc(st: steady.SteadyState) -> dict:
 
 def cmd_steady(run: _Run) -> int:
     params = run.device()
-    sec = run.section("steady")
-    flux = _float("flux", sec.get("flux", 0.0))
-    delta1 = 2.0 * math.pi * _number(sec, "delta1_hz")
-    chain = run.chain() if "chain" in run.doc else None
-    fp = circuit.at_flux(params, flux)
-    b2_sq = _b2_sq_from(sec, chain, fp, delta1)
-    point = fp.operating_point(delta1, drive_b2=math.sqrt(b2_sq),
-                               drive_phase=_number(sec, "drive_phase",
-                                                   default=0.0))
+    point, b2_sq = _operating_point(run, run.section("steady"), params)
     states = steady.solve_selfconsistent(point)
     if run.format == "csv":
         lines = [io._meta_lines(run.meta("steady") | _kerr_meta(params)),
@@ -403,8 +419,7 @@ def cmd_sweep(run: _Run) -> int:
 def cmd_simulate(run: _Run) -> int:
     params = run.device()
     sec = run.section("simulate")
-    flux = _float("flux", sec.get("flux", 0.0))
-    delta1 = 2.0 * math.pi * _number(sec, "delta1_hz")
+    point, _ = _operating_point(run, sec, params)
     duration = _number(sec, "duration_s", positive=True)
     dt = _number(sec, "dt_s", positive=True)
     steps = duration / dt
@@ -434,12 +449,6 @@ def cmd_simulate(run: _Run) -> int:
                                       length=4)
     fs_list = _number_list(sec, "fs_hz", [], positive=True)
     bins = _count(sec, "bins", 101)
-    phase = _number(sec, "drive_phase", default=0.0)
-    chain = run.chain() if "chain" in run.doc else None
-    fp = circuit.at_flux(params, flux)
-    b2_sq = _b2_sq_from(sec, chain, fp, delta1)
-    point = fp.operating_point(delta1, drive_b2=math.sqrt(b2_sq),
-                               drive_phase=phase)
     system = dynamics.TwoModeSystem.from_point(point)
     noise = dynamics.NoiseConfig.thermal(system, n_th) if n_th > 0 else None
     initial = (complex(re1, im1), complex(re2, im2))

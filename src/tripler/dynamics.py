@@ -561,7 +561,6 @@ def boxcar_demodulate(traj: Trajectory, fs: float,
 
 
 def demodulate_histogram(traj: Trajectory, fs: float, bins=101,
-                         extent: float | None = None,
                          scale: float | None = None) -> Histogram2D:
     """Boxcar-demodulated IQ histogram of the fundamental mode.
 
@@ -576,7 +575,7 @@ def demodulate_histogram(traj: Trajectory, fs: float, bins=101,
     w = max(int(round(1.0 / (fs * traj.dt))), 1)
     i, q = means.real, means.imag
     if np.isscalar(bins):
-        lim = extent if extent is not None else float(np.max(np.abs(means))) * 1.05
+        lim = float(np.max(np.abs(means))) * 1.05
         lim = lim if lim > 0 else 1.0
         edges = np.linspace(-lim, lim, int(bins) + 1)
         i_edges = q_edges = edges

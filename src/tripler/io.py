@@ -94,10 +94,11 @@ def trajectory_from_bytes(payload: bytes) -> Trajectory:
     expect = off + 32 * n
     if len(payload) < expect:
         raise FormatError(f"truncated payload: {len(payload)} < {expect} bytes")
-    rec = np.frombuffer(payload, dtype="<f8", count=4 * n, offset=off)
-    rec = rec.reshape(n, 4)
-    return Trajectory(dt=dt, a1=rec[:, 0] + 1j * rec[:, 1],
-                      a2=rec[:, 2] + 1j * rec[:, 3], drive_b2=b2,
+    # complex records, bit for bit: re + 1j*im would turn -0.0 into 0.0
+    rec = np.frombuffer(payload, dtype="<c16", count=2 * n, offset=off)
+    rec = rec.reshape(n, 2)
+    return Trajectory(dt=dt, a1=rec[:, 0].astype(complex),
+                      a2=rec[:, 1].astype(complex), drive_b2=b2,
                       drive_phase=phase, seed=None if seed == -1 else seed)
 
 
@@ -132,8 +133,8 @@ def read_trajectory_csv(path) -> Trajectory:
         raise FormatError("trajectory CSV carries no samples")
     dt = float(meta.get("dt_s", data[0, 0]))
     seed = meta.get("seed")
-    return Trajectory(dt=dt, a1=data[:, 1] + 1j * data[:, 2],
-                      a2=data[:, 3] + 1j * data[:, 4],
+    amps = np.ascontiguousarray(data[:, 1:]).view(complex)   # bit for bit
+    return Trajectory(dt=dt, a1=amps[:, 0].copy(), a2=amps[:, 1].copy(),
                       drive_b2=float(meta.get("drive_b2", 0.0)),
                       drive_phase=float(meta.get("drive_phase_rad", 0.0)),
                       seed=None if seed in (None, "None") else int(seed))

@@ -41,6 +41,10 @@ STATIONARY_TOL = 1e-9
 #: eigenvalue real part (units of alpha1) below which a state counts as stable
 STABILITY_TOL = -1e-9
 
+#: residual (units of alpha1) above which a state handed to a stability
+#: check is rejected as not stationary at all
+_VERIFY_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class DimensionlessPoint:
@@ -146,10 +150,9 @@ class SteadyState:
 
 @dataclass(frozen=True)
 class ResponseBranch:
-    """One root of the second-mode response equation at fixed drive."""
+    """One silent-state root of the second-mode response at fixed drive."""
 
     r2_sq: float
-    sector: float            # phi2 - phi_B in the weak-damping limit: 0.0 or pi
     back_bending: bool       # on a segment where drive power falls with r2
 
 
@@ -263,94 +266,53 @@ def max_intensity(delta: float, gamma1: float):
     return r1_max_sq, adelta / 14.0
 
 
-def _check_max_drive_domain(point: DimensionlessPoint) -> None:
-    """Domain guard shared by both groupings of the max-drive bound."""
-    if point.gamma2_ext <= 0:
-        raise ValueError("max_drive requires gamma2_ext > 0")
-    if abs(point.delta) < 3.0 * point.gamma1:
-        warnings.warn(
-            f"|delta|={abs(point.delta):.3g} < 3*gamma1={3 * point.gamma1:.3g}: "
-            "max-drive estimate used outside its regime", RegimeWarning,
-            stacklevel=3)
-
-
 def max_drive(point: DimensionlessPoint) -> float:
     """Drive power |B2|^2 (s^-1) beyond which the excited states disappear.
 
     Far-from-threshold estimate 2*Delta^2*|delta|*alpha1/(7*beta^2*gamma2_ext);
     warns when used at |delta| < 3*gamma1 where it loses accuracy.
     """
-    _check_max_drive_domain(point)
+    if point.gamma2_ext <= 0:
+        raise ValueError("max_drive requires gamma2_ext > 0")
+    if abs(point.delta) < 3.0 * point.gamma1:
+        warnings.warn(
+            f"|delta|={abs(point.delta):.3g} < 3*gamma1={3 * point.gamma1:.3g}: "
+            "max-drive estimate used outside its regime", RegimeWarning,
+            stacklevel=2)
     return (2.0 * point.Delta**2 * abs(point.delta) * point.alpha1
             / (7.0 * point.beta**2 * point.gamma2_ext))
-
-
-def max_drive_physical(point: DimensionlessPoint) -> float:
-    """Same bound |B2|^2 (s^-1) grouped in laboratory quantities.
-
-    Equal to :func:`max_drive`, with the same domain check and warning;
-    provided as the unit-restored view
-    2*(3*omega1-omega2)^2*|delta1| / (7*beta^2*Gamma2_ext*alpha1).
-    """
-    _check_max_drive_domain(point)
-    anh = point.Delta * point.alpha1
-    delta1 = point.delta * point.alpha1
-    g2e = point.gamma2_ext * point.alpha1
-    return 2.0 * anh**2 * abs(delta1) / (7.0 * point.beta**2 * g2e * point.alpha1)
 
 
 # ---------------------------------------------------------------------------
 # second-mode response
 
 
-def _response_cubic(point: DimensionlessPoint, r1_sq: float):
-    """Coefficients (b2, c1, c0) of the second-mode response cubic in r2.
+def second_mode_response(point: DimensionlessPoint):
+    """All pump-intensity branches r2^2 of a silent state (r1 = 0).
 
-    With M(x) = b2 x^3 + c1 x + c0 the stationary response satisfies
-    M(x)^2 + gamma2^2 x^2 = R^2 where R is the dimensionless drive.  The
-    cubic back-action term enters with the sign of the stable relative
-    phase (theta = pi).
-    """
-    b2 = point.beta**2
-    return b2, point.delta2 + 2.0 * b2 * r1_sq, -(b2 / 3.0) * r1_sq**1.5
-
-
-def _response_mismatch(point: DimensionlessPoint, r1_sq: float, x: float) -> float:
-    b2, c1, c0 = _response_cubic(point, r1_sq)
-    M = b2 * x**3 + c1 * x + c0
-    return M * M + (point.gamma2 * x) ** 2 - point.drive_scale**2
-
-
-def second_mode_response(point: DimensionlessPoint, r1_sq: float = 0.0,
-                         phase_sector: float | None = None):
-    """All pump-intensity branches r2^2 responding to the drive.
-
-    The fundamental-mode back-action enters through the fixed ``r1_sq``.
-    Every real non-negative root of the scalar response equation is
-    returned; each carries the weak-damping phase sector of the response
-    (phi2 - phi_B close to 0 or pi) and a back-bending tag for segments
+    With the fundamental mode silent the second mode is a driven Duffing
+    oscillator: M(x) = beta^2 x^3 + delta2 x with x = r2 satisfies
+    M(x)^2 + gamma2^2 x^2 = R^2, R the dimensionless drive.  Every real
+    non-negative root is returned with a back-bending tag for segments
     where the root moves opposite to the drive power (the hallmark of the
-    unstable middle branch of a multivalued response).  Passing
-    ``phase_sector`` (0.0 or pi) keeps only that sector.
+    unstable middle branch of a multivalued response).
     """
-    if r1_sq < 0:
-        raise ValueError("r1_sq must be non-negative")
     scale = max(1.0, abs(point.delta2), point.drive_scale ** (1 / 3.0))
-    b2, c1, c0 = _response_cubic(point, r1_sq)
+    b2, c1 = point.beta**2, point.delta2
     R = point.drive_scale
     if point.gamma2 == 0.0:
-        # the squared equation factors into the two phase sectors
-        # M(x) = +R and M(x) = -R; rooting the cubics directly avoids the
-        # double roots the squared form would produce
+        # the squared equation factors into M(x) = +R and M(x) = -R;
+        # rooting the cubics directly avoids the double roots the squared
+        # form would produce
         raw = []
         for rhs in {R, -R}:
             raw.extend(np.polynomial.polynomial.polyroots(
-                np.array([c0 - rhs, c1, 0.0, b2])))
+                np.array([-rhs, c1, 0.0, b2])))
     else:
-        # (b2 x^3 + c1 x + c0)^2 + g2^2 x^2 - R^2, ascending powers of x
+        # (b2 x^3 + c1 x)^2 + g2^2 x^2 - R^2, ascending powers of x
         raw = np.polynomial.polynomial.polyroots(np.array([
-            c0**2 - R * R, 2.0 * c0 * c1, c1**2 + point.gamma2**2,
-            2.0 * b2 * c0, 2.0 * b2 * c1, 0.0, b2**2]))
+            -(R * R), 0.0, c1**2 + point.gamma2**2, 0.0, 2.0 * b2 * c1,
+            0.0, b2**2]))
     xs = sorted(r.real for r in raw
                 if abs(r.imag) <= 1e-9 * scale and r.real >= -1e-12 * scale)
 
@@ -359,16 +321,11 @@ def second_mode_response(point: DimensionlessPoint, r1_sq: float = 0.0,
         x = max(x, 0.0)
         if out and abs(x - math.sqrt(out[-1].r2_sq)) <= 1e-9 * max(1.0, x):
             continue  # collapse multiple roots
-        M = b2 * x**3 + c1 * x + c0
-        sector = 0.0 if M >= 0.0 else math.pi
+        M = b2 * x**3 + c1 * x
         # dR^2/dx < 0 marks the back-bending segment
         dM = 3.0 * b2 * x**2 + c1
         slope = 2.0 * M * dM + 2.0 * point.gamma2**2 * x
-        out.append(ResponseBranch(r2_sq=x * x, sector=sector,
-                                  back_bending=slope < 0.0))
-    if phase_sector is not None:
-        target = 0.0 if abs(phase_sector) < 1.0 else math.pi
-        out = [b for b in out if b.sector == target]
+        out.append(ResponseBranch(r2_sq=x * x, back_bending=slope < 0.0))
     return out
 
 
@@ -585,8 +542,7 @@ def closed_form_lambda_sq(delta: float, r1_sq: float, r2_sq: float,
     return -branch * 6.0 * r1_sq * math.sqrt(r2_sq) * math.sqrt(X)
 
 
-def stability(state: SteadyState, point: DimensionlessPoint,
-              residual_tol: float = 1e-6):
+def stability(state: SteadyState, point: DimensionlessPoint):
     """Stability verdict and eigenvalues (units of alpha1) for a state.
 
     Silent states get the analytic fundamental-mode exponent plus the
@@ -597,9 +553,9 @@ def stability(state: SteadyState, point: DimensionlessPoint,
     """
     u1, u2 = state.amplitudes(point)
     res = stationary_residual(point, u1, u2)
-    if res > residual_tol:
+    if res > _VERIFY_TOL:
         raise ResidualError(
-            f"state residual {res:.3g} exceeds {residual_tol:.3g}")
+            f"state residual {res:.3g} exceeds {_VERIFY_TOL:.3g}")
     J = jacobian(point, u1, u2)
     eig = tuple(complex(z) for z in
                 sorted(np.linalg.eigvals(J), key=lambda z: -z.real))
@@ -666,11 +622,11 @@ def _response_lhs(point: DimensionlessPoint, v: float, branch: int = +1):
 def _triad_states(point: DimensionlessPoint, v: float, branch_id: int,
                   root_sign: int):
     lhs, r1_sq = _response_lhs(point, v, root_sign)
-    theta = _theta_exact(point.delta, point.gamma1, r1_sq, v)
     phi2 = (point.drive_phase - cmath.phase(lhs)) % (2.0 * math.pi)
+    theta, phis = triad_phases(point.delta, point.gamma1, r1_sq, v, phi2)
     states = []
-    for k in range(3):
-        phi1 = ((theta + phi2) / 3.0 + 2.0 * math.pi * k / 3.0) % (2.0 * math.pi)
+    for k, phi1 in enumerate(phis):
+        phi1 %= 2.0 * math.pi
         st = SteadyState(kind="triad", r1_sq=r1_sq, r2_sq=v, theta=theta,
                          phi1=phi1, phi2=phi2, stable=False, eigenvalues=(),
                          residual=math.nan, branch=branch_id, copy=k,
@@ -713,9 +669,9 @@ def _newton_polish(point: DimensionlessPoint, state: SteadyState,
 
 def _ground_states(point: DimensionlessPoint):
     states = []
-    branches = second_mode_response(point, r1_sq=0.0)
+    branches = second_mode_response(point)
     if not branches:
-        branches = [ResponseBranch(0.0, 0.0, False)]
+        branches = [ResponseBranch(0.0, False)]
     for i, br in enumerate(branches):
         v = br.r2_sq
         if v > 0:
@@ -728,7 +684,7 @@ def _ground_states(point: DimensionlessPoint):
                          residual=math.nan, branch=i, back_bending=br.back_bending)
         u1, u2 = st.amplitudes(point)
         res = stationary_residual(point, u1, u2)
-        if res > 1e-6:
+        if res > _VERIFY_TOL:
             raise ConvergenceError("silent-state response root failed to verify",
                                    diagnostics={"r2_sq": v, "residual": res})
         # a1 = 0 decouples the Jacobian into mode blocks: report the analytic

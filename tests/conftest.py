@@ -1,11 +1,19 @@
 import math
 
 import pytest
+from hypothesis import settings
 
 from tripler import circuit
 from tripler.steady import DimensionlessPoint
 
 TWO_PI = 2.0 * math.pi
+
+# Hypothesis draws constants found in the loaded test modules into its
+# examples, so a derandomized failure in the whole suite need not recur when
+# one file runs alone.  The printed @reproduce_failure blob replays it
+# either way; this changes reporting only, not examples or deadlines.
+settings.register_profile("tripler", print_blob=True)
+settings.load_profile("tripler")
 
 
 @pytest.fixture(scope="session")

@@ -443,8 +443,7 @@ def test_criterion_12_response_branch_structure():
                                alpha1=1.0)
     counts = []
     for b2 in np.linspace(0.02, 6.0, 300):
-        counts.append(len(steady.second_mode_response(small.with_drive(b2),
-                                                      r1_sq=0.0)))
+        counts.append(len(steady.second_mode_response(small.with_drive(b2))))
     gate.check(max(counts) >= 3,
                f"back-bending at Delta=50: up to {max(counts)} coexisting "
                f"roots over the drive scan")
@@ -455,8 +454,7 @@ def test_criterion_12_response_branch_structure():
     big = DimensionlessPoint(delta=-20.0, Delta=1500.0, gamma1=1.93,
                              gamma2=13.6, gamma2_ext=13.1, beta=1.7251,
                              alpha1=1.0)
-    single = all(len(steady.second_mode_response(big.with_drive(b2),
-                                                 r1_sq=0.0)) == 1
+    single = all(len(steady.second_mode_response(big.with_drive(b2))) == 1
                  for b2 in np.linspace(0.5, 3000.0, 300))
     gate.check(single, "single-valued response at Delta=1500 above small "
                        "drives")

@@ -333,9 +333,13 @@ class TestConfigErrors:
         # 1e16 steps and 1e6 stored samples: years at a few us per step
         ("simulate", {"simulate": {**SIM, "dt_s": 1e-25,
                                    "store_every": 1e10}}, "'dt_s'"),
+        # the overflow would also print numpy's RuntimeWarning
+        ("steady", {"chain": CHAIN,
+                    "steady": {"flux": 0.0, "delta1_hz": -12e6,
+                               "pd_dbm": 1e300}}, "'pd_dbm'"),
     ], ids=["nan-delta1", "negative-floor", "negative-b2", "zero-store",
             "unallocatable-samples", "nothing-stored", "string-seed",
-            "unfinishable"])
+            "unfinishable", "overflowing-pd-dbm"])
     def test_fresh_process(self, workdir, command, doc, needle):
         cfg = write_config(workdir, doc)
         proc = run_python(["-m", "tripler", "--config", cfg, command], workdir)
@@ -424,6 +428,18 @@ class TestConfigErrors:
         ("simulate", {"seed": 2**63, "simulate": SIM}, "'seed'"),
         ("simulate", {"seed": 1.5, "simulate": SIM}, "'seed'"),
         ("simulate", {"seed": True, "simulate": SIM}, "'seed'"),
+        # finite in the file, but 2*pi*delta1 or |B2|^2 overflows a float
+        ("steady", {"steady": {**STEADY, "delta1_hz": 1e308}},
+         "'delta1_hz'"),
+        ("simulate", {"simulate": {**SIM, "delta1_hz": 1e308}},
+         "'delta1_hz'"),
+        ("steady", {"chain": CHAIN,
+                    "steady": {"flux": 0.0, "delta1_hz": -12e6,
+                               "pd_dbm": 1e300}}, "'pd_dbm'"),
+        ("simulate", {"chain": CHAIN,
+                      "simulate": {"flux": 0.0, "delta1_hz": -12e6,
+                                   "pd_dbm": 3000, "duration_s": 1e-9,
+                                   "dt_s": 1e-11}}, "'pd_dbm'"),
     ])
     def test_in_process(self, workdir, capsys, command, doc, needle):
         cfg = write_config(workdir, doc)

@@ -5,11 +5,38 @@ import stat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripler import io as tio
 from tripler.calibration import Linecut
 from tripler.dynamics import Histogram2D, Trajectory
 from tripler.errors import FormatError
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def trajectories(draw, min_samples=0):
+    """Single trajectories of finite samples, seeded or not."""
+    n = draw(st.integers(min_samples, 12))
+    parts = draw(st.lists(finite, min_size=4 * n, max_size=4 * n))
+    # built bit for bit: x + 1j*y would turn a real part -0.0 into 0.0
+    z = np.array(parts, dtype=float).view(complex).reshape(2, n)
+    return Trajectory(dt=draw(st.floats(1e-15, 1.0)), a1=z[0], a2=z[1],
+                      drive_b2=draw(finite), drive_phase=draw(finite),
+                      seed=draw(st.none() | st.integers(0, 2**63 - 1)))
+
+
+def same_bits(back, traj):
+    """Equal seeds, and every header field and sample equal bit for bit."""
+    head = [np.float64(x).tobytes() for x in (traj.dt, traj.drive_b2,
+                                              traj.drive_phase)]
+    return back.seed == traj.seed \
+        and [np.float64(x).tobytes() for x in (back.dt, back.drive_b2,
+                                               back.drive_phase)] == head \
+        and back.a1.tobytes() == traj.a1.tobytes() \
+        and back.a2.tobytes() == traj.a2.tobytes()
 
 
 def make_traj(n=64, seed=1):
@@ -74,6 +101,22 @@ class TestTrajectoryBinary:
         assert back.seed == traj.seed
         assert np.array_equal(back.a1, traj.a1)
         assert np.array_equal(back.a2, traj.a2)
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(traj=trajectories())
+    def test_binary_roundtrip_bitwise_property(self, traj):
+        back = tio.trajectory_from_bytes(tio.trajectory_to_bytes(traj))
+        assert same_bits(back, traj)
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(traj=trajectories(min_samples=1))
+    def test_csv_roundtrip_property(self, tmp_path_factory, traj):
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        tio.write_trajectory_csv(path, traj)
+        # repr() writes the shortest string that parses back to the float
+        assert same_bits(tio.read_trajectory_csv(path), traj)
 
 
 class TestHistogramCSV:

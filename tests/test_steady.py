@@ -243,7 +243,7 @@ class TestSecondModeResponse:
     ])
     def test_stiff_pump_limit(self, Delta, rel):
         pt = make_point(Delta=Delta, drive_b2=50.0)
-        branches = steady.second_mode_response(pt, r1_sq=0.0)
+        branches = steady.second_mode_response(pt)
         expect = (2 * pt.beta**2 * pt.gamma2_ext / pt.alpha1) \
             * pt.drive_b2**2 / pt.Delta**2
         assert len(branches) >= 1
@@ -253,7 +253,7 @@ class TestSecondModeResponse:
         # with undamped pump mode the drive-free stationary points are the
         # origin and the bare Kerr resonance
         pt = make_point(Delta=50.0, gamma2=0.0, gamma2_ext=0.0, drive_b2=0.0)
-        branches = steady.second_mode_response(pt, r1_sq=0.0)
+        branches = steady.second_mode_response(pt)
         r2 = sorted(b.r2_sq for b in branches)
         assert r2[0] == pytest.approx(0.0, abs=1e-9)
         bare = -(3 * pt.delta + pt.Delta) / pt.beta**2
@@ -266,35 +266,40 @@ class TestSecondModeResponse:
         counts = []
         for b2 in np.linspace(0.05, 4.0, 200):
             counts.append(len(steady.second_mode_response(
-                pt.with_drive(b2), r1_sq=0.0)))
+                pt.with_drive(b2))))
         assert max(counts) >= 3
         multi = [c for c in counts if c >= 3]
         assert len(multi) >= 3
         # and the middle branch is tagged as back-bending somewhere
         b2 = np.linspace(0.05, 4.0, 200)[int(np.argmax(counts))]
         tags = [br.back_bending for br in steady.second_mode_response(
-            pt.with_drive(b2), r1_sq=0.0)]
+            pt.with_drive(b2))]
         assert any(tags)
 
     def test_single_valued_at_large_anharmonicity(self):
         pt = make_point(Delta=1500.0, gamma2=13.6, gamma2_ext=13.1)
         for b2 in np.linspace(0.1, 3000.0, 100):
-            assert len(steady.second_mode_response(pt.with_drive(b2),
-                                                   r1_sq=0.0)) == 1
+            assert len(steady.second_mode_response(pt.with_drive(b2))) == 1
 
-    def test_sector_filter(self):
-        pt = make_point(Delta=50.0, gamma2=0.71, gamma2_ext=0.69, drive_b2=1.0)
-        both = steady.second_mode_response(pt, r1_sq=0.0)
-        s0 = steady.second_mode_response(pt, r1_sq=0.0, phase_sector=0.0)
-        spi = steady.second_mode_response(pt, r1_sq=0.0, phase_sector=math.pi)
-        assert len(s0) + len(spi) == len(both)
-
-    def test_mismatch_vanishes_at_roots(self):
-        pt = make_point(Delta=500.0, gamma2=2.94, gamma2_ext=2.84, drive_b2=20.0)
-        for br in steady.second_mode_response(pt, r1_sq=5.0):
-            x = math.sqrt(br.r2_sq)
-            assert abs(steady._response_mismatch(pt, 5.0, x)) < 1e-6 \
-                * max(1.0, pt.drive_scale**2)
+    def test_roots_are_stationary_states_of_the_flow(self):
+        # u1 = 0 and u2 at each root, with the phase of the silent-state
+        # response, must make the full two-mode flow vanish
+        for n_roots, kw in (
+                (1, dict(Delta=500.0, gamma2=2.94, gamma2_ext=2.84,
+                         drive_b2=20.0)),
+                # the middle one of the three is back-bending
+                (3, dict(Delta=50.0, gamma2=0.71, gamma2_ext=0.69,
+                         drive_b2=2.0, drive_phase=0.4))):
+            pt = make_point(**kw)
+            R = pt.drive_scale
+            branches = steady.second_mode_response(pt)
+            assert len(branches) == n_roots
+            for br in branches:
+                lhs, _ = steady._response_lhs(pt, br.r2_sq, 0)
+                phi2 = pt.drive_phase - cmath.phase(lhs)
+                u2 = math.sqrt(br.r2_sq) / pt.beta * cmath.exp(1j * phi2)
+                assert steady.stationary_residual(pt, 0j, u2) \
+                    <= 1e-9 * max(1.0, R**2)
 
 
 class TestMaxDrive:
@@ -307,32 +312,22 @@ class TestMaxDrive:
     def test_regime_warning_near_threshold(self):
         g = 1.93
         pt = make_point(delta=-math.sqrt(7) * g, gamma1=g)
-        with pytest.warns(RegimeWarning):
+        with pytest.warns(RegimeWarning) as record:
             steady.max_drive(pt)
-
-    def test_unit_restored_view_identical(self):
-        pt = make_point(delta=-20.0, Delta=1500.0, alpha1=5.9e5)
-        assert steady.max_drive_physical(pt) == pytest.approx(
-            steady.max_drive(pt), rel=1e-12)
+        assert record[0].filename == __file__   # points at the caller
 
     def test_unit_restored_view_linear_in_alpha1(self):
         # at a fixed reduced point the bound is in s^-1, so it scales as
         # alpha1; alpha1 = 1 alone cannot tell alpha1 from alpha1^2
-        ref = steady.max_drive_physical(make_point(alpha1=1.0))
+        ref = steady.max_drive(make_point(alpha1=1.0))
         for alpha1 in (1.0, 5.9e5, 3e7):
             pt = make_point(alpha1=alpha1)
-            assert steady.max_drive_physical(pt) == pytest.approx(
-                alpha1 * ref, rel=1e-12)
+            assert steady.max_drive(pt) == pytest.approx(alpha1 * ref,
+                                                         rel=1e-12)
 
     def test_unit_restored_view_rejects_zero_external_damping(self):
         with pytest.raises(ValueError, match="gamma2_ext > 0"):
-            steady.max_drive_physical(make_point(gamma2_ext=0.0))
-
-    def test_unit_restored_view_regime_warning(self):
-        g = 1.93
-        pt = make_point(delta=-math.sqrt(7) * g, gamma1=g)
-        with pytest.warns(RegimeWarning):
-            steady.max_drive_physical(pt)
+            steady.max_drive(make_point(gamma2_ext=0.0))
 
     def test_sweep_oracle(self):
         # the closed-form bound should sit within ~15% of where the
@@ -421,6 +416,36 @@ class TestSolveSelfConsistent:
         states = steady.solve_selfconsistent(pt, all_branches=True)
         assert len(states) >= 1
         assert all(s.kind == "ground" for s in states)
+
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              database=None)
+    @given(gamma1=st.floats(0.2, 3.0), past=st.floats(0.05, 10.0),
+           Delta=st.floats(40.0, 2000.0), gamma2=st.floats(0.5, 15.0),
+           ext=st.floats(0.5, 1.0), beta=st.floats(0.8, 1.6),
+           frac=st.floats(0.02, 0.98), root_sign=st.sampled_from((1, -1)),
+           phase=st.floats(0.0, 2 * math.pi))
+    def test_triad_copies_are_rotations_property(self, gamma1, past, Delta,
+                                                 gamma2, ext, beta, frac,
+                                                 root_sign, phase):
+        # a drive self-consistent at a pump intensity inside the window;
+        # every triad found there must come as three copies whose phi1
+        # differ by 2*pi/3
+        pt = make_point(delta=-math.sqrt(7.0) * gamma1 * (1.0 + past),
+                        Delta=Delta, gamma1=gamma1, gamma2=gamma2,
+                        gamma2_ext=ext * gamma2, beta=beta, drive_phase=phase)
+        lo, hi = steady.existence_window(pt.delta, pt.gamma1)
+        pt = pt.with_drive(consistent_drive(pt, lo + frac * (hi - lo),
+                                            root_sign))
+        triads = {}
+        for s in steady.solve_selfconsistent(pt, all_branches=True):
+            if s.kind == "triad":
+                triads.setdefault(s.branch, []).append(s)
+        for copies in triads.values():
+            assert [s.copy for s in copies] == [0, 1, 2]
+            for k, s in enumerate(copies):
+                gap = (s.phi1 - copies[0].phi1 - 2 * math.pi * k / 3) \
+                    % (2 * math.pi)
+                assert min(gap, 2 * math.pi - gap) <= 1e-12
 
     def test_brute_force_equivalence_coarse_grid(self):
         # scan the 2-D residual surface over (r1^2, r2^2) independently and
