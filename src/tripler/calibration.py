@@ -314,11 +314,12 @@ def region_map(params: circuit.CircuitParams, flux: float,
                chain: CalibrationChain, delta1_grid, pd_grid_w) -> RegionMap:
     """Classify a (detuning x drive power) grid and trace the upper boundary.
 
-    Requires the fitted ``chain.x``.  A cell supports excited states when
-    its detuning is past threshold and the stiff-pump intensity falls
-    inside the existence window; the boundary polyline is
-    :func:`steady.max_drive` at the column's operating point, restored to
-    generator-plane watts through X.
+    Requires the fitted ``chain.x``, and every detuning inside
+    (-omega1, omega1) as :meth:`circuit.FluxPoint.operating_point` does.
+    A cell supports excited states when its detuning is past threshold and
+    the stiff-pump intensity falls inside the existence window; the
+    boundary polyline is :func:`steady.max_drive` at the column's operating
+    point, restored to generator-plane watts through X.
     """
     if chain.x is None:
         raise ValueError("region_map needs the fitted chain parameter x")
@@ -332,11 +333,12 @@ def region_map(params: circuit.CircuitParams, flux: float,
     hi = np.full((d1.size, 1), np.nan)
     boundary = np.full(d1.size, np.nan)
     for i, dd in enumerate(d1):
+        point = fp.operating_point(dd)      # rejects a detuning off the model
         window = steady.existence_window(dd / m1.alpha, m1.gamma / m1.alpha)
         if window is None:
             continue
         lo[i], hi[i] = window
-        b2_max = steady.max_drive(fp.operating_point(dd))
+        b2_max = steady.max_drive(point)
         boundary[i] = drive_power_through_x(b2_max, chain.x, fp, dd)
     # rows without a window keep NaN bounds, so no cell of theirs compares true
     v = pump_intensity(pd[None, :], chain.x, fp, d1[:, None])

@@ -260,8 +260,13 @@ class FluxPoint:
 
         The signal oscillates at omega1 + delta1 and the drive at three
         times that, so delta2/alpha1 = 3*delta + Delta holds by construction.
+        The rotating frame needs that frequency in (0, 2*omega1), so a
+        ``ValueError`` rejects |delta1| >= omega1 (and NaN).
         """
         m1, m2 = self.mode1, self.mode2
+        if not abs(delta1) < m1.omega:
+            raise ValueError(f"delta1 must lie inside (-omega1, omega1) = "
+                             f"+-{m1.omega!r} rad/s, got {float(delta1)!r}")
         a1 = m1.alpha
         return DimensionlessPoint(
             # detuning from the signal frequency, rounded as that frequency is

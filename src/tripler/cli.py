@@ -284,25 +284,24 @@ def _b2_sq_from(sec, chain, fp, delta1) -> float:
 def _operating_point(run: _Run, sec, params):
     """The reduced operating point of a ``steady``/``simulate`` section.
 
-    Returns it with the drive |B2|^2 (s^-1).  A detuning or a drive that
-    overflows a float on the way is a configuration error naming its key.
+    Returns it with the drive |B2|^2 (s^-1).  A detuning outside the model
+    or a drive that overflows a float is a configuration error naming its key.
     """
     flux = _float("flux", sec.get("flux", 0.0))
     delta1 = 2.0 * math.pi * _number(sec, "delta1_hz")
-    if not math.isfinite(delta1):
-        raise ConfigError(f"'delta1_hz' overflows a float as 2*pi*delta1, "
-                          f"got {sec['delta1_hz']!r}")
     chain = run.chain() if "chain" in run.doc else None
     fp = circuit.at_flux(params, flux)
+    try:
+        point = fp.operating_point(delta1)
+    except ValueError as exc:       # also a 2*pi*delta1 that overflows
+        raise ConfigError(f"'delta1_hz': {exc}")
     with np.errstate(over="ignore"):    # reported below, not warned
         b2_sq = _b2_sq_from(sec, chain, fp, delta1)
     if not math.isfinite(b2_sq):
         raise ConfigError(f"'pd_dbm' gives a drive |B2|^2 that overflows a "
                           f"float, got {sec['pd_dbm']!r}")
-    point = fp.operating_point(delta1, drive_b2=math.sqrt(b2_sq),
-                               drive_phase=_number(sec, "drive_phase",
-                                                   default=0.0))
-    return point, b2_sq
+    return point.with_drive(math.sqrt(b2_sq),
+                            _number(sec, "drive_phase", default=0.0)), b2_sq
 
 
 def _kerr_meta(params) -> dict:
@@ -317,21 +316,19 @@ def _kerr_meta(params) -> dict:
 def cmd_spectrum(run: _Run) -> int:
     params = run.device()
     axis = _flux_axis(run.section("spectrum").get("flux", [0.0, 0.45, 10]))
-    meta = run.meta("spectrum")
-    meta.update(_kerr_meta(params))
-    lines = [io._meta_lines(meta),
-             "flux_frac,f1_hz,f2_hz,anharmonicity_hz,"
-             "alpha1_rad_s,alpha2_rad_s,gamma1_rad_s,gamma2_rad_s\n"]
+    rows = []
     for phi in axis:
         fp = circuit.at_flux(params, float(phi))
         m1, m2 = fp.mode1, fp.mode2
         f1 = m1.omega / (2.0 * math.pi)
         f2 = m2.omega / (2.0 * math.pi)
-        lines.append(",".join(repr(float(x)) for x in (
-            phi, f1, f2, 3.0 * f1 - f2,
-            m1.alpha, m2.alpha, m1.gamma, m2.gamma)) + "\n")
+        rows.append((phi, f1, f2, 3.0 * f1 - f2,
+                     m1.alpha, m2.alpha, m1.gamma, m2.gamma))
     out = run.out_dir / "spectrum.csv"
-    io.atomic_write_text(out, "".join(lines))
+    io.write_table(out, ("flux_frac", "f1_hz", "f2_hz", "anharmonicity_hz",
+                         "alpha1_rad_s", "alpha2_rad_s", "gamma1_rad_s",
+                         "gamma2_rad_s"),
+                   rows, meta=run.meta("spectrum") | _kerr_meta(params))
     print(out)
     return 0
 
@@ -356,32 +353,28 @@ def cmd_steady(run: _Run) -> int:
     params = run.device()
     point, b2_sq = _operating_point(run, run.section("steady"), params)
     states = steady.solve_selfconsistent(point)
+    meta = run.meta("steady") | _kerr_meta(params)
     if run.format == "csv":
-        lines = [io._meta_lines(run.meta("steady") | _kerr_meta(params)),
-                 "kind,branch,copy,r1_sq,r2_sq,theta_rad,phi1_rad,phi2_rad,"
-                 "stable,max_re_lambda_alpha1\n"]
-        for s in states:
-            nums = ",".join(repr(float(x)) for x in (
-                s.r1_sq, s.r2_sq, s.theta, s.phi1, s.phi2))
-            lines.append(
-                f"{s.kind},{s.branch},{s.copy},{nums},{int(s.stable)},"
-                f"{float(max(z.real for z in s.eigenvalues))!r}\n")
         out = run.out_dir / "steady.csv"
-        io.atomic_write_text(out, "".join(lines))
-        print(out)
-        return 0
-    doc = {
-        "meta": run.meta("steady") | _kerr_meta(params),
-        "point": {
-            "delta": point.delta, "Delta": point.Delta,
-            "gamma1": point.gamma1, "gamma2": point.gamma2,
-            "gamma2_ext": point.gamma2_ext, "beta": point.beta,
-            "alpha1_rad_s": point.alpha1, "b2_sq": b2_sq,
-        },
-        "states": [_state_doc(s) for s in states],
-    }
-    out = run.out_dir / "steady.json"
-    io.atomic_write_text(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        io.write_table(out, ("kind", "branch", "copy", "r1_sq", "r2_sq",
+                             "theta_rad", "phi1_rad", "phi2_rad", "stable",
+                             "max_re_lambda_alpha1"),
+                       [(s.kind, s.branch, s.copy, s.r1_sq, s.r2_sq, s.theta,
+                         s.phi1, s.phi2, s.stable,
+                         max(z.real for z in s.eigenvalues)) for s in states],
+                       meta=meta)
+    else:
+        out = run.out_dir / "steady.json"
+        io.write_json(out, {
+            "meta": meta,
+            "point": {
+                "delta": point.delta, "Delta": point.Delta,
+                "gamma1": point.gamma1, "gamma2": point.gamma2,
+                "gamma2_ext": point.gamma2_ext, "beta": point.beta,
+                "alpha1_rad_s": point.alpha1, "b2_sq": b2_sq,
+            },
+            "states": [_state_doc(s) for s in states],
+        })
     print(out)
     return 0
 
@@ -393,24 +386,29 @@ def cmd_sweep(run: _Run) -> int:
     flux = _float("flux", sec.get("flux", 0.0))
     d1 = 2.0 * math.pi * _flux_axis(sec["delta1_hz"])
     pd = calibration.dbm_to_watt(_flux_axis(sec["pd_dbm"]))
-    rmap = calibration.region_map(params, flux, chain, d1, pd)
+    if chain.x is None:
+        raise ConfigError("sweep needs the chain's fitted 'x'")
+    if not np.all(pd > 0):
+        raise ConfigError(f"'pd_dbm' {sec['pd_dbm']!r} underflows to 0 W")
+    try:
+        rmap = calibration.region_map(params, flux, chain, d1, pd)
+    except ValueError as exc:       # the one grid check left: the detuning
+        raise ConfigError(f"'delta1_hz': {exc}")
     meta = run.meta("sweep")
-    lines = [io._meta_lines(meta), "delta1_hz,pd_dbm,label\n"]
-    for i, dd in enumerate(rmap.delta1):
-        for j, p in enumerate(rmap.pd_w):
-            lines.append(f"{float(dd) / (2 * math.pi)!r},"
-                         f"{float(calibration.watt_to_dbm(p))!r},"
-                         f"{rmap.labels[i, j]}\n")
     out_csv = run.out_dir / "region_map.csv"
-    io.atomic_write_text(out_csv, "".join(lines))
+    io.write_table(out_csv, ("delta1_hz", "pd_dbm", "label"),
+                   ((float(dd) / (2 * math.pi), calibration.watt_to_dbm(p),
+                     rmap.labels[i, j])
+                    for i, dd in enumerate(rmap.delta1)
+                    for j, p in enumerate(rmap.pd_w)), meta=meta)
     boundary = [
         [dd / (2 * math.pi), float(calibration.watt_to_dbm(b))]
         for dd, b in zip(rmap.delta1, rmap.boundary_pd_w) if np.isfinite(b)
     ]
     out_json = run.out_dir / "boundary.json"
-    io.atomic_write_text(out_json, json.dumps(
-        {"meta": meta, "columns": ["delta1_hz", "pd_max_dbm"],
-         "polyline": boundary}, indent=2, sort_keys=True) + "\n")
+    io.write_json(out_json, {"meta": meta,
+                             "columns": ["delta1_hz", "pd_max_dbm"],
+                             "polyline": boundary})
     print(out_csv)
     print(out_json)
     return 0
@@ -491,14 +489,11 @@ def cmd_thresholds(run: _Run) -> int:
     params = run.device()
     chain = run.chain()
     axis = _flux_axis(run.section("thresholds").get("flux", [0.0, 0.4, 17]))
-    ths = [calibration.visible_threshold(params, float(phi), chain)
-           for phi in axis]
-    lines = [io._meta_lines(run.meta("thresholds")),
-             "flux_frac,delta1_threshold_hz\n"]
-    for phi, th in zip(axis, ths):
-        lines.append(f"{float(phi)!r},{float(th) / (2 * math.pi)!r}\n")
+    rows = [(phi, calibration.visible_threshold(params, float(phi), chain)
+             / (2 * math.pi)) for phi in axis]
     out = run.out_dir / "thresholds.csv"
-    io.atomic_write_text(out, "".join(lines))
+    io.write_table(out, ("flux_frac", "delta1_threshold_hz"), rows,
+                   meta=run.meta("thresholds"))
     print(out)
     return 0
 

@@ -10,10 +10,9 @@ Binary trajectory layout (version 1, all little-endian):
                    n samples (u64)
     then         n records of 4 f64: Re a1, Im a1, Re a2, Im a2
 
-CSV files start with ``# key: value`` comment lines (the reproducibility
-header) followed by a mandatory column-name row; the delimiter is a comma
-and the decimal separator a period.  All writes go through a temp file and
-an atomic rename.
+Every CSV table is written by :func:`write_table` and every JSON document
+by :func:`write_json`, and all writes go through a temp file and an atomic
+rename (:func:`atomic_write_bytes`).
 """
 
 from __future__ import annotations
@@ -55,15 +54,31 @@ def atomic_write_bytes(path, payload: bytes):
         raise
 
 
-def atomic_write_text(path, text: str):
-    atomic_write_bytes(path, text.encode("utf-8"))
+def _cell(x) -> str:
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, np.integer)):    # bool is an int
+        return str(int(x))
+    return repr(float(x))
 
 
-def _meta_lines(meta: dict | None) -> str:
-    if not meta:
-        return ""
-    return "".join(f"# {k}: {json.dumps(v, sort_keys=True, default=str)}\n"
-                   for k, v in meta.items())
+def write_table(path, columns, rows, meta: dict | None = None):
+    """CSV table: a ``# key: <json>`` line per ``meta`` item, the column row,
+    then the rows.  A ``str`` cell is written as it is, an ``int``, ``bool``
+    or numpy integer as a decimal, and any other cell as ``repr(float(x))``,
+    which reads back bit for bit.
+    """
+    lines = [f"# {k}: {json.dumps(v, sort_keys=True, default=str)}\n"
+             for k, v in (meta or {}).items()]
+    lines.append(",".join(columns) + "\n")
+    lines.extend(",".join(map(_cell, row)) + "\n" for row in rows)
+    atomic_write_bytes(path, "".join(lines).encode("utf-8"))
+
+
+def write_json(path, doc):
+    """JSON document: two-space indent, sorted keys, a final newline."""
+    atomic_write_bytes(path, (json.dumps(doc, indent=2, sort_keys=True)
+                              + "\n").encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -113,17 +128,12 @@ def read_trajectory(path) -> Trajectory:
 def write_trajectory_csv(path, traj: Trajectory, meta: dict | None = None):
     if traj.a1.ndim != 1:
         raise ValueError("CSV stores single trajectories")
-    head = dict(meta or {})
-    head.update({"dt_s": float(traj.dt), "drive_b2": float(traj.drive_b2),
-                 "drive_phase_rad": float(traj.drive_phase),
-                 "seed": traj.seed})
-    lines = [_meta_lines(head), "t_s,a1_re,a1_im,a2_re,a2_im\n"]
+    head = dict(meta or {}, dt_s=float(traj.dt), drive_b2=float(traj.drive_b2),
+                drive_phase_rad=float(traj.drive_phase), seed=traj.seed)
     t = (np.arange(traj.n_samples) + 1) * traj.dt
-    for i in range(traj.n_samples):
-        lines.append(",".join(repr(float(x)) for x in (
-            t[i], traj.a1[i].real, traj.a1[i].imag,
-            traj.a2[i].real, traj.a2[i].imag)) + "\n")
-    atomic_write_text(path, "".join(lines))
+    columns = (t, traj.a1.real, traj.a1.imag, traj.a2.real, traj.a2.imag)
+    write_table(path, ("t_s", "a1_re", "a1_im", "a2_re", "a2_im"),
+                zip(*(c.tolist() for c in columns)), meta=head)
 
 
 def read_trajectory_csv(path) -> Trajectory:
@@ -146,19 +156,12 @@ def read_trajectory_csv(path) -> Trajectory:
 
 def write_histogram_csv(path, hist: Histogram2D, meta: dict | None = None):
     """Sparse cell listing plus edge arrays in the comment header."""
-    head = dict(meta or {})
-    head.update({
-        "fs_hz": hist.fs,
-        "window_s": hist.window,
-        "units": hist.units,
-        "i_edges": [float(x) for x in hist.i_edges],
-        "q_edges": [float(x) for x in hist.q_edges],
-    })
-    lines = [_meta_lines(head), "i_bin,q_bin,count\n"]
-    nz = np.argwhere(hist.counts > 0)
-    for i, j in nz:
-        lines.append(f"{i},{j},{hist.counts[i, j]}\n")
-    atomic_write_text(path, "".join(lines))
+    head = dict(meta or {}, fs_hz=hist.fs, window_s=hist.window,
+                units=hist.units, i_edges=[float(x) for x in hist.i_edges],
+                q_edges=[float(x) for x in hist.q_edges])
+    write_table(path, ("i_bin", "q_bin", "count"),
+                ((i, j, hist.counts[i, j])
+                 for i, j in np.argwhere(hist.counts > 0)), meta=head)
 
 
 def read_histogram_csv(path) -> Histogram2D:
@@ -225,13 +228,10 @@ def write_linecut_csv(path, pd_dbm, pout_w, sidecar: dict):
     """
     if "delta1_rad_s" not in sidecar or "flux_frac" not in sidecar:
         raise ValueError("sidecar needs delta1_rad_s and flux_frac")
-    lines = ["pd_dbm,pout_w\n"]
-    for p, o in zip(pd_dbm, pout_w):
-        lines.append(f"{float(p)!r},{float(o)!r}\n")
     path = Path(path)
-    atomic_write_text(path, "".join(lines))
-    atomic_write_text(path.with_name(path.name + ".meta.json"),
-                      json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    write_table(path, ("pd_dbm", "pout_w"),
+                zip(map(float, pd_dbm), map(float, pout_w)))
+    write_json(path.with_name(path.name + ".meta.json"), sidecar)
 
 
 def read_linecut_csv(path):
@@ -264,12 +264,8 @@ def read_linecut_csv(path):
 
 def write_fit_report(path, result, meta: dict | None = None):
     """Fit report JSON with fields {x, x_sigma, residual, n_points}."""
-    doc = {
-        "x": result.x,
-        "x_sigma": result.x_sigma,
-        "residual": result.residual,
-        "n_points": result.n_points,
-    }
+    doc = {k: getattr(result, k) for k in ("x", "x_sigma", "residual",
+                                           "n_points")}
     if meta:
         doc["meta"] = meta
-    atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, doc)

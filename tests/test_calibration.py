@@ -353,6 +353,13 @@ class TestRegionMap:
                    / (7.0 * beta_sq * m2.omega * m1.alpha) * chain.x)
             assert got == pytest.approx(lab, rel=1e-11, abs=0.0)
 
+    def test_detuning_outside_the_model_rejected(self, params, chain):
+        omega1 = circuit.mode_profile(params, 0.0, 1).omega
+        pd = np.geomspace(1e-9, 1e-3, 3)
+        for d1 in ([-omega1, -TWO_PI * 1e6], [-TWO_PI * 1e6, 2 * omega1]):
+            with pytest.raises(ValueError, match="delta1"):
+                cal.region_map(params, 0.0, chain, np.array(d1), pd)
+
     def test_above_threshold_all_region_one(self, params, chain):
         co = circuit.at_flux(params, 0.0)
         th = steady.THRESHOLD_FACTOR * co.mode1.gamma

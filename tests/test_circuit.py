@@ -229,6 +229,20 @@ class TestCouplingsAndReduction:
         assert pt.delta == pytest.approx(-12e6 / 85e3, rel=1e-12)
         assert pt.delta == pytest.approx(-141, abs=1.0)
 
+    def test_detuning_inside_omega1(self, modes0):
+        # the signal frequency omega1 + delta1 must lie in (0, 2*omega1)
+        m1, m2 = modes0
+        fp = circuit.FluxPoint(flux=0.0, mode1=m1, mode2=m2)
+        inside = math.nextafter(m1.omega, 0.0)
+        assert fp.operating_point(-inside).delta < 0 \
+            < fp.operating_point(inside).delta
+        for outside in (m1.omega, math.nextafter(m1.omega, math.inf)):
+            for d in (outside, -outside):
+                with pytest.raises(ValueError, match="delta1"):
+                    fp.operating_point(d)
+        with pytest.raises(ValueError, match="delta1"):
+            fp.operating_point(math.nan)
+
     def test_anharmonicity_scale_at_small_flux(self, params):
         pt = circuit.device_point(params, 0.1, delta1=0.0)
         assert pt.Delta == pytest.approx(1500, rel=0.2)

@@ -128,6 +128,18 @@ class TestSteady:
         assert len(rows) == 4
         for r in rows:
             float(r[3])  # numeric columns parse cleanly
+        # the JSON format holds the same states, field for field, bit for bit
+        assert main(["--config", cfg, "steady"]) == 0
+        doc = json.loads((workdir / "out" / "steady.json").read_text())
+        assert len(doc["states"]) == len(rows)
+        for r, st in zip(rows, doc["states"]):
+            cell = dict(zip(header, r))
+            assert cell["kind"] == st["kind"]
+            for key in ("branch", "copy", "r1_sq", "r2_sq", "theta_rad",
+                        "phi1_rad", "phi2_rad", "stable"):
+                assert float(cell[key]).hex() == float(st[key]).hex(), key
+            assert float(cell["max_re_lambda_alpha1"]).hex() == \
+                max(re for re, _ in st["eigenvalues_alpha1"]).hex()
 
 
 class TestSimulate:
@@ -337,9 +349,13 @@ class TestConfigErrors:
         ("steady", {"chain": CHAIN,
                     "steady": {"flux": 0.0, "delta1_hz": -12e6,
                                "pd_dbm": 1e300}}, "'pd_dbm'"),
+        # numpy's overflow warning would also reach stderr
+        ("sweep", {"chain": CHAIN,
+                   "sweep": {"delta1_hz": [-1e200, -1e6, 3],
+                             "pd_dbm": [-40, 0, 3]}}, "'delta1_hz'"),
     ], ids=["nan-delta1", "negative-floor", "negative-b2", "zero-store",
             "unallocatable-samples", "nothing-stored", "string-seed",
-            "unfinishable", "overflowing-pd-dbm"])
+            "unfinishable", "overflowing-pd-dbm", "off-model-delta1"])
     def test_fresh_process(self, workdir, command, doc, needle):
         cfg = write_config(workdir, doc)
         proc = run_python(["-m", "tripler", "--config", cfg, command], workdir)
@@ -440,6 +456,32 @@ class TestConfigErrors:
                       "simulate": {"flux": 0.0, "delta1_hz": -12e6,
                                    "pd_dbm": 3000, "duration_s": 1e-9,
                                    "dt_s": 1e-11}}, "'pd_dbm'"),
+        # a signal frequency omega1 + delta1 outside (0, 2*omega1)
+        ("steady", {"steady": {**STEADY, "delta1_hz": -1e200}},
+         "'delta1_hz'"),
+        ("steady", {"steady": {**STEADY, "delta1_hz": 1e200}},
+         "'delta1_hz'"),
+        ("simulate", {"simulate": {**SIM, "delta1_hz": -1e200}},
+         "'delta1_hz'"),
+        ("simulate", {"simulate": {**SIM, "delta1_hz": 1e200}},
+         "'delta1_hz'"),
+        ("steady", {"steady": {**STEADY, "delta1_hz": -1e150}},
+         "'delta1_hz'"),
+        ("steady", {"steady": {**STEADY, "delta1_hz": -6e9}},
+         "'delta1_hz'"),
+        ("sweep", {"chain": CHAIN,
+                   "sweep": {"delta1_hz": [-1e200, -1e6, 3],
+                             "pd_dbm": [-40, 0, 3]}}, "'delta1_hz'"),
+        ("sweep", {"chain": CHAIN,
+                   "sweep": {"delta1_hz": [-1e6, 6e9, 3],
+                             "pd_dbm": [-40, 0, 3]}}, "'delta1_hz'"),
+        # region_map's other checks, named before it runs
+        ("sweep", {"chain": {"gain_db": 66.0, "noise_floor_w": 4.4e-10},
+                   "sweep": {"delta1_hz": [-10e6, -1e6, 3],
+                             "pd_dbm": [-40, 0, 3]}}, "'x'"),
+        ("sweep", {"chain": CHAIN,
+                   "sweep": {"delta1_hz": [-10e6, -1e6, 3],
+                             "pd_dbm": [-4000, 0, 3]}}, "'pd_dbm'"),
     ])
     def test_in_process(self, workdir, capsys, command, doc, needle):
         cfg = write_config(workdir, doc)

@@ -5,7 +5,7 @@ import stat
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tripler import io as tio
@@ -26,6 +26,27 @@ def trajectories(draw, min_samples=0):
     return Trajectory(dt=draw(st.floats(1e-15, 1.0)), a1=z[0], a2=z[1],
                       drive_b2=draw(finite), drive_phase=draw(finite),
                       seed=draw(st.none() | st.integers(0, 2**63 - 1)))
+
+
+#: floats a CSV cell must carry bit for bit: signed zero, subnormals, extremes
+EDGE_FLOATS = (-0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+               1.7976931348623157e308, -1.7976931348623157e308)
+TABLE_COLUMNS = ("x", "int", "np_int", "flag", "text")
+#: rows of every cell kind; a text cell holds no comma and no line break
+table_rows = st.lists(st.tuples(
+    st.sampled_from(EDGE_FLOATS) | finite,
+    st.integers(),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.text(st.characters(blacklist_characters=",\n\r",
+                          blacklist_categories=("Cs",)))), max_size=8)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | finite | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(), inner, max_size=3), max_leaves=8)
+table_meta = st.dictionaries(
+    st.text(st.characters(whitelist_categories=("L", "N")), min_size=1),
+    json_values, max_size=4)
 
 
 def same_bits(back, traj):
@@ -117,6 +138,28 @@ class TestTrajectoryBinary:
         tio.write_trajectory_csv(path, traj)
         # repr() writes the shortest string that parses back to the float
         assert same_bits(tio.read_trajectory_csv(path), traj)
+
+
+class TestWriteTable:
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(rows=table_rows, meta=table_meta)
+    @example(rows=[(x, -3, np.int64(2**63 - 1), False, " a#b ")
+                   for x in EDGE_FLOATS], meta={"k": [1, "two", None]})
+    def test_roundtrip_property(self, tmp_path_factory, rows, meta):
+        path = tmp_path_factory.mktemp("table") / "t.csv"
+        tio.write_table(path, TABLE_COLUMNS, rows, meta=meta)
+        back_meta, back = tio._read_csv(path, TABLE_COLUMNS)
+        assert back_meta == meta
+        assert len(back) == len(rows)
+        for cells, (x, i, n, flag, text) in zip(back, rows):
+            assert float(cells[0]).hex() == x.hex()
+            assert cells[1:] == [str(i), str(int(n)), str(int(flag)), text]
+
+    def test_no_meta_no_comment_lines(self, tmp_path):
+        path = tmp_path / "t.csv"
+        tio.write_table(path, ("a", "b"), [(1.5, 2)])
+        assert path.read_text() == "a,b\n1.5,2\n"
 
 
 class TestHistogramCSV:
