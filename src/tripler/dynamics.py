@@ -57,8 +57,10 @@ from .steady import (
     _rates_and_flow,
 )
 
-#: integration steps of noise drawn per member at a time
-_NOISE_CHUNK = 4096
+#: integration steps of noise drawn per member at a time; small, so that the
+#: (M, chunk, 4) draw buffer is no large part of an ensemble's memory
+#: (640 KiB at 40 members); a noisy run checks for divergence once a chunk
+_NOISE_CHUNK = 512
 
 #: where |expm1(z)| is below this, expm1(z)/z is 1 to rounding (its
 #: relative correction is about |z|/2), so the ETD1 step takes the limit dt
@@ -291,15 +293,24 @@ def integrate(system: TwoModeSystem, initial, duration: float, dt: float,
     its M members in C order, stepped in place without allocating; member j
     draws from the j-th RNG stream spawned from ``seed``, so the leading
     members of a wider run are bit-identical.  A scalar initial condition
-    integrates on Python complex numbers, which is an order of magnitude
-    faster per step than numpy for one trajectory; it draws the same random
+    integrates on Python complex numbers, which is 5-8 times faster per
+    step than numpy for one trajectory; it draws the same random
     numbers as member 0 of an ensemble with the same seed and matches that
     member to ~1e-15 relative, not bitwise, because numpy's vectorized
     complex arithmetic rounds differently.  Only every ``store_every``-th
     step is stored.  Raises :class:`DivergenceError` when any amplitude
-    passes ``ceiling`` or stops being finite, and ``ValueError`` for an
-    ensemble of no members.
+    passes ``ceiling`` or stops being finite (``ceiling=math.inf`` keeps
+    only the second test), and ``ValueError`` naming the argument for an
+    ensemble of no members, a non-finite initial amplitude, a ``duration``
+    or ``dt`` that is not positive and finite, or a ``ceiling`` that is not
+    positive.
     """
+    for name, value in (("duration", duration), ("dt", dt)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, "
+                             f"got {value!r}")
+    if not ceiling > 0.0:
+        raise ValueError(f"ceiling must be positive, got {ceiling!r}")
     a1 = np.asarray(initial[0], dtype=complex)
     a2 = np.asarray(initial[1], dtype=complex)
     scalar = a1.ndim == 0
@@ -308,6 +319,8 @@ def integrate(system: TwoModeSystem, initial, duration: float, dt: float,
         raise ValueError("initial mode arrays must have matching shapes")
     if a1.size == 0:
         raise ValueError("initial holds an ensemble of no members")
+    if not (np.isfinite(a1).all() and np.isfinite(a2).all()):
+        raise ValueError("initial must hold finite amplitudes")
     n_steps = int(round(duration / dt))
     if n_steps <= 0:
         raise ValueError("duration shorter than one step")
@@ -404,30 +417,31 @@ def _complex_constants(*values):
 
 def _run_rk4_stacked(c, a, dt, n_steps, store_every, out1, out2, ceiling):
     """RK4 of the (2, M) ensemble ``a`` in place, rounding as :func:`_run_rk4`."""
-    work = _FlowWork.build(c, a.shape[1])
-    c = c.as_arrays()
     acc, k, y = (np.empty_like(a) for _ in range(3))
+    work = _FlowWork.build(c, a, y, acc, k)
+    rows, y_rows, acc_rows, k_rows = work.views
     half, sixth, step_dt, two = _complex_constants(0.5 * dt, dt / 6.0, dt,
                                                    2.0)
+    flow, add, multiply = _flow_into, np.add, np.multiply
     idx = 0
     for step in range(1, n_steps + 1):
-        _flow_into(c, a, acc, work)                 # acc = k1
-        np.multiply(half, acc, out=y)
-        np.add(a, y, out=y)
-        _flow_into(c, y, k, work)                   # k2
-        np.multiply(half, k, out=y)
-        np.add(a, y, out=y)
-        np.multiply(two, k, out=k)
-        np.add(acc, k, out=acc)
-        _flow_into(c, y, k, work)                   # k3
-        np.multiply(step_dt, k, out=y)
-        np.add(a, y, out=y)
-        np.multiply(two, k, out=k)
-        np.add(acc, k, out=acc)
-        _flow_into(c, y, k, work)                   # k4
-        np.add(acc, k, out=acc)
-        np.multiply(sixth, acc, out=acc)
-        np.add(a, acc, out=a)
+        flow(work, rows, acc_rows)                  # acc = k1
+        multiply(half, acc, y)
+        add(a, y, y)
+        flow(work, y_rows, k_rows)                  # k2
+        multiply(half, k, y)
+        add(a, y, y)
+        multiply(two, k, k)
+        add(acc, k, acc)
+        flow(work, y_rows, k_rows)                  # k3
+        multiply(step_dt, k, y)
+        add(a, y, y)
+        multiply(two, k, k)
+        add(acc, k, acc)
+        flow(work, y_rows, k_rows)                  # k4
+        add(acc, k, acc)
+        multiply(sixth, acc, acc)
+        add(a, acc, a)
         if step % store_every == 0:
             out1[idx], out2[idx] = a
             idx += 1
@@ -495,42 +509,44 @@ def _run_etd1_stacked(c, a, dt, n_steps, store_every, out1, out2, ceiling,
 
     Member j draws its (steps, 4) normals from ``rngs[j]`` chunkwise into
     one buffer, scaled once per chunk into the complex kicks
-    s1*(x0 + i*x1) and s2*(x2 + i*x3).  The rates L come from
-    :func:`_flow_into` with the flow.  expm1(L*dt)/L takes its limit dt
-    where |expm1(L*dt)| < _TINY_Z, which needs a (nearly) undamped mode, so
-    only then does the step test for it.
+    s1*(x0 + i*x1) and s2*(x2 + i*x3), which each step reads as one (2, M)
+    view.  The rates L come from :func:`_flow_into` with the flow.
+    expm1(L*dt)/L takes its limit dt where |expm1(L*dt)| < _TINY_Z, which
+    needs a (nearly) undamped mode, so only then does the step test for it.
     """
     s1, s2 = _kick_scales(noise, c, dt)
     near = min(c.Gamma1, c.Gamma2) * dt < 2.0 * _TINY_Z
-    work = _FlowWork.build(c, a.shape[1])
-    rates = work.linear
-    c = c.as_arrays()
     f, z, e = (np.empty_like(a) for _ in range(3))
+    work = _FlowWork.build(c, a, f)
+    rows, f_rows = work.views
+    rates = work.linear
     size = np.empty(a.shape)
     tiny = np.empty(a.shape, dtype=bool)
     (step_dt,) = _complex_constants(dt)
     scale = np.array([s1, s2])
     draws = np.empty((a.shape[1], min(_NOISE_CHUNK, n_steps), 4))
     kicks = draws.view(complex)                     # (M, chunk, 2)
+    step_kicks = kicks.transpose(1, 2, 0)           # (chunk, 2, M)
+    flow, add, multiply = _flow_into, np.add, np.multiply
     idx = 0
     step = 0
     while step < n_steps:
         todo = min(_NOISE_CHUNK, n_steps - step)
         for row, rng in zip(draws, rngs):
             rng.standard_normal((todo, 4), out=row[:todo])
-        np.multiply(scale, kicks[:, :todo], out=kicks[:, :todo])
-        for i in range(todo):
-            _flow_into(c, a, f, work)
-            np.multiply(step_dt, rates, out=z)
-            np.expm1(z, out=z)
-            np.divide(z, rates, out=e)
+        multiply(scale, kicks[:, :todo], kicks[:, :todo])
+        for kick in step_kicks[:todo]:
+            flow(work, rows, f_rows)
+            multiply(step_dt, rates, z)
+            np.expm1(z, z)
+            np.divide(z, rates, e)
             if near:
-                np.abs(z, out=size)
-                np.less(size, _TINY_Z, out=tiny)
+                np.abs(z, size)
+                np.less(size, _TINY_Z, tiny)
                 np.copyto(e, step_dt, where=tiny)
-            np.multiply(e, f, out=z)
-            np.add(a, z, out=a)
-            np.add(a, kicks[:, i].T, out=a)
+            multiply(e, f, z)
+            add(a, z, a)
+            add(a, kick, a)
             step += 1
             if step % store_every == 0:
                 out1[idx], out2[idx] = a

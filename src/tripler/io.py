@@ -55,7 +55,12 @@ def atomic_write_bytes(path, payload: bytes):
 
 
 def _cell(x) -> str:
+    if isinstance(x, float):                # np.float64 is a float
+        return repr(float(x))
     if isinstance(x, str):
+        if "," in x or "\n" in x or "\r" in x:
+            raise FormatError(f"text cell {x!r} holds a comma or a line "
+                              "break")
         return x
     if isinstance(x, (int, np.integer)):    # bool is an int
         return str(int(x))
@@ -64,14 +69,30 @@ def _cell(x) -> str:
 
 def write_table(path, columns, rows, meta: dict | None = None):
     """CSV table: a ``# key: <json>`` line per ``meta`` item, the column row,
-    then the rows.  A ``str`` cell is written as it is, an ``int``, ``bool``
-    or numpy integer as a decimal, and any other cell as ``repr(float(x))``,
-    which reads back bit for bit.
+    then the rows.  A float cell (numpy's too) is written as
+    ``repr(float(x))``, which reads back bit for bit, a ``str`` cell as it
+    is, an ``int``, ``bool`` or numpy integer as a decimal, and any other
+    cell as ``repr(float(x))``.
+
+    Every row must read back through :func:`_read_csv` as written, which
+    splits cells at commas and lines at line breaks, skips an empty line and
+    takes one starting with ``#`` for a comment.  A text cell with a comma
+    or a line break, or a row rendering as an empty line or starting with
+    ``#``, raises :class:`FormatError` naming the row, and nothing is
+    written.
     """
     lines = [f"# {k}: {json.dumps(v, sort_keys=True, default=str)}\n"
              for k, v in (meta or {}).items()]
     lines.append(",".join(columns) + "\n")
-    lines.extend(",".join(map(_cell, row)) + "\n" for row in rows)
+    for i, row in enumerate(rows):
+        try:
+            line = ",".join(map(_cell, row))
+        except FormatError as exc:
+            raise FormatError(f"row {i}: {exc}") from None
+        if not line or line[0] == "#":
+            raise FormatError(f"row {i} renders as {line!r}, which reads "
+                              "back as no row")
+        lines.append(line + "\n")
     atomic_write_bytes(path, "".join(lines).encode("utf-8"))
 
 

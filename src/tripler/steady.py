@@ -366,14 +366,6 @@ class _Coefficients(NamedTuple):
                    point.gamma1, point.gamma2, 1j * b, 1j * (b / 3.0),
                    complex(1j * drive))
 
-    def as_arrays(self) -> "_Coefficients":
-        """The same constants as numpy 0-d arrays.
-
-        A ufunc takes these without the per-call conversion of a Python
-        scalar, to the same value, so :func:`_flow_into` rounds alike.
-        """
-        return _Coefficients(*map(np.asarray, self))
-
 
 def _rates_and_flow(c: _Coefficients, a1, a2):
     """Linear rates ``L = i*(detuning + Kerr) - Gamma`` and the flow.
@@ -401,73 +393,88 @@ def _flow(c: _Coefficients, a1, a2):
     return da1, da2
 
 
-#: 1j as a 0-d array, which a ufunc takes without converting it per call
-_I = np.asarray(1j)
-
-
 class _FlowWork(NamedTuple):
-    """Constant rows and scratch of :func:`_flow_into` for M stacked members.
+    """Constants, scratch and prebuilt views of :func:`_flow_into`.
 
     Built once per ensemble run by :meth:`build`; row 0 is mode 1 and row 1
-    mode 2 throughout.
+    mode 2 throughout.  ``views`` holds ``(x, x[0], x[1])`` for each buffer
+    ``x`` passed to :meth:`build`, in order.
     """
 
     delta: np.ndarray       # (2, M) detunings
     alpha: np.ndarray       # (2, M) self-Kerr coefficients
     gamma: np.ndarray       # (2, M) complex dampings Gamma + 0j
+    constants: tuple        # 2*alpha_x, i*alpha_t, i*alpha_t/3, i*drive, 1j
+                            # and the power 3 + 0j of a1, as 0-d arrays (a
+                            # ufunc converts a Python scalar on every call)
     n: np.ndarray           # (2, M) scratch: |a|^2
     kerr: np.ndarray        # (2, M) scratch: detuning plus self-Kerr
-    cross: np.ndarray       # (2, M) scratch: cross-Kerr
-    phase: np.ndarray       # (2, M) complex scratch, imaginary part kept 0
+    cross: tuple            # (2, M) scratch 2*alpha_x*|a|^2, and it with
+                            # rows swapped: the cross-Kerr shift per mode
+    phase: tuple            # (2, M) complex scratch of imaginary part 0,
+                            # and its real part
     linear: np.ndarray      # (2, M) complex: the rates L of the last call
-    coupling: np.ndarray    # (2, M) complex scratch
-    term: np.ndarray        # (2, M) complex scratch
+    coupling: tuple         # (2, M) complex scratch and its rows
+    term: tuple             # two (M,) complex scratch rows
+    views: tuple
 
     @classmethod
-    def build(cls, c: _Coefficients, m: int) -> "_FlowWork":
+    def build(cls, c: _Coefficients, *buffers: np.ndarray) -> "_FlowWork":
+        m = buffers[0].shape[1]
+
         def rows(x1, x2, dtype=float):
             return np.repeat(np.array([[x1], [x2]], dtype=dtype), m, axis=1)
 
+        n, kerr, cross = np.empty((3, 2, m))
+        phase = np.zeros((2, m), dtype=complex)
+        linear, coupling = np.empty((2, 2, m), dtype=complex)
+        constants = tuple(map(np.asarray, (c.alpha_cross2, c.i_alpha_tilde,
+                                           c.i_alpha_tilde3, c.i_drive, 1j,
+                                           3 + 0j)))
         return cls(rows(c.delta1, c.delta2), rows(c.alpha1, c.alpha2),
-                   rows(c.Gamma1, c.Gamma2, complex),
-                   *(np.empty((2, m)) for _ in range(3)),
-                   np.zeros((2, m), dtype=complex),
-                   *(np.empty((2, m), dtype=complex) for _ in range(3)))
+                   rows(c.Gamma1, c.Gamma2, complex), constants, n, kerr,
+                   (cross, cross[::-1]), (phase, phase.real), linear,
+                   (coupling, *coupling),
+                   tuple(np.empty((2, m), dtype=complex)),
+                   tuple((x, *x) for x in buffers))
 
 
-def _flow_into(c: _Coefficients, a: np.ndarray, out: np.ndarray,
-               work: _FlowWork) -> None:
+def _flow_into(work: _FlowWork, a: tuple, out: tuple) -> None:
     """:func:`_flow` of a stacked ``(2, M)`` ensemble, written into ``out``.
 
-    ``a`` holds mode 1 in row 0 and mode 2 in row 1; ``out`` must not share
-    memory with ``a``.  The terms both modes share are evaluated once for
-    both rows, the couplings and the drive per row, and nothing is
-    allocated.  Each elementwise operation and the order of its operands
-    are those of :func:`_flow`, and no complex product is written over one
-    of its factors (numpy rounds such a product differently when M = 1),
-    so the result is bit-identical to ``np.stack(_flow(c, *a))``.  After
-    the call ``work.linear`` holds the rates L of :func:`_rates_and_flow`,
-    bit for bit.  ``c`` may be :meth:`_Coefficients.as_arrays`, which saves
-    time per call.
+    ``a`` and ``out`` are entries of ``work.views`` whose buffers share no
+    memory; ``a`` holds mode 1 in row 0 and mode 2 in row 1.  The terms
+    both modes share are evaluated once for both rows, the couplings and
+    the drive per row.  Views and constants come prebuilt and each ufunc
+    takes its output by position, so a call allocates nothing.  Each
+    elementwise operation and the order of its operands are those of
+    :func:`_flow`, and no complex product is written over one of its
+    factors (numpy rounds such a product differently when M = 1), so the
+    result is bit-identical to ``np.stack(_flow(c, a1, a2))``, and
+    ``work.linear`` to the rates L of :func:`_rates_and_flow`.
     """
-    delta, alpha, gamma, n, kerr, cross, phase, linear, coupling, term = work
-    np.abs(a, out=n)
-    np.square(n, out=n)
-    np.multiply(alpha, n, out=kerr)
-    np.add(delta, kerr, out=kerr)
-    np.multiply(c.alpha_cross2, n[::-1], out=cross)
-    np.add(kerr, cross, out=phase.real)
-    np.multiply(_I, phase, out=linear)
-    np.subtract(linear, gamma, out=linear)
-    np.multiply(linear, a, out=out)
-    np.conjugate(a[0], out=term[0])
-    np.square(term[0], out=term[1])
-    np.multiply(c.i_alpha_tilde, term[1], out=term[0])
-    np.multiply(term[0], a[1], out=coupling[0])
-    np.power(a[0], 3, out=term[1])
-    np.multiply(c.i_alpha_tilde3, term[1], out=coupling[1])
-    np.add(out, coupling, out=out)
-    np.subtract(out[1], c.i_drive, out=out[1])
+    (delta, alpha, gamma, (ax2, iat, iat3, idrive, i, three), n, kerr,
+     (cross, cross_shift), (phase, phase_real), linear,
+     (coupling, coupling1, coupling2), (term1, term2), _) = work
+    (a, a1, a2), (out, _, out2) = a, out
+    multiply, add = np.multiply, np.add
+    np.absolute(a, n)
+    np.square(n, n)
+    multiply(alpha, n, kerr)
+    add(delta, kerr, kerr)
+    multiply(ax2, n, cross)
+    add(kerr, cross_shift, phase_real)
+    multiply(i, phase, linear)
+    np.subtract(linear, gamma, linear)
+    multiply(linear, a, out)
+    np.conjugate(a1, term1)
+    np.square(term1, term2)
+    multiply(iat, term2, term1)
+    multiply(term1, a2, coupling1)
+    np.power(a1, three, term2)
+    multiply(iat3, term2, coupling2)
+    add(out, coupling, out)
+    np.subtract(out2, idrive, out2)
 
 
 def flow(point: DimensionlessPoint, u1, u2):

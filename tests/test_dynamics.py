@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -227,6 +228,28 @@ class TestIntegrate:
             dynamics.integrate(system, (np.zeros(0), np.zeros(0)),
                                duration=1.0, dt=0.01, noise=noise, seed=1)
 
+    @pytest.mark.parametrize("kw, field", [
+        (dict(duration=-1.0, dt=-0.001), "duration"),
+        (dict(dt=0.0), "dt"),
+        (dict(dt=math.nan), "dt"),
+        (dict(dt=math.inf), "dt"),
+        (dict(duration=math.inf), "duration"),
+        (dict(ceiling=math.nan), "ceiling"),
+        (dict(ceiling=0.0), "ceiling"),
+        (dict(initial=(math.nan, 0.0)), "initial"),
+        (dict(initial=(np.zeros(2), np.array([0.0, math.inf]))), "initial"),
+    ], ids=["backward", "dt-zero", "dt-nan", "dt-inf", "duration-inf",
+            "ceiling-nan", "ceiling-zero", "initial-nan", "initial-inf"])
+    @pytest.mark.parametrize("noisy", [False, True], ids=["rk4", "etd1"])
+    def test_bad_step_arguments_rejected(self, soft_point, kw, field, noisy):
+        system = TwoModeSystem.from_point(driven_soft_point(soft_point))
+        args = dict(initial=(0.1, 0.0), duration=1.0, dt=0.01, ceiling=1e9,
+                    noise=NoiseConfig(d1=0.05, d2=0.05) if noisy else None,
+                    seed=1)
+        args.update(kw)
+        with pytest.raises(ValueError, match=f"^{field} must "):
+            dynamics.integrate(system, args.pop("initial"), **args)
+
     def test_step_warning(self, soft_point):
         system = TwoModeSystem.from_point(driven_soft_point(soft_point))
         with pytest.warns(StepSizeWarning):
@@ -377,8 +400,12 @@ def same_bits(x, y):
 
 
 def reference_kick_scales(noise, c, dt):
-    """Per-quadrature kick deviations of both modes over ``dt``."""
-    return [math.sqrt(0.5 * (-d * math.expm1(-2.0 * g * dt) / g))
+    """Per-quadrature kick deviations of both modes over ``dt``.
+
+    An undamped mode takes the Gamma -> 0 limit 2*D*dt of the variance.
+    """
+    return [math.sqrt(0.5 * (-d * math.expm1(-2.0 * g * dt) / g if g
+                             else 2.0 * d * dt))
             for d, g in ((noise.d1, c.Gamma1), (noise.d2, c.Gamma2))]
 
 
@@ -500,7 +527,8 @@ class TestStackedStep:
         x = np.array(parts).reshape(2, 2, m)
         a = x[:, 0] + 1j * x[:, 1]
         out = np.empty((2, m), dtype=complex)
-        steady._flow_into(c, a, out, steady._FlowWork.build(c, m))
+        work = steady._FlowWork.build(c, a, out)
+        steady._flow_into(work, *work.views)
         want1, want2 = steady._flow(c, a[0].copy(), a[1].copy())
         assert same_bits(out[0], want1)
         assert same_bits(out[1], want2)
@@ -584,7 +612,7 @@ class TestStackedStep:
         assert abs(solo.a1[0] - want[0, 0]) <= tol
         assert abs(solo.a2[0] - want[1, 0]) <= tol
 
-    @pytest.mark.parametrize("shape", [(4,), (2, 3)])
+    @pytest.mark.parametrize("shape", [(4,), (2, 3), (1,)])
     @pytest.mark.parametrize("noisy", [False, True], ids=["rk4", "em"])
     def test_integrate_matches_reference_loops(self, region2, shape, noisy):
         system = region2["system"]
@@ -605,6 +633,66 @@ class TestStackedStep:
         want1, want2 = reference_integrate(system, a1, a2, **kw)
         assert same_bits(traj.a1, want1)
         assert same_bits(traj.a2, want2)
+
+    @staticmethod
+    def undamped_signed_zeros(region2):
+        """Mode 1 undamped, a1 every signed zero, phase1 of both signs."""
+        system = replace(region2["system"], Gamma1=0.0)
+        zeros = [complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)]
+        a1 = np.array(zeros * 2)
+        a2 = np.array([0.0, -0.5j, 1.0, -0.0, 2.5, -3j, 2 + 2j, -0.0j])
+        return system, a1, a2
+
+    def test_undamped_signed_zeros_rates_bitwise(self, region2):
+        # Re L1 = Re(1j*phase1) - 0 is a zero whose sign follows phase1's;
+        # writing -Gamma1 into it directly flips the sign in half the cases
+        system, a1, a2 = self.undamped_signed_zeros(region2)
+        c = system._coefficients()
+        a = np.stack((a1, a2))
+        out = np.empty_like(a)
+        work = steady._FlowWork.build(c, a, out)
+        steady._flow_into(work, *work.views)
+        l1, l2, f1, f2 = steady._rates_and_flow(c, a1, a2)
+        assert same_bits(work.linear, np.stack((l1, l2)))
+        assert same_bits(out, np.stack((f1, f2)))
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["rk4", "etd1"])
+    def test_undamped_signed_zeros_match_reference_loops(self, region2,
+                                                         noisy):
+        # a1 stays a signed zero in every member (no kick with d1 = 0)
+        system, a1, a2 = self.undamped_signed_zeros(region2)
+        dt = region2["dt_rk4"]
+        kw = dict(duration=300 * dt, dt=dt, store_every=1)
+        if noisy:
+            kw.update(noise=NoiseConfig(d1=0.0, d2=0.6), seed=3)
+        traj = dynamics.integrate(system, (a1, a2), **kw)
+        want1, want2 = reference_integrate(system, a1, a2, **kw)
+        assert np.all(traj.a1 == 0)
+        assert same_bits(traj.a1, want1)
+        assert same_bits(traj.a2, want2)
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["rk4", "etd1"])
+    def test_steps_allocate_nothing_that_accumulates(self, region2, noisy):
+        # traced peak at n and at 4n steps, after an untraced run for the
+        # one-time set-up: only the stored samples may grow
+        system = region2["system"]
+        # past one noise chunk, so the draw buffer is full-size at n and 4n
+        n = 2 * dynamics._NOISE_CHUNK
+        init = (np.full(3, 0.5 + 0.1j), np.zeros(3, dtype=complex))
+        kw = dict(dt=region2["dt_rk4"], store_every=16)
+        if noisy:
+            kw.update(noise=NoiseConfig.thermal(system, 0.15), seed=4)
+        dynamics.integrate(system, init, duration=n * kw["dt"], **kw)
+        peaks = []
+        for steps in (n, 4 * n):
+            tracemalloc.start()
+            try:
+                traj = dynamics.integrate(system, init,
+                                          duration=steps * kw["dt"], **kw)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= traj.a1.nbytes + traj.a2.nbytes
 
 
 class TestDemodulation:

@@ -40,6 +40,13 @@ table_rows = st.lists(st.tuples(
     st.booleans(),
     st.text(st.characters(blacklist_characters=",\n\r",
                           blacklist_categories=("Cs",)))), max_size=8)
+#: rows of any length and cell kinds, text cells holding anything
+any_rows = st.lists(st.lists(
+    st.sampled_from(EDGE_FLOATS) | finite | st.integers()
+    | st.integers(-2**63, 2**63 - 1).map(np.int64) | st.booleans()
+    | st.text(max_size=4) | st.sampled_from(["", "#", "#k: 1", " #", ",",
+                                             "\n", "a\r\nb"]),
+    max_size=3), max_size=5)
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | finite | st.text(),
     lambda inner: st.lists(inner, max_size=3)
@@ -155,6 +162,48 @@ class TestWriteTable:
         for cells, (x, i, n, flag, text) in zip(back, rows):
             assert float(cells[0]).hex() == x.hex()
             assert cells[1:] == [str(i), str(int(n)), str(int(flag)), text]
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(rows=any_rows)
+    @example(rows=[["#x", 1.0], ["", 2.0]])
+    @example(rows=[[""], ["#y"], ["z"]])
+    @example(rows=[[" #", ""], ["", ""], [1.5, "#"]])
+    def test_accepted_tables_read_back_property(self, tmp_path_factory,
+                                                rows):
+        path = tmp_path_factory.mktemp("table") / "t.csv"
+        try:
+            tio.write_table(path, ("c",), rows)
+        except FormatError:
+            assert not path.exists()
+            return
+        _, back = tio._read_csv(path, ("c",))
+        assert len(back) == len(rows)
+        for cells, row in zip(back, rows):
+            assert len(cells) == len(row)
+            for got, x in zip(cells, row):
+                if isinstance(x, str):
+                    assert got == x
+                elif isinstance(x, (int, np.integer)):
+                    assert got == str(int(x))
+                else:
+                    assert float(got).hex() == x.hex()
+
+    @pytest.mark.parametrize("rows, index", [
+        ([("#x", 1.0), ("", 2.0)], 0),
+        ([("a", 1.0), ("", 2.0), ("",)], 2),
+        ([("",), ("#y",), ("z",)], 0),
+        ([(1.0,), ()], 1),
+        ([(1.0, "a,b")], 0),
+        ([(1.0,), (2.0,), ("x\ny",)], 2),
+        ([("x\r",)], 0),
+    ], ids=["hash", "empty-row-text", "empty-text", "no-cells", "comma",
+            "newline", "carriage-return"])
+    def test_rows_that_do_not_read_back_rejected(self, tmp_path, rows, index):
+        path = tmp_path / "t.csv"
+        with pytest.raises(FormatError, match=f"^row {index}"):
+            tio.write_table(path, ("a", "b"), rows)
+        assert not path.exists()
 
     def test_no_meta_no_comment_lines(self, tmp_path):
         path = tmp_path / "t.csv"
