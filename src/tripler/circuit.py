@@ -18,16 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cache, cached_property
+from typing import TYPE_CHECKING
 
 from ._roots import bisect
-from .errors import (
-    DegenerateFluxError,
-    FluxRangeError,
-    MissingCouplingError,
-    OvercurrentError,
-)
-from .steady import DimensionlessPoint
+from .errors import DegenerateFluxError, FluxRangeError, MissingCouplingError
+
+if TYPE_CHECKING:
+    from .steady import DimensionlessPoint
 
 #: reduced Planck constant (J s) and magnetic flux quantum h/2e (Wb), both
 #: exact in SI from the defined Planck constant and elementary charge
@@ -176,23 +174,6 @@ class ModeProfile:
     gamma: float
 
 
-def squid_inductance(params: CircuitParams, flux: float, current: float = 0.0) -> float:
-    """SQUID inductance Phi0 / (2*pi*|cos(pi*flux)|*sqrt(Ic^2 - Is^2)) in H.
-
-    ``flux`` in flux quanta, ``current`` in A.  Grows monotonically with
-    both |flux| (toward the half-quantum degeneracy) and |current| (toward
-    the critical current).
-    """
-    if abs(current) >= params.Ic:
-        raise OvercurrentError(
-            f"|Is| = {abs(current):.3e} A at or above Ic = {params.Ic:.3e} A")
-    c = abs(math.cos(math.pi * flux))
-    if c < 1e-12:
-        raise DegenerateFluxError(
-            f"flux {flux} (in flux quanta) is at the degenerate half-quantum point")
-    return params.Phi0 / (2.0 * math.pi * c * math.sqrt(params.Ic**2 - current**2))
-
-
 def _dispersion_root(params: CircuitParams, flux: float, n: int) -> float:
     """Root of (kd)tan(kd) = A - B*(kd)^2 inside ((n-1)pi, (n-1)pi + pi/2).
 
@@ -268,7 +249,7 @@ class FluxPoint:
             raise ValueError(f"delta1 must lie inside (-omega1, omega1) = "
                              f"+-{m1.omega!r} rad/s, got {float(delta1)!r}")
         a1 = m1.alpha
-        return DimensionlessPoint(
+        return _dimensionless_point()(
             # detuning from the signal frequency, rounded as that frequency is
             delta=((m1.omega + delta1) - m1.omega) / a1,
             Delta=(3.0 * m1.omega - m2.omega) / a1,
@@ -281,6 +262,17 @@ class FluxPoint:
             drive_phase=drive_phase,
             flux=self.flux,
         )
+
+
+@cache
+def _dimensionless_point() -> type[DimensionlessPoint]:
+    """``steady.DimensionlessPoint``, imported on first use so that circuit
+    alone (the ``spectrum`` command) does not load the steady layer; cached,
+    since an import statement would cost each reduction a microsecond or two.
+    """
+    from .steady import DimensionlessPoint
+
+    return DimensionlessPoint
 
 
 def at_flux(params: CircuitParams, flux: float) -> FluxPoint:

@@ -7,10 +7,14 @@ artifact embeds the resolved configuration and seed in its comment header
 (or JSON body), and contains no timestamps, so identical inputs produce
 byte-identical outputs.
 
-Exit codes: 0 success; 2 usage or configuration problems; 3 physical
-domain errors (flux range, degenerate flux, overcurrent, below threshold);
-4 solver non-convergence; 5 insufficient or inconsistent data; 6 amplitude
-divergence during integration; 7 malformed file payloads.
+Exit codes: 0 success; 1 any other error (a ``ValueError`` or
+``MemoryError`` from the library, say), named by its type; 2 usage or
+configuration problems; 3 physical domain errors (flux range, degenerate
+flux, below threshold); 4 solver non-convergence;
+5 insufficient or inconsistent data; 6 amplitude divergence during
+integration; 7 malformed file payloads.  An error raised while a command
+runs ends it in one line on stderr, ``tripler <command>: <message>``,
+never in a traceback.
 """
 
 from __future__ import annotations
@@ -21,11 +25,10 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import calibration, circuit, dynamics, io, steady
-from .config import load_device_config
 from .errors import (
     BelowThresholdError,
     ConfigError,
@@ -37,12 +40,17 @@ from .errors import (
     FormatError,
     MissingCouplingError,
     NoSignalError,
-    OvercurrentError,
     OverlappingRadiusError,
     PhaseDomainError,
     ResidualError,
     TriplerError,
 )
+
+if TYPE_CHECKING:
+    from . import calibration, circuit, steady
+
+# Each command imports the library modules it runs, so that a fresh process
+# loads no layer it does not use (``simulate`` alone needs ``dynamics``).
 
 ENV_CONFIG = "TRIPLER_CONFIG"
 
@@ -53,8 +61,8 @@ MAX_SIMULATE_S = 24 * 3600.0
 
 _EXIT_CODES = (
     (2, (ConfigError, MissingCouplingError)),
-    (3, (DegenerateFluxError, FluxRangeError, OvercurrentError,
-         BelowThresholdError, PhaseDomainError)),
+    (3, (DegenerateFluxError, FluxRangeError, BelowThresholdError,
+         PhaseDomainError)),
     (4, (ConvergenceError, ResidualError)),
     (5, (NoSignalError, EmptyTrajectoryError, OverlappingRadiusError)),
     (6, (DivergenceError,)),
@@ -168,6 +176,8 @@ class _Run:
         return sec
 
     def device(self) -> circuit.CircuitParams:
+        from .config import load_device_config
+
         dev = self.doc.get("device")
         if not dev:
             raise ConfigError("run configuration lacks a 'device' file path")
@@ -176,6 +186,8 @@ class _Run:
         return load_device_config(path)
 
     def chain(self) -> calibration.CalibrationChain:
+        from . import calibration
+
         sec = self.section("chain")
         x = sec.get("x")
         try:
@@ -270,6 +282,8 @@ def _memory_bytes() -> int:
 
 def _b2_sq_from(sec, chain, fp, delta1) -> float:
     """Drive |B2|^2 from the config: direct, or generator power through X."""
+    from . import calibration
+
     if "b2_sq" in sec:
         return _number(sec, "b2_sq", nonnegative=True)
     if "pd_dbm" in sec:
@@ -287,6 +301,8 @@ def _operating_point(run: _Run, sec, params):
     Returns it with the drive |B2|^2 (s^-1).  A detuning outside the model
     or a drive that overflows a float is a configuration error naming its key.
     """
+    from . import circuit
+
     flux = _float("flux", sec.get("flux", 0.0))
     delta1 = 2.0 * math.pi * _number(sec, "delta1_hz")
     chain = run.chain() if "chain" in run.doc else None
@@ -305,6 +321,8 @@ def _operating_point(run: _Run, sec, params):
 
 
 def _kerr_meta(params) -> dict:
+    from . import circuit
+
     m1 = circuit.mode_profile(params, 0.0, 1)
     return {
         "kerr_energy_convention": params.kerr_energy,
@@ -314,6 +332,8 @@ def _kerr_meta(params) -> dict:
 
 
 def cmd_spectrum(run: _Run) -> int:
+    from . import circuit, io
+
     params = run.device()
     axis = _flux_axis(run.section("spectrum").get("flux", [0.0, 0.45, 10]))
     rows = []
@@ -350,6 +370,8 @@ def _state_doc(st: steady.SteadyState) -> dict:
 
 
 def cmd_steady(run: _Run) -> int:
+    from . import io, steady
+
     params = run.device()
     point, b2_sq = _operating_point(run, run.section("steady"), params)
     states = steady.solve_selfconsistent(point)
@@ -380,6 +402,8 @@ def cmd_steady(run: _Run) -> int:
 
 
 def cmd_sweep(run: _Run) -> int:
+    from . import calibration, io
+
     params = run.device()
     chain = run.chain()
     sec = run.section("sweep")
@@ -415,6 +439,8 @@ def cmd_sweep(run: _Run) -> int:
 
 
 def cmd_simulate(run: _Run) -> int:
+    from . import dynamics, io
+
     params = run.device()
     sec = run.section("simulate")
     point, _ = _operating_point(run, sec, params)
@@ -470,6 +496,8 @@ def cmd_simulate(run: _Run) -> int:
 
 
 def cmd_fit(run: _Run, files) -> int:
+    from . import calibration, io
+
     params = run.device()
     chain = run.chain()
     if not files:
@@ -486,6 +514,8 @@ def cmd_fit(run: _Run, files) -> int:
 
 
 def cmd_thresholds(run: _Run) -> int:
+    from . import calibration, io
+
     params = run.device()
     chain = run.chain()
     axis = _flux_axis(run.section("thresholds").get("flux", [0.0, 0.4, 17]))
@@ -547,6 +577,11 @@ def main(argv=None) -> int:
         print(f"tripler {args.command}: {exc.filename}: {exc.strerror}",
               file=sys.stderr)
         return 2
+    except Exception as exc:
+        detail = " ".join(str(exc).split())     # one line, even if empty
+        print(f"tripler {args.command}: {type(exc).__name__}"
+              + (f": {detail}" if detail else ""), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

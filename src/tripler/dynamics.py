@@ -73,6 +73,11 @@ _TINY_Z = 2.0 ** -60
 #: (20 000 steps) on a 2-vCPU x86-64 machine, Python 3.11, numpy 2.4
 SCALAR_STEP_S = {"rk4": 6e-6, "etd1": 3.5e-6}
 
+#: most integration steps one run may take: the largest integer that, with
+#: its successor, is exactly a float, so ``duration / dt`` names the count
+#: without ambiguity; some thousand years at ``SCALAR_STEP_S``
+MAX_STEPS = 2**53 - 1
+
 
 @dataclass(frozen=True)
 class TwoModeSystem:
@@ -207,16 +212,6 @@ class Histogram2D:
 
 
 @dataclass(frozen=True)
-class MetapotentialGrid:
-    """Quasienergy surface over the fundamental-mode quadratures."""
-
-    p1: np.ndarray
-    q1: np.ndarray
-    values: np.ndarray       # shape (len(p1), len(q1)), rad/s
-    a2: complex
-
-
-@dataclass(frozen=True)
 class SwitchingStats:
     """Dwell-state statistics of a trajectory against reference states."""
 
@@ -302,13 +297,17 @@ def integrate(system: TwoModeSystem, initial, duration: float, dt: float,
     passes ``ceiling`` or stops being finite (``ceiling=math.inf`` keeps
     only the second test), and ``ValueError`` naming the argument for an
     ensemble of no members, a non-finite initial amplitude, a ``duration``
-    or ``dt`` that is not positive and finite, or a ``ceiling`` that is not
-    positive.
+    or ``dt`` that is not positive and finite, a ``duration / dt`` over
+    :data:`MAX_STEPS`, or a ``ceiling`` that is not positive.
     """
     for name, value in (("duration", duration), ("dt", dt)):
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, "
                              f"got {value!r}")
+    steps = duration / dt           # inf once the quotient overflows
+    if steps == math.inf or round(steps) > MAX_STEPS:
+        raise ValueError(f"duration / dt = {duration!r} / {dt!r} gives "
+                         f"{steps!r} steps, over the bound of {MAX_STEPS}")
     if not ceiling > 0.0:
         raise ValueError(f"ceiling must be positive, got {ceiling!r}")
     a1 = np.asarray(initial[0], dtype=complex)
@@ -321,7 +320,7 @@ def integrate(system: TwoModeSystem, initial, duration: float, dt: float,
         raise ValueError("initial holds an ensemble of no members")
     if not (np.isfinite(a1).all() and np.isfinite(a2).all()):
         raise ValueError("initial must hold finite amplitudes")
-    n_steps = int(round(duration / dt))
+    n_steps = int(round(steps))
     if n_steps <= 0:
         raise ValueError("duration shorter than one step")
     if store_every < 1:
@@ -604,21 +603,6 @@ def demodulate_histogram(traj: Trajectory, fs: float, bins=101,
                        units="V" if scale is not None else "photon_amplitude")
 
 
-def merge_histograms(a: Histogram2D, b: Histogram2D) -> Histogram2D:
-    """Associative merge of two histograms with identical binning.
-
-    Lets per-trajectory partial histograms accumulate in any order.
-    """
-    if not (np.array_equal(a.i_edges, b.i_edges)
-            and np.array_equal(a.q_edges, b.q_edges)):
-        raise ValueError("histograms have different bin edges")
-    if a.fs != b.fs or a.units != b.units:
-        raise ValueError("histograms have different sampling or units")
-    return Histogram2D(i_edges=a.i_edges, q_edges=a.q_edges,
-                       counts=a.counts + b.counts, fs=a.fs, window=a.window,
-                       units=a.units)
-
-
 def classify_samples(samples: np.ndarray, refs, radius: float) -> np.ndarray:
     """Index of the nearest reference within ``radius`` per sample, else -1."""
     refs = np.asarray(refs, dtype=complex)
@@ -666,55 +650,3 @@ def switching_rate(traj: Trajectory, states, classify_radius: float) -> Switchin
     duration = traj.duration * a.shape[1]
     return SwitchingStats(rate=changes / duration, transitions=transitions,
                           occupancy=occupancy, n_transit=n_transit)
-
-
-def metapotential(system: TwoModeSystem, a1, a2):
-    """Quasienergy H/hbar (rad/s) of the rotating-frame Hamiltonian flow.
-
-    Conserved along undamped trajectories at constant drive; its
-    stationary points in the fundamental-mode quadratures at the
-    stationary pump amplitude are the zero-damping steady states.
-    """
-    a1 = np.asarray(a1, dtype=complex)
-    a2 = np.asarray(a2, dtype=complex)
-    n1 = np.abs(a1) ** 2
-    n2 = np.abs(a2) ** 2
-    h = -(system.delta1 * n1 + 0.5 * system.alpha1 * n1**2)
-    h -= system.delta2 * n2 + 0.5 * system.alpha2 * n2**2
-    h -= 2.0 * system.alpha_cross * n1 * n2
-    h -= (system.alpha_tilde / 3.0) * 2.0 * (np.conj(a1) ** 3 * a2).real
-    h += 2.0 * (system.drive * np.conj(a2)).real
-    return h if h.ndim else float(h)
-
-
-def metapotential_grid(system: TwoModeSystem, p1: np.ndarray, q1: np.ndarray,
-                       a2: complex) -> MetapotentialGrid:
-    """Metapotential over a grid of fundamental-mode quadratures, a2 fixed."""
-    p1 = np.asarray(p1, dtype=float)
-    q1 = np.asarray(q1, dtype=float)
-    if p1.size == 0 or q1.size == 0 or not (np.all(np.isfinite(p1))
-                                            and np.all(np.isfinite(q1))):
-        raise ValueError("grid axes must be non-empty and finite")
-    A1 = p1[:, None] + 1j * q1[None, :]
-    vals = metapotential(system, A1, np.full_like(A1, complex(a2)))
-    return MetapotentialGrid(p1=p1, q1=q1, values=vals, a2=complex(a2))
-
-
-def grid_extrema(grid: MetapotentialGrid):
-    """Interior strict local extrema of the metapotential grid.
-
-    Returns a list of ``(p1, q1, kind)`` with kind "min" or "max";
-    saddles are not reported.
-    """
-    v = grid.values
-    out = []
-    for i in range(1, v.shape[0] - 1):
-        for j in range(1, v.shape[1] - 1):
-            patch = v[i - 1:i + 2, j - 1:j + 2]
-            c = v[i, j]
-            others = np.delete(patch.ravel(), 4)
-            if np.all(c > others):
-                out.append((grid.p1[i], grid.q1[j], "max"))
-            elif np.all(c < others):
-                out.append((grid.p1[i], grid.q1[j], "min"))
-    return out

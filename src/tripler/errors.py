@@ -27,10 +27,6 @@ class FluxRangeError(TriplerError):
     """Flux bias outside the validity range of the device model."""
 
 
-class OvercurrentError(TriplerError):
-    """Current through the SQUID at or above its critical current."""
-
-
 class MissingCouplingError(TriplerError):
     """Neither a coupling capacitance nor an external quality factor was given."""
 

@@ -22,11 +22,14 @@ import os
 import struct
 import tempfile
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dynamics import Histogram2D, Trajectory
 from .errors import FormatError
+
+if TYPE_CHECKING:
+    from .dynamics import Histogram2D, Trajectory
 
 MAGIC = b"TRPL"
 VERSION = 1
@@ -120,6 +123,8 @@ def trajectory_to_bytes(traj: Trajectory) -> bytes:
 
 
 def trajectory_from_bytes(payload: bytes) -> Trajectory:
+    from .dynamics import Trajectory
+
     if payload[:4] != MAGIC:
         raise FormatError("bad magic: not a trajectory payload")
     if payload[4] != VERSION:
@@ -158,6 +163,8 @@ def write_trajectory_csv(path, traj: Trajectory, meta: dict | None = None):
 
 
 def read_trajectory_csv(path) -> Trajectory:
+    from .dynamics import Trajectory
+
     meta, rows = _read_csv(path, ("t_s", "a1_re", "a1_im", "a2_re", "a2_im"))
     data = np.asarray([[float(c) for c in r] for r in rows])
     if data.size == 0:
@@ -186,6 +193,8 @@ def write_histogram_csv(path, hist: Histogram2D, meta: dict | None = None):
 
 
 def read_histogram_csv(path) -> Histogram2D:
+    from .dynamics import Histogram2D
+
     meta, rows = _read_csv(path, ("i_bin", "q_bin", "count"))
     try:
         i_edges = np.asarray(meta["i_edges"], dtype=float)

