@@ -2,7 +2,9 @@
 
 Subcommands: ``spectrum | steady | sweep | simulate | fit | thresholds``.
 A JSON run configuration supplies the device file, chain constants and
-per-command settings; command-line flags override the file.  Every output
+per-command settings; command-line flags override the file.  The whole
+configuration is checked against one table, ``_SCHEMA``, before any command
+runs, so an error anywhere in it stops every command.  Every output
 artifact embeds the resolved configuration and seed in its comment header
 (or JSON body), and contains no timestamps, so identical inputs produce
 byte-identical outputs.
@@ -70,48 +72,151 @@ _EXIT_CODES = (
 )
 
 
-#: every key a run configuration may hold: the top level (``None``), then
-#: each section a command reads
-_RUN_KEYS = {
-    None: ("device", "out", "seed", "chain", "spectrum", "steady", "sweep",
-           "simulate", "thresholds"),
-    "chain": ("gain_db", "noise_floor_w", "x", "scale07"),
-    "spectrum": ("flux",),
-    "steady": ("flux", "delta1_hz", "b2_sq", "pd_dbm", "drive_phase"),
-    "sweep": ("flux", "delta1_hz", "pd_dbm"),
-    "simulate": ("flux", "delta1_hz", "b2_sq", "pd_dbm", "drive_phase",
-                 "duration_s", "dt_s", "store_every", "initial",
-                 "noise_n_th", "fs_hz", "bins"),
-    "thresholds": ("flux",),
+#: the keys shared by the ``steady`` and ``simulate`` sections
+_DRIVE = {"flux": ("number", 0.0), "delta1_hz": ("finite", ...),
+          "b2_sq": ("non-negative", None), "pd_dbm": ("finite", None),
+          "drive_phase": ("finite", 0.0)}
+
+#: every key a run configuration may hold, section by section (``None`` is
+#: the top level), with its kind (a ``_KINDS`` name) and its default: ``...``
+#: marks a required key, and an absent key without a default reads as None
+_SCHEMA = {
+    None: {"device": ("path", ...), "out": ("path", "."),
+           "seed": ("seed", None), "chain": ("section", None),
+           "spectrum": ("section", None), "steady": ("section", None),
+           "sweep": ("section", None), "simulate": ("section", None),
+           "thresholds": ("section", None)},
+    "chain": {"gain_db": ("finite", ...),
+              "noise_floor_w": ("finite", ...),
+              "x": ("finite", None), "scale07": ("finite", 0.7)},
+    "spectrum": {"flux": ("axis", [0.0, 0.45, 10])},
+    "steady": _DRIVE,
+    "sweep": {"flux": ("number", 0.0), "delta1_hz": ("axis", ...),
+              "pd_dbm": ("axis", ...)},
+    "simulate": {**_DRIVE, "duration_s": ("positive", ...),
+                 "dt_s": ("positive", ...), "store_every": ("count", 1),
+                 "initial": ("4 numbers", [0.0, 0.0, 0.0, 0.0]),
+                 "noise_n_th": ("non-negative", 0.0),
+                 "fs_hz": ("positive numbers", []), "bins": ("count", 101)},
+    "thresholds": {"flux": ("axis", [0.0, 0.4, 17])},
 }
 
 
-def _check_keys(doc: dict, section=None):
-    """Reject the first key of ``doc`` that ``_RUN_KEYS[section]`` lacks."""
-    known = _RUN_KEYS[section]
-    for key in doc:
-        if key not in known:
-            where = "at the top level" if section is None \
-                else f"in the {section!r} section"
-            raise ConfigError(f"unknown key {key!r} {where} "
-                              f"(known keys: {', '.join(known)})")
+def _float(value):
+    """A JSON number or numeric string (not a bool) as a float, else None."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    return None
 
 
-def _check_top_level(doc: dict):
-    """Reject top-level values of the wrong type before any command runs.
+def _count(value):
+    """A positive integer, or an integral float such as ``46.0``, as an int;
+    else None."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    return value if type(value) is int and value >= 1 else None  # not a bool
 
-    The seed must fit the signed 64-bit ``.trpl`` header field, where -1
-    marks an unseeded run.
+
+def _kind(words, test=lambda typed: True, convert=lambda value: value):
+    """The kind of values that ``convert`` turns into ones passing ``test``.
+
+    Its check takes a key's name, for messages, and the key's value; it
+    returns the typed value, or raises a ``ConfigError`` naming the key.
+    ``convert`` returns None for a value it cannot convert.
     """
-    for key in ("device", "out"):
-        if key in doc and not isinstance(doc[key], str):
-            raise ConfigError(f"{key!r} must be a path string, "
-                              f"got {doc[key]!r}")
-    seed = doc.get("seed")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)
-                             or not 0 <= seed <= 2**63 - 1):
-        raise ConfigError(f"'seed' must be an integer in [0, 2**63 - 1], "
-                          f"got {seed!r}")
+    def check(name, value):
+        typed = convert(value)
+        if typed is None or not test(typed):
+            raise ConfigError(f"{name} must be {words}, got {value!r}")
+        return typed
+    return check
+
+
+def _memory_bytes() -> int:
+    """Physical memory in bytes, or numpy's largest array size if unknown."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return int(np.iinfo(np.intp).max)
+
+
+def _axis(name, value) -> list:
+    """``[lo, hi, n]``, the arguments of ``np.linspace``, if every point is
+    finite and the array fits in memory."""
+    if isinstance(value, list) and len(value) == 3:
+        lo, hi, n = _float(value[0]), _float(value[1]), _count(value[2])
+        if None not in (lo, hi, n) and math.isfinite(hi - lo) \
+                and 8 * n <= _memory_bytes():
+            return [lo, hi, n]
+    raise ConfigError(f"{name} must be a [lo, hi, n] axis: n >= 1 points "
+                      f"over a finite span that fit in memory, got {value!r}")
+
+
+def _numbers(element, length=None):
+    """The kind of lists of ``element`` numbers, ``length`` long if given."""
+    def check(name, value) -> list:
+        if not isinstance(value, list) or (length is not None
+                                           and len(value) != length):
+            size = f"{length} numbers" if length is not None else "numbers"
+            raise ConfigError(f"{name} must be a list of {size}, "
+                              f"got {value!r}")
+        return [_KINDS[element](name, v) for v in value]
+    return check
+
+
+#: each kind's check (see ``_kind``).  A ``number`` may be non-finite: a
+#: non-finite flux fails the flux range check.  A seed must fit the signed
+#: 64-bit ``.trpl`` header field, where -1 marks an unseeded run.
+_KINDS = {
+    "path": _kind("a non-empty path string",
+                  lambda v: isinstance(v, str) and v != ""),
+    "seed": _kind("an integer in [0, 2**63 - 1]",
+                  lambda v: type(v) is int and 0 <= v <= 2**63 - 1),
+    "number": _kind("a number", convert=_float),
+    "finite": _kind("a finite number", math.isfinite, _float),
+    "non-negative": _kind("a finite non-negative number",
+                          lambda x: 0 <= x < math.inf, _float),
+    "positive": _kind("a finite positive number",
+                      lambda x: 0 < x < math.inf, _float),
+    "count": _kind("a positive integer", convert=_count),
+    "axis": _axis,
+    "4 numbers": _numbers("finite", 4),
+    "positive numbers": _numbers("positive"),
+}
+
+
+def _resolve(doc: dict, section=None) -> dict:
+    """The typed values of one level of a run configuration.
+
+    Each key is checked in document order, then every required key must be
+    there; absent keys take their default.  A section is resolved the same
+    way, and one the document lacks reads as None.
+    """
+    table = _SCHEMA[section]
+    where = "at the top level" if section is None \
+        else f"in the {section!r} section"
+    values = {}
+    for key, value in doc.items():
+        if key not in table:
+            raise ConfigError(f"unknown key {key!r} {where} "
+                              f"(known keys: {', '.join(table)})")
+        name = repr(key) if section is None else f"{key!r} {where}"
+        kind = table[key][0]
+        if kind != "section":
+            values[key] = _KINDS[kind](name, value)
+        elif isinstance(value, dict):
+            values[key] = _resolve(value, key)
+        else:
+            raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+    for key, (_, default) in table.items():
+        if key not in values:
+            if default is ...:
+                raise ConfigError(f"missing required key {key!r} {where}")
+            values[key] = default
+    return values
 
 
 def _reject_constant(name):
@@ -133,7 +238,8 @@ def _exit_code(exc: TriplerError) -> int:
 
 
 class _Run:
-    """Resolved run configuration: file values with flag overrides applied."""
+    """Run configuration: the document with flag overrides applied, and its
+    typed values (``config``), checked whole before any command runs."""
 
     def __init__(self, args):
         path = args.config or os.environ.get(ENV_CONFIG)
@@ -150,37 +256,28 @@ class _Run:
             if not isinstance(self.doc, dict):
                 raise ConfigError(f"run configuration {path!r} must be a "
                                   "JSON object at the top level")
-            _check_keys(self.doc)
         if args.out is not None:
             self.doc["out"] = args.out
         if args.seed is not None:
             self.doc["seed"] = args.seed
-        _check_top_level(self.doc)
+        self.config = _resolve(self.doc)
         self.format = args.format
 
     @property
     def out_dir(self) -> Path:
-        out = Path(self.doc.get("out", "."))
+        out = Path(self.config["out"])
         out.mkdir(parents=True, exist_ok=True)
         return out
 
-    @property
-    def seed(self):
-        return self.doc.get("seed")
-
     def section(self, name: str) -> dict:
-        sec = self.doc.get(name)
-        if not isinstance(sec, dict):
+        if self.config[name] is None:
             raise ConfigError(f"run configuration lacks a {name!r} section")
-        _check_keys(sec, name)
-        return sec
+        return self.config[name]
 
     def device(self) -> circuit.CircuitParams:
         from .config import load_device_config
 
-        dev = self.doc.get("device")
-        if not dev:
-            raise ConfigError("run configuration lacks a 'device' file path")
+        dev = self.config["device"]
         base = Path(self.config_path).parent if self.config_path else Path(".")
         path = Path(dev) if os.path.isabs(dev) else base / dev
         return load_device_config(path)
@@ -188,136 +285,46 @@ class _Run:
     def chain(self) -> calibration.CalibrationChain:
         from . import calibration
 
-        sec = self.section("chain")
-        x = sec.get("x")
         try:
-            return calibration.CalibrationChain(
-                gain_db=float(sec["gain_db"]),
-                noise_floor_w=float(sec["noise_floor_w"]),
-                x=None if x is None else float(x),
-                scale07=float(sec.get("scale07", 0.7)),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"chain section missing {exc}")
-        except (TypeError, ValueError) as exc:
+            return calibration.CalibrationChain(**self.section("chain"))
+        except ValueError as exc:
             raise ConfigError(f"chain section: {exc}")
 
     def meta(self, command: str) -> dict:
-        return {"command": command, "config": self.doc, "seed": self.seed}
-
-
-def _flux_axis(axis_spec) -> np.ndarray:
-    try:
-        lo, hi, n = axis_spec
-        axis = np.linspace(float(lo), float(hi), int(n))
-    except (TypeError, ValueError):
-        raise ConfigError(f"expected a [lo, hi, n] axis, got {axis_spec!r}")
-    if axis.size == 0:
-        raise ConfigError("empty axis")
-    if not np.all(np.isfinite(axis)):
-        raise ConfigError(f"axis {axis_spec!r} is not finite")
-    return axis
-
-
-def _float(key, value) -> float:
-    """``value`` of config key ``key`` as a float, finite or not.
-
-    ``flux`` is read this way: a non-finite flux fails the flux range check.
-    """
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key!r} must be a number, got {value!r}")
-
-
-def _finite(key, value, nonnegative=False, positive=False) -> float:
-    """``value`` of config key ``key`` as a finite float, bounded below if asked."""
-    number = _float(key, value)
-    if not math.isfinite(number) or (nonnegative and number < 0) \
-            or (positive and number <= 0):
-        kind = "a finite positive" if positive else \
-            "a finite non-negative" if nonnegative else "a finite"
-        raise ConfigError(f"{key!r} must be {kind} number, got {number!r}")
-    return number
-
-
-def _number(sec, key, nonnegative=False, positive=False,
-            default=None) -> float:
-    """A finite number from a config section; ``default`` if the key is absent.
-
-    Without a default the key is required.
-    """
-    if default is not None and key not in sec:
-        return default
-    return _finite(key, sec[key], nonnegative=nonnegative, positive=positive)
-
-
-def _count(sec, key, default: int) -> int:
-    """A positive integer from a config section (integral floats allowed)."""
-    value = sec.get(key, default)
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{key!r} must be a positive integer, got {value!r}")
-    return value
-
-
-def _number_list(sec, key, default, length=None, positive=False) -> list:
-    """A list of finite numbers from a config section, of ``length`` if given."""
-    values = sec.get(key, default)
-    if not isinstance(values, list) or (length is not None
-                                        and len(values) != length):
-        size = f"{length} numbers" if length is not None else "numbers"
-        raise ConfigError(f"{key!r} must be a list of {size}, got {values!r}")
-    return [_finite(key, v, positive=positive) for v in values]
-
-
-def _memory_bytes() -> int:
-    """Physical memory in bytes, or numpy's largest array size if unknown."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return int(np.iinfo(np.intp).max)
-
-
-def _b2_sq_from(sec, chain, fp, delta1) -> float:
-    """Drive |B2|^2 from the config: direct, or generator power through X."""
-    from . import calibration
-
-    if "b2_sq" in sec:
-        return _number(sec, "b2_sq", nonnegative=True)
-    if "pd_dbm" in sec:
-        if chain is None or chain.x is None:
-            raise ConfigError("drive given as power: the chain needs x")
-        pd = float(calibration.dbm_to_watt(_number(sec, "pd_dbm")))
-        return float(calibration.drive_amplitude_sq_through_x(
-            pd, chain.x, fp, delta1))
-    raise ConfigError("steady/simulate sections need b2_sq or pd_dbm")
+        return {"command": command, "config": self.doc,
+                "seed": self.config["seed"]}
 
 
 def _operating_point(run: _Run, sec, params):
     """The reduced operating point of a ``steady``/``simulate`` section.
 
-    Returns it with the drive |B2|^2 (s^-1).  A detuning outside the model
+    Returns it with the drive |B2|^2 (s^-1), given directly as ``b2_sq`` or
+    as generator power ``pd_dbm`` through X.  A detuning outside the model
     or a drive that overflows a float is a configuration error naming its key.
     """
-    from . import circuit
+    from . import calibration, circuit
 
-    flux = _float("flux", sec.get("flux", 0.0))
-    delta1 = 2.0 * math.pi * _number(sec, "delta1_hz")
-    chain = run.chain() if "chain" in run.doc else None
-    fp = circuit.at_flux(params, flux)
+    delta1 = 2.0 * math.pi * sec["delta1_hz"]
+    chain = run.chain() if run.config["chain"] is not None else None
+    fp = circuit.at_flux(params, sec["flux"])
     try:
         point = fp.operating_point(delta1)
     except ValueError as exc:       # also a 2*pi*delta1 that overflows
         raise ConfigError(f"'delta1_hz': {exc}")
-    with np.errstate(over="ignore"):    # reported below, not warned
-        b2_sq = _b2_sq_from(sec, chain, fp, delta1)
-    if not math.isfinite(b2_sq):
-        raise ConfigError(f"'pd_dbm' gives a drive |B2|^2 that overflows a "
-                          f"float, got {sec['pd_dbm']!r}")
-    return point.with_drive(math.sqrt(b2_sq),
-                            _number(sec, "drive_phase", default=0.0)), b2_sq
+    b2_sq = sec["b2_sq"]
+    if b2_sq is None:
+        if sec["pd_dbm"] is None:
+            raise ConfigError("steady/simulate sections need b2_sq or pd_dbm")
+        if chain is None or chain.x is None:
+            raise ConfigError("drive given as power: the chain needs x")
+        with np.errstate(over="ignore"):    # reported below, not warned
+            pd = float(calibration.dbm_to_watt(sec["pd_dbm"]))
+            b2_sq = float(calibration.drive_amplitude_sq_through_x(
+                pd, chain.x, fp, delta1))
+        if not math.isfinite(b2_sq):
+            raise ConfigError(f"'pd_dbm' gives a drive |B2|^2 that overflows "
+                              f"a float, got {sec['pd_dbm']!r}")
+    return point.with_drive(math.sqrt(b2_sq), sec["drive_phase"]), b2_sq
 
 
 def _kerr_meta(params) -> dict:
@@ -335,7 +342,7 @@ def cmd_spectrum(run: _Run) -> int:
     from . import circuit, io
 
     params = run.device()
-    axis = _flux_axis(run.section("spectrum").get("flux", [0.0, 0.45, 10]))
+    axis = np.linspace(*run.section("spectrum")["flux"])
     rows = []
     for phi in axis:
         fp = circuit.at_flux(params, float(phi))
@@ -407,15 +414,14 @@ def cmd_sweep(run: _Run) -> int:
     params = run.device()
     chain = run.chain()
     sec = run.section("sweep")
-    flux = _float("flux", sec.get("flux", 0.0))
-    d1 = 2.0 * math.pi * _flux_axis(sec["delta1_hz"])
-    pd = calibration.dbm_to_watt(_flux_axis(sec["pd_dbm"]))
+    d1 = 2.0 * math.pi * np.linspace(*sec["delta1_hz"])
+    pd = calibration.dbm_to_watt(np.linspace(*sec["pd_dbm"]))
     if chain.x is None:
         raise ConfigError("sweep needs the chain's fitted 'x'")
     if not np.all(pd > 0):
         raise ConfigError(f"'pd_dbm' {sec['pd_dbm']!r} underflows to 0 W")
     try:
-        rmap = calibration.region_map(params, flux, chain, d1, pd)
+        rmap = calibration.region_map(params, sec["flux"], chain, d1, pd)
     except ValueError as exc:       # the one grid check left: the detuning
         raise ConfigError(f"'delta1_hz': {exc}")
     meta = run.meta("sweep")
@@ -444,15 +450,13 @@ def cmd_simulate(run: _Run) -> int:
     params = run.device()
     sec = run.section("simulate")
     point, _ = _operating_point(run, sec, params)
-    duration = _number(sec, "duration_s", positive=True)
-    dt = _number(sec, "dt_s", positive=True)
+    duration, dt = sec["duration_s"], sec["dt_s"]
     steps = duration / dt
     if not 0.5 < steps < math.inf:     # integrate rounds to whole steps
         raise ConfigError(f"'duration_s' / 'dt_s' must give at least one "
                           f"and finitely many steps, got {steps!r}")
-    store_every = _count(sec, "store_every", 1)
     n_steps = int(round(steps))
-    n_stored = n_steps // store_every
+    n_stored = n_steps // sec["store_every"]
     need, have = 2 * 16 * n_stored, _memory_bytes()   # a1, a2 as complex128
     if need > have:
         raise ConfigError(f"'dt_s' and 'store_every' give {n_stored:.3g} "
@@ -461,7 +465,7 @@ def cmd_simulate(run: _Run) -> int:
     if n_stored == 0:
         raise ConfigError(f"'store_every' exceeds the {n_steps:g} "
                           "integration steps: nothing is stored")
-    n_th = _number(sec, "noise_n_th", nonnegative=True, default=0.0)
+    n_th = sec["noise_n_th"]
     scheme = "etd1" if n_th > 0 else "rk4"
     step_s = dynamics.SCALAR_STEP_S[scheme]
     if n_steps * step_s > MAX_SIMULATE_S:
@@ -469,24 +473,21 @@ def cmd_simulate(run: _Run) -> int:
                           f"about {n_steps * step_s:.3g} s at {step_s:g} s "
                           f"per {scheme} step, over the {MAX_SIMULATE_S:g} s "
                           "limit")
-    re1, im1, re2, im2 = _number_list(sec, "initial", [0.0, 0.0, 0.0, 0.0],
-                                      length=4)
-    fs_list = _number_list(sec, "fs_hz", [], positive=True)
-    bins = _count(sec, "bins", 101)
+    re1, im1, re2, im2 = sec["initial"]
     system = dynamics.TwoModeSystem.from_point(point)
     noise = dynamics.NoiseConfig.thermal(system, n_th) if n_th > 0 else None
     initial = (complex(re1, im1), complex(re2, im2))
     traj = dynamics.integrate(system, initial, duration=duration, dt=dt,
-                              noise=noise, seed=run.seed,
-                              store_every=store_every)
+                              noise=noise, seed=run.config["seed"],
+                              store_every=sec["store_every"])
     out_bin = run.out_dir / "trajectory.trpl"
     io.write_trajectory(out_bin, traj)
     print(out_bin)
     meta = dict(run.meta("simulate"), scheme=scheme,
                 dt_guideline_s=dynamics.guideline_timestep(system, initial))
-    for fs in fs_list:
+    for fs in sec["fs_hz"]:
         try:
-            hist = dynamics.demodulate_histogram(traj, fs, bins=bins)
+            hist = dynamics.demodulate_histogram(traj, fs, bins=sec["bins"])
         except ValueError as exc:   # fs above the stored sampling rate
             raise ConfigError(f"'fs_hz': {exc}")
         out_h = run.out_dir / f"histogram_fs{fs:.0f}.csv"
@@ -518,7 +519,7 @@ def cmd_thresholds(run: _Run) -> int:
 
     params = run.device()
     chain = run.chain()
-    axis = _flux_axis(run.section("thresholds").get("flux", [0.0, 0.4, 17]))
+    axis = np.linspace(*run.section("thresholds")["flux"])
     rows = [(phi, calibration.visible_threshold(params, float(phi), chain)
              / (2 * math.pi)) for phi in axis]
     out = run.out_dir / "thresholds.csv"
@@ -537,8 +538,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         f"(default: ${ENV_CONFIG})")
     parser.add_argument("--out", help="output directory (overrides config)")
     parser.add_argument("--seed", type=int, help="master RNG seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; has no effect")
     parser.add_argument("--format", choices=("csv", "json"), default=None,
                         help="preferred tabular output format")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -569,10 +568,6 @@ def main(argv=None) -> int:
     except TriplerError as exc:
         print(f"tripler {args.command}: {exc}", file=sys.stderr)
         return _exit_code(exc)
-    except KeyError as exc:
-        print(f"tripler {args.command}: missing configuration key {exc}",
-              file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"tripler {args.command}: {exc.filename}: {exc.strerror}",
               file=sys.stderr)

@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import math
 import os
@@ -7,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tripler
 from tripler import calibration as cal
@@ -80,6 +85,12 @@ class TestSpectrum:
     def test_flux_out_of_range_exit_code(self, workdir):
         cfg = write_config(workdir, {"spectrum": {"flux": [0.0, 0.48, 3]}})
         assert main(["--config", cfg, "spectrum"]) == 3
+
+    def test_integral_float_count(self, workdir):
+        cfg = write_config(workdir, {"spectrum": {"flux": [0.0, 0.3, 4.0]}})
+        assert main(["--config", cfg, "spectrum"]) == 0
+        _, _, rows = read_csv(workdir / "out" / "spectrum.csv")
+        assert [float(r[0]) for r in rows] == list(np.linspace(0.0, 0.3, 4))
 
 
 class TestSteady:
@@ -238,16 +249,6 @@ class TestSweepAndThresholds:
         boundary = json.loads((workdir / "out" / "boundary.json").read_text())
         assert boundary["columns"] == ["delta1_hz", "pd_max_dbm"]
         assert len(boundary["polyline"]) > 0
-
-    def test_threads_equivalent_output(self, workdir):
-        doc = {"chain": self.CHAIN,
-               "sweep": {"flux": 0.0, "delta1_hz": [-10e6, -1e6, 6],
-                         "pd_dbm": [-40, 0, 9]}}
-        cfg = write_config(workdir, doc)
-        assert main(["--config", cfg, "sweep"]) == 0
-        serial = (workdir / "out" / "region_map.csv").read_bytes()
-        assert main(["--config", cfg, "--threads", "4", "sweep"]) == 0
-        assert (workdir / "out" / "region_map.csv").read_bytes() == serial
 
     def test_thresholds_csv(self, workdir):
         cfg = write_config(workdir, {
@@ -482,6 +483,55 @@ class TestConfigErrors:
         ("sweep", {"chain": CHAIN,
                    "sweep": {"delta1_hz": [-10e6, -1e6, 3],
                              "pd_dbm": [-4000, 0, 3]}}, "'pd_dbm'"),
+        # a JSON bool is not a value of any kind, one case per kind
+        ("steady", {"out": True, "steady": STEADY}, "'out'"),
+        ("steady", {"steady": {**STEADY, "flux": False}}, "'flux'"),
+        ("steady", {"steady": {**STEADY, "delta1_hz": True}}, "'delta1_hz'"),
+        ("steady", {"steady": {**STEADY, "b2_sq": True}}, "'b2_sq'"),
+        ("simulate", {"simulate": {**SIM, "duration_s": True}},
+         "'duration_s'"),
+        ("simulate", {"simulate": {**SIM, "bins": True}}, "'bins'"),
+        ("spectrum", {"spectrum": {"flux": [True, 0.1, 3]}}, "'flux'"),
+        ("simulate", {"simulate": {**SIM, "initial": [0, 0, True, 0]}},
+         "'initial'"),
+        ("simulate", {"simulate": {**SIM, "fs_hz": [True]}}, "'fs_hz'"),
+        ("thresholds", {"chain": {**CHAIN, "gain_db": False},
+                        "thresholds": {"flux": [0.0, 0.1, 2]}}, "'gain_db'"),
+        # an axis's n is a count, and every axis error names its key
+        ("spectrum", {"spectrum": {"flux": [0, 0.1, 2.7]}},
+         "'flux' in the 'spectrum' section must be a [lo, hi, n] axis"),
+        ("spectrum", {"spectrum": {"flux": [0, 0.1, True]}},
+         "'flux' in the 'spectrum' section must be a [lo, hi, n] axis"),
+        ("spectrum", {"spectrum": {"flux": [0, 0.1, -3]}},
+         "'flux' in the 'spectrum' section must be a [lo, hi, n] axis"),
+        ("thresholds", {"chain": CHAIN, "thresholds": {"flux": [0, 0.1, "3"]}},
+         "'flux' in the 'thresholds' section must be a [lo, hi, n] axis"),
+        # too many points to allocate, and a span that overflows a float
+        ("spectrum", {"spectrum": {"flux": [0, 0.1, 1e300]}},
+         "'flux' in the 'spectrum' section must be a [lo, hi, n] axis"),
+        ("sweep", {"chain": CHAIN,
+                   "sweep": {"delta1_hz": [-1e308, 1e308, 3],
+                             "pd_dbm": [-40, 0, 3]}},
+         "'delta1_hz' in the 'sweep' section must be a [lo, hi, n] axis"),
+        ("sweep", {"chain": CHAIN,
+                   "sweep": {"delta1_hz": [-10e6, -1e6, 3],
+                             "pd_dbm": [-40, 0, 0]}},
+         "'pd_dbm' in the 'sweep' section must be a [lo, hi, n] axis"),
+        # required keys are named, not left to a KeyError
+        ("sweep", {"chain": CHAIN, "sweep": {"pd_dbm": [-40, 0, 3]}},
+         "missing required key 'delta1_hz' in the 'sweep' section"),
+        ("simulate", {"simulate": {**STEADY, "duration_s": 1e-9}},
+         "missing required key 'dt_s' in the 'simulate' section"),
+        ("thresholds", {"chain": {"noise_floor_w": 4.4e-10},
+                        "thresholds": {"flux": [0.0, 0.1, 2]}},
+         "missing required key 'gain_db' in the 'chain' section"),
+        ("steady", {"steady": {"flux": 0.0, "delta1_hz": -12e6}},
+         "steady/simulate sections need b2_sq or pd_dbm"),
+        # a section the command does not read is checked too
+        ("spectrum", {"spectrum": {"flux": [0.0, 0.1, 2]},
+                      "simulate": {"bogus": 1}}, "'bogus'"),
+        ("spectrum", {"spectrum": {"flux": [0.0, 0.1, 2]}, "steady": 5},
+         "'steady' must be a JSON object"),
     ])
     def test_in_process(self, workdir, capsys, command, doc, needle):
         cfg = write_config(workdir, doc)
@@ -518,6 +568,71 @@ class TestConfigErrors:
         Path(cfg).write_text(text)
         assert main(["--config", cfg, "steady"]) == 2
         assert "1e999" in capsys.readouterr().err
+
+
+#: values that are not of each run-configuration kind: of a wrong type, or
+#: of the right type but out of its domain
+_NOT_A_NUMBER = [True, False, None, "abc", [1.0], {"a": 1.0}]
+_NOT_FINITE = _NOT_A_NUMBER + ["inf", "-1e999", "nan"]
+WRONG_VALUES = {
+    "path": [True, 3, None, ["run"], {"a": "b"}, ""],
+    "seed": [True, None, "7", 1.5, [7], {"a": 7}, -1, 2**63],
+    "number": _NOT_A_NUMBER,
+    "finite": _NOT_FINITE,
+    "non-negative": _NOT_FINITE + [-1, "-0.5"],
+    "positive": _NOT_FINITE + [0, -2.5e-11],
+    "count": [True, None, "3", [3], {"a": 3}, 0, -3, 2.5],
+    "axis": [True, None, "0 1 3", 3, {"n": 3}, [0, 1], [0, 1, 3, 4],
+             [0, 1, 0], [0, 1, 2.7], [0, 1, True], [0, "a", 3],
+             [None, 1, 3], [0, "inf", 3], [-1e308, 1e308, 3], [0, 1, 1e300]],
+    "4 numbers": [True, None, "0000", 0.0, {"a": 0}, [0, 0, 0],
+                  [0, 0, 0, 0, 0], [0, 0, True, 0], [0, "inf", 0, 0]],
+    "positive numbers": [True, None, "2.5e7", 2.5e7, {"a": 1}, [0.0],
+                         [True], [-1.0], ["inf"]],
+    "section": [True, None, 5, "steady", [1]],
+}
+_MISSING = object()
+#: every (section, key, kind) of the schema, and an unknown key per section
+SCHEMA_KEYS = [(section, key, kind)
+               for section, table in cli._SCHEMA.items()
+               for key, (kind, _) in table.items()] \
+    + [(section, "bogus", None) for section in cli._SCHEMA]
+
+
+@pytest.fixture(scope="module")
+def schema_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("schema")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=st.sampled_from(SCHEMA_KEYS), data=st.data())
+def test_schema_checked_before_any_work(schema_dir, case, data):
+    """One bad key anywhere stops every command before it reads or solves."""
+    section, key, kind = case
+    if kind is None:
+        choices = [1]                       # any value of an unknown key
+    else:
+        default = cli._SCHEMA[section][key][1]
+        choices = WRONG_VALUES[kind] + ([_MISSING] if default is ... else [])
+    value = data.draw(st.sampled_from(choices))
+    doc = copy.deepcopy({**TestImportFootprint.DOC, "device": "nodev.cfg",
+                         "out": str(schema_dir / "out")})
+    level = doc if section is None else doc[section]
+    if value is _MISSING:
+        del level[key]
+    else:
+        level[key] = value
+    cfg = schema_dir / "run.json"
+    cfg.write_text(json.dumps(doc))
+    for command in sorted(COMMAND_MODULES):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["--config", str(cfg), command]) == 2
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1, lines
+        assert repr(key) in lines[0] and "nodev.cfg" not in lines[0]
+        assert section is None or repr(section) in lines[0]
+    assert not (schema_dir / "out").exists()
 
 
 def _file_case(workdir, case):
