@@ -2,9 +2,12 @@
 
 import math
 
-import numpy as np
-
 from .errors import ConvergenceError
+
+
+def _nan_error(x):
+    return ConvergenceError(f"function value is NaN at {x!r}",
+                            diagnostics={"point": x})
 
 
 def bisect(f, lo, hi, rtol=1e-12, maxiter=200):
@@ -12,14 +15,19 @@ def bisect(f, lo, hi, rtol=1e-12, maxiter=200):
 
     Runs until the bracket width drops below ``rtol`` relative to its
     midpoint (or ``rtol`` absolute near zero).  Bisection is deliberate:
-    no derivative, guaranteed convergence on a bracket.
+    no derivative, guaranteed convergence on a bracket.  A NaN value of
+    ``f`` raises :class:`ConvergenceError` naming the point, since it has
+    no sign to bisect on.
     """
     flo, fhi = f(lo), f(hi)
+    for x, fx in ((lo, flo), (hi, fhi)):
+        if math.isnan(fx):
+            raise _nan_error(x)
     if flo == 0.0:
         return lo
     if fhi == 0.0:
         return hi
-    if np.sign(flo) == np.sign(fhi):
+    if (flo > 0.0) == (fhi > 0.0):
         raise ConvergenceError(
             f"root not bracketed on [{lo!r}, {hi!r}]: f={flo!r}, {fhi!r}")
     for _ in range(maxiter):
@@ -27,7 +35,9 @@ def bisect(f, lo, hi, rtol=1e-12, maxiter=200):
         fm = f(mid)
         if fm == 0.0:
             return mid
-        if np.sign(fm) == np.sign(flo):
+        if math.isnan(fm):
+            raise _nan_error(mid)
+        if (fm > 0.0) == (flo > 0.0):
             lo, flo = mid, fm
         else:
             hi = mid
@@ -73,15 +83,23 @@ def golden_min(f, a, b, c, rtol=1e-12, maxiter=200):
 def bracket_roots(f_values, grid):
     """Brackets ``(grid[i], grid[i+1])`` where tabulated ``f_values`` change sign.
 
-    Exact zeros at grid nodes are returned as degenerate brackets.
+    Exact zeros at grid nodes are returned as degenerate brackets.  The
+    signs are compared on Python floats (a numpy table's ``tolist``); the
+    brackets hold the grid's own elements.  A NaN value raises
+    :class:`ConvergenceError` naming its grid point.
     """
+    values = f_values.tolist() if hasattr(f_values, "tolist") \
+        else list(f_values)
+    for i, fx in enumerate(values):
+        if fx != fx:
+            raise _nan_error(float(grid[i]))
     brackets = []
-    for i in range(len(grid) - 1):
-        a, b = f_values[i], f_values[i + 1]
-        if a == 0.0:
+    positive = [fx > 0.0 for fx in values]
+    for i in range(len(values) - 1):
+        if values[i] == 0.0:
             brackets.append((grid[i], grid[i]))
-        elif np.sign(a) != np.sign(b) and b != 0.0:
+        elif positive[i] != positive[i + 1] and values[i + 1] != 0.0:
             brackets.append((grid[i], grid[i + 1]))
-    if len(f_values) and f_values[-1] == 0.0:
+    if values and values[-1] == 0.0:
         brackets.append((grid[-1], grid[-1]))
     return brackets

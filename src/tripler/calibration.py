@@ -18,12 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import circuit, steady
+from . import _lazy_import, circuit, steady
 from ._roots import golden_min
 from .circuit import HBAR
 from .errors import ConvergenceError, NoSignalError
+
+np = _lazy_import("numpy")
 
 
 def dbm_to_watt(p_dbm):
@@ -60,8 +60,7 @@ def output_power(a1_sq, gamma1_ext: float, gain_db: float, omega: float):
     """Detected power (W) of ``a1_sq`` photons emitted through the output port."""
     if gamma1_ext <= 0 or omega <= 0:
         raise ValueError("gamma1_ext and omega must be positive")
-    return HBAR * omega * np.asarray(a1_sq, dtype=float) * 2.0 * gamma1_ext \
-        * 10.0 ** (gain_db / 10.0)
+    return HBAR * omega * a1_sq * 2.0 * gamma1_ext * 10.0 ** (gain_db / 10.0)
 
 
 @dataclass(frozen=True)

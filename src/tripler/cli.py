@@ -29,8 +29,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
+from . import _lazy_import
 from .errors import (
     BelowThresholdError,
     ConfigError,
@@ -52,7 +51,9 @@ if TYPE_CHECKING:
     from . import calibration, circuit, steady
 
 # Each command imports the library modules it runs, so that a fresh process
-# loads no layer it does not use (``simulate`` alone needs ``dynamics``).
+# loads no layer it does not use (``simulate`` alone needs ``dynamics``), and
+# numpy loads on first use: ``spectrum`` and ``thresholds`` never touch it.
+np = _lazy_import("numpy")
 
 ENV_CONFIG = "TRIPLER_CONFIG"
 
@@ -136,16 +137,16 @@ def _kind(words, test=lambda typed: True, convert=lambda value: value):
 
 
 def _memory_bytes() -> int:
-    """Physical memory in bytes, or numpy's largest array size if unknown."""
+    """Physical memory in bytes, or the largest object size if unknown."""
     try:
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
-        return int(np.iinfo(np.intp).max)
+        return sys.maxsize
 
 
 def _axis(name, value) -> list:
-    """``[lo, hi, n]``, the arguments of ``np.linspace``, if every point is
-    finite and the array fits in memory."""
+    """``[lo, hi, n]``, the arguments of :func:`_linspace`, if every point is
+    finite and n float64 values fit in memory."""
     if isinstance(value, list) and len(value) == 3:
         lo, hi, n = _float(value[0]), _float(value[1]), _count(value[2])
         if None not in (lo, hi, n) and math.isfinite(hi - lo) \
@@ -153,6 +154,25 @@ def _axis(name, value) -> list:
             return [lo, hi, n]
     raise ConfigError(f"{name} must be a [lo, hi, n] axis: n >= 1 points "
                       f"over a finite span that fit in memory, got {value!r}")
+
+
+def _linspace(lo: float, hi: float, n: int) -> list:
+    """The ``n`` points of an axis, bit for bit ``np.linspace(lo, hi, n)``.
+
+    numpy computes ``i * step + lo`` in float64 and sets the last point to
+    ``hi``; when the step underflows to 0 it computes ``i / (n - 1) * (hi -
+    lo) + lo`` instead, and a single point is ``0.0 * (hi - lo) + lo``.
+    """
+    delta = hi - lo
+    if n == 1:
+        return [0.0 * delta + lo]
+    step = delta / (n - 1)
+    if step == 0.0:
+        points = [i / (n - 1) * delta + lo for i in range(n)]
+    else:
+        points = [i * step + lo for i in range(n)]
+    points[-1] = hi
+    return points
 
 
 def _numbers(element, length=None):
@@ -342,10 +362,9 @@ def cmd_spectrum(run: _Run) -> int:
     from . import circuit, io
 
     params = run.device()
-    axis = np.linspace(*run.section("spectrum")["flux"])
     rows = []
-    for phi in axis:
-        fp = circuit.at_flux(params, float(phi))
+    for phi in _linspace(*run.section("spectrum")["flux"]):
+        fp = circuit.at_flux(params, phi)
         m1, m2 = fp.mode1, fp.mode2
         f1 = m1.omega / (2.0 * math.pi)
         f2 = m2.omega / (2.0 * math.pi)
@@ -414,12 +433,16 @@ def cmd_sweep(run: _Run) -> int:
     params = run.device()
     chain = run.chain()
     sec = run.section("sweep")
-    d1 = 2.0 * math.pi * np.linspace(*sec["delta1_hz"])
-    pd = calibration.dbm_to_watt(np.linspace(*sec["pd_dbm"]))
+    d1 = [2.0 * math.pi * f for f in _linspace(*sec["delta1_hz"])]
+    with np.errstate(over="ignore"):    # reported below, not warned
+        pd = calibration.dbm_to_watt(_linspace(*sec["pd_dbm"]))
     if chain.x is None:
         raise ConfigError("sweep needs the chain's fitted 'x'")
     if not np.all(pd > 0):
         raise ConfigError(f"'pd_dbm' {sec['pd_dbm']!r} underflows to 0 W")
+    if not np.all(np.isfinite(pd)):
+        raise ConfigError(f"'pd_dbm' {sec['pd_dbm']!r} overflows a float "
+                          "in watts")
     try:
         rmap = calibration.region_map(params, sec["flux"], chain, d1, pd)
     except ValueError as exc:       # the one grid check left: the detuning
@@ -519,9 +542,9 @@ def cmd_thresholds(run: _Run) -> int:
 
     params = run.device()
     chain = run.chain()
-    axis = np.linspace(*run.section("thresholds")["flux"])
-    rows = [(phi, calibration.visible_threshold(params, float(phi), chain)
-             / (2 * math.pi)) for phi in axis]
+    rows = [(phi, calibration.visible_threshold(params, phi, chain)
+             / (2 * math.pi))
+            for phi in _linspace(*run.section("thresholds")["flux"])]
     out = run.out_dir / "thresholds.csv"
     io.write_table(out, ("flux_frac", "delta1_threshold_hz"), rows,
                    meta=run.meta("thresholds"))

@@ -24,9 +24,10 @@ import tempfile
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
+from . import _lazy_import
 from .errors import FormatError
+
+np = _lazy_import("numpy")
 
 if TYPE_CHECKING:
     from .dynamics import Histogram2D, Trajectory
@@ -65,7 +66,7 @@ def _cell(x) -> str:
             raise FormatError(f"text cell {x!r} holds a comma or a line "
                               "break")
         return x
-    if isinstance(x, (int, np.integer)):    # bool is an int
+    if isinstance(x, int) or isinstance(x, np.integer):   # bool is an int
         return str(int(x))
     return repr(float(x))
 

@@ -21,8 +21,7 @@ import warnings
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
-import numpy as np
-
+from . import _lazy_import
 from ._roots import bisect, bracket_roots
 from .errors import (
     BelowThresholdError,
@@ -32,6 +31,8 @@ from .errors import (
     ResidualError,
     StabilityMismatchWarning,
 )
+
+np = _lazy_import("numpy")
 
 THRESHOLD_FACTOR = math.sqrt(7.0)
 

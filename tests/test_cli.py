@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tripler
@@ -307,6 +307,16 @@ class TestFitCommand:
         assert main(["--config", cfg, "fit"]) == 5
 
 
+@st.composite
+def _axes(draw):
+    """``[lo, hi, n]`` with a finite span: any, zero, or a few ulps from a
+    subnormal ``lo``, where the step underflows to 0."""
+    lo = draw(st.one_of(st.floats(-1e300, 1e300), st.floats(-1e-306, 1e-306)))
+    hi = draw(st.one_of(st.floats(-1e300, 1e300), st.just(lo),
+                        st.integers(-40, 40).map(lambda k: lo + k * 5e-324)))
+    return lo, hi, draw(st.integers(1, 40))
+
+
 class TestConfigResolution:
     def test_env_var_default(self, workdir, monkeypatch):
         cfg = write_config(workdir, {"spectrum": {"flux": [0.0, 0.2, 3]}})
@@ -321,6 +331,17 @@ class TestConfigResolution:
         alt = workdir / "alt"
         assert main(["--config", cfg, "--out", str(alt), "spectrum"]) == 0
         assert (alt / "spectrum.csv").exists()
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(axis=_axes())
+    @example(axis=(0.0, 1e-323, 5))         # the step underflows to 0
+    @example(axis=(-5e-324, -1e-323, 3))
+    @example(axis=(0.25, 0.25, 4))
+    @example(axis=(0.0, -3.0, 1))           # 0 * -3 is -0.0
+    def test_axis_points_are_numpy_linspace(self, axis):
+        points = cli._linspace(*axis)
+        assert all(type(x) is float for x in points)
+        assert np.array(points).tobytes() == np.linspace(*axis).tobytes()
 
 
 class TestConfigErrors:
@@ -354,9 +375,18 @@ class TestConfigErrors:
         ("sweep", {"chain": CHAIN,
                    "sweep": {"delta1_hz": [-1e200, -1e6, 3],
                              "pd_dbm": [-40, 0, 3]}}, "'delta1_hz'"),
+        # 2*pi*delta1 overflows to -inf, which is off the model
+        ("sweep", {"chain": CHAIN,
+                   "sweep": {"delta1_hz": [-1e308, -1e6, 3],
+                             "pd_dbm": [-40, 0, 3]}}, "'delta1_hz'"),
+        # a finite axis whose power in watts overflows a float
+        ("sweep", {"chain": CHAIN,
+                   "sweep": {"delta1_hz": [-10e6, -1e6, 3],
+                             "pd_dbm": [-40, 1e308, 3]}}, "'pd_dbm'"),
     ], ids=["nan-delta1", "negative-floor", "negative-b2", "zero-store",
             "unallocatable-samples", "nothing-stored", "string-seed",
-            "unfinishable", "overflowing-pd-dbm", "off-model-delta1"])
+            "unfinishable", "overflowing-pd-dbm", "off-model-delta1",
+            "overflowing-delta1-axis", "overflowing-pd-dbm-axis"])
     def test_fresh_process(self, workdir, command, doc, needle):
         cfg = write_config(workdir, doc)
         proc = run_python(["-m", "tripler", "--config", cfg, command], workdir)
@@ -757,8 +787,12 @@ COMMAND_MODULES = {
     "thresholds": _COMMAND_CHAIN,
 }
 
+#: the commands that compute on no array, so never execute numpy
+SCALAR_COMMANDS = {"spectrum", "thresholds"}
+
 #: runs ``python -m tripler`` with the arguments given, then prints its exit
-#: code and the tripler modules it loaded as JSON
+#: code, the tripler modules it loaded and the numpy submodules it loaded as
+#: JSON (a lazily bound ``numpy`` itself is in ``sys.modules`` either way)
 _MODULE_DUMP = """
 import json, runpy, sys
 sys.argv = ["tripler", *sys.argv[1:]]
@@ -767,7 +801,8 @@ try:
 except SystemExit as exc:
     code = exc.code
 print(json.dumps([code, sorted(m for m in sys.modules
-                               if m.split(".")[0] == "tripler")]))
+                               if m.split(".")[0] == "tripler"),
+                  sorted(m for m in sys.modules if m.startswith("numpy."))]))
 """
 
 
@@ -814,9 +849,13 @@ class TestImportFootprint:
                                                "flux_frac": cut.flux})
                 argv.append(str(path))
         proc = self.uncached(["-c", _MODULE_DUMP, *argv], workdir)
-        code, modules = json.loads(proc.stdout.splitlines()[-1])
+        code, modules, numpy_modules = json.loads(proc.stdout.splitlines()[-1])
         assert code == 0, proc.stderr
         assert set(modules) == COMMAND_MODULES[command]
+        if command in SCALAR_COMMANDS:
+            assert numpy_modules == []
+        else:
+            assert "numpy._core" in numpy_modules
 
     def test_bare_import_loads_no_submodule(self, tmp_path):
         proc = self.uncached(["-c", "import sys, tripler; print(sorted("
