@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import _lazy_import
+from ._roots import linspace
 from .errors import (
     BelowThresholdError,
     ConfigError,
@@ -52,7 +53,8 @@ if TYPE_CHECKING:
 
 # Each command imports the library modules it runs, so that a fresh process
 # loads no layer it does not use (``simulate`` alone needs ``dynamics``), and
-# numpy loads on first use: ``spectrum`` and ``thresholds`` never touch it.
+# numpy loads on first use: ``spectrum``, ``thresholds`` and a ``steady``
+# drive given as ``b2_sq`` never touch it.
 np = _lazy_import("numpy")
 
 ENV_CONFIG = "TRIPLER_CONFIG"
@@ -145,8 +147,8 @@ def _memory_bytes() -> int:
 
 
 def _axis(name, value) -> list:
-    """``[lo, hi, n]``, the arguments of :func:`_linspace`, if every point is
-    finite and n float64 values fit in memory."""
+    """``[lo, hi, n]``, the arguments of :func:`_roots.linspace`, if every
+    point is finite and n float64 values fit in memory."""
     if isinstance(value, list) and len(value) == 3:
         lo, hi, n = _float(value[0]), _float(value[1]), _count(value[2])
         if None not in (lo, hi, n) and math.isfinite(hi - lo) \
@@ -154,25 +156,6 @@ def _axis(name, value) -> list:
             return [lo, hi, n]
     raise ConfigError(f"{name} must be a [lo, hi, n] axis: n >= 1 points "
                       f"over a finite span that fit in memory, got {value!r}")
-
-
-def _linspace(lo: float, hi: float, n: int) -> list:
-    """The ``n`` points of an axis, bit for bit ``np.linspace(lo, hi, n)``.
-
-    numpy computes ``i * step + lo`` in float64 and sets the last point to
-    ``hi``; when the step underflows to 0 it computes ``i / (n - 1) * (hi -
-    lo) + lo`` instead, and a single point is ``0.0 * (hi - lo) + lo``.
-    """
-    delta = hi - lo
-    if n == 1:
-        return [0.0 * delta + lo]
-    step = delta / (n - 1)
-    if step == 0.0:
-        points = [i / (n - 1) * delta + lo for i in range(n)]
-    else:
-        points = [i * step + lo for i in range(n)]
-    points[-1] = hi
-    return points
 
 
 def _numbers(element, length=None):
@@ -363,7 +346,7 @@ def cmd_spectrum(run: _Run) -> int:
 
     params = run.device()
     rows = []
-    for phi in _linspace(*run.section("spectrum")["flux"]):
+    for phi in linspace(*run.section("spectrum")["flux"]):
         fp = circuit.at_flux(params, phi)
         m1, m2 = fp.mode1, fp.mode2
         f1 = m1.omega / (2.0 * math.pi)
@@ -433,9 +416,9 @@ def cmd_sweep(run: _Run) -> int:
     params = run.device()
     chain = run.chain()
     sec = run.section("sweep")
-    d1 = [2.0 * math.pi * f for f in _linspace(*sec["delta1_hz"])]
+    d1 = [2.0 * math.pi * f for f in linspace(*sec["delta1_hz"])]
     with np.errstate(over="ignore"):    # reported below, not warned
-        pd = calibration.dbm_to_watt(_linspace(*sec["pd_dbm"]))
+        pd = calibration.dbm_to_watt(linspace(*sec["pd_dbm"]))
     if chain.x is None:
         raise ConfigError("sweep needs the chain's fitted 'x'")
     if not np.all(pd > 0):
@@ -544,7 +527,7 @@ def cmd_thresholds(run: _Run) -> int:
     chain = run.chain()
     rows = [(phi, calibration.visible_threshold(params, phi, chain)
              / (2 * math.pi))
-            for phi in _linspace(*run.section("thresholds")["flux"])]
+            for phi in linspace(*run.section("thresholds")["flux"])]
     out = run.out_dir / "thresholds.csv"
     io.write_table(out, ("flux_frac", "delta1_threshold_hz"), rows,
                    meta=run.meta("thresholds"))

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import warnings
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 from . import _lazy_import
-from ._roots import bisect, bracket_roots
+from ._roots import bisect, bracket_roots, linspace, polyroots
 from .errors import (
     BelowThresholdError,
     ConvergenceError,
@@ -307,13 +308,11 @@ def second_mode_response(point: DimensionlessPoint):
         # form would produce
         raw = []
         for rhs in {R, -R}:
-            raw.extend(np.polynomial.polynomial.polyroots(
-                np.array([-rhs, c1, 0.0, b2])))
+            raw.extend(polyroots([-rhs, c1, 0.0, b2]))
     else:
         # (b2 x^3 + c1 x)^2 + g2^2 x^2 - R^2, ascending powers of x
-        raw = np.polynomial.polynomial.polyroots(np.array([
-            -(R * R), 0.0, c1**2 + point.gamma2**2, 0.0, 2.0 * b2 * c1,
-            0.0, b2**2]))
+        raw = polyroots([-(R * R), 0.0, c1**2 + point.gamma2**2, 0.0,
+                         2.0 * b2 * c1, 0.0, b2**2])
     xs = sorted(r.real for r in raw
                 if abs(r.imag) <= 1e-9 * scale and r.real >= -1e-12 * scale)
 
@@ -362,7 +361,7 @@ class _Coefficients(NamedTuple):
         """
         b = point.beta
         b2 = b * b
-        drive = point.drive_scale / b * np.exp(1j * point.drive_phase)
+        drive = point.drive_scale / b * cmath.exp(1j * point.drive_phase)
         return cls(point.delta, point.delta2, 1.0, b2 * b2, 2.0 * b2,
                    point.gamma1, point.gamma2, 1j * b, 1j * (b / 3.0),
                    complex(1j * drive))
@@ -492,37 +491,58 @@ def stationary_residual(point: DimensionlessPoint, u1: complex, u2: complex) -> 
     return max(abs(du1), abs(du2))
 
 
-def _real_block(A: complex, B: complex) -> np.ndarray:
-    """2x2 real block for df = A du + B d(conj u) in (Re, Im) coordinates."""
-    return np.array([
-        [(A + B).real, -(A - B).imag],
-        [(A + B).imag, (A - B).real],
-    ])
+def _real_block(A: complex, B: complex):
+    """2x2 real block for df = A du + B d(conj u) in (Re, Im) coordinates,
+    as two row tuples."""
+    return (((A + B).real, -(A - B).imag),
+            ((A + B).imag, (A - B).real))
 
 
-def jacobian(point: DimensionlessPoint, u1: complex, u2: complex) -> np.ndarray:
+def jacobian(point: DimensionlessPoint, u1: complex, u2: complex):
     """4x4 real Jacobian of the flow in quadratures (p1, q1, p2, q2).
 
-    Includes the damping terms; the drive is held fixed, so it drops out of
-    the linearization.  The constants are those of :func:`flow`.
+    Returned as four row tuples of floats (``np.asarray`` makes it an
+    array).  Includes the damping terms; the drive is held fixed, so it
+    drops out of the linearization.  The constants are those of
+    :func:`flow`.
     """
     d1, d2, al1, al2, ax2, g1, g2, iat, _, _ = _Coefficients.reduced(point)
     n1 = abs(u1) ** 2
     n2 = abs(u2) ** 2
     A11 = 1j * (d1 + 2.0 * al1 * n1 + ax2 * n2) - g1
-    B11 = 1j * al1 * u1 * u1 + 2.0 * iat * np.conj(u1) * u2
-    A12 = 1j * ax2 * np.conj(u2) * u1 + iat * np.conj(u1) ** 2
+    B11 = 1j * al1 * u1 * u1 + 2.0 * iat * u1.conjugate() * u2
+    A12 = 1j * ax2 * u2.conjugate() * u1 + iat * u1.conjugate() ** 2
     B12 = 1j * ax2 * u2 * u1
-    A21 = 1j * ax2 * np.conj(u1) * u2 + iat * u1 * u1    # 3*iat3 = iat
+    A21 = 1j * ax2 * u1.conjugate() * u2 + iat * u1 * u1    # 3*iat3 = iat
     B21 = 1j * ax2 * u1 * u2
     A22 = 1j * (d2 + 2.0 * al2 * n2 + ax2 * n1) - g2
     B22 = 1j * al2 * u2 * u2
-    J = np.empty((4, 4))
-    J[0:2, 0:2] = _real_block(A11, B11)
-    J[0:2, 2:4] = _real_block(A12, B12)
-    J[2:4, 0:2] = _real_block(A21, B21)
-    J[2:4, 2:4] = _real_block(A22, B22)
-    return J
+    top = zip(_real_block(A11, B11), _real_block(A12, B12))
+    bottom = zip(_real_block(A21, B21), _real_block(A22, B22))
+    return tuple(left + right for left, right in (*top, *bottom))
+
+
+def _eigvals(rows):
+    """Eigenvalues of a small real matrix given as row sequences.
+
+    The roots (:func:`polyroots`) of its characteristic polynomial, whose
+    coefficients come from the Faddeev-LeVerrier recursion
+    M_k = A M_(k-1) + c_(n-k+1) I, c_(n-k) = -tr(A M_k)/k.  Sorted by
+    descending real part, a conjugate pair with its positive imaginary part
+    first.
+    """
+    n = len(rows)
+    m = [list(row) for row in rows]         # A M_1, with M_1 = I
+    coeffs = [1.0]
+    for k in range(1, n):
+        c = -sum(m[i][i] for i in range(n)) / k
+        coeffs.append(c)
+        for i in range(n):
+            m[i][i] += c
+        m = [[sum(map(operator.mul, row, col)) for col in zip(*m)]
+             for row in rows]
+    coeffs.append(-sum(m[i][i] for i in range(n)) / n)
+    return sorted(polyroots(coeffs[::-1]), key=lambda z: (-z.real, -z.imag))
 
 
 def ground_eigenvalue(point: DimensionlessPoint, r2_sq: float) -> complex:
@@ -553,11 +573,13 @@ def closed_form_lambda_sq(delta: float, r1_sq: float, r2_sq: float,
 def stability(state: SteadyState, point: DimensionlessPoint):
     """Stability verdict and eigenvalues (units of alpha1) for a state.
 
-    Silent states get the analytic fundamental-mode exponent plus the
-    numeric second-mode pair; excited states are classified by the dense
-    eigenvalues of the full 4x4 Jacobian.  Where the far-from-threshold
-    closed form applies (|delta| >= 10*gamma1) its sign is cross-checked
-    against the numeric verdict and a warning is raised on disagreement.
+    The eigenvalues are those of the full 4x4 Jacobian (:func:`_eigvals`,
+    the roots of its characteristic polynomial), sorted by descending real
+    part; the solve gives silent states the analytic fundamental pair and
+    the pump block's pair instead (:func:`_ground_states`).  Where the
+    far-from-threshold closed form applies (|delta| >= 10*gamma1) its sign
+    is cross-checked against the numeric verdict of the fundamental-mode
+    2x2 block and a warning is raised on disagreement.
     """
     u1, u2 = state.amplitudes(point)
     res = stationary_residual(point, u1, u2)
@@ -565,9 +587,8 @@ def stability(state: SteadyState, point: DimensionlessPoint):
         raise ResidualError(
             f"state residual {res:.3g} exceeds {_VERIFY_TOL:.3g}")
     J = jacobian(point, u1, u2)
-    eig = tuple(complex(z) for z in
-                sorted(np.linalg.eigvals(J), key=lambda z: -z.real))
-    verdict = bool(max(z.real for z in eig) < STABILITY_TOL)
+    eig = tuple(_eigvals(J))
+    verdict = eig[0].real < STABILITY_TOL
     if state.kind == "triad" and point.gamma1 >= 1e-6 \
             and abs(point.delta) >= 10.0 * point.gamma1:
         # the closed form linearizes the fundamental mode at frozen pump, so
@@ -580,7 +601,8 @@ def stability(state: SteadyState, point: DimensionlessPoint):
         except PhaseDomainError:
             lam_sq = None
         if lam_sq is not None:
-            sub_stable = max(np.linalg.eigvals(J[0:2, 0:2]).real) < STABILITY_TOL
+            sub_stable = _eigvals((J[0][:2], J[1][:2]))[0].real \
+                < STABILITY_TOL
             if (lam_sq < 0) != sub_stable:
                 warnings.warn(
                     f"closed-form exponent sign ({lam_sq:+.3g}) disagrees with "
@@ -648,19 +670,47 @@ def _triad_states(point: DimensionlessPoint, v: float, branch_id: int,
     return states
 
 
+def _solve(rows, rhs):
+    """``x`` with ``rows @ x = rhs``, by Gaussian elimination with partial
+    pivoting; ``None`` if a pivot is exactly zero (a singular matrix)."""
+    n = len(rows)
+    m = [[*row, b] for row, b in zip(rows, rhs)]
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(m[i][k]))
+        if m[p][k] == 0.0:
+            return None
+        m[k], m[p] = m[p], m[k]
+        pivot = m[k]
+        for row in m[k + 1:]:
+            f = row[k] / pivot[k]
+            for j in range(k + 1, n + 1):
+                row[j] -= f * pivot[j]
+    x = [0.0] * n
+    for k in reversed(range(n)):
+        x[k] = (m[k][n] - sum(m[k][j] * x[j] for j in range(k + 1, n))) \
+            / m[k][k]
+    return x
+
+
 def _newton_polish(point: DimensionlessPoint, state: SteadyState,
                    u1: complex, u2: complex):
     """Up to 3 Newton steps on the full stationary equations from (u1, u2).
 
     Next to a window edge the closed branch r1^2(r2^2) has a square-root
     singularity, so the 1D reduction loses digits there; the 4x4 Jacobian
-    stays well conditioned.  Returns the state rebuilt from the polished
-    amplitudes (stability not yet assessed) and its residual.
+    stays well conditioned.  Returns the best of the start and the iterates,
+    rebuilt from its amplitudes (stability not yet assessed), with its
+    residual.  A singular Jacobian raises :class:`ConvergenceError`.
     """
+    best = state, stationary_residual(point, u1, u2)
     for _ in range(3):
         du1, du2 = flow(point, u1, u2)
-        dx = np.linalg.solve(jacobian(point, u1, u2),
-                             [du1.real, du1.imag, du2.real, du2.imag])
+        dx = _solve(jacobian(point, u1, u2),
+                    (du1.real, du1.imag, du2.real, du2.imag))
+        if dx is None:
+            raise ConvergenceError(
+                "singular Jacobian in the Newton polish",
+                diagnostics={"r2_sq": state.r2_sq, "residual": best[1]})
         u1 -= complex(dx[0], dx[1])
         u2 -= complex(dx[2], dx[3])
         phi1 = cmath.phase(u1) % (2.0 * math.pi)
@@ -670,9 +720,11 @@ def _newton_polish(point: DimensionlessPoint, state: SteadyState,
                         theta=(3.0 * phi1 - phi2) % (2.0 * math.pi),
                         phi1=phi1, phi2=phi2)
         res = stationary_residual(point, *state.amplitudes(point))
+        if res < best[1]:
+            best = state, res
         if res <= STATIONARY_TOL:
             break
-    return state, res
+    return best
 
 
 def _ground_states(point: DimensionlessPoint):
@@ -695,14 +747,12 @@ def _ground_states(point: DimensionlessPoint):
         if res > _VERIFY_TOL:
             raise ConvergenceError("silent-state response root failed to verify",
                                    diagnostics={"r2_sq": v, "residual": res})
-        # a1 = 0 decouples the Jacobian into mode blocks: report the analytic
-        # fundamental pair first, then the numeric pump-mode pair
+        # a1 = 0 decouples the Jacobian into mode blocks, so its spectrum is
+        # the analytic fundamental pair, reported first, and the pump pair
         J = jacobian(point, u1, u2)
         lam0 = ground_eigenvalue(point, v)
-        mode2 = np.linalg.eigvals(J[2:4, 2:4])
-        eig = (lam0, lam0.conjugate()) + tuple(
-            complex(z) for z in sorted(mode2, key=lambda z: -z.real))
-        verdict = bool(max(z.real for z in np.linalg.eigvals(J)) < STABILITY_TOL)
+        eig = (lam0, lam0.conjugate(), *_eigvals((J[2][2:], J[3][2:])))
+        verdict = max(z.real for z in eig) < STABILITY_TOL
         states.append(replace(st, stable=verdict, eigenvalues=eig, residual=res))
     return states
 
@@ -722,7 +772,8 @@ def solve_selfconsistent(point: DimensionlessPoint, scan_points: int = 10000,
 
     The solve is the 1D reduction: the closed r1^2(r2^2) branch is
     substituted into the response equation, which is then scanned and
-    bisected in r2^2 at a resolution of 1e-4 of the window.
+    bisected in r2^2 at a resolution of 1e-4 of the window.  It runs on
+    Python floats and complex numbers throughout and loads no numpy.
     """
     states = _ground_states(point)
     window = existence_window(point.delta, point.gamma1)
@@ -732,7 +783,7 @@ def solve_selfconsistent(point: DimensionlessPoint, scan_points: int = 10000,
     if hi <= lo:
         return states
     pad = 1e-9 * (hi - lo)
-    grid = np.linspace(lo + pad, hi - pad, scan_points)
+    grid = linspace(lo + pad, hi - pad, scan_points)
     R = point.drive_scale
     branch_id = len(states)
     for root_sign in (+1, -1) if all_branches else (+1,):
@@ -741,8 +792,8 @@ def solve_selfconsistent(point: DimensionlessPoint, scan_points: int = 10000,
             lhs, _ = _response_lhs(point, v, root_sign)
             return abs(lhs) - R
 
-        vals = np.array([f(v) for v in grid])
-        if not np.all(np.isfinite(vals)):
+        vals = [f(v) for v in grid]
+        if not all(map(math.isfinite, vals)):
             raise ConvergenceError("response mismatch not finite over the window",
                                    diagnostics={"window": window})
         for a, b in bracket_roots(vals, grid):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from tripler import circuit, steady
 from tripler.errors import (
     BelowThresholdError,
+    ConvergenceError,
     PhaseDomainError,
     RegimeWarning,
 )
@@ -562,6 +563,36 @@ class TestFoldPolish:
             assert np.diff(phis) == pytest.approx([2 * math.pi / 3] * 2,
                                                   abs=1e-9)
 
+    def test_singular_jacobian_is_a_convergence_error(self):
+        # at u1 = u2 = 0 with delta = gamma1 = 0 the fundamental-mode rows
+        # of the Jacobian vanish
+        pt = DimensionlessPoint(delta=0.0, Delta=20.0, gamma1=0.0,
+                                gamma2=1.5, gamma2_ext=1.4, beta=1.2,
+                                alpha1=1.0, drive_b2=1.0)
+        state = steady.SteadyState(kind="triad", r1_sq=0.0, r2_sq=0.0,
+                                   theta=0.0, phi1=0.0, phi2=0.0,
+                                   stable=False, eigenvalues=(),
+                                   residual=math.nan)
+        with pytest.raises(ConvergenceError, match="singular") as info:
+            steady._newton_polish(pt, state, 0j, 0j)
+        assert info.value.diagnostics["r2_sq"] == 0.0
+
+    def test_polish_returns_its_best_iterate(self):
+        # far from any state, Newton's third iterate lands far worse than
+        # the start; the polish must not hand that back
+        pt = make_point(delta=-9.0, Delta=20.0, gamma1=1.0, gamma2=1.5,
+                        gamma2_ext=1.4, beta=1.2, drive_b2=3.0)
+        u1, u2 = 0.8 + 2.2j, 0.14 + 1.45j
+        state = steady.SteadyState(kind="triad", r1_sq=1.0, r2_sq=1.0,
+                                   theta=0.0, phi1=0.0, phi2=0.0,
+                                   stable=False, eigenvalues=(),
+                                   residual=math.nan)
+        start = max(abs(z) for z in oracle_flow(pt, u1, u2))
+        polished, res = steady._newton_polish(pt, state, u1, u2)
+        assert res == steady.stationary_residual(pt,
+                                                 *polished.amplitudes(pt))
+        assert res <= start
+
     def test_passing_states_skip_the_polish(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("polish ran on a state within tolerance")
@@ -633,7 +664,7 @@ class TestStability:
         z = rng.standard_normal(4)
         u1 = complex(z[0], z[1])
         u2 = complex(z[2], z[3])
-        J = steady.jacobian(pt, u1, u2)
+        J = np.asarray(steady.jacobian(pt, u1, u2))
         h = 1e-7
 
         def f(vec):
@@ -648,6 +679,22 @@ class TestStability:
             col = (f(x0 + e) - f(x0 - e)) / (2 * h)
             assert np.allclose(col, J[:, k], rtol=1e-5, atol=1e-5)
 
+    def test_verdicts_match_finite_difference_oracle(self):
+        # every state of a few solves, silent ones included, against the
+        # central-difference Jacobian of the separately written flow
+        checked = 0
+        for pt in _seeded_points():
+            for s in steady.solve_selfconsistent(pt, all_branches=True):
+                growth = oracle_max_growth(pt, *s.amplitudes(pt))
+                top = s.eigenvalues[0].real if s.kind == "triad" \
+                    else max(z.real for z in s.eigenvalues)
+                assert top == pytest.approx(growth, abs=1e-4 * max(
+                    1.0, abs(pt.delta), abs(pt.delta2)))
+                if abs(growth) > 1e-3:
+                    assert s.stable == (growth < 0)
+                    checked += 1
+        assert checked >= 20
+
     def test_residual_guard(self):
         pt = make_point(drive_b2=1.0)
         bogus = steady.SteadyState(kind="triad", r1_sq=5.0, r2_sq=1.0,
@@ -656,3 +703,65 @@ class TestStability:
         from tripler.errors import ResidualError
         with pytest.raises(ResidualError):
             steady.stability(bogus, pt)
+
+
+def _seeded_points():
+    """Operating points with silent and excited states: the reference point
+    on both branches, a drive phase, a back-bending pump and a fold."""
+    pts = []
+    base = make_point()
+    for v, sign in ((1.429, +1), (1.429, -1), (4.0, +1)):
+        pts.append(base.with_drive(consistent_drive(base, v, sign), 0.3 * v))
+    soft = make_point(delta=-14.0, Delta=400.0, gamma1=1.2, gamma2=3.0,
+                      gamma2_ext=2.8)
+    pts.append(soft.with_drive(consistent_drive(soft, 2.3)))
+    pts.append(make_point(Delta=50.0, gamma2=0.71, gamma2_ext=0.69,
+                          drive_b2=2.0, drive_phase=0.4))
+    return pts
+
+
+class TestEigvals:
+    """``_eigvals`` against LAPACK (``np.linalg.eigvals``)."""
+
+    @staticmethod
+    def assert_spectra_match(rows, rel=1e-12):
+        got = steady._eigvals(rows)
+        want = np.linalg.eigvals(np.asarray(rows, dtype=float))
+        scale = max(abs(want))
+        assert len(got) == len(want)
+        left = list(got)
+        for w in want:
+            near = min(left, key=lambda z: abs(z - w))
+            assert abs(near - w) <= rel * scale, (w, near)
+            left.remove(near)
+        # descending real part, a pair's positive imaginary part first
+        assert got == sorted(got, key=lambda z: (-z.real, -z.imag))
+
+    def test_solve_jacobians(self):
+        for pt in _seeded_points():
+            for s in steady.solve_selfconsistent(pt, all_branches=True):
+                J = steady.jacobian(pt, *s.amplitudes(pt))
+                self.assert_spectra_match(J)
+                self.assert_spectra_match((J[0][:2], J[1][:2]))
+                self.assert_spectra_match((J[2][2:], J[3][2:]))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_random_matrices(self, n):
+        rng = np.random.default_rng(20 + n)
+        for _ in range(300):
+            A = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3)
+            self.assert_spectra_match(A.tolist())
+
+    def test_ground_spectrum_is_the_full_jacobians(self):
+        # the silent-state spectrum comes from its two diagonal blocks
+        for pt in _seeded_points():
+            for s in steady.solve_selfconsistent(pt):
+                if s.kind != "ground":
+                    continue
+                J = np.asarray(steady.jacobian(pt, *s.amplitudes(pt)))
+                want = sorted(np.linalg.eigvals(J),
+                              key=lambda z: (-z.real, -z.imag))
+                got = sorted(s.eigenvalues, key=lambda z: (-z.real, -z.imag))
+                scale = max(abs(z) for z in want)
+                assert max(abs(g - w) for g, w in zip(got, want)) \
+                    <= 1e-12 * scale
