@@ -60,7 +60,8 @@ np = _lazy_import("numpy")
 ENV_CONFIG = "TRIPLER_CONFIG"
 
 #: longest expected ``simulate`` integration, in seconds: the step count
-#: times the scheme's ``dynamics.SCALAR_STEP_S``; a longer run is refused
+#: times the scheme's ``dynamics.step_seconds``, the compiled step's cost or,
+#: where it is unavailable, the Python runners'; a longer run is refused
 #: before it starts
 MAX_SIMULATE_S = 24 * 3600.0
 
@@ -473,7 +474,7 @@ def cmd_simulate(run: _Run) -> int:
                           "integration steps: nothing is stored")
     n_th = sec["noise_n_th"]
     scheme = "etd1" if n_th > 0 else "rk4"
-    step_s = dynamics.SCALAR_STEP_S[scheme]
+    step_s = dynamics.step_seconds(scheme)
     if n_steps * step_s > MAX_SIMULATE_S:
         raise ConfigError(f"'dt_s' gives {n_steps:g} integration steps, "
                           f"about {n_steps * step_s:.3g} s at {step_s:g} s "

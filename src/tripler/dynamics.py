@@ -9,7 +9,8 @@ The quasiclassical amplitudes evolve under
 
 in laboratory units (rad/s).  They are written once, as ``steady._flow``,
 which the reduced view ``steady.flow`` shares with ``TwoModeSystem.flow``
-and both integrators.  Deterministic runs use classical RK4.  Stochastic
+and both Python runners (the compiled step below repeats it operation for
+operation).  Deterministic runs use classical RK4.  Stochastic
 runs add complex white Gaussian forcing per mode and step by first-order
 exponential time differencing (ETD1; Cox & Matthews, J. Comput. Phys.
 176, 430 (2002)): each mode's linear rate L = i*(detuning + Kerr) - Gamma
@@ -22,23 +23,27 @@ mechanism is not modeled here): independent additive strengths D1, D2 in
 s^-1, by default Gamma_n times a configurable effective occupation, which
 reproduces activated switching between the attractors qualitatively.
 
-Ensembles integrate concurrently: both modes of all M members form one
-(2, M) complex state, mode 1 in row 0 and mode 2 in row 1, and every step
-runs in place on buffers allocated once per run (``steady._flow_into``
-evaluates the shared terms once for both rows).  Each member consumes its
-own RNG stream spawned from the master seed, drawn chunkwise into one
-buffer, so results do not depend on how an ensemble is batched.  The
-stacked step rounds every element exactly as the same scheme written
-with one array per mode over ``steady._flow``.  A single trajectory, given
-as scalar initial amplitudes, runs the same schemes on Python complex
-numbers, where numpy's per-call overhead would dominate a one-member step.
+Every run steps through the compiled step ``_step.c`` (built with gcc on
+first use and cached, see :func:`_kernel_path`), all M members of an
+ensemble per call; a single trajectory is an ensemble of one.  Its C is
+CPython 3.11's complex arithmetic operation for operation, so each member
+is bit for bit what the Python runners ``_run_rk4``/``_run_etd1`` give;
+they stay the definition, the tests' oracle and the fallback, which runs
+where the step cannot be built (one ``RuntimeWarning`` per process names
+why).  Each member draws from its own RNG stream spawned from the master
+seed, so results do not depend on how an ensemble is batched.  Python
+3.14's mixed float-complex arithmetic gives some signed zeros
+differently, which the C would have to follow.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -48,14 +53,7 @@ from .errors import (
     OverlappingRadiusError,
     StepSizeWarning,
 )
-from .steady import (
-    DimensionlessPoint,
-    _Coefficients,
-    _flow,
-    _flow_into,
-    _FlowWork,
-    _rates_and_flow,
-)
+from .steady import DimensionlessPoint, _Coefficients, _flow, _rates_and_flow
 
 #: integration steps of noise drawn per member at a time; small, so that the
 #: (M, chunk, 4) draw buffer is no large part of an ensemble's memory
@@ -68,15 +66,34 @@ _NOISE_CHUNK = 512
 #: quotients would lose precision once z is subnormal, and are 0/0 at 0
 _TINY_Z = 2.0 ** -60
 
-#: wall time in seconds of one step of a single (scalar) trajectory, per
-#: scheme: the best of 7 runs of the README ``simulate`` integration
-#: (20 000 steps) on a 2-vCPU x86-64 machine, Python 3.11, numpy 2.4
-SCALAR_STEP_S = {"rk4": 6e-6, "etd1": 3.5e-6}
+#: a noiseless run checks for divergence after every this many steps
+_CHECK_EVERY = 64
+
+#: wall time in seconds of one step of a single trajectory, per scheme, on
+#: the compiled step: the best of 7 runs of the README ``simulate``
+#: integration (20 000 steps) on a 2-vCPU x86-64 machine, Python 3.11,
+#: numpy 2.4, gcc 12.2 (0.100 and 0.166 us), rounded up
+SCALAR_STEP_S = {"rk4": 1.5e-7, "etd1": 2e-7}
+
+#: the same on the Python runners, which run where the compiled step is
+#: unavailable (measured as above before |a|^2 became re^2 + im^2)
+PYTHON_STEP_S = {"rk4": 6e-6, "etd1": 3.5e-6}
 
 #: most integration steps one run may take: the largest integer that, with
 #: its successor, is exactly a float, so ``duration / dt`` names the count
-#: without ambiguity; some thousand years at ``SCALAR_STEP_S``
+#: without ambiguity; some thousand years at ``PYTHON_STEP_S``
 MAX_STEPS = 2**53 - 1
+
+#: how ``_step.c`` is compiled; its cached file name hashes these flags
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fno-builtin", "-shared", "-fPIC")
+
+#: the loaded ``tripler_step`` function, or None where it cannot be built or
+#: loaded; empty until the first run of the process tries
+_KERNEL = []
+
+#: a member's stop for overflow, as the compiled step reports it (else 1,
+#: for the ceiling)
+_OVERFLOW = 2
 
 
 @dataclass(frozen=True)
@@ -182,13 +199,20 @@ class Trajectory:
         return self.n_samples * self.dt
 
     def member(self, j: int) -> "Trajectory":
-        """Single ensemble member as its own trajectory."""
+        """Single ensemble member as its own trajectory.
+
+        Its samples are read-only views of the ensemble's, not copies, so
+        splitting an ensemble into members costs no memory; a member keeps
+        the ensemble's arrays alive (copy them to keep one member alone).
+        """
         if self.a1.ndim == 1:
             if j != 0:
                 raise IndexError("scalar trajectory has a single member")
             return self
-        return Trajectory(self.dt, self.a1[:, j].copy(), self.a2[:, j].copy(),
-                          self.drive_b2, self.drive_phase, self.seed)
+        a1, a2 = self.a1[:, j], self.a2[:, j]
+        a1.flags.writeable = a2.flags.writeable = False
+        return Trajectory(self.dt, a1, a2, self.drive_b2, self.drive_phase,
+                          self.seed)
 
 
 @dataclass(frozen=True)
@@ -201,14 +225,6 @@ class Histogram2D:
     fs: float
     window: float       # demodulation window length, 1/fs
     units: str = "photon_amplitude"
-
-    @property
-    def i_centers(self) -> np.ndarray:
-        return 0.5 * (self.i_edges[:-1] + self.i_edges[1:])
-
-    @property
-    def q_centers(self) -> np.ndarray:
-        return 0.5 * (self.q_edges[:-1] + self.q_edges[1:])
 
 
 @dataclass(frozen=True)
@@ -233,8 +249,7 @@ def suggested_timestep(system: TwoModeSystem, n1_max: float, n2_max: float,
     damping term needs a tighter bound.  ``stochastic`` is accepted for
     callers that name the scheme and does not change the bound.
 
-    One step of a single trajectory costs about :data:`SCALAR_STEP_S`
-    (3.5 us with noise, 6 us without).
+    One step of a single trajectory costs about :func:`step_seconds`.
     """
     w1 = abs(system.delta1) + system.alpha1 * n1_max \
         + 2.0 * system.alpha_cross * n2_max
@@ -284,21 +299,21 @@ def integrate(system: TwoModeSystem, initial, duration: float, dt: float,
     ``seed``.
 
     ``initial`` entries may be scalars or equally shaped arrays (a
-    vectorized ensemble).  An ensemble integrates as one (2, M) state over
-    its M members in C order, stepped in place without allocating; member j
-    draws from the j-th RNG stream spawned from ``seed``, so the leading
-    members of a wider run are bit-identical.  A scalar initial condition
-    integrates on Python complex numbers, which is 5-8 times faster per
-    step than numpy for one trajectory; it draws the same random
-    numbers as member 0 of an ensemble with the same seed and matches that
-    member to ~1e-15 relative, not bitwise, because numpy's vectorized
-    complex arithmetic rounds differently.  Only every ``store_every``-th
-    step is stored.  Raises :class:`DivergenceError` when any amplitude
-    passes ``ceiling`` or stops being finite (``ceiling=math.inf`` keeps
-    only the second test), and ``ValueError`` naming the argument for an
-    ensemble of no members, a non-finite initial amplitude, a ``duration``
-    or ``dt`` that is not positive and finite, a ``duration / dt`` over
-    :data:`MAX_STEPS`, or a ``ceiling`` that is not positive.
+    vectorized ensemble of M members in C order).  Every run goes through
+    the compiled step (see the module docstring), which steps each member
+    bit for bit as the Python runners ``_run_rk4``/``_run_etd1`` do; where
+    it is unavailable those runners step the members one by one and give
+    the same bytes.  Member j draws from the j-th RNG stream spawned from
+    ``seed``, so a scalar run is member 0 of an ensemble with the same seed,
+    and the leading members of a wider run are the same, bit for bit.  Only
+    every ``store_every``-th step is stored.  Raises
+    :class:`DivergenceError` when an amplitude passes ``ceiling`` or stops
+    being finite (``ceiling=math.inf`` keeps only the second test), at the
+    earliest step at which any member does, and ``ValueError`` naming the
+    argument for an ensemble of no members, a non-finite initial amplitude,
+    a ``duration`` or ``dt`` that is not positive and finite, a
+    ``duration / dt`` over :data:`MAX_STEPS`, or a ``ceiling`` that is not
+    positive.
     """
     for name, value in (("duration", duration), ("dt", dt)):
         if not 0.0 < value < math.inf:
@@ -312,8 +327,6 @@ def integrate(system: TwoModeSystem, initial, duration: float, dt: float,
         raise ValueError(f"ceiling must be positive, got {ceiling!r}")
     a1 = np.asarray(initial[0], dtype=complex)
     a2 = np.asarray(initial[1], dtype=complex)
-    scalar = a1.ndim == 0
-    a1, a2 = np.atleast_1d(a1).copy(), np.atleast_1d(a2).copy()
     if a1.shape != a2.shape:
         raise ValueError("initial mode arrays must have matching shapes")
     if a1.size == 0:
@@ -332,38 +345,128 @@ def integrate(system: TwoModeSystem, initial, duration: float, dt: float,
             f"dt = {dt:.3e} s exceeds the stability guideline {dt_ok:.3e} s "
             "for the fastest system timescale", StepSizeWarning, stacklevel=2)
 
-    n_members = a1.size
     n_stored = n_steps // store_every
-    out1 = np.empty((n_stored,) + (() if scalar else a1.shape), dtype=complex)
+    out1 = np.empty((n_stored,) + a1.shape, dtype=complex)
     out2 = np.empty_like(out1)
+    # a1, a2 of each member side by side, as the compiled step reads them
+    state = np.stack((a1.ravel(), a2.ravel()), axis=1)
+    flat1 = out1.reshape(n_stored, len(state))
+    flat2 = out2.reshape(n_stored, len(state))
     c = system._coefficients()
-    rngs = None if noise is None else _member_rngs(seed, n_members)
-
+    rngs = None if noise is None else _member_rngs(seed, len(state))
+    kernel = _kernel()
     # overflow en route to the divergence check is expected, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        if scalar:
-            a1, a2 = complex(a1[0]), complex(a2[0])
-            if noise is None:
-                _run_rk4(c, a1, a2, dt, n_steps, store_every, out1, out2,
-                         ceiling)
-            else:
-                _run_etd1(c, a1, a2, dt, n_steps, store_every, out1, out2,
-                          ceiling, noise, rngs[0])
+        if kernel is None:
+            _run_members(c, state, dt, n_steps, store_every, flat1, flat2,
+                         ceiling, noise, rngs)
         else:
-            # both modes as one (2, M) state; rows of the stored samples
-            a = np.stack((a1.ravel(), a2.ravel()))
-            flat1 = out1.reshape(n_stored, n_members)
-            flat2 = out2.reshape(n_stored, n_members)
-            if noise is None:
-                _run_rk4_stacked(c, a, dt, n_steps, store_every, flat1,
-                                 flat2, ceiling)
-            else:
-                _run_etd1_stacked(c, a, dt, n_steps, store_every, flat1,
-                                  flat2, ceiling, noise, rngs)
-
+            _run_kernel(kernel, c, state, dt, n_steps, store_every, flat1,
+                        flat2, ceiling, noise, rngs)
     return Trajectory(dt=dt * store_every, a1=out1, a2=out2,
                       drive_b2=system.drive_b2, drive_phase=system.drive_phase,
                       seed=seed)
+
+
+def step_seconds(scheme: str) -> float:
+    """Expected wall time of one step of a single trajectory of ``scheme``.
+
+    :data:`SCALAR_STEP_S` with the compiled step, :data:`PYTHON_STEP_S`
+    where it is unavailable (loading it if no run has yet).
+    """
+    return (PYTHON_STEP_S if _kernel() is None else SCALAR_STEP_S)[scheme]
+
+
+def _kernel():
+    """The compiled step's entry point, or None; tried once per process."""
+    if not _KERNEL:
+        try:
+            kernel = ctypes.CDLL(_kernel_path()).tripler_step
+        except OSError as exc:
+            warnings.warn(f"the compiled integration step is unavailable "
+                          f"({exc}); integrating on the Python runners, "
+                          "which give the same samples more slowly",
+                          RuntimeWarning, stacklevel=3)
+            kernel = None
+        else:
+            i64, ptr = ctypes.c_int64, ctypes.c_void_p
+            kernel.argtypes = (i64, ptr, i64, ptr, i64, i64, i64, i64, i64,
+                               ptr, ptr, ptr, i64, ctypes.c_double, ptr)
+            kernel.restype = i64
+        _KERNEL.append(kernel)
+    return _KERNEL[0]
+
+
+def _kernel_name(source: bytes) -> str:
+    """The cached file name of ``source`` built here with :data:`_CFLAGS`."""
+    import hashlib
+
+    key = hashlib.sha256(b"\0".join([source, " ".join(_CFLAGS).encode(),
+                                     os.uname().machine.encode()]))
+    return f"tripler_step-{key.hexdigest()[:32]}.so"
+
+
+def _kernel_path() -> str:
+    """The compiled ``_step.c``, built into the first usable cache directory
+    on a miss; raises ``OSError`` naming why there is none.
+
+    The directories are ``$XDG_CACHE_HOME/tripler`` (``~/.cache/tripler``
+    by default), then ``tripler-<uid>`` in the temporary directory; one
+    that others can write to is passed over.
+    """
+    import tempfile
+
+    source = Path(__file__).with_name("_step.c").read_bytes()
+    name = _kernel_name(source)
+    cache = os.environ.get("XDG_CACHE_HOME") \
+        or os.path.join(os.path.expanduser("~"), ".cache")
+    problems = []
+    for directory in (os.path.join(cache, "tripler"),
+                      os.path.join(tempfile.gettempdir(),
+                                   f"tripler-{os.getuid()}")):
+        path = os.path.join(directory, name)
+        try:
+            os.makedirs(directory, mode=0o700, exist_ok=True)
+            info = os.stat(directory)
+            # a file others can plant there would be loaded as code
+            if info.st_uid != os.getuid() or info.st_mode & 0o022:
+                raise PermissionError("writable by other users")
+            if os.path.exists(path):
+                return path
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=directory)
+            os.close(fd)
+        except OSError as exc:
+            problems.append(f"{directory}: {exc}")
+            continue
+        _build(source, tmp, path)
+        return path
+    raise OSError("no usable cache directory (" + "; ".join(problems) + ")")
+
+
+def _build(source: bytes, tmp: str, path: str) -> None:
+    """Compile ``source`` into the temporary file ``tmp``, then rename it to
+    ``path`` in one step, so that no process loads a partly written file."""
+    import shutil
+    import subprocess
+
+    try:
+        gcc = shutil.which("gcc")
+        if gcc is None:
+            raise OSError("gcc not found on PATH")
+        try:
+            proc = subprocess.run([gcc, *_CFLAGS, "-x", "c", "-", "-o", tmp,
+                                   "-lm"], input=source, capture_output=True,
+                                  timeout=300)
+        except subprocess.TimeoutExpired:
+            raise OSError("gcc ran for more than 300 s") from None
+        if proc.returncode != 0:
+            lines = proc.stderr.decode(errors="replace").splitlines()
+            raise OSError(f"gcc exited with {proc.returncode}: "
+                          + (lines[-1] if lines else "no message"))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _member_rngs(seed, m):
@@ -372,16 +475,85 @@ def _member_rngs(seed, m):
     return [np.random.default_rng(s) for s in ss.spawn(m)]
 
 
+def _beyond(top, ceiling, step, dt):
+    return DivergenceError(
+        f"amplitude {top:.3e} exceeded ceiling {ceiling:.3e}", t=step * dt)
+
+
 def _check_finite(a, ceiling, step, dt):
     top = np.max(np.abs(a))
     if not np.isfinite(top) or top > ceiling:
-        raise DivergenceError(
-            f"amplitude {top:.3e} exceeded ceiling {ceiling:.3e}", t=step * dt)
+        raise _beyond(top, ceiling, step, dt)
 
 
 def _overflow(step, dt):
     # Python complex arithmetic raises where numpy would return inf
     return DivergenceError("amplitude overflowed a float", t=step * dt)
+
+
+def _run_kernel(kernel, c, state, dt, n_steps, store_every, out1, out2,
+                ceiling, noise, rngs):
+    """The compiled step over every member of ``state``, (M, 2) complex.
+
+    It is called once per chunk of :data:`_NOISE_CHUNK` steps, after the
+    chunk's normals are drawn as :func:`_run_etd1` draws them, so a long
+    run stays interruptible.  A member that diverges stops; the earliest
+    stop is raised once its chunk is done, as :func:`_run_members` would.
+    """
+    m = len(state)
+    chunk = min(_NOISE_CHUNK, n_steps)
+    etd1 = noise is not None
+    factors = _etd1_constants(noise, c, dt) if etd1 else (0.0,) * 8
+    # the fields of ``coefficients`` in _step.c, in order
+    parts = (x for z in c[7:] for x in (z.real, z.imag))
+    constants = np.array([*c[:7], *parts, dt, *factors, _TINY_Z])
+    # every buffer the kernel reads or writes is C-contiguous: state from
+    # np.stack, out1 and out2 reshaped from fresh arrays, draws and fail new
+    draws = np.empty((m, chunk, 4)) if etd1 else None
+    fail = np.zeros((m, 2), dtype=np.int64)
+    pointers = [x.ctypes.data for x in (constants, state, out1, out2, fail)]
+    p_constants, p_state, p_out1, p_out2, p_fail = pointers
+    p_draws = None if draws is None else draws.ctypes.data
+    check_every = _NOISE_CHUNK if etd1 else _CHECK_EVERY
+    step = 0
+    while step < n_steps:
+        todo = min(_NOISE_CHUNK, n_steps - step)
+        if etd1:
+            for row, rng in zip(draws, rngs):
+                rng.standard_normal((todo, 4), out=row[:todo])
+        if kernel(etd1, p_constants, m, p_state, step, todo, n_steps,
+                  check_every, store_every, p_out1, p_out2, p_draws, chunk,
+                  ceiling, p_fail):
+            break
+        step += todo
+    stops = [(s, j, kind) for j, (kind, s) in enumerate(fail.tolist()) if kind]
+    if stops:
+        step, j, kind = min(stops)
+        if kind == _OVERFLOW:
+            raise _overflow(step, dt)
+        raise _beyond(np.max(np.abs(state[j])), ceiling, step, dt)
+
+
+def _run_members(c, state, dt, n_steps, store_every, out1, out2, ceiling,
+                 noise, rngs):
+    """The Python runners over the members of ``state`` one by one.
+
+    Writes what :func:`_run_kernel` writes and raises the same divergence:
+    every member runs, and the earliest error is raised.
+    """
+    errors = []
+    for j, (a1, a2) in enumerate(state.tolist()):
+        try:
+            if noise is None:
+                _run_rk4(c, a1, a2, dt, n_steps, store_every, out1[:, j],
+                         out2[:, j], ceiling)
+            else:
+                _run_etd1(c, a1, a2, dt, n_steps, store_every, out1[:, j],
+                          out2[:, j], ceiling, noise, rngs[j])
+        except DivergenceError as exc:
+            errors.append(exc)
+    if errors:
+        raise min(errors, key=lambda exc: exc.t)
 
 
 def _run_rk4(c, a1, a2, dt, n_steps, store_every, out1, out2, ceiling):
@@ -399,53 +571,10 @@ def _run_rk4(c, a1, a2, dt, n_steps, store_every, out1, out2, ceiling):
             if step % store_every == 0:
                 out1[idx], out2[idx] = a1, a2
                 idx += 1
-            if step % 64 == 0 or step == n_steps:
+            if step % _CHECK_EVERY == 0 or step == n_steps:
                 _check_finite((a1, a2), ceiling, step, dt)
     except OverflowError:
         raise _overflow(step, dt) from None
-
-
-def _complex_constants(*values):
-    """Real step factors as the 0-d complex arrays numpy converts them to.
-
-    A Python float times a complex array is converted to x + 0j on every
-    call; converting once gives the same products for less time per step.
-    """
-    return [np.asarray(complex(x)) for x in values]
-
-
-def _run_rk4_stacked(c, a, dt, n_steps, store_every, out1, out2, ceiling):
-    """RK4 of the (2, M) ensemble ``a`` in place, rounding as :func:`_run_rk4`."""
-    acc, k, y = (np.empty_like(a) for _ in range(3))
-    work = _FlowWork.build(c, a, y, acc, k)
-    rows, y_rows, acc_rows, k_rows = work.views
-    half, sixth, step_dt, two = _complex_constants(0.5 * dt, dt / 6.0, dt,
-                                                   2.0)
-    flow, add, multiply = _flow_into, np.add, np.multiply
-    idx = 0
-    for step in range(1, n_steps + 1):
-        flow(work, rows, acc_rows)                  # acc = k1
-        multiply(half, acc, y)
-        add(a, y, y)
-        flow(work, y_rows, k_rows)                  # k2
-        multiply(half, k, y)
-        add(a, y, y)
-        multiply(two, k, k)
-        add(acc, k, acc)
-        flow(work, y_rows, k_rows)                  # k3
-        multiply(step_dt, k, y)
-        add(a, y, y)
-        multiply(two, k, k)
-        add(acc, k, acc)
-        flow(work, y_rows, k_rows)                  # k4
-        add(acc, k, acc)
-        multiply(sixth, acc, acc)
-        add(a, acc, a)
-        if step % store_every == 0:
-            out1[idx], out2[idx] = a
-            idx += 1
-        if step % 64 == 0 or step == n_steps:
-            _check_finite(a, ceiling, step, dt)
 
 
 def _kick_scales(noise, c, dt):
@@ -463,6 +592,18 @@ def _kick_scales(noise, c, dt):
     return out
 
 
+def _etd1_constants(noise, c, dt):
+    """The per-run factors of the ETD1 step: the kick scales s1, s2, then
+    expm1(-Gamma*dt) and exp(-Gamma*dt) per mode, then per mode whether it
+    is (nearly) undamped, the only case where |expm1(L*dt)| can reach
+    _TINY_Z, since |expm1(L*dt)| >= 1 - exp(-Gamma*dt)."""
+    gammas = (c.Gamma1, c.Gamma2)
+    return (*_kick_scales(noise, c, dt),
+            *(math.expm1(-g * dt) for g in gammas),
+            *(math.exp(-g * dt) for g in gammas),
+            *(g * dt < 2.0 * _TINY_Z for g in gammas))
+
+
 def _run_etd1(c, a1, a2, dt, n_steps, store_every, out1, out2, ceiling,
               noise, rng):
     """The ETD1 step of one trajectory on Python complex numbers.
@@ -470,12 +611,7 @@ def _run_etd1(c, a1, a2, dt, n_steps, store_every, out1, out2, ceiling,
     expm1(L*dt) by the formula numpy's complex expm1 uses, with
     Re(L*dt) = -Gamma*dt fixed per mode, so its exponentials are hoisted.
     """
-    s1, s2 = _kick_scales(noise, c, dt)
-    em1, em2 = (math.expm1(-g * dt) for g in (c.Gamma1, c.Gamma2))
-    ex1, ex2 = (math.exp(-g * dt) for g in (c.Gamma1, c.Gamma2))
-    # |expm1(L*dt)| >= 1 - exp(-Gamma*dt), so only a (nearly) undamped mode
-    # can reach _TINY_Z
-    near1, near2 = (g * dt < 2.0 * _TINY_Z for g in (c.Gamma1, c.Gamma2))
+    s1, s2, em1, em2, ex1, ex2, near1, near2 = _etd1_constants(noise, c, dt)
     cos, sin = math.cos, math.sin
     idx = 0
     step = 0
@@ -498,59 +634,9 @@ def _run_etd1(c, a1, a2, dt, n_steps, store_every, out1, out2, ceiling,
                     out1[idx], out2[idx] = a1, a2
                     idx += 1
             _check_finite((a1, a2), ceiling, step, dt)
-    except OverflowError:
+    # sin and cos of an infinite rate raise ValueError
+    except (OverflowError, ValueError):
         raise _overflow(step, dt) from None
-
-
-def _run_etd1_stacked(c, a, dt, n_steps, store_every, out1, out2, ceiling,
-                      noise, rngs):
-    """The ETD1 step of the (2, M) ensemble ``a`` in place.
-
-    Member j draws its (steps, 4) normals from ``rngs[j]`` chunkwise into
-    one buffer, scaled once per chunk into the complex kicks
-    s1*(x0 + i*x1) and s2*(x2 + i*x3), which each step reads as one (2, M)
-    view.  The rates L come from :func:`_flow_into` with the flow.
-    expm1(L*dt)/L takes its limit dt where |expm1(L*dt)| < _TINY_Z, which
-    needs a (nearly) undamped mode, so only then does the step test for it.
-    """
-    s1, s2 = _kick_scales(noise, c, dt)
-    near = min(c.Gamma1, c.Gamma2) * dt < 2.0 * _TINY_Z
-    f, z, e = (np.empty_like(a) for _ in range(3))
-    work = _FlowWork.build(c, a, f)
-    rows, f_rows = work.views
-    rates = work.linear
-    size = np.empty(a.shape)
-    tiny = np.empty(a.shape, dtype=bool)
-    (step_dt,) = _complex_constants(dt)
-    scale = np.array([s1, s2])
-    draws = np.empty((a.shape[1], min(_NOISE_CHUNK, n_steps), 4))
-    kicks = draws.view(complex)                     # (M, chunk, 2)
-    step_kicks = kicks.transpose(1, 2, 0)           # (chunk, 2, M)
-    flow, add, multiply = _flow_into, np.add, np.multiply
-    idx = 0
-    step = 0
-    while step < n_steps:
-        todo = min(_NOISE_CHUNK, n_steps - step)
-        for row, rng in zip(draws, rngs):
-            rng.standard_normal((todo, 4), out=row[:todo])
-        multiply(scale, kicks[:, :todo], kicks[:, :todo])
-        for kick in step_kicks[:todo]:
-            flow(work, rows, f_rows)
-            multiply(step_dt, rates, z)
-            np.expm1(z, z)
-            np.divide(z, rates, e)
-            if near:
-                np.abs(z, size)
-                np.less(size, _TINY_Z, tiny)
-                np.copyto(e, step_dt, where=tiny)
-            multiply(e, f, z)
-            add(a, z, a)
-            add(a, kick, a)
-            step += 1
-            if step % store_every == 0:
-                out1[idx], out2[idx] = a
-                idx += 1
-        _check_finite(a, ceiling, step, dt)
 
 
 def boxcar_demodulate(traj: Trajectory, fs: float,
@@ -558,9 +644,11 @@ def boxcar_demodulate(traj: Trajectory, fs: float,
     """Complex window means of the fundamental mode at effective rate fs.
 
     Consecutive non-overlapping windows of 1/fs are averaged; ensemble
-    members contribute their windows in sequence.  ``fs`` must not exceed
-    the stored sampling rate 1/dt.
+    members contribute their windows in sequence.  ``fs`` must be positive
+    and not exceed the stored sampling rate 1/dt.
     """
+    if not 0.0 < fs < math.inf:
+        raise ValueError(f"fs must be positive and finite, got {fs!r}")
     if traj.n_samples == 0:
         raise EmptyTrajectoryError("no samples to demodulate")
     if fs > 1.0 / traj.dt * (1 + 1e-9):
@@ -584,8 +672,11 @@ def demodulate_histogram(traj: Trajectory, fs: float, bins=101,
     the window is long compared to the residence time in a state, counts
     spread along lines joining the states: distinct attractors average
     together.  A gain ``scale`` (volts per photon amplitude) switches the
-    axes to volts.
+    axes to volts.  ``bins`` is a bin count per axis or a pair of edge
+    arrays.
     """
+    if np.isscalar(bins) and not (1 <= bins < math.inf and bins == int(bins)):
+        raise ValueError(f"bins must be a positive whole number, got {bins!r}")
     means = boxcar_demodulate(traj, fs, scale=scale)
     w = max(int(round(1.0 / (fs * traj.dt))), 1)
     i, q = means.real, means.imag
@@ -605,6 +696,8 @@ def demodulate_histogram(traj: Trajectory, fs: float, bins=101,
 
 def classify_samples(samples: np.ndarray, refs, radius: float) -> np.ndarray:
     """Index of the nearest reference within ``radius`` per sample, else -1."""
+    if not radius >= 0.0:
+        raise ValueError(f"radius must be non-negative, got {radius!r}")
     refs = np.asarray(refs, dtype=complex)
     if len(refs) >= 2:
         sep = min(abs(x - y) for k, x in enumerate(refs) for y in refs[k + 1:])

@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
-from . import _lazy_import
 from ._roots import bisect, bracket_roots, linspace, polyroots
 from .errors import (
     BelowThresholdError,
@@ -32,8 +31,6 @@ from .errors import (
     ResidualError,
     StabilityMismatchWarning,
 )
-
-np = _lazy_import("numpy")
 
 THRESHOLD_FACTOR = math.sqrt(7.0)
 
@@ -373,11 +370,13 @@ def _rates_and_flow(c: _Coefficients, a1, a2):
     Returns ``(L1, L2, da1/dt, da2/dt)``; each mode's flow is ``L*a`` plus
     its coupling (and, for mode 2, drive) term.  Uses only operators that
     Python ``complex`` and numpy arrays share, so one expression serves
-    single trajectories and ensembles.
+    scalars and arrays.  ``dynamics``' compiled step (``_step.c``) repeats
+    this expression operation for operation; |a|^2 is re^2 + im^2, which
+    C computes as cheaply as Python and without libm's ``hypot``/``pow``.
     """
     d1, d2, al1, al2, ax2, g1, g2, iat, iat3, idrive = c
-    n1 = abs(a1) ** 2
-    n2 = abs(a2) ** 2
+    n1 = a1.real * a1.real + a1.imag * a1.imag
+    n2 = a2.real * a2.real + a2.imag * a2.imag
     l1 = 1j * (d1 + al1 * n1 + ax2 * n2) - g1
     l2 = 1j * (d2 + al2 * n2 + ax2 * n1) - g2
     return (l1, l2, l1 * a1 + iat * a1.conjugate() ** 2 * a2,
@@ -391,90 +390,6 @@ def _flow(c: _Coefficients, a1, a2):
     """
     _, _, da1, da2 = _rates_and_flow(c, a1, a2)
     return da1, da2
-
-
-class _FlowWork(NamedTuple):
-    """Constants, scratch and prebuilt views of :func:`_flow_into`.
-
-    Built once per ensemble run by :meth:`build`; row 0 is mode 1 and row 1
-    mode 2 throughout.  ``views`` holds ``(x, x[0], x[1])`` for each buffer
-    ``x`` passed to :meth:`build`, in order.
-    """
-
-    delta: np.ndarray       # (2, M) detunings
-    alpha: np.ndarray       # (2, M) self-Kerr coefficients
-    gamma: np.ndarray       # (2, M) complex dampings Gamma + 0j
-    constants: tuple        # 2*alpha_x, i*alpha_t, i*alpha_t/3, i*drive, 1j
-                            # and the power 3 + 0j of a1, as 0-d arrays (a
-                            # ufunc converts a Python scalar on every call)
-    n: np.ndarray           # (2, M) scratch: |a|^2
-    kerr: np.ndarray        # (2, M) scratch: detuning plus self-Kerr
-    cross: tuple            # (2, M) scratch 2*alpha_x*|a|^2, and it with
-                            # rows swapped: the cross-Kerr shift per mode
-    phase: tuple            # (2, M) complex scratch of imaginary part 0,
-                            # and its real part
-    linear: np.ndarray      # (2, M) complex: the rates L of the last call
-    coupling: tuple         # (2, M) complex scratch and its rows
-    term: tuple             # two (M,) complex scratch rows
-    views: tuple
-
-    @classmethod
-    def build(cls, c: _Coefficients, *buffers: np.ndarray) -> "_FlowWork":
-        m = buffers[0].shape[1]
-
-        def rows(x1, x2, dtype=float):
-            return np.repeat(np.array([[x1], [x2]], dtype=dtype), m, axis=1)
-
-        n, kerr, cross = np.empty((3, 2, m))
-        phase = np.zeros((2, m), dtype=complex)
-        linear, coupling = np.empty((2, 2, m), dtype=complex)
-        constants = tuple(map(np.asarray, (c.alpha_cross2, c.i_alpha_tilde,
-                                           c.i_alpha_tilde3, c.i_drive, 1j,
-                                           3 + 0j)))
-        return cls(rows(c.delta1, c.delta2), rows(c.alpha1, c.alpha2),
-                   rows(c.Gamma1, c.Gamma2, complex), constants, n, kerr,
-                   (cross, cross[::-1]), (phase, phase.real), linear,
-                   (coupling, *coupling),
-                   tuple(np.empty((2, m), dtype=complex)),
-                   tuple((x, *x) for x in buffers))
-
-
-def _flow_into(work: _FlowWork, a: tuple, out: tuple) -> None:
-    """:func:`_flow` of a stacked ``(2, M)`` ensemble, written into ``out``.
-
-    ``a`` and ``out`` are entries of ``work.views`` whose buffers share no
-    memory; ``a`` holds mode 1 in row 0 and mode 2 in row 1.  The terms
-    both modes share are evaluated once for both rows, the couplings and
-    the drive per row.  Views and constants come prebuilt and each ufunc
-    takes its output by position, so a call allocates nothing.  Each
-    elementwise operation and the order of its operands are those of
-    :func:`_flow`, and no complex product is written over one of its
-    factors (numpy rounds such a product differently when M = 1), so the
-    result is bit-identical to ``np.stack(_flow(c, a1, a2))``, and
-    ``work.linear`` to the rates L of :func:`_rates_and_flow`.
-    """
-    (delta, alpha, gamma, (ax2, iat, iat3, idrive, i, three), n, kerr,
-     (cross, cross_shift), (phase, phase_real), linear,
-     (coupling, coupling1, coupling2), (term1, term2), _) = work
-    (a, a1, a2), (out, _, out2) = a, out
-    multiply, add = np.multiply, np.add
-    np.absolute(a, n)
-    np.square(n, n)
-    multiply(alpha, n, kerr)
-    add(delta, kerr, kerr)
-    multiply(ax2, n, cross)
-    add(kerr, cross_shift, phase_real)
-    multiply(i, phase, linear)
-    np.subtract(linear, gamma, linear)
-    multiply(linear, a, out)
-    np.conjugate(a1, term1)
-    np.square(term1, term2)
-    multiply(iat, term2, term1)
-    multiply(term1, a2, coupling1)
-    np.power(a1, three, term2)
-    multiply(iat3, term2, coupling2)
-    add(out, coupling, out)
-    np.subtract(out2, idrive, out2)
 
 
 def flow(point: DimensionlessPoint, u1, u2):
@@ -507,8 +422,8 @@ def jacobian(point: DimensionlessPoint, u1: complex, u2: complex):
     :func:`flow`.
     """
     d1, d2, al1, al2, ax2, g1, g2, iat, _, _ = _Coefficients.reduced(point)
-    n1 = abs(u1) ** 2
-    n2 = abs(u2) ** 2
+    n1 = u1.real * u1.real + u1.imag * u1.imag      # |u|^2 as in the flow
+    n2 = u2.real * u2.real + u2.imag * u2.imag
     A11 = 1j * (d1 + 2.0 * al1 * n1 + ax2 * n2) - g1
     B11 = 1j * al1 * u1 * u1 + 2.0 * iat * u1.conjugate() * u2
     A12 = 1j * ax2 * u2.conjugate() * u1 + iat * u1.conjugate() ** 2
@@ -665,7 +580,10 @@ def _triad_states(point: DimensionlessPoint, v: float, branch_id: int,
         res = stationary_residual(point, u1, u2)
         if res > STATIONARY_TOL:
             st, res = _newton_polish(point, st, u1, u2)
-        verdict, eig = stability(replace(st, residual=res), point)
+        if k == 0:
+            # copies 1 and 2 are copy 0 under u1 -> u1*exp(2*pi*i*k/3), which
+            # makes their Jacobians similar to its: one spectrum serves all
+            verdict, eig = stability(replace(st, residual=res), point)
         states.append(replace(st, stable=verdict, eigenvalues=eig, residual=res))
     return states
 

@@ -16,6 +16,20 @@ settings.register_profile("tripler", print_blob=True)
 settings.load_profile("tripler")
 
 
+@pytest.fixture(scope="session", autouse=True)
+def kernel_cache(tmp_path_factory):
+    """Build ``dynamics``' compiled step into this session's own cache.
+
+    The build path then runs in every session, and neither the tests nor
+    the CLI processes they start (which inherit the variable) write to the
+    user's cache.
+    """
+    patch = pytest.MonkeyPatch()
+    patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+    yield
+    patch.undo()
+
+
 @pytest.fixture(scope="session")
 def params():
     return circuit.reference_params()

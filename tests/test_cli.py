@@ -200,13 +200,30 @@ class TestSimulate:
         sim = {"flux": 0.0, "delta1_hz": -12e6, "b2_sq": 6.25e10,
                "duration_s": 2e-9, "dt_s": 2e-11}
         cfg = write_config(workdir, {"simulate": sim})
-        expected = 100 * dynamics.SCALAR_STEP_S["rk4"]
+        expected = 100 * dynamics.step_seconds("rk4")
+        assert expected == 100 * dynamics.SCALAR_STEP_S["rk4"]
         monkeypatch.setattr(cli, "MAX_SIMULATE_S", 0.99 * expected)
         assert main(["--config", cfg, "simulate"]) == 2
         assert "'dt_s' gives 100 integration steps" in capsys.readouterr().err
         assert not (workdir / "out" / "trajectory.trpl").exists()
         monkeypatch.setattr(cli, "MAX_SIMULATE_S", 1.01 * expected)
         assert main(["--config", cfg, "simulate"]) == 0
+
+    def test_run_time_limit_without_the_compiled_step(self, workdir,
+                                                      monkeypatch, capsys):
+        # the Python runners' step cost bounds the run where the compiled
+        # step is unavailable: a run the compiled step would finish in time
+        # is refused
+        sim = {"flux": 0.0, "delta1_hz": -12e6, "b2_sq": 6.25e10,
+               "duration_s": 2e-9, "dt_s": 2e-11}
+        cfg = write_config(workdir, {"simulate": sim})
+        monkeypatch.setattr(cli, "MAX_SIMULATE_S",
+                            100 * dynamics.SCALAR_STEP_S["rk4"])
+        monkeypatch.setattr(dynamics, "_KERNEL", [None])
+        assert main(["--config", cfg, "simulate"]) == 2
+        assert f"at {dynamics.PYTHON_STEP_S['rk4']:g} s per rk4 step" \
+            in capsys.readouterr().err
+        assert not (workdir / "out" / "trajectory.trpl").exists()
 
     def test_drive_phase_reaches_the_trajectory(self, workdir):
         sim = {"flux": 0.0, "delta1_hz": -12e6, "b2_sq": 6.25e10,
@@ -771,18 +788,22 @@ COMMAND_MODULES = {
 SCALAR_COMMANDS = {"spectrum", "steady", "thresholds"}
 
 #: runs ``python -m tripler`` with the arguments given, then prints its exit
-#: code, the tripler modules it loaded and the numpy submodules it loaded as
-#: JSON (a lazily bound ``numpy`` itself is in ``sys.modules`` either way)
+#: code, the tripler modules it loaded, the numpy submodules it loaded (a
+#: lazily bound ``numpy`` itself is in ``sys.modules`` either way) and the
+#: compiled integration steps mapped into it, as JSON
 _MODULE_DUMP = """
-import json, runpy, sys
+import json, os, runpy, sys
 sys.argv = ["tripler", *sys.argv[1:]]
 try:
     runpy.run_module("tripler", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
+with open("/proc/self/maps") as maps:
+    mapped = {os.path.basename(word) for word in maps.read().split()}
 print(json.dumps([code, sorted(m for m in sys.modules
                                if m.split(".")[0] == "tripler"),
-                  sorted(m for m in sys.modules if m.startswith("numpy."))]))
+                  sorted(m for m in sys.modules if m.startswith("numpy.")),
+                  sorted(n for n in mapped if n.startswith("tripler_step-"))]))
 """
 
 
@@ -829,9 +850,11 @@ class TestImportFootprint:
                                                "flux_frac": cut.flux})
                 argv.append(str(path))
         proc = self.uncached(["-c", _MODULE_DUMP, *argv], workdir)
-        code, modules, numpy_modules = json.loads(proc.stdout.splitlines()[-1])
+        code, modules, numpy_modules, kernels = json.loads(
+            proc.stdout.splitlines()[-1])
         assert code == 0, proc.stderr
         assert set(modules) == COMMAND_MODULES[command]
+        assert len(kernels) == (command == "simulate")
         if command in SCALAR_COMMANDS:
             assert numpy_modules == []
         else:

@@ -1,7 +1,10 @@
 import math
+import os
+import tempfile
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -123,8 +126,8 @@ class TestIntegrate:
 
     def test_member_streams_isolated(self, soft_point):
         # member j (in C order) of a vector run draws from the j-th stream
-        # spawned from the master seed (a solo run draws member 0's stream
-        # and agrees with it to rounding, see TestScalarPath)
+        # spawned from the master seed (a solo run is member 0, bit for
+        # bit, see TestScalarPath)
         pt = driven_soft_point(soft_point)
         system = TwoModeSystem.from_point(pt)
         rng = np.random.default_rng(3)
@@ -300,11 +303,6 @@ class TestIntegrate:
             assert min(abs(z - r) for r in refs1) < 1e-3
 
 
-def agree(got, ref):
-    """Largest deviation within 1e-12 of the largest reference amplitude."""
-    return np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-
 def scalar_and_solo_ensemble(system, a1, a2, **kw):
     """The same run on the scalar path and as an ensemble of one."""
     scalar = dynamics.integrate(system, (a1, a2), **kw)
@@ -339,11 +337,7 @@ def region2():
 
 
 class TestScalarPath:
-    """Scalar initial conditions integrate on Python complex numbers.
-
-    The numpy ensemble path is the reference: the two paths share the
-    random streams and differ only in how their arithmetic rounds.
-    """
+    """A scalar initial condition is an ensemble of one, bit for bit."""
 
     README = {"duration": 4e-7, "dt": 2e-11, "store_every": 100}
 
@@ -352,14 +346,15 @@ class TestScalarPath:
                                                **self.README)
         assert scalar.a1.shape == ens.a1.shape == (200,)
         assert np.all(scalar.a1 == 0.0)
-        assert agree(scalar.a2, ens.a2)
+        assert same_bits(scalar.a1, ens.a1)
+        assert same_bits(scalar.a2, ens.a2)
 
     def test_em_matches_solo_ensemble(self, readme_system):
         noise = NoiseConfig.thermal(readme_system, 0.1)
         kw = dict(self.README, noise=noise, seed=7)
         scalar, ens = scalar_and_solo_ensemble(readme_system, 0.0, 0.0, **kw)
-        assert agree(scalar.a1, ens.a1)
-        assert agree(scalar.a2, ens.a2)
+        assert same_bits(scalar.a1, ens.a1)
+        assert same_bits(scalar.a2, ens.a2)
         again = dynamics.integrate(readme_system, (0.0, 0.0), **kw)
         assert np.array_equal(again.a1, scalar.a1)
         assert np.array_equal(again.a2, scalar.a2)
@@ -408,12 +403,12 @@ class TestScalarPath:
         for kw in runs:
             scalar, ens = scalar_and_solo_ensemble(system, a1, 0j,
                                                    duration=1.0, **kw)
-            assert agree(scalar.a1, ens.a1)
-            assert agree(scalar.a2, ens.a2)
+            assert same_bits(scalar.a1, ens.a1)
+            assert same_bits(scalar.a2, ens.a2)
 
     def test_overflow_is_divergence(self, soft_point):
         # Python complex arithmetic raises OverflowError where numpy
-        # would return inf; both paths must report a DivergenceError
+        # would return inf; scalar and ensemble report a DivergenceError
         system = TwoModeSystem.from_point(driven_soft_point(soft_point))
         for init in ((50.0, 50.0), (np.full(1, 50.0), np.full(1, 50.0))):
             with pytest.raises(DivergenceError):
@@ -436,6 +431,15 @@ def reference_kick_scales(noise, c, dt):
             for d, g in ((noise.d1, c.Gamma1), (noise.d2, c.Gamma2))]
 
 
+def expm1(z):
+    """numpy's complex expm1, on an array or per part of a Python complex."""
+    if isinstance(z, np.ndarray):
+        return np.expm1(z)
+    half = math.sin(z.imag / 2)
+    return complex(math.expm1(z.real) * math.cos(z.imag) - 2 * half * half,
+                   math.exp(z.real) * math.sin(z.imag))
+
+
 def etd1_step(c, a1, a2, dt, kick1, kick2):
     """One ETD1 step of both modes with the kicks given.
 
@@ -443,52 +447,58 @@ def etd1_step(c, a1, a2, dt, kick1, kick2):
     i*(detuning + Kerr) - Gamma written out here and f ``steady._flow``.
     """
     f1, f2 = steady._flow(c, a1, a2)
-    n1, n2 = abs(a1) ** 2, abs(a2) ** 2
+    n1 = a1.real * a1.real + a1.imag * a1.imag
+    n2 = a2.real * a2.real + a2.imag * a2.imag
     ax2 = c.alpha_cross2
     l1 = 1j * (c.delta1 + c.alpha1 * n1 + ax2 * n2) - c.Gamma1
     l2 = 1j * (c.delta2 + c.alpha2 * n2 + ax2 * n1) - c.Gamma2
-    return (a1 + np.expm1(dt * l1) / l1 * f1 + kick1,
-            a2 + np.expm1(dt * l2) / l2 * f2 + kick2)
+    return (a1 + expm1(dt * l1) / l1 * f1 + kick1,
+            a2 + expm1(dt * l2) / l2 * f2 + kick2)
 
 
 def reference_integrate(system, a1, a2, duration, dt, noise=None, seed=None,
                         store_every=1):
-    """The ensemble schemes as plain loops over ``steady._flow``.
+    """Both schemes as plain loops over ``steady._flow``.
 
-    Each mode is its own array and every expression allocates; member j
-    draws its normals from the j-th stream of ``_member_rngs`` all at once.
-    The noisy scheme is :func:`etd1_step` with the exact Ornstein-Uhlenbeck
-    kick of the mode's damping.
+    Each member runs on its own, on Python complex numbers, and draws its
+    normals from the j-th stream of ``_member_rngs`` all at once.  The noisy
+    scheme is :func:`etd1_step` with the exact Ornstein-Uhlenbeck kick of
+    the mode's damping.
     """
     c = system._coefficients()
     shape = np.shape(a1)
-    a1 = np.array(a1, dtype=complex).ravel()
-    a2 = np.array(a2, dtype=complex).ravel()
     n = int(round(duration / dt))
+    members = list(zip(np.ravel(a1).tolist(), np.ravel(a2).tolist()))
     if noise is not None:
-        draws = np.stack([rng.standard_normal((n, 4)) for rng in
-                          dynamics._member_rngs(seed, a1.size)], axis=-1)
+        rngs = dynamics._member_rngs(seed, len(members))
         s1, s2 = reference_kick_scales(noise, c, dt)
     out1, out2 = [], []
-    for step in range(1, n + 1):
-        if noise is None:
-            k1a, k1b = steady._flow(c, a1, a2)
-            k2a, k2b = steady._flow(c, a1 + 0.5 * dt * k1a,
-                                    a2 + 0.5 * dt * k1b)
-            k3a, k3b = steady._flow(c, a1 + 0.5 * dt * k2a,
-                                    a2 + 0.5 * dt * k2b)
-            k4a, k4b = steady._flow(c, a1 + dt * k3a, a2 + dt * k3b)
-            a1 = a1 + dt / 6.0 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-            a2 = a2 + dt / 6.0 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-        else:
-            x0, x1, x2, x3 = draws[step - 1]
-            a1, a2 = etd1_step(c, a1, a2, dt, s1 * (x0 + 1j * x1),
-                               s2 * (x2 + 1j * x3))
-        if step % store_every == 0:
-            out1.append(a1)
-            out2.append(a2)
-    return (np.reshape(out1, (len(out1),) + shape),
-            np.reshape(out2, (len(out2),) + shape))
+    for j, (b1, b2) in enumerate(members):
+        b1, b2 = complex(b1), complex(b2)
+        if noise is not None:
+            draws = rngs[j].standard_normal((n, 4)).tolist()
+        out1.append([])
+        out2.append([])
+        for step in range(1, n + 1):
+            if noise is None:
+                k1a, k1b = steady._flow(c, b1, b2)
+                k2a, k2b = steady._flow(c, b1 + 0.5 * dt * k1a,
+                                        b2 + 0.5 * dt * k1b)
+                k3a, k3b = steady._flow(c, b1 + 0.5 * dt * k2a,
+                                        b2 + 0.5 * dt * k2b)
+                k4a, k4b = steady._flow(c, b1 + dt * k3a, b2 + dt * k3b)
+                b1 = b1 + dt / 6.0 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+                b2 = b2 + dt / 6.0 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+            else:
+                x0, x1, x2, x3 = draws[step - 1]
+                b1, b2 = etd1_step(c, b1, b2, dt, s1 * (x0 + 1j * x1),
+                                   s2 * (x2 + 1j * x3))
+            if step % store_every == 0:
+                out1[-1].append(b1)
+                out2[-1].append(b2)
+    rows = n // store_every
+    return (np.array(out1, dtype=complex).T.reshape((rows,) + shape),
+            np.array(out2, dtype=complex).T.reshape((rows,) + shape))
 
 
 def test_etd1_strong_convergence(region2):
@@ -532,33 +542,162 @@ damping = st.just(0.0) | st.floats(0, 10)
 
 
 class TestStackedStep:
-    """The (2, M) in-place ensemble step rounds exactly as ``steady._flow``."""
+    """The compiled ensemble step against the Python runners as its oracle."""
 
-    @settings(max_examples=200, deadline=None, derandomize=True,
+    @staticmethod
+    def start(region2, shape, parts):
+        """Amplitudes of ``shape`` inside the region-II start radius, their
+        parts (signed zeros too) set directly from ``parts``."""
+        parts = np.reshape(parts, (4,) + shape)
+        a1, a2 = np.empty(shape, complex), np.empty(shape, complex)
+        a1.real, a1.imag = region2["radius"] * parts[:2]
+        a2.real, a2.imag = 0.4 * parts[2:]
+        return a1, a2
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
               database=None)
-    @given(m=st.integers(1, 9), data=st.data(),
-           delta=st.tuples(finite, finite),
-           alpha=st.tuples(st.floats(0, 10), st.floats(0, 10)),
-           gamma=st.tuples(st.floats(0, 10), st.floats(0, 10)),
-           ext=st.floats(0, 10), drive=st.floats(0, 10),
-           phase=st.floats(0, 2 * math.pi))
-    def test_flow_into_matches_flow_bitwise(self, m, data, delta, alpha,
-                                            gamma, ext, drive, phase):
-        system = TwoModeSystem(delta1=delta[0], delta2=delta[1],
-                               alpha1=alpha[0], alpha2=alpha[1],
-                               Gamma1=gamma[0], Gamma2=gamma[1],
-                               Gamma2_ext=ext, drive_b2=drive,
-                               drive_phase=phase)
+    @given(shape=st.sampled_from([(), (1,), (2,), (7,), (40,), (2, 1),
+                                  (1, 7), (8, 5)]),
+           data=st.data(), steps=st.integers(1, 2 * dynamics._NOISE_CHUNK + 1),
+           store_every=st.integers(1, 40), noisy=st.booleans(),
+           undamped=st.booleans(), seed=st.integers(0, 2**31 - 1))
+    @example(shape=(40,), data=None, steps=dynamics._NOISE_CHUNK + 77,
+             store_every=9, noisy=True, undamped=False, seed=12)
+    @example(shape=(8, 5), data=None, steps=2 * dynamics._NOISE_CHUNK + 1,
+             store_every=6, noisy=False, undamped=True, seed=0)
+    def test_members_match_python_runners(self, region2, shape, data, steps,
+                                          store_every, noisy, undamped, seed):
+        # member j of the compiled step is _run_rk4 / _run_etd1 of its own
+        # start, on stream j, bit for bit
+        system = region2["system"]
+        if undamped:
+            system = replace(system, Gamma1=0.0)
+        m = math.prod(shape)
+        part = st.sampled_from([0.0, -0.0]) | st.floats(-0.7, 0.7)
+        parts = (np.random.default_rng(seed).uniform(-0.7, 0.7, 4 * m)
+                 if data is None else
+                 data.draw(st.lists(part, min_size=4 * m, max_size=4 * m)))
+        a1, a2 = self.start(region2, shape, parts)
+        dt = region2["dt_em" if noisy else "dt_rk4"]
+        noise = NoiseConfig.thermal(system, 0.15) if noisy else None
+        traj = dynamics.integrate(system, (a1, a2), duration=steps * dt, dt=dt,
+                                  noise=noise, seed=seed,
+                                  store_every=store_every)
+        assert dynamics._KERNEL[0] is not None
+        rows = steps // store_every
+        assert traj.a1.shape == (rows,) + shape
+        got1, got2 = (x.reshape(rows, m) for x in (traj.a1, traj.a2))
         c = system._coefficients()
-        parts = data.draw(st.lists(finite, min_size=4 * m, max_size=4 * m))
-        x = np.array(parts).reshape(2, 2, m)
-        a = x[:, 0] + 1j * x[:, 1]
-        out = np.empty((2, m), dtype=complex)
-        work = steady._FlowWork.build(c, a, out)
-        steady._flow_into(work, *work.views)
-        want1, want2 = steady._flow(c, a[0].copy(), a[1].copy())
-        assert same_bits(out[0], want1)
-        assert same_bits(out[1], want2)
+        rngs = dynamics._member_rngs(seed, m)
+        for j, (b1, b2) in enumerate(zip(a1.ravel().tolist(),
+                                         a2.ravel().tolist())):
+            want1, want2 = np.empty(rows, complex), np.empty(rows, complex)
+            args = (c, b1, b2, dt, steps, store_every, want1, want2, 1e9)
+            if noisy:
+                dynamics._run_etd1(*args, noise, rngs[j])
+            else:
+                dynamics._run_rk4(*args)
+            assert same_bits(got1[:, j], want1)
+            assert same_bits(got2[:, j], want2)
+
+    @pytest.mark.parametrize("start, dt, d, ceiling", [
+        (5.0, 0.05, None, 1e9), (50.0, 1.0, None, math.inf),
+        (0.1, 0.01, 1e20, 1e9), (0.1, 0.01, 1e250, math.inf)],
+        ids=["rk4-ceiling", "rk4-overflow", "etd1-ceiling", "etd1-overflow"])
+    @pytest.mark.parametrize("members", [1, 3])
+    def test_divergence_same_on_both_paths(self, soft_point, monkeypatch,
+                                           members, start, dt, d, ceiling):
+        # the earliest member to diverge is reported, with the Python
+        # runner's message and time, by the compiled step and the fallback
+        system = TwoModeSystem.from_point(driven_soft_point(soft_point))
+        amps = np.array([start, 0.1, 0.6 * start][:members])
+        kw = dict(duration=50 * dt, dt=dt, ceiling=ceiling)
+        if d is not None:
+            kw.update(noise=NoiseConfig(d1=d, d2=d), seed=1)
+        errors = []
+        for kernel in (dynamics._kernel(), None):
+            monkeypatch.setattr(dynamics, "_KERNEL", [kernel])
+            with warnings.catch_warnings(), \
+                    pytest.raises(DivergenceError) as info:
+                warnings.simplefilter("ignore", StepSizeWarning)
+                dynamics.integrate(system, (amps, amps), **kw)
+            errors.append((str(info.value), info.value.t))
+        assert errors[0] == errors[1]
+        assert ("overflowed" in errors[0][0]) == (ceiling == math.inf)
+
+    def test_infinite_rate_is_divergence(self, monkeypatch):
+        # a finite pump of 1e150 photon amplitude makes the cross-Kerr rate
+        # infinite; math.sin of it used to escape as "math domain error"
+        system = TwoModeSystem(delta1=0.0, delta2=0.0, alpha1=1e10,
+                               alpha2=1e10, Gamma1=1.0, Gamma2=1.0,
+                               Gamma2_ext=0.5)
+        for kernel in (dynamics._kernel(), None):
+            monkeypatch.setattr(dynamics, "_KERNEL", [kernel])
+            with warnings.catch_warnings(), \
+                    pytest.raises(DivergenceError, match="overflowed"):
+                warnings.simplefilter("ignore", StepSizeWarning)
+                dynamics.integrate(system, (1.0, 1e150), duration=1e-3,
+                                   dt=1e-4, noise=NoiseConfig(d1=0.1, d2=0.1),
+                                   seed=1)
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["rk4", "etd1"])
+    def test_fallback_writes_the_same_bytes(self, region2, monkeypatch,
+                                            noisy):
+        system = region2["system"]
+        a1, a2 = self.start(region2, (2, 3),
+                            np.random.default_rng(8).uniform(-0.7, 0.7, 24))
+        dt = region2["dt_em" if noisy else "dt_rk4"]
+        kw = dict(duration=700 * dt, dt=dt, store_every=3, seed=9,
+                  noise=NoiseConfig.thermal(system, 0.15) if noisy else None)
+        compiled = dynamics.integrate(system, (a1, a2), **kw)
+
+        def unavailable():
+            raise OSError("no compiler in this test")
+
+        monkeypatch.setattr(dynamics, "_kernel_path", unavailable)
+        monkeypatch.setattr(dynamics, "_KERNEL", [])
+        with pytest.warns(RuntimeWarning, match="no compiler in this test"):
+            first = dynamics.integrate(system, (a1, a2), **kw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # once per process
+            again = dynamics.integrate(system, (a1, a2), **kw)
+        for traj in (first, again):
+            assert same_bits(traj.a1, compiled.a1)
+            assert same_bits(traj.a2, compiled.a2)
+
+    def test_step_cost_follows_the_kernel(self, monkeypatch):
+        assert dynamics._kernel() is not None
+        assert dynamics.step_seconds("rk4") == dynamics.SCALAR_STEP_S["rk4"]
+        monkeypatch.setattr(dynamics, "_KERNEL", [None])
+        assert dynamics.step_seconds("etd1") \
+            == dynamics.PYTHON_STEP_S["etd1"]
+
+    def test_cache_name_follows_the_source(self):
+        source = Path(dynamics.__file__).with_name("_step.c").read_bytes()
+        name = dynamics._kernel_name(source)
+        assert name == dynamics._kernel_name(bytes(source))
+        assert name != dynamics._kernel_name(source + b"\n")
+
+    def test_builds_into_an_empty_cache(self, region2, tmp_path,
+                                        monkeypatch):
+        # a cache directory other users can write to is passed over
+        shared = tmp_path / "shared"
+        (shared / "tripler").mkdir(parents=True)
+        (shared / "tripler").chmod(0o777)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(shared))
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        kw = dict(duration=100 * region2["dt_rk4"], dt=region2["dt_rk4"])
+        init = (np.full(3, 0.5 + 0.1j), np.zeros(3, dtype=complex))
+        session = dynamics.integrate(region2["system"], init, **kw)
+        monkeypatch.setattr(dynamics, "_KERNEL", [])
+        fresh = dynamics.integrate(region2["system"], init, **kw)
+        source = Path(dynamics.__file__).with_name("_step.c").read_bytes()
+        private = tmp_path / f"tripler-{os.getuid()}"
+        assert [p.name for p in private.iterdir()] \
+            == [dynamics._kernel_name(source)]
+        assert private.stat().st_mode & 0o777 == 0o700
+        assert not any((shared / "tripler").iterdir())
+        assert same_bits(fresh.a1, session.a1)
 
     @settings(max_examples=150, deadline=None, derandomize=True,
               database=None)
@@ -670,19 +809,6 @@ class TestStackedStep:
         a2 = np.array([0.0, -0.5j, 1.0, -0.0, 2.5, -3j, 2 + 2j, -0.0j])
         return system, a1, a2
 
-    def test_undamped_signed_zeros_rates_bitwise(self, region2):
-        # Re L1 = Re(1j*phase1) - 0 is a zero whose sign follows phase1's;
-        # writing -Gamma1 into it directly flips the sign in half the cases
-        system, a1, a2 = self.undamped_signed_zeros(region2)
-        c = system._coefficients()
-        a = np.stack((a1, a2))
-        out = np.empty_like(a)
-        work = steady._FlowWork.build(c, a, out)
-        steady._flow_into(work, *work.views)
-        l1, l2, f1, f2 = steady._rates_and_flow(c, a1, a2)
-        assert same_bits(work.linear, np.stack((l1, l2)))
-        assert same_bits(out, np.stack((f1, f2)))
-
     @pytest.mark.parametrize("noisy", [False, True], ids=["rk4", "etd1"])
     def test_undamped_signed_zeros_match_reference_loops(self, region2,
                                                          noisy):
@@ -739,6 +865,22 @@ class TestDemodulation:
         traj = dynamics.integrate(system, (0.1, 0.0), duration=1.0, dt=0.01)
         with pytest.raises(ValueError):
             dynamics.demodulate_histogram(traj, fs=1000.0)
+
+    @pytest.mark.parametrize("fs", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_rate_rejected(self, fs):
+        traj = Trajectory(dt=0.1, a1=np.ones(10, complex),
+                          a2=np.zeros(10, complex), drive_b2=0.0,
+                          drive_phase=0.0)
+        with pytest.raises(ValueError, match="^fs must be positive"):
+            dynamics.boxcar_demodulate(traj, fs)
+
+    @pytest.mark.parametrize("bins", [0, -3, 2.5, math.nan, math.inf])
+    def test_bad_bin_count_rejected(self, bins):
+        traj = Trajectory(dt=0.1, a1=np.ones(10, complex),
+                          a2=np.zeros(10, complex), drive_b2=0.0,
+                          drive_phase=0.0)
+        with pytest.raises(ValueError, match="^bins must be a positive"):
+            dynamics.demodulate_histogram(traj, fs=1.0, bins=bins)
 
     def test_empty_trajectory(self):
         traj = Trajectory(dt=0.01, a1=np.empty(0, complex),
@@ -797,6 +939,13 @@ class TestSwitching:
         stats = dynamics.switching_rate(traj, [a, b], classify_radius=0.5)
         assert stats.rate == pytest.approx(1000.0, rel=1e-12)
         assert stats.transitions.sum() == 10
+
+    @pytest.mark.parametrize("radius", [math.nan, -0.1])
+    def test_bad_radius_rejected(self, radius):
+        # a NaN radius used to assign every sample to its nearest state
+        with pytest.raises(ValueError, match="^radius must be non-negative"):
+            dynamics.classify_samples(np.array([100.0, 0.0]), refs=[0, 1],
+                                      radius=radius)
 
     def test_overlapping_radius(self):
         traj = Trajectory(dt=1e-5, a1=np.ones(10, complex),
@@ -959,6 +1108,21 @@ class TestTrajectoryUtils:
         m = ens.member(1)
         assert m.a1.ndim == 1
         assert np.array_equal(m.a1, ens.a1[:, 1])
+
+    def test_member_is_a_read_only_view(self, soft_point):
+        # no copy per member; writing to one cannot change the ensemble
+        system = TwoModeSystem.from_point(driven_soft_point(soft_point))
+        ens = dynamics.integrate(system, (np.full((2, 3), 0.3),
+                                          np.zeros((2, 3))),
+                                 duration=1.0, dt=0.01)
+        m = ens.member(1)
+        assert m.a1.shape == (100, 3)
+        for got, whole in ((m.a1, ens.a1), (m.a2, ens.a2)):
+            assert np.shares_memory(got, whole)
+            assert same_bits(got, whole[:, 1])
+            with pytest.raises(ValueError, match="read-only"):
+                got[0] = 1.0
+        assert ens.a1.flags.writeable
 
     def test_suggested_timestep_positive(self, soft_point):
         system = TwoModeSystem.from_point(driven_soft_point(soft_point))

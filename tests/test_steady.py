@@ -522,16 +522,20 @@ class TestFlow:
                 assert np.all(np.abs(g - w) <= 1e-13 * np.abs(w))
 
 
-def oracle_max_growth(pt, u1, u2, h=1e-6):
-    """Largest real part of the central-difference Jacobian's eigenvalues."""
+def oracle_jacobian(pt, u1, u2, h=1e-6):
+    """Central-difference Jacobian of :func:`oracle_flow` in quadratures."""
     def f(x):
         du1, du2 = oracle_flow(pt, complex(x[0], x[1]), complex(x[2], x[3]))
         return np.array([du1.real, du1.imag, du2.real, du2.imag])
 
     x0 = np.array([u1.real, u1.imag, u2.real, u2.imag])
-    J = np.column_stack([(f(x0 + h * e) - f(x0 - h * e)) / (2 * h)
-                         for e in np.eye(4)])
-    return max(np.linalg.eigvals(J).real)
+    return np.column_stack([(f(x0 + h * e) - f(x0 - h * e)) / (2 * h)
+                            for e in np.eye(4)])
+
+
+def oracle_max_growth(pt, u1, u2, h=1e-6):
+    """Largest real part of the central-difference Jacobian's eigenvalues."""
+    return max(np.linalg.eigvals(oracle_jacobian(pt, u1, u2, h)).real)
 
 
 class TestFoldPolish:
@@ -694,6 +698,24 @@ class TestStability:
                     assert s.stable == (growth < 0)
                     checked += 1
         assert checked >= 20
+
+    def test_triad_copies_share_one_spectrum(self, params):
+        # the copies are rotations of one state, so their Jacobians are
+        # similar: one spectrum, that of the central-difference Jacobian at
+        # any copy (at the README steady point the three separately
+        # computed spectra used to differ in their last digits)
+        pt = circuit.device_point(params, 0.0, delta1=-2 * math.pi * 12e6,
+                                  drive_b2=math.sqrt(6.25e10))
+        triads = [s for s in steady.solve_selfconsistent(pt)
+                  if s.kind == "triad"]
+        assert [s.copy for s in triads] == [0, 1, 2]
+        assert triads[0].eigenvalues == triads[1].eigenvalues \
+            == triads[2].eigenvalues
+        want = sorted(np.linalg.eigvals(oracle_jacobian(
+            pt, *triads[1].amplitudes(pt))), key=lambda z: (-z.real, -z.imag))
+        scale = max(1.0, abs(pt.delta), abs(pt.delta2))
+        assert np.max(np.abs(np.array(triads[1].eigenvalues) - want)) \
+            <= 1e-6 * scale
 
     def test_residual_guard(self):
         pt = make_point(drive_b2=1.0)
