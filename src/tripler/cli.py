@@ -586,5 +586,18 @@ def main(argv=None) -> int:
         return 1
 
 
-if __name__ == "__main__":
+def entry() -> None:
+    """Process entry point of ``tripler`` and ``python -m tripler``.
+
+    tripler calls no BLAS routine, yet importing numpy starts an OpenBLAS
+    worker thread for each extra core; so the process defaults
+    ``OPENBLAS_NUM_THREADS`` to 1 (a value already set is kept) before any
+    command can import numpy, then exits with :func:`main`'s code.
+    :func:`main` itself leaves the environment alone.
+    """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

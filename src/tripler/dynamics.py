@@ -250,7 +250,12 @@ def suggested_timestep(system: TwoModeSystem, n1_max: float, n2_max: float,
     callers that name the scheme and does not change the bound.
 
     One step of a single trajectory costs about :func:`step_seconds`.
+    ``ValueError`` names an occupation that is negative or not finite.
     """
+    for name, value in (("n1_max", n1_max), ("n2_max", n2_max)):
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{name} must be non-negative and finite, "
+                             f"got {value!r}")
     w1 = abs(system.delta1) + system.alpha1 * n1_max \
         + 2.0 * system.alpha_cross * n2_max
     w2 = abs(system.delta2) + system.alpha2 * n2_max \

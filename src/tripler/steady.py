@@ -155,8 +155,23 @@ class ResponseBranch:
     back_bending: bool       # on a segment where drive power falls with r2
 
 
+def _domain_error(name: str, value: float,
+                  non_negative: bool = False) -> ValueError:
+    """The ``ValueError`` for an argument that is not finite (with
+    ``non_negative``: not in [0, inf)), naming it and its value.
+
+    Callers test ``-inf < value < inf`` or ``0 <= value < inf`` inline,
+    which NaN fails too, so a valid call pays one comparison per argument:
+    calibration calls the closed forms thousands of times per flux point.
+    """
+    what = "non-negative and finite" if non_negative else "finite"
+    return ValueError(f"{name} must be {what}, got {value!r}")
+
+
 def threshold_detuning(gamma1: float) -> float:
     """Largest (least red) detuning at which excited states exist."""
+    if not 0.0 <= gamma1 < math.inf:
+        raise _domain_error("gamma1", gamma1, non_negative=True)
     return -THRESHOLD_FACTOR * gamma1
 
 
@@ -167,9 +182,10 @@ def existence_window(delta: float, gamma1: float):
     ``delta > -sqrt(7)*gamma1``.  At exact threshold the window degenerates
     to the single point 2*|delta|/7.
     """
-    if gamma1 < 0:
-        raise ValueError("gamma1 must be non-negative")
-    if delta >= 0 or delta > threshold_detuning(gamma1):
+    if not -math.inf < delta < math.inf:
+        raise _domain_error("delta", delta)
+    # the threshold first: it checks gamma1
+    if delta > threshold_detuning(gamma1) or delta >= 0:
         return None
     adelta = -delta
     root = math.sqrt(max(1.0 - 7.0 * gamma1**2 / delta**2, 0.0))
@@ -188,6 +204,32 @@ def branch_quadratic(delta, gamma1, r2_sq):
     return -(delta + 1.5 * r2_sq), -r2_sq * delta - 1.75 * r2_sq**2 - gamma1**2
 
 
+def _branch_tolerance(delta: float, gamma1: float) -> float:
+    """Discriminant magnitude below which the two closed-branch roots merge."""
+    return 1e-12 * max(1.0, delta**2, gamma1**2)
+
+
+def _closed_branches(delta: float, gamma1: float, tol: float, r2_sq: float):
+    """Closed-branch r1^2 of branches +1 and -1 at pump intensity r2_sq.
+
+    The one branch rule.  A discriminant within ``tol`` of zero
+    (:func:`_branch_tolerance`) gives one merged double root, and a negative
+    root is dropped; where a single root is left it serves both branches,
+    and where none is, both values are ``None``.  Index the pair with
+    ``branch < 0``.
+    """
+    base, disc = branch_quadratic(delta, gamma1, r2_sq)
+    if disc < -tol:
+        return None, None
+    if disc <= tol:
+        return (base, base) if base >= 0 else (None, None)
+    root = math.sqrt(disc)
+    upper, lower = base + root, base - root
+    if lower >= 0:
+        return upper, lower
+    return (upper, upper) if upper >= 0 else (None, None)
+
+
 def subharmonic_branches(delta: float, gamma1: float, r2_sq: float):
     """Real non-negative roots r1^2 of the closed fundamental-mode equation.
 
@@ -196,21 +238,21 @@ def subharmonic_branches(delta: float, gamma1: float, r2_sq: float):
     depending on whether the pump intensity lies outside, on the edge of,
     or inside the existence window.
     """
-    if r2_sq < 0:
-        raise ValueError("r2_sq must be non-negative")
-    base, disc = branch_quadratic(delta, gamma1, r2_sq)
-    scale = max(1.0, delta**2, gamma1**2)
-    if disc < -1e-12 * scale:
+    if not -math.inf < delta < math.inf:
+        raise _domain_error("delta", delta)
+    if not 0.0 <= gamma1 < math.inf:
+        raise _domain_error("gamma1", gamma1, non_negative=True)
+    if not 0.0 <= r2_sq < math.inf:
+        raise _domain_error("r2_sq", r2_sq, non_negative=True)
+    upper, lower = _closed_branches(delta, gamma1,
+                                    _branch_tolerance(delta, gamma1), r2_sq)
+    if upper is None:
         return []
-    if disc <= 1e-12 * scale:
-        return [(base, +1)] if base >= 0 else []
-    root = math.sqrt(disc)
-    out = []
-    for sign in (+1, -1):
-        val = base + sign * root
-        if val >= 0:
-            out.append((val, sign))
-    return out
+    # distinct roots differ by 2*sqrt(disc) > 2e-6*max(1, |delta|), which no
+    # rounding of base (at most |delta| where both are non-negative) hides
+    if lower == upper:
+        return [(upper, +1)]
+    return [(upper, +1), (lower, -1)]
 
 
 def stable_branch(delta: float, gamma1: float, r2_sq: float) -> float:
@@ -243,6 +285,12 @@ def triad_phases(delta: float, gamma1: float, r1_sq: float, r2_sq: float,
     (pi/2, pi]; the three degenerate phase choices are
     ``phi1 = (theta + phi2)/3 + 2*pi*k/3``.
     """
+    for name, value in (("delta", delta), ("phi2", phi2)):
+        if not -math.inf < value < math.inf:
+            raise _domain_error(name, value)
+    for name, value in (("gamma1", gamma1), ("r1_sq", r1_sq), ("r2_sq", r2_sq)):
+        if not 0.0 <= value < math.inf:
+            raise _domain_error(name, value, non_negative=True)
     theta = _theta_exact(delta, gamma1, r1_sq, r2_sq)
     phis = tuple((theta + phi2) / 3.0 + 2.0 * math.pi * k / 3.0 for k in range(3))
     return theta, phis
@@ -257,6 +305,8 @@ def max_intensity(delta: float, gamma1: float):
     argmax drifts up toward 2|delta|/7 as the threshold is approached, but
     the intensity profile is flat there).
     """
+    if not -math.inf < delta < math.inf:
+        raise _domain_error("delta", delta)
     if delta > threshold_detuning(gamma1):
         raise BelowThresholdError(
             f"delta={delta} above threshold {threshold_detuning(gamma1):.6g}")
@@ -531,42 +581,90 @@ def stability(state: SteadyState, point: DimensionlessPoint):
 # self-consistent solve
 
 
-def _branch_value(delta: float, gamma1: float, v: float, branch: int):
-    roots = subharmonic_branches(delta, gamma1, v)
-    for val, sign in roots:
-        if sign == branch:
-            return val
-    if len(roots) == 1:
-        return roots[0][0]   # merged double root at a window edge
-    return None
+class _Response:
+    """The second-mode response at one operating point, constants bound once.
+
+    ``lhs(v, r1_sq)`` is the one response formula: the complex stationary
+    LHS of the second-mode equation at pump intensity v = r2^2, with the
+    fundamental intensity r1_sq and the exact relative phase substituted
+    from the stationary conditions, so a zero of |LHS| - R solves both
+    stationary equations at once.  Calling the instance with ``(v, branch)``
+    takes r1_sq from the closed branch (+1 upper, -1 lower) or, for branch
+    0, the silent state r1 = 0, where every back-action term vanishes
+    exactly; it returns ``(LHS, r1_sq)``.
+    """
+
+    __slots__ = ("point", "lhs")
+
+    def __init__(self, point: DimensionlessPoint):
+        delta, gamma1, gamma2 = point.delta, point.gamma1, point.gamma2
+        delta2 = point.delta2
+        b2 = point.beta**2
+        b2_3 = b2 / 3.0
+
+        def lhs(v, r1_sq):
+            sqv = math.sqrt(v)
+            # r1^3 * exp(i theta) expressed through the stationary conditions:
+            # r1 cos(theta) = (-delta - 2v - r1^2)/sqrt(v),
+            # r1 sin(theta) = gamma1/sqrt(v)
+            re = (delta2 + b2 * (v + 2.0 * r1_sq)) * sqv \
+                + b2_3 * r1_sq * (-delta - 2.0 * v - r1_sq) / sqv
+            im = gamma2 * sqv + b2_3 * r1_sq * gamma1 / sqv
+            return complex(re, im)
+
+        self.point = point
+        self.lhs = lhs
+
+    def __call__(self, v: float, branch: int):
+        if branch:
+            delta, gamma1 = self.point.delta, self.point.gamma1
+            pair = _closed_branches(delta, gamma1,
+                                    _branch_tolerance(delta, gamma1), v)
+            r1_sq = pair[branch < 0]
+            if r1_sq is None:
+                raise _absent(branch, delta, v)
+        else:
+            r1_sq = 0.0
+        return self.lhs(v, r1_sq), r1_sq
+
+
+def _absent(branch: int, delta: float, v: float) -> BelowThresholdError:
+    return BelowThresholdError(
+        f"branch {branch} absent at delta={delta}, r2_sq={v}")
 
 
 def _response_lhs(point: DimensionlessPoint, v: float, branch: int = +1):
-    """Complex stationary LHS of the second-mode equation on one branch.
+    """``(LHS, r1_sq)`` of :class:`_Response` at one pump intensity v."""
+    return _Response(point)(v, branch)
 
-    v is the pump intensity r2^2; the fundamental amplitude and the exact
-    relative phase are substituted from the closed branch solution, so a
-    zero of |LHS| - R solves both stationary equations at once.  ``branch``
-    is +1 or -1 for the upper or lower closed branch, and 0 for the silent
-    state r1 = 0, where every back-action term vanishes exactly.
+
+def _mismatch_tables(response: _Response, grid, root_signs, R: float):
+    """|LHS| - R at every grid point, one list per sign in ``root_signs``.
+
+    One pass over the grid: the closed branch is evaluated once per point
+    for every sign, and the response formula once per point and sign.  No
+    branch values outlive their point (keeping a pair per point would hold
+    about 1.3 MB through the solve).  A point where the branch is absent
+    raises as the single-point :func:`_response_lhs` does for the first
+    sign.
     """
-    r1_sq = _branch_value(point.delta, point.gamma1, v, branch) if branch else 0.0
-    if r1_sq is None:
-        raise BelowThresholdError(
-            f"branch {branch} absent at delta={point.delta}, r2_sq={v}")
-    sqv = math.sqrt(v)
-    b2 = point.beta**2
-    # r1^3 * exp(i theta) expressed through the stationary conditions:
-    # r1 cos(theta) = (-delta - 2v - r1^2)/sqrt(v), r1 sin(theta) = gamma1/sqrt(v)
-    re = (point.delta2 + b2 * (v + 2.0 * r1_sq)) * sqv \
-        + (b2 / 3.0) * r1_sq * (-point.delta - 2.0 * v - r1_sq) / sqv
-    im = point.gamma2 * sqv + (b2 / 3.0) * r1_sq * point.gamma1 / sqv
-    return complex(re, im), r1_sq
+    delta, gamma1 = response.point.delta, response.point.gamma1
+    tol = _branch_tolerance(delta, gamma1)
+    lhs = response.lhs
+    tables = [(sign < 0, []) for sign in root_signs]
+    for v in grid:
+        pair = _closed_branches(delta, gamma1, tol, v)
+        if pair[0] is None:
+            raise _absent(root_signs[0], delta, v)
+        for side, vals in tables:
+            vals.append(abs(lhs(v, pair[side])) - R)
+    return [vals for _, vals in tables]
 
 
-def _triad_states(point: DimensionlessPoint, v: float, branch_id: int,
+def _triad_states(response: _Response, v: float, branch_id: int,
                   root_sign: int):
-    lhs, r1_sq = _response_lhs(point, v, root_sign)
+    point = response.point
+    lhs, r1_sq = response(v, root_sign)
     phi2 = (point.drive_phase - cmath.phase(lhs)) % (2.0 * math.pi)
     theta, phis = triad_phases(point.delta, point.gamma1, r1_sq, v, phi2)
     states = []
@@ -645,7 +743,8 @@ def _newton_polish(point: DimensionlessPoint, state: SteadyState,
     return best
 
 
-def _ground_states(point: DimensionlessPoint):
+def _ground_states(response: _Response):
+    point = response.point
     states = []
     branches = second_mode_response(point)
     if not branches:
@@ -653,7 +752,7 @@ def _ground_states(point: DimensionlessPoint):
     for i, br in enumerate(branches):
         v = br.r2_sq
         if v > 0:
-            lhs, _ = _response_lhs(point, v, branch=0)
+            lhs = response.lhs(v, 0.0)
             phi2 = (point.drive_phase - cmath.phase(lhs)) % (2.0 * math.pi)
         else:
             phi2 = 0.0
@@ -692,8 +791,17 @@ def solve_selfconsistent(point: DimensionlessPoint, scan_points: int = 10000,
     substituted into the response equation, which is then scanned and
     bisected in r2^2 at a resolution of 1e-4 of the window.  It runs on
     Python floats and complex numbers throughout and loads no numpy.
+
+    Once per solve, the point's constants (delta, gamma1, delta2, gamma2,
+    beta^2, beta^2/3) are bound into the response formula
+    (:class:`_Response`), and the scan computes the branch tolerance.  Once
+    per grid point, the closed branch gives the r1^2 of both signs
+    (:func:`_closed_branches`); the formula then runs once per point and
+    sign (:func:`_mismatch_tables`).  The bisection, the silent states and
+    the triad states evaluate the same bound formula.
     """
-    states = _ground_states(point)
+    response = _Response(point)
+    states = _ground_states(response)
     window = existence_window(point.delta, point.gamma1)
     if window is None or point.drive_scale == 0.0:
         return states
@@ -704,19 +812,20 @@ def solve_selfconsistent(point: DimensionlessPoint, scan_points: int = 10000,
     grid = linspace(lo + pad, hi - pad, scan_points)
     R = point.drive_scale
     branch_id = len(states)
-    for root_sign in (+1, -1) if all_branches else (+1,):
+    root_signs = (+1, -1) if all_branches else (+1,)
+    tables = _mismatch_tables(response, grid, root_signs, R)
+    for root_sign, vals in zip(root_signs, tables):
 
         def f(v):
-            lhs, _ = _response_lhs(point, v, root_sign)
+            lhs, _ = response(v, root_sign)
             return abs(lhs) - R
 
-        vals = [f(v) for v in grid]
         if not all(map(math.isfinite, vals)):
             raise ConvergenceError("response mismatch not finite over the window",
                                    diagnostics={"window": window})
         for a, b in bracket_roots(vals, grid):
             v = a if a == b else bisect(f, a, b, rtol=1e-14)
-            states.extend(_triad_states(point, v, branch_id, root_sign))
+            states.extend(_triad_states(response, v, branch_id, root_sign))
             branch_id += 1
     for st in states:
         if st.kind == "triad" and st.residual > STATIONARY_TOL:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -789,8 +790,9 @@ SCALAR_COMMANDS = {"spectrum", "steady", "thresholds"}
 
 #: runs ``python -m tripler`` with the arguments given, then prints its exit
 #: code, the tripler modules it loaded, the numpy submodules it loaded (a
-#: lazily bound ``numpy`` itself is in ``sys.modules`` either way) and the
-#: compiled integration steps mapped into it, as JSON
+#: lazily bound ``numpy`` itself is in ``sys.modules`` either way), the
+#: compiled integration steps mapped into it, its thread count and its
+#: ``OPENBLAS_NUM_THREADS``, as JSON
 _MODULE_DUMP = """
 import json, os, runpy, sys
 sys.argv = ["tripler", *sys.argv[1:]]
@@ -803,7 +805,9 @@ with open("/proc/self/maps") as maps:
 print(json.dumps([code, sorted(m for m in sys.modules
                                if m.split(".")[0] == "tripler"),
                   sorted(m for m in sys.modules if m.startswith("numpy.")),
-                  sorted(n for n in mapped if n.startswith("tripler_step-"))]))
+                  sorted(n for n in mapped if n.startswith("tripler_step-")),
+                  len(os.listdir("/proc/self/task")),
+                  os.environ.get("OPENBLAS_NUM_THREADS")]))
 """
 
 
@@ -825,13 +829,16 @@ class TestImportFootprint:
     }
 
     @staticmethod
-    def uncached(args, cwd):
-        """``run_python`` with bytecode caching off, as in a fresh checkout."""
+    def uncached(args, cwd, **env):
+        """``run_python`` with bytecode caching off, as in a fresh checkout,
+        and without ``OPENBLAS_NUM_THREADS`` unless ``env`` sets it."""
         path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        base = {k: v for k, v in os.environ.items()
+                if k != "OPENBLAS_NUM_THREADS"}
         return subprocess.run([sys.executable, *args], cwd=cwd, text=True,
                               capture_output=True, timeout=120,
-                              env=dict(os.environ, PYTHONPATH=path,
-                                       PYTHONDONTWRITEBYTECODE="1"))
+                              env=dict(base, PYTHONPATH=path,
+                                       PYTHONDONTWRITEBYTECODE="1", **env))
 
     @pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
     def test_command_loads_only_its_layers(self, workdir, params, command):
@@ -850,15 +857,48 @@ class TestImportFootprint:
                                                "flux_frac": cut.flux})
                 argv.append(str(path))
         proc = self.uncached(["-c", _MODULE_DUMP, *argv], workdir)
-        code, modules, numpy_modules, kernels = json.loads(
+        code, modules, numpy_modules, kernels, threads, blas = json.loads(
             proc.stdout.splitlines()[-1])
         assert code == 0, proc.stderr
         assert set(modules) == COMMAND_MODULES[command]
         assert len(kernels) == (command == "simulate")
+        # numpy's OpenBLAS would start a worker per extra core; tripler
+        # calls no BLAS routine, so the process entry defaults it to one
+        assert threads == 1
+        assert blas == "1"
         if command in SCALAR_COMMANDS:
             assert numpy_modules == []
         else:
             assert "numpy._core" in numpy_modules
+
+    def test_user_blas_threads_kept(self, workdir):
+        argv = ["--config", write_config(workdir, self.DOC), "sweep"]
+        proc = self.uncached(["-c", _MODULE_DUMP, *argv], workdir,
+                             OPENBLAS_NUM_THREADS="2")
+        code, *_, blas = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0, proc.stderr
+        assert blas == "2"
+
+    def test_main_leaves_the_environment_alone(self, workdir, monkeypatch):
+        # in-process callers (the tests, a benchmark's trace round) keep
+        # their own environment; only the process entry sets the default
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        cfg = write_config(workdir, {"spectrum": {"flux": [0.0, 0.3, 2]}})
+        assert main(["--config", cfg, "spectrum"]) == 0
+        assert dict(os.environ) == before
+
+    def test_script_target_is_the_process_entry(self, monkeypatch):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(SRC).parent / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text())["project"]["scripts"][
+            "tripler"]
+        module, _, name = target.partition(":")
+        assert module == "tripler.cli"
+        calls = []
+        monkeypatch.setattr(cli, name, lambda: calls.append(name))
+        runpy.run_module("tripler", run_name="__main__")
+        assert calls == [name]
 
     def test_bare_import_loads_no_submodule(self, tmp_path):
         proc = self.uncached(["-c", "import sys, tripler; print(sorted("

@@ -1129,6 +1129,16 @@ class TestTrajectoryUtils:
         dt = dynamics.suggested_timestep(system, 10.0, 5.0)
         assert 0 < dt < 0.1
 
+    @pytest.mark.parametrize("name, n1, n2", [
+        ("n1_max", math.nan, 1.0), ("n1_max", -1.0, 1.0),
+        ("n2_max", 1.0, math.inf), ("n2_max", 1.0, -1e-30)])
+    def test_suggested_timestep_rejects_bad_occupation(self, soft_point,
+                                                       name, n1, n2):
+        system = TwoModeSystem.from_point(driven_soft_point(soft_point))
+        with pytest.raises(ValueError, match=f"^{name} must be non-negative "
+                           "and finite, got "):
+            dynamics.suggested_timestep(system, n1, n2)
+
     def test_noisy_guideline_is_rk4s(self, region2):
         # the noisy step integrates each mode's rotation exactly, so no
         # Gamma/omega^2 guard shrinks its step below RK4's

@@ -191,6 +191,47 @@ class TestTriadPhases:
             steady.triad_phases(-20.0, 5.0, 1e-4, 1e-4)
 
 
+class TestClosedFormGuards:
+    """A NaN, infinite or negative argument is named, never passed on."""
+
+    @staticmethod
+    def rejects(name, fn, *args):
+        with pytest.raises(ValueError, match=f"^{name} must be "
+                           r"(non-negative and )?finite, got "):
+            fn(*args)
+
+    def test_threshold_detuning(self):
+        for gamma1 in (math.nan, math.inf, -1.0):
+            self.rejects("gamma1", steady.threshold_detuning, gamma1)
+
+    def test_existence_window(self):
+        self.rejects("delta", steady.existence_window, math.nan, 1.0)
+        self.rejects("delta", steady.existence_window, -math.inf, 1.0)
+        self.rejects("gamma1", steady.existence_window, -10.0, math.nan)
+        self.rejects("gamma1", steady.existence_window, -10.0, -1.0)
+
+    def test_max_intensity(self):
+        self.rejects("delta", steady.max_intensity, math.nan, 1.0)
+        self.rejects("delta", steady.max_intensity, -math.inf, 1.0)
+        self.rejects("gamma1", steady.max_intensity, -10.0, math.nan)
+
+    def test_subharmonic_branches(self):
+        fn = steady.subharmonic_branches
+        self.rejects("delta", fn, math.nan, 1.0, 5.0)
+        self.rejects("gamma1", fn, -10.0, math.inf, 5.0)
+        self.rejects("r2_sq", fn, -10.0, 1.0, math.nan)
+        self.rejects("r2_sq", fn, -10.0, 1.0, -1.0)
+        self.rejects("r2_sq", steady.stable_branch, -10.0, 1.0, math.nan)
+
+    def test_triad_phases(self):
+        fn = steady.triad_phases
+        self.rejects("r1_sq", fn, -10.0, 1.0, math.nan, 5.0)
+        self.rejects("r2_sq", fn, -10.0, 1.0, 5.0, math.inf)
+        self.rejects("delta", fn, math.nan, 1.0, 5.0, 5.0)
+        self.rejects("gamma1", fn, -10.0, math.nan, 5.0, 5.0)
+        self.rejects("phi2", fn, -10.0, 1.0, 5.0, 5.0, math.nan)
+
+
 class TestMaxIntensity:
     def test_reference_point(self):
         r1m, arg = steady.max_intensity(-20.0, 1.93)
@@ -447,6 +488,56 @@ class TestSolveSelfConsistent:
                 gap = (s.phi1 - copies[0].phi1 - 2 * math.pi * k / 3) \
                     % (2 * math.pi)
                 assert min(gap, 2 * math.pi - gap) <= 1e-12
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(gamma1=st.floats(0.2, 3.0), past=st.floats(1e-6, 10.0),
+           Delta=st.floats(40.0, 2000.0), gamma2=st.floats(0.5, 15.0),
+           beta=st.floats(0.8, 1.6), b2=st.floats(0.0, 50.0),
+           edge_offsets=st.lists(st.sampled_from(
+               (-1e-6, -1e-12, -1e-15, 0.0, 1e-15, 1e-12, 1e-9, 1e-6)),
+               min_size=1, max_size=4),
+           root_signs=st.sampled_from(((1,), (1, -1), (-1,))))
+    def test_scan_matches_single_point_path(self, gamma1, past, Delta,
+                                            gamma2, beta, b2, edge_offsets,
+                                            root_signs):
+        # the scan shares one closed-branch evaluation per point between
+        # the signs; every tabulated |LHS| - R must be the single-point
+        # value bit for bit, and a point off the window must raise as the
+        # single-point path does, naming the scan's first sign
+        pt = make_point(delta=-math.sqrt(7.0) * gamma1 * (1.0 + past),
+                        Delta=Delta, gamma1=gamma1, gamma2=gamma2,
+                        gamma2_ext=0.9 * gamma2, beta=beta, drive_b2=b2)
+        lo, hi = steady.existence_window(pt.delta, pt.gamma1)
+        span = hi - lo
+        grid = [lo + span * k / 7 for k in range(8)]
+        for off in edge_offsets:       # negative offsets leave the window
+            grid += [lo + off * span, hi - off * span]
+        grid.sort()
+        R = pt.drive_scale
+        response = steady._Response(pt)
+        absent = None
+        for v in grid:
+            try:
+                steady._response_lhs(pt, v, root_signs[0])
+            except BelowThresholdError as exc:
+                absent = (v, str(exc))
+                break
+        if absent is not None:
+            v, message = absent
+            assert message == (f"branch {root_signs[0]} absent at "
+                               f"delta={pt.delta}, r2_sq={v}")
+            with pytest.raises(BelowThresholdError) as info:
+                steady._mismatch_tables(response, grid, root_signs, R)
+            assert str(info.value) == message
+            return
+        tables = steady._mismatch_tables(response, grid, root_signs, R)
+        assert len(tables) == len(root_signs)
+        for sign, vals in zip(root_signs, tables):
+            assert len(vals) == len(grid)
+            for v, val in zip(grid, vals):
+                lhs, _ = steady._response_lhs(pt, v, sign)
+                assert val.hex() == (abs(lhs) - R).hex()
 
     def test_brute_force_equivalence_coarse_grid(self):
         # scan the 2-D residual surface over (r1^2, r2^2) independently and
