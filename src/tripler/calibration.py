@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from . import _lazy_import, circuit, steady
 from ._roots import golden_min
 from .circuit import HBAR
-from .errors import ConvergenceError, NoSignalError
+from .errors import ConvergenceError, DomainError, NoSignalError, domain
 
 np = _lazy_import("numpy")
 
@@ -57,9 +57,18 @@ def drive_amplitude_sq_through_x(p_d, x: float, fp: circuit.FluxPoint,
 
 
 def output_power(a1_sq, gamma1_ext: float, gain_db: float, omega: float):
-    """Detected power (W) of ``a1_sq`` photons emitted through the output port."""
-    if gamma1_ext <= 0 or omega <= 0:
-        raise ValueError("gamma1_ext and omega must be positive")
+    """Detected power (W) of ``a1_sq`` photons emitted through the output port.
+
+    ``a1_sq`` may be an array, which is not checked (NaN propagates); the
+    three scalars are, one comparison each, since the fit calls this once
+    per objective evaluation.
+    """
+    if not 0.0 < gamma1_ext < math.inf:
+        raise domain("gamma1_ext", gamma1_ext, "positive and finite")
+    if not 0.0 < omega < math.inf:
+        raise domain("omega", omega, "positive and finite")
+    if not -math.inf < gain_db < math.inf:
+        raise domain("gain_db", gain_db, "finite")
     return HBAR * omega * a1_sq * 2.0 * gamma1_ext * 10.0 ** (gain_db / 10.0)
 
 
@@ -79,15 +88,15 @@ class CalibrationChain:
     scale07: float = 0.7
 
     def __post_init__(self):
-        if not math.isfinite(self.gain_db):
-            raise ValueError(f"gain_db must be finite, got {self.gain_db!r}")
+        if not -math.inf < self.gain_db < math.inf:
+            raise domain("gain_db", self.gain_db, "finite")
         if not 0.0 < self.noise_floor_w < math.inf:
-            raise ValueError("noise_floor_w must be positive and finite, "
-                             f"got {self.noise_floor_w!r}")
+            raise domain("noise_floor_w", self.noise_floor_w,
+                         "positive and finite")
         if self.x is not None and not 0.0 < self.x < math.inf:
-            raise ValueError(f"x must be positive and finite, got {self.x!r}")
+            raise domain("x", self.x, "positive and finite")
         if not 0.0 < self.scale07 <= 1.0:
-            raise ValueError("scale07 must lie in (0, 1]")
+            raise domain("scale07", self.scale07, "in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -105,18 +114,18 @@ class Linecut:
         object.__setattr__(self, "pd_w", pd)
         object.__setattr__(self, "pout_w", po)
         for name in ("delta1", "flux"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, "
-                                 f"got {getattr(self, name)!r}")
+            if not -math.inf < getattr(self, name) < math.inf:
+                raise domain(name, getattr(self, name), "finite")
         for name, arr in (("pd_w", pd), ("pout_w", po)):
             if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite")
+                raise DomainError(name, f"{name} must be finite")
         if pd.shape != po.shape or pd.ndim != 1:
-            raise ValueError("pd_w and pout_w must be matching 1-D arrays")
+            raise DomainError("pout_w", "pd_w and pout_w must be matching 1-D "
+                              f"arrays, got shapes {pd.shape} and {po.shape}")
         if not np.all(np.diff(pd) > 0):
-            raise ValueError("drive powers must be strictly increasing")
+            raise DomainError("pd_w", "pd_w must be strictly increasing")
         if np.any(po < 0):
-            raise ValueError("output powers must be non-negative")
+            raise DomainError("pout_w", "pout_w must be non-negative")
 
 
 def pump_intensity(p_d, x: float, fp: circuit.FluxPoint, delta1: float):
@@ -240,9 +249,12 @@ def predict_max_output(params: circuit.CircuitParams, flux: float,
     """Peak detected power (W) at a detuning past threshold.
 
     The predicted peak intensity is scaled by the empirical ``scale07``
-    before conversion to detected power.
+    before conversion to detected power.  ``delta1`` must lie inside
+    (-omega1, omega1), as :meth:`circuit.FluxPoint.operating_point` requires.
     """
-    return _max_output(circuit.at_flux(params, flux), delta1, chain)
+    fp = circuit.at_flux(params, flux)
+    fp.operating_point(delta1)          # rejects a detuning off the model
+    return _max_output(fp, delta1, chain)
 
 
 def _max_output(fp: circuit.FluxPoint, delta1: float,
@@ -321,11 +333,17 @@ def region_map(params: circuit.CircuitParams, flux: float,
     point, restored to generator-plane watts through X.
     """
     if chain.x is None:
-        raise ValueError("region_map needs the fitted chain parameter x")
+        raise DomainError("chain", "region_map needs the fitted chain "
+                          "parameter x, got chain.x = None")
     d1 = np.asarray(delta1_grid, dtype=float)
     pd = np.asarray(pd_grid_w, dtype=float)
-    if d1.size == 0 or pd.size == 0 or np.any(pd <= 0):
-        raise ValueError("grids must be non-empty and powers positive")
+    for name, grid in (("delta1_grid", d1), ("pd_grid_w", pd)):
+        if grid.size == 0:
+            raise DomainError(name, f"{name} must be non-empty")
+    bad = pd.size - np.count_nonzero((pd > 0) & (pd < math.inf))   # NaN too
+    if bad:
+        raise DomainError("pd_grid_w", "pd_grid_w must hold finite positive "
+                          f"powers, got {bad} of {pd.size} outside (0, inf)")
     fp = circuit.at_flux(params, flux)
     m1 = fp.mode1
     lo = np.full((d1.size, 1), np.nan)

@@ -22,7 +22,13 @@ from functools import cache, cached_property
 from typing import TYPE_CHECKING
 
 from ._roots import bisect
-from .errors import DegenerateFluxError, FluxRangeError, MissingCouplingError
+from .errors import (
+    DegenerateFluxError,
+    DomainError,
+    FluxRangeError,
+    MissingCouplingError,
+    domain,
+)
 
 if TYPE_CHECKING:
     from .steady import DimensionlessPoint
@@ -87,22 +93,25 @@ class CircuitParams:
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
+                raise domain(f.name, value, "finite")
         for name in ("d", "Ic", "CJ", "L0", "C0", "Q_int_1", "Phi0"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+                raise domain(name, getattr(self, name), "positive")
         for name in ("Q_ext_1", "Cc", "Q_int_2"):
             val = getattr(self, name)
             if val is not None and val <= 0:
-                raise ValueError(f"{name} must be positive when given")
+                raise domain(name, val, "positive when given")
         if self.kerr_energy not in KERR_CONVENTIONS:
-            raise ValueError(f"kerr_energy must be one of {KERR_CONVENTIONS}")
+            raise domain("kerr_energy", self.kerr_energy,
+                         f"one of {KERR_CONVENTIONS}")
         if not 0.0 < self.participation_ratio < 1.0:
-            raise ValueError(
-                f"SQUID participation ratio {self.participation_ratio:.3g} "
-                "outside (0, 1)")
+            raise DomainError(
+                "Ic", "Ic must give a SQUID participation ratio "
+                f"Phi0/(2*pi*Ic)/(L0*d) inside (0, 1), got "
+                f"{self.participation_ratio:.3g}")
         if self.C_cav <= self.CJ:
-            raise ValueError("resonator capacitance C0*d must exceed CJ")
+            raise domain("CJ", self.CJ, "below the resonator capacitance "
+                         f"C0*d = {self.C_cav!r}")
 
     @property
     def velocity(self) -> float:
@@ -204,7 +213,7 @@ def mode_profile(params: CircuitParams, flux: float, n: int) -> ModeProfile:
     independent; Gamma_int = omega/(2*Q_int), also flux independent in Q.
     """
     if n not in (1, 2):
-        raise ValueError("only the two lowest modes are modeled")
+        raise domain("n", n, "1 or 2: only the two lowest modes are modeled")
     if not abs(flux) <= FLUX_LIMIT:     # also rejects NaN
         raise FluxRangeError(
             f"flux {flux} is outside the model validity range "
@@ -242,12 +251,12 @@ class FluxPoint:
         The signal oscillates at omega1 + delta1 and the drive at three
         times that, so delta2/alpha1 = 3*delta + Delta holds by construction.
         The rotating frame needs that frequency in (0, 2*omega1), so a
-        ``ValueError`` rejects |delta1| >= omega1 (and NaN).
+        :class:`DomainError` rejects |delta1| >= omega1 (and NaN).
         """
         m1, m2 = self.mode1, self.mode2
         if not abs(delta1) < m1.omega:
-            raise ValueError(f"delta1 must lie inside (-omega1, omega1) = "
-                             f"+-{m1.omega!r} rad/s, got {float(delta1)!r}")
+            raise domain("delta1", float(delta1), "inside (-omega1, omega1) = "
+                         f"+-{m1.omega!r} rad/s")
         a1 = m1.alpha
         return _dimensionless_point()(
             # detuning from the signal frequency, rounded as that frequency is

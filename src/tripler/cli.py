@@ -9,14 +9,16 @@ artifact embeds the resolved configuration and seed in its comment header
 (or JSON body), and contains no timestamps, so identical inputs produce
 byte-identical outputs.
 
-Exit codes: 0 success; 1 any other error (a ``ValueError`` or
-``MemoryError`` from the library, say), named by its type; 2 usage or
-configuration problems; 3 physical domain errors (flux range, degenerate
-flux, below threshold); 4 solver non-convergence;
-5 insufficient or inconsistent data; 6 amplitude divergence during
-integration; 7 malformed file payloads.  An error raised while a command
-runs ends it in one line on stderr, ``tripler <command>: <message>``,
-never in a traceback.
+Exit codes: 0 success; 1 any other error: a ``DomainError`` (an argument
+outside its domain) that escapes a command, or an exception from outside
+the package (a ``ValueError`` or ``MemoryError``, say), which the message
+names by its type; 2 usage or configuration problems, among them a
+``DomainError`` raised for a configuration value; 3 physical domain
+errors (flux range, degenerate flux, below threshold); 4 solver
+non-convergence; 5 insufficient or inconsistent data; 6 amplitude
+divergence during integration; 7 malformed file payloads.  An error
+raised while a command runs ends it in one line on stderr,
+``tripler <command>: <message>``, never in a traceback.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .errors import (
     ConvergenceError,
     DegenerateFluxError,
     DivergenceError,
+    DomainError,
     EmptyTrajectoryError,
     FluxRangeError,
     FormatError,
@@ -291,7 +294,7 @@ class _Run:
 
         try:
             return calibration.CalibrationChain(**self.section("chain"))
-        except ValueError as exc:
+        except DomainError as exc:
             raise ConfigError(f"chain section: {exc}")
 
     def meta(self, command: str) -> dict:
@@ -313,7 +316,7 @@ def _operating_point(run: _Run, sec, params):
     fp = circuit.at_flux(params, sec["flux"])
     try:
         point = fp.operating_point(delta1)
-    except ValueError as exc:       # also a 2*pi*delta1 that overflows
+    except DomainError as exc:      # also a 2*pi*delta1 that overflows
         raise ConfigError(f"'delta1_hz': {exc}")
     b2_sq = sec["b2_sq"]
     if b2_sq is None:
@@ -429,7 +432,7 @@ def cmd_sweep(run: _Run) -> int:
                           "in watts")
     try:
         rmap = calibration.region_map(params, sec["flux"], chain, d1, pd)
-    except ValueError as exc:       # the one grid check left: the detuning
+    except DomainError as exc:      # the one grid check left: the detuning
         raise ConfigError(f"'delta1_hz': {exc}")
     meta = run.meta("sweep")
     out_csv = run.out_dir / "region_map.csv"
@@ -495,7 +498,7 @@ def cmd_simulate(run: _Run) -> int:
     for fs in sec["fs_hz"]:
         try:
             hist = dynamics.demodulate_histogram(traj, fs, bins=sec["bins"])
-        except ValueError as exc:   # fs above the stored sampling rate
+        except DomainError as exc:  # fs above the stored sampling rate
             raise ConfigError(f"'fs_hz': {exc}")
         out_h = run.out_dir / f"histogram_fs{fs:.0f}.csv"
         io.write_histogram_csv(out_h, hist, meta=meta)

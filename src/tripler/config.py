@@ -20,7 +20,7 @@ Example::
 from __future__ import annotations
 
 from .circuit import CircuitParams
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 
 #: key -> (CircuitParams field, SI unit token, required)
 _KEYS = {
@@ -87,7 +87,7 @@ def parse_device_config(text: str, source: str | None = None) -> CircuitParams:
         raise error(f"missing required keys: {', '.join(sorted(missing))}")
     try:
         return CircuitParams(**fields)
-    except ValueError as exc:
+    except DomainError as exc:
         raise error(str(exc)) from exc
 
 

@@ -42,16 +42,18 @@ import ctypes
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (
     DivergenceError,
+    DomainError,
     EmptyTrajectoryError,
     OverlappingRadiusError,
     StepSizeWarning,
+    domain,
 )
 from .steady import DimensionlessPoint, _Coefficients, _flow, _rates_and_flow
 
@@ -95,10 +97,23 @@ _KERNEL = []
 #: for the ceiling)
 _OVERFLOW = 2
 
+#: largest seed, the range the signed 64-bit ``.trpl`` header field holds
+#: (where -1 marks an unseeded run)
+MAX_SEED = 2**63 - 1
+
+#: the ``TwoModeSystem`` fields that may be negative; the others are Kerr
+#: coefficients, dampings and the drive magnitude
+_SIGNED = ("delta1", "delta2", "drive_phase")
+
 
 @dataclass(frozen=True)
 class TwoModeSystem:
-    """Laboratory-unit coefficients of the coupled-mode equations."""
+    """Laboratory-unit coefficients of the coupled-mode equations.
+
+    Every field is finite; all but the detunings and the drive phase are
+    non-negative.  ``Gamma2_ext`` may exceed ``Gamma2``, which drives an
+    undamped mode.
+    """
 
     delta1: float
     delta2: float
@@ -109,6 +124,15 @@ class TwoModeSystem:
     Gamma2_ext: float
     drive_b2: float = 0.0
     drive_phase: float = 0.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in _SIGNED:
+                if not -math.inf < value < math.inf:
+                    raise domain(f.name, value, "finite")
+            elif not 0.0 <= value < math.inf:
+                raise domain(f.name, value, "non-negative and finite")
 
     @property
     def alpha_cross(self) -> float:
@@ -165,12 +189,13 @@ class NoiseConfig:
         for name in ("d1", "d2"):
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:
-                raise ValueError(f"{name} must be non-negative and finite, "
-                                 f"got {value!r}")
+                raise domain(name, value, "non-negative and finite")
 
     @classmethod
     def thermal(cls, system: TwoModeSystem, n_th: float = 0.05) -> "NoiseConfig":
         """Strengths Gamma_n * n_th, giving ~n_th photons of steady jitter."""
+        if not 0.0 <= n_th < math.inf:
+            raise domain("n_th", n_th, "non-negative and finite")
         return cls(d1=system.Gamma1 * n_th, d2=system.Gamma2 * n_th)
 
 
@@ -250,12 +275,11 @@ def suggested_timestep(system: TwoModeSystem, n1_max: float, n2_max: float,
     callers that name the scheme and does not change the bound.
 
     One step of a single trajectory costs about :func:`step_seconds`.
-    ``ValueError`` names an occupation that is negative or not finite.
+    :class:`DomainError` names an occupation that is negative or not finite.
     """
     for name, value in (("n1_max", n1_max), ("n2_max", n2_max)):
         if not 0.0 <= value < math.inf:
-            raise ValueError(f"{name} must be non-negative and finite, "
-                             f"got {value!r}")
+            raise domain(name, value, "non-negative and finite")
     w1 = abs(system.delta1) + system.alpha1 * n1_max \
         + 2.0 * system.alpha_cross * n2_max
     w2 = abs(system.delta2) + system.alpha2 * n2_max \
@@ -314,35 +338,39 @@ def integrate(system: TwoModeSystem, initial, duration: float, dt: float,
     every ``store_every``-th step is stored.  Raises
     :class:`DivergenceError` when an amplitude passes ``ceiling`` or stops
     being finite (``ceiling=math.inf`` keeps only the second test), at the
-    earliest step at which any member does, and ``ValueError`` naming the
-    argument for an ensemble of no members, a non-finite initial amplitude,
-    a ``duration`` or ``dt`` that is not positive and finite, a
-    ``duration / dt`` over :data:`MAX_STEPS`, or a ``ceiling`` that is not
-    positive.
+    earliest step at which any member does, and :class:`DomainError`
+    naming the argument for an ensemble of no members, a non-finite initial
+    amplitude, a ``duration`` or ``dt`` that is not positive and finite, a
+    ``duration / dt`` over :data:`MAX_STEPS`, a ``ceiling`` that is not
+    positive, a ``seed`` that is neither None nor an integer in
+    [0, :data:`MAX_SEED`], or a ``store_every`` that is not a positive
+    integer.
     """
     for name, value in (("duration", duration), ("dt", dt)):
         if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, "
-                             f"got {value!r}")
+            raise domain(name, value, "positive and finite")
     steps = duration / dt           # inf once the quotient overflows
     if steps == math.inf or round(steps) > MAX_STEPS:
-        raise ValueError(f"duration / dt = {duration!r} / {dt!r} gives "
-                         f"{steps!r} steps, over the bound of {MAX_STEPS}")
+        raise DomainError("dt", f"duration / dt = {duration!r} / {dt!r} gives "
+                          f"{steps!r} steps, over the bound of {MAX_STEPS}")
     if not ceiling > 0.0:
-        raise ValueError(f"ceiling must be positive, got {ceiling!r}")
+        raise domain("ceiling", ceiling, "positive")
+    if seed is not None and not (_is_integer(seed) and 0 <= seed <= MAX_SEED):
+        raise domain("seed", seed, "None or an integer in [0, 2**63 - 1]")
+    if not (_is_integer(store_every) and store_every >= 1):
+        raise domain("store_every", store_every, "a positive integer")
     a1 = np.asarray(initial[0], dtype=complex)
     a2 = np.asarray(initial[1], dtype=complex)
     if a1.shape != a2.shape:
-        raise ValueError("initial mode arrays must have matching shapes")
+        raise DomainError("initial", "initial mode arrays must have matching "
+                          f"shapes, got {a1.shape} and {a2.shape}")
     if a1.size == 0:
-        raise ValueError("initial holds an ensemble of no members")
+        raise DomainError("initial", "initial holds an ensemble of no members")
     if not (np.isfinite(a1).all() and np.isfinite(a2).all()):
-        raise ValueError("initial must hold finite amplitudes")
+        raise DomainError("initial", "initial must hold finite amplitudes")
     n_steps = int(round(steps))
     if n_steps <= 0:
-        raise ValueError("duration shorter than one step")
-    if store_every < 1:
-        raise ValueError("store_every must be >= 1")
+        raise domain("duration", duration, f"at least one step, dt = {dt!r}")
 
     dt_ok = guideline_timestep(system, (a1, a2))
     if dt > dt_ok:
@@ -371,6 +399,11 @@ def integrate(system: TwoModeSystem, initial, duration: float, dt: float,
     return Trajectory(dt=dt * store_every, a1=out1, a2=out2,
                       drive_b2=system.drive_b2, drive_phase=system.drive_phase,
                       seed=seed)
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def step_seconds(scheme: str) -> float:
@@ -650,14 +683,17 @@ def boxcar_demodulate(traj: Trajectory, fs: float,
 
     Consecutive non-overlapping windows of 1/fs are averaged; ensemble
     members contribute their windows in sequence.  ``fs`` must be positive
-    and not exceed the stored sampling rate 1/dt.
+    and not exceed the stored sampling rate 1/dt; ``scale``, when given,
+    must be finite.
     """
     if not 0.0 < fs < math.inf:
-        raise ValueError(f"fs must be positive and finite, got {fs!r}")
+        raise domain("fs", fs, "positive and finite")
+    if scale is not None and not -math.inf < scale < math.inf:
+        raise domain("scale", scale, "finite or None")
     if traj.n_samples == 0:
         raise EmptyTrajectoryError("no samples to demodulate")
     if fs > 1.0 / traj.dt * (1 + 1e-9):
-        raise ValueError(f"fs = {fs:.3e} exceeds the stored rate {1/traj.dt:.3e}")
+        raise domain("fs", fs, f"at most the stored rate {1/traj.dt:.3e}")
     w = max(int(round(1.0 / (fs * traj.dt))), 1)
     a = traj.a1 if traj.a1.ndim == 2 else traj.a1[:, None]
     n_win = a.shape[0] // w
@@ -681,7 +717,7 @@ def demodulate_histogram(traj: Trajectory, fs: float, bins=101,
     arrays.
     """
     if np.isscalar(bins) and not (1 <= bins < math.inf and bins == int(bins)):
-        raise ValueError(f"bins must be a positive whole number, got {bins!r}")
+        raise domain("bins", bins, "a positive whole number")
     means = boxcar_demodulate(traj, fs, scale=scale)
     w = max(int(round(1.0 / (fs * traj.dt))), 1)
     i, q = means.real, means.imag
@@ -701,8 +737,8 @@ def demodulate_histogram(traj: Trajectory, fs: float, bins=101,
 
 def classify_samples(samples: np.ndarray, refs, radius: float) -> np.ndarray:
     """Index of the nearest reference within ``radius`` per sample, else -1."""
-    if not radius >= 0.0:
-        raise ValueError(f"radius must be non-negative, got {radius!r}")
+    if not 0.0 <= radius < math.inf:
+        raise domain("radius", radius, "non-negative and finite")
     refs = np.asarray(refs, dtype=complex)
     if len(refs) >= 2:
         sep = min(abs(x - y) for k, x in enumerate(refs) for y in refs[k + 1:])
@@ -727,7 +763,8 @@ def switching_rate(traj: Trajectory, states, classify_radius: float) -> Switchin
     if traj.n_samples == 0:
         raise EmptyTrajectoryError("no samples to classify")
     if len(states) < 2:
-        raise ValueError("need at least two reference states")
+        raise DomainError("states", "states must hold at least two reference "
+                          f"states, got {len(states)}")
     refs = np.asarray([complex(s) for s in states])
     a = traj.a1 if traj.a1.ndim == 2 else traj.a1[:, None]
     k = len(refs)

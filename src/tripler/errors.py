@@ -1,8 +1,39 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package.
+
+Every package error is a :class:`TriplerError`.  An argument outside its
+domain (a NaN, an infinity, a negative damping, a detuning off the model)
+raises :class:`DomainError`, which names the argument; :func:`domain`
+builds the one message rule, ``"<name> must be <requirement>, got
+<value>"``.
+"""
 
 
 class TriplerError(Exception):
     """Base class for all package errors."""
+
+
+class DomainError(TriplerError, ValueError):
+    """An argument outside its domain; ``name`` is the argument.
+
+    Also a ``ValueError``, so callers that catch one keep working.
+    """
+
+    def __init__(self, name: str, message: str):
+        super().__init__(message)
+        self.name = name
+
+
+def domain(name: str, value, requirement: str) -> DomainError:
+    """The :class:`DomainError` for argument ``name`` that is not
+    ``requirement``: ``"{name} must be {requirement}, got {value!r}"``.
+
+    Callers test the domain inline (``0.0 <= value < math.inf``, which NaN
+    fails too) and build the error only when it fails, so a valid call pays
+    one comparison per argument.  ``value`` is a scalar; for an array,
+    raise :class:`DomainError` with a message that gives its shape or a
+    count instead.
+    """
+    return DomainError(name, f"{name} must be {requirement}, got {value!r}")
 
 
 class ConfigError(TriplerError):

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import _lazy_import
-from .errors import FormatError
+from .errors import DomainError, FormatError
 
 np = _lazy_import("numpy")
 
@@ -112,8 +112,8 @@ def write_json(path, doc):
 
 def trajectory_to_bytes(traj: Trajectory) -> bytes:
     if traj.a1.ndim != 1:
-        raise ValueError("binary format stores single trajectories; "
-                         "split ensembles with Trajectory.member")
+        raise DomainError("traj", "binary format stores single trajectories; "
+                          "split ensembles with Trajectory.member")
     seed = -1 if traj.seed is None else int(traj.seed)
     head = MAGIC + bytes([VERSION]) + _HEADER.pack(
         traj.dt, seed, traj.drive_b2, traj.drive_phase, traj.n_samples)
@@ -154,7 +154,7 @@ def read_trajectory(path) -> Trajectory:
 
 def write_trajectory_csv(path, traj: Trajectory, meta: dict | None = None):
     if traj.a1.ndim != 1:
-        raise ValueError("CSV stores single trajectories")
+        raise DomainError("traj", "CSV stores single trajectories")
     head = dict(meta or {}, dt_s=float(traj.dt), drive_b2=float(traj.drive_b2),
                 drive_phase_rad=float(traj.drive_phase), seed=traj.seed)
     t = (np.arange(traj.n_samples) + 1) * traj.dt
@@ -258,7 +258,8 @@ def write_linecut_csv(path, pd_dbm, pout_w, sidecar: dict):
     carry ``delta1_rad_s`` and ``flux_frac``; anything else is preserved.
     """
     if "delta1_rad_s" not in sidecar or "flux_frac" not in sidecar:
-        raise ValueError("sidecar needs delta1_rad_s and flux_frac")
+        raise DomainError("sidecar",
+                          "sidecar needs delta1_rad_s and flux_frac")
     path = Path(path)
     write_table(path, ("pd_dbm", "pout_w"),
                 zip(map(float, pd_dbm), map(float, pout_w)))

@@ -26,10 +26,12 @@ from ._roots import bisect, bracket_roots, linspace, polyroots
 from .errors import (
     BelowThresholdError,
     ConvergenceError,
+    DomainError,
     PhaseDomainError,
     RegimeWarning,
     ResidualError,
     StabilityMismatchWarning,
+    domain,
 )
 
 THRESHOLD_FACTOR = math.sqrt(7.0)
@@ -43,6 +45,10 @@ STABILITY_TOL = -1e-9
 #: residual (units of alpha1) above which a state handed to a stability
 #: check is rejected as not stationary at all
 _VERIFY_TOL = 1e-6
+
+#: points of the scan over the existence window in
+#: :func:`solve_selfconsistent`, a resolution of 1e-4 of the window
+_SCAN_POINTS = 10000
 
 
 @dataclass(frozen=True)
@@ -85,17 +91,16 @@ class DimensionlessPoint:
         for f in fields(self):
             value = getattr(self, f.name)
             if value is not None and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
-        if self.gamma1 < 0 or self.gamma2 < 0 or self.gamma2_ext < 0:
-            raise ValueError("dampings must be non-negative")
+                raise domain(f.name, value, "finite")
+        for name in ("gamma1", "gamma2", "gamma2_ext", "drive_b2"):
+            if getattr(self, name) < 0:
+                raise domain(name, getattr(self, name), "non-negative")
         if self.gamma2_ext > self.gamma2 * (1 + 1e-12):
-            raise ValueError("gamma2_ext cannot exceed gamma2")
-        if self.alpha1 <= 0:
-            raise ValueError("alpha1 must be positive")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-        if self.drive_b2 < 0:
-            raise ValueError("drive amplitude is a magnitude, >= 0")
+            raise domain("gamma2_ext", self.gamma2_ext,
+                         f"at most gamma2 = {self.gamma2!r}")
+        for name in ("alpha1", "beta"):
+            if getattr(self, name) <= 0:
+                raise domain(name, getattr(self, name), "positive")
 
     @property
     def delta2(self) -> float:
@@ -155,23 +160,10 @@ class ResponseBranch:
     back_bending: bool       # on a segment where drive power falls with r2
 
 
-def _domain_error(name: str, value: float,
-                  non_negative: bool = False) -> ValueError:
-    """The ``ValueError`` for an argument that is not finite (with
-    ``non_negative``: not in [0, inf)), naming it and its value.
-
-    Callers test ``-inf < value < inf`` or ``0 <= value < inf`` inline,
-    which NaN fails too, so a valid call pays one comparison per argument:
-    calibration calls the closed forms thousands of times per flux point.
-    """
-    what = "non-negative and finite" if non_negative else "finite"
-    return ValueError(f"{name} must be {what}, got {value!r}")
-
-
 def threshold_detuning(gamma1: float) -> float:
     """Largest (least red) detuning at which excited states exist."""
     if not 0.0 <= gamma1 < math.inf:
-        raise _domain_error("gamma1", gamma1, non_negative=True)
+        raise domain("gamma1", gamma1, "non-negative and finite")
     return -THRESHOLD_FACTOR * gamma1
 
 
@@ -183,7 +175,7 @@ def existence_window(delta: float, gamma1: float):
     to the single point 2*|delta|/7.
     """
     if not -math.inf < delta < math.inf:
-        raise _domain_error("delta", delta)
+        raise domain("delta", delta, "finite")
     # the threshold first: it checks gamma1
     if delta > threshold_detuning(gamma1) or delta >= 0:
         return None
@@ -239,11 +231,11 @@ def subharmonic_branches(delta: float, gamma1: float, r2_sq: float):
     or inside the existence window.
     """
     if not -math.inf < delta < math.inf:
-        raise _domain_error("delta", delta)
+        raise domain("delta", delta, "finite")
     if not 0.0 <= gamma1 < math.inf:
-        raise _domain_error("gamma1", gamma1, non_negative=True)
+        raise domain("gamma1", gamma1, "non-negative and finite")
     if not 0.0 <= r2_sq < math.inf:
-        raise _domain_error("r2_sq", r2_sq, non_negative=True)
+        raise domain("r2_sq", r2_sq, "non-negative and finite")
     upper, lower = _closed_branches(delta, gamma1,
                                     _branch_tolerance(delta, gamma1), r2_sq)
     if upper is None:
@@ -287,10 +279,10 @@ def triad_phases(delta: float, gamma1: float, r1_sq: float, r2_sq: float,
     """
     for name, value in (("delta", delta), ("phi2", phi2)):
         if not -math.inf < value < math.inf:
-            raise _domain_error(name, value)
+            raise domain(name, value, "finite")
     for name, value in (("gamma1", gamma1), ("r1_sq", r1_sq), ("r2_sq", r2_sq)):
         if not 0.0 <= value < math.inf:
-            raise _domain_error(name, value, non_negative=True)
+            raise domain(name, value, "non-negative and finite")
     theta = _theta_exact(delta, gamma1, r1_sq, r2_sq)
     phis = tuple((theta + phi2) / 3.0 + 2.0 * math.pi * k / 3.0 for k in range(3))
     return theta, phis
@@ -306,7 +298,7 @@ def max_intensity(delta: float, gamma1: float):
     the intensity profile is flat there).
     """
     if not -math.inf < delta < math.inf:
-        raise _domain_error("delta", delta)
+        raise domain("delta", delta, "finite")
     if delta > threshold_detuning(gamma1):
         raise BelowThresholdError(
             f"delta={delta} above threshold {threshold_detuning(gamma1):.6g}")
@@ -322,7 +314,8 @@ def max_drive(point: DimensionlessPoint) -> float:
     warns when used at |delta| < 3*gamma1 where it loses accuracy.
     """
     if point.gamma2_ext <= 0:
-        raise ValueError("max_drive requires gamma2_ext > 0")
+        raise DomainError("point", "max_drive requires gamma2_ext > 0, got "
+                          f"{point.gamma2_ext!r}")
     if abs(point.delta) < 3.0 * point.gamma1:
         warnings.warn(
             f"|delta|={abs(point.delta):.3g} < 3*gamma1={3 * point.gamma1:.3g}: "
@@ -516,6 +509,8 @@ def ground_eigenvalue(point: DimensionlessPoint, r2_sq: float) -> complex:
     lambda0 = i*(delta + 2*beta^2*|u2|^2) - gamma1, always with negative
     real part: the silent state never loses stability on its own.
     """
+    if not 0.0 <= r2_sq < math.inf:
+        raise domain("r2_sq", r2_sq, "non-negative and finite")
     n2 = r2_sq / point.beta**2  # |u2|^2
     return 1j * (point.delta + 2.0 * point.beta**2 * n2) - point.gamma1
 
@@ -529,6 +524,13 @@ def closed_form_lambda_sq(delta: float, r1_sq: float, r2_sq: float,
     branch (-1) flips the sign and is unstable.  Valid for |delta| >>
     gamma1.
     """
+    if not -math.inf < delta < math.inf:
+        raise domain("delta", delta, "finite")
+    for name, value in (("r1_sq", r1_sq), ("r2_sq", r2_sq)):
+        if not 0.0 <= value < math.inf:
+            raise domain(name, value, "non-negative and finite")
+    if branch not in (1, -1):
+        raise domain("branch", branch, "+1 or -1")
     X = abs(delta) - 1.75 * r2_sq
     if X < 0:
         raise PhaseDomainError("pump intensity outside the undamped window")
@@ -774,7 +776,7 @@ def _ground_states(response: _Response):
     return states
 
 
-def solve_selfconsistent(point: DimensionlessPoint, scan_points: int = 10000,
+def solve_selfconsistent(point: DimensionlessPoint,
                          all_branches: bool = False):
     """Every stationary state at the given operating point.
 
@@ -788,9 +790,9 @@ def solve_selfconsistent(point: DimensionlessPoint, scan_points: int = 10000,
     moderate detuning).
 
     The solve is the 1D reduction: the closed r1^2(r2^2) branch is
-    substituted into the response equation, which is then scanned and
-    bisected in r2^2 at a resolution of 1e-4 of the window.  It runs on
-    Python floats and complex numbers throughout and loads no numpy.
+    substituted into the response equation, which is then scanned over
+    :data:`_SCAN_POINTS` points of the window and bisected in r2^2.  It runs
+    on Python floats and complex numbers throughout and loads no numpy.
 
     Once per solve, the point's constants (delta, gamma1, delta2, gamma2,
     beta^2, beta^2/3) are bound into the response formula
@@ -809,7 +811,7 @@ def solve_selfconsistent(point: DimensionlessPoint, scan_points: int = 10000,
     if hi <= lo:
         return states
     pad = 1e-9 * (hi - lo)
-    grid = linspace(lo + pad, hi - pad, scan_points)
+    grid = linspace(lo + pad, hi - pad, _SCAN_POINTS)
     R = point.drive_scale
     branch_id = len(states)
     root_signs = (+1, -1) if all_branches else (+1,)

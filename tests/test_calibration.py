@@ -9,7 +9,7 @@ from tripler import calibration as cal
 from tripler import circuit, steady
 from tripler._roots import golden_min
 from tripler.calibration import CalibrationChain, Linecut
-from tripler.errors import BelowThresholdError, NoSignalError
+from tripler.errors import BelowThresholdError, DomainError, NoSignalError
 
 TWO_PI = 2.0 * math.pi
 HBAR = 6.62607015e-34 / TWO_PI
@@ -59,6 +59,15 @@ class TestPowerConversions:
         g1e = omega / (2 * 19e3)
         p = cal.output_power(100.0, g1e, 66.0, omega)
         assert 2.1e-9 < p < 3.1e-9
+
+    @pytest.mark.parametrize("name", ["gamma1_ext", "gain_db", "omega"])
+    def test_output_power_rejects_nan_scalar(self, name):
+        # unchecked, each would give a NaN power
+        kw = dict(a1_sq=7.0, gamma1_ext=1e5, gain_db=66.0, omega=3.4e10)
+        kw[name] = math.nan
+        with pytest.raises(DomainError, match=f"^{name} must be ") as info:
+            cal.output_power(**kw)
+        assert info.value.name == name
 
     def test_decibel_doubling_identity(self):
         omega = TWO_PI * 5.4e9
@@ -331,6 +340,16 @@ class TestVisibleThreshold:
 
 
 class TestRegionMap:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+    def test_bad_power_rejected(self, params, chain, bad):
+        # NaN fails a plain pd <= 0 too; unchecked, it labels its cells "I"
+        pd = np.array([1e-9, bad, 1e-3])
+        with pytest.raises(DomainError, match="^pd_grid_w must hold finite "
+                                              "positive powers, got 1 of 3"
+                           ) as info:
+            cal.region_map(params, 0.0, chain, [-TWO_PI * 5e6], pd)
+        assert info.value.name == "pd_grid_w"
+
     def test_boundary_matches_max_drive_oracle(self, params, chain):
         flux = 0.2
         m1 = circuit.mode_profile(params, flux, 1)

@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 
 import tripler
 from tripler import calibration as cal
-from tripler import circuit, cli, dynamics, steady
+from tripler import circuit, cli, config, dynamics, steady
 from tripler import io as tio
 from tripler.cli import main
 from tripler.config import dump_device_config
+from tripler.errors import DomainError
 
 TWO_PI = 2.0 * math.pi
 SRC = str(Path(tripler.__file__).resolve().parents[1])
@@ -751,6 +752,46 @@ class TestUnexpectedErrors:
                                      "steady": TestConfigErrors.STEADY})
         assert main(["--config", cfg, command]) == 1
         assert capsys.readouterr().err.splitlines() == [line]
+
+    #: each place where a command turns a library DomainError into a
+    #: configuration error: the library attribute raising it, the command,
+    #: and the configuration that reaches it
+    NARROWED = {
+        "device": (config, "CircuitParams", "spectrum",
+                   {"spectrum": {"flux": [0.0, 0.1, 2]}}),
+        "chain": (cal, "CalibrationChain", "thresholds",
+                  {"chain": TestConfigErrors.CHAIN,
+                   "thresholds": {"flux": [0.0, 0.1, 2]}}),
+        "detuning": (circuit.FluxPoint, "operating_point", "steady",
+                     {"steady": TestConfigErrors.STEADY}),
+        "sweep": (cal, "region_map", "sweep",
+                  {"chain": TestConfigErrors.CHAIN,
+                   "sweep": {"delta1_hz": [-10e6, -1e6, 3],
+                             "pd_dbm": [-40, 0, 3]}}),
+        "fs": (dynamics, "demodulate_histogram", "simulate",
+               {"simulate": {**TestConfigErrors.SIM, "fs_hz": [1e10]}}),
+    }
+
+    @pytest.mark.parametrize("site", list(NARROWED))
+    def test_only_domain_errors_are_configuration_errors(
+            self, workdir, capsys, monkeypatch, site):
+        # a plain ValueError there is a fault, reported by its type with
+        # exit 1; a DomainError is a bad configuration value, with exit 2
+        owner, name, command, doc = self.NARROWED[site]
+        cfg = write_config(workdir, doc)
+        for exc, code in ((ValueError("bad value"), 1),
+                          (DomainError("x", "x must be good, got 0"), 2)):
+            def fail(*args, exc=exc, **kwargs):
+                raise exc
+
+            monkeypatch.setattr(owner, name, fail)
+            assert main(["--config", cfg, command]) == code
+            [line] = capsys.readouterr().err.splitlines()
+            if code == 1:
+                assert line == f"tripler {command}: ValueError: bad value"
+            else:
+                assert line.startswith(f"tripler {command}: ")
+                assert line.endswith(": x must be good, got 0")
 
     def test_fresh_process(self, workdir):
         cfg = write_config(workdir, {"spectrum": {"flux": [0.0, 0.1, 2]}})

@@ -12,9 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tripler import circuit, dynamics, steady
+from tripler import io as tio
 from tripler.dynamics import NoiseConfig, Trajectory, TwoModeSystem
 from tripler.errors import (
     DivergenceError,
+    DomainError,
     EmptyTrajectoryError,
     OverlappingRadiusError,
     StepSizeWarning,
@@ -61,6 +63,20 @@ def test_noise_config_rejects_bad_strength(field, bad):
     kw[field] = bad
     with pytest.raises(ValueError, match=f"^{field} must be non-negative"):
         NoiseConfig(**kw)
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("delta1", math.nan), ("delta2", math.inf), ("drive_phase", -math.inf),
+    ("alpha1", -1.0), ("alpha2", math.nan), ("Gamma1", -1.0),
+    ("Gamma2", math.inf), ("Gamma2_ext", -1e-30), ("drive_b2", -0.5)])
+def test_two_mode_system_rejects_bad_field(field, bad):
+    # unchecked, a NaN detuning makes suggested_timestep return NaN
+    kw = dict(delta1=-9.0, delta2=-7.0, alpha1=1.0, alpha2=2.0, Gamma1=1.0,
+              Gamma2=1.5, Gamma2_ext=1.4, drive_b2=0.5, drive_phase=0.3)
+    kw[field] = bad
+    with pytest.raises(DomainError, match=f"^{field} must be ") as info:
+        TwoModeSystem(**kw)
+    assert info.value.name == field
 
 
 class TestIntegrate:
@@ -271,6 +287,31 @@ class TestIntegrate:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024      # refused before any allocation
+
+    @pytest.mark.parametrize("name, bad", [
+        ("seed", -1), ("seed", 2**63), ("seed", 1.5), ("seed", math.nan),
+        ("seed", True), ("store_every", 0), ("store_every", 1.5),
+        ("store_every", -2), ("store_every", math.inf)])
+    @pytest.mark.parametrize("noisy", [False, True], ids=["rk4", "etd1"])
+    def test_bad_seed_or_store_every_rejected(self, soft_point, name, bad,
+                                              noisy):
+        # -1 marks an unseeded run in the .trpl header and 2**63 overflows
+        # its field; a fractional store_every is no step count
+        system = TwoModeSystem.from_point(driven_soft_point(soft_point))
+        args = dict(duration=1.0, dt=0.01, seed=1, store_every=1,
+                    noise=NoiseConfig(d1=0.05, d2=0.05) if noisy else None)
+        args[name] = bad
+        with pytest.raises(DomainError, match=f"^{name} must be ") as info:
+            dynamics.integrate(system, (0.1, 0.0), **args)
+        assert info.value.name == name
+
+    def test_largest_seed_reads_back(self, soft_point):
+        system = TwoModeSystem.from_point(driven_soft_point(soft_point))
+        traj = dynamics.integrate(system, (0.1, 0.0), duration=0.1, dt=0.01,
+                                  noise=NoiseConfig(d1=0.05, d2=0.05),
+                                  seed=dynamics.MAX_SEED)
+        back = tio.trajectory_from_bytes(tio.trajectory_to_bytes(traj))
+        assert back.seed == dynamics.MAX_SEED == 2**63 - 1
 
     def test_step_count_bound_is_inclusive(self, soft_point, monkeypatch):
         system = TwoModeSystem.from_point(driven_soft_point(soft_point))
@@ -873,6 +914,16 @@ class TestDemodulation:
                           drive_phase=0.0)
         with pytest.raises(ValueError, match="^fs must be positive"):
             dynamics.boxcar_demodulate(traj, fs)
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf])
+    def test_bad_scale_rejected(self, scale):
+        # unchecked, a NaN gain gives NaN window means
+        traj = Trajectory(dt=0.1, a1=np.ones(10, complex),
+                          a2=np.zeros(10, complex), drive_b2=0.0,
+                          drive_phase=0.0)
+        with pytest.raises(DomainError, match="^scale must be finite") as info:
+            dynamics.boxcar_demodulate(traj, 1.0, scale=scale)
+        assert info.value.name == "scale"
 
     @pytest.mark.parametrize("bins", [0, -3, 2.5, math.nan, math.inf])
     def test_bad_bin_count_rejected(self, bins):

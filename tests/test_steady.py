@@ -10,6 +10,7 @@ from tripler import circuit, steady
 from tripler.errors import (
     BelowThresholdError,
     ConvergenceError,
+    DomainError,
     PhaseDomainError,
     RegimeWarning,
 )
@@ -231,6 +232,25 @@ class TestClosedFormGuards:
         self.rejects("gamma1", fn, -10.0, math.nan, 5.0, 5.0)
         self.rejects("phi2", fn, -10.0, 1.0, 5.0, 5.0, math.nan)
 
+    @staticmethod
+    def named(name, fn, *args):
+        with pytest.raises(DomainError, match=f"^{name} must be ") as info:
+            fn(*args)
+        assert info.value.name == name
+
+    def test_ground_eigenvalue(self):
+        # unchecked, a NaN pump intensity gives nan+nanj
+        for r2_sq in (math.nan, math.inf, -1.0):
+            self.named("r2_sq", steady.ground_eigenvalue, make_point(), r2_sq)
+
+    def test_closed_form_lambda_sq(self):
+        # unchecked, a NaN detuning or intensity gives nan
+        fn = steady.closed_form_lambda_sq
+        self.named("delta", fn, math.nan, 1.0, 1.0, 1)
+        self.named("r1_sq", fn, -20.0, math.nan, 1.0, 1)
+        self.named("r2_sq", fn, -20.0, 1.0, -1.0, 1)
+        self.named("branch", fn, -20.0, 1.0, 1.0, math.nan)
+
 
 class TestMaxIntensity:
     def test_reference_point(self):
@@ -380,7 +400,7 @@ class TestMaxDrive:
 
         def has_triad(b2_sq):
             states = steady.solve_selfconsistent(
-                pt.with_drive(math.sqrt(b2_sq)), scan_points=3000)
+                pt.with_drive(math.sqrt(b2_sq)))
             return any(s.kind == "triad" for s in states)
 
         assert has_triad(0.5 * bmax_sq)
