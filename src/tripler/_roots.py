@@ -9,6 +9,11 @@ from .errors import ConvergenceError
 
 _EPS = sys.float_info.epsilon
 
+#: iterations of :func:`bisect` before it gives up and of :func:`golden_min`
+#: before it stops, and the relative bracket width golden_min stops at
+_MAXITER = 200
+_GOLDEN_RTOL = 1e-12
+
 #: Aberth sweeps before giving up; convergence is cubic near simple roots,
 #: and a quartic from a Jacobian takes about six
 _ABERTH_SWEEPS = 100
@@ -19,14 +24,15 @@ def _nan_error(x):
                             diagnostics={"point": x})
 
 
-def bisect(f, lo, hi, rtol=1e-12, maxiter=200):
+def bisect(f, lo, hi, rtol=1e-12):
     """Bisection root of ``f`` on ``[lo, hi]``, which must bracket a sign change.
 
     Runs until the bracket width drops below ``rtol`` relative to its
-    midpoint (or ``rtol`` absolute near zero).  Bisection is deliberate:
-    no derivative, guaranteed convergence on a bracket.  A NaN value of
-    ``f`` raises :class:`ConvergenceError` naming the point, since it has
-    no sign to bisect on.
+    midpoint (or ``rtol`` absolute near zero), and raises
+    :class:`ConvergenceError` if ``_MAXITER`` halvings do not get there.
+    Bisection is deliberate: no derivative, guaranteed convergence on a
+    bracket.  A NaN value of ``f`` raises :class:`ConvergenceError` naming
+    the point, since it has no sign to bisect on.
     """
     flo, fhi = f(lo), f(hi)
     for x, fx in ((lo, flo), (hi, fhi)):
@@ -39,7 +45,7 @@ def bisect(f, lo, hi, rtol=1e-12, maxiter=200):
     if (flo > 0.0) == (fhi > 0.0):
         raise ConvergenceError(
             f"root not bracketed on [{lo!r}, {hi!r}]: f={flo!r}, {fhi!r}")
-    for _ in range(maxiter):
+    for _ in range(_MAXITER):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if fm == 0.0:
@@ -62,14 +68,15 @@ def bisect(f, lo, hi, rtol=1e-12, maxiter=200):
 _GOLD = (3.0 - math.sqrt(5.0)) / 2.0
 
 
-def golden_min(f, a, b, c, rtol=1e-12, maxiter=200):
+def golden_min(f, a, b, c):
     """Minimizer of ``f`` on a bracket ``a < b < c`` with f(b) <= f(a), f(c).
 
     Golden-section search (Kiefer 1953): each step probes the larger
     sub-interval and keeps the part holding the lower value, shrinking the
-    bracket by 0.618 per evaluation until its width drops below ``rtol``
-    relative to the inner points.  Needs no derivative and cannot fail; it
-    returns the lowest point seen.
+    bracket by 0.618 per evaluation until its width drops below
+    ``_GOLDEN_RTOL`` relative to the inner points, for at most ``_MAXITER``
+    evaluations.  Needs no derivative and cannot fail; it returns the
+    lowest point seen.
     """
     x0, x3 = a, c
     if c - b > b - a:
@@ -77,8 +84,8 @@ def golden_min(f, a, b, c, rtol=1e-12, maxiter=200):
     else:
         x1, x2 = b - _GOLD * (b - a), b
     f1, f2 = f(x1), f(x2)
-    for _ in range(maxiter):
-        if x3 - x0 <= rtol * (abs(x1) + abs(x2)):
+    for _ in range(_MAXITER):
+        if x3 - x0 <= _GOLDEN_RTOL * (abs(x1) + abs(x2)):
             break
         if f2 < f1:
             x0, x1, x2 = x1, x2, x2 + _GOLD * (x3 - x2)

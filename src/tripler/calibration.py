@@ -141,7 +141,7 @@ def pump_intensity(p_d, x: float, fp: circuit.FluxPoint, delta1: float):
 
 
 def _linecut_model(p_d, x, fp: circuit.FluxPoint, delta1: float,
-                   gain_db: float, scale: float = 1.0):
+                   gain_db: float):
     """Model detected power along a linecut for a given chain parameter.
 
     ``x`` is a scalar or a column ``(k, 1)`` of chain parameters; the
@@ -158,7 +158,7 @@ def _linecut_model(p_d, x, fp: circuit.FluxPoint, delta1: float,
     lo, hi = window
     base, disc = steady.branch_quadratic(delta, gamma1, v)
     r1 = base + np.sqrt(np.maximum(disc, 0.0))
-    out = output_power(scale * r1, m1.gamma_ext, gain_db, m1.omega + delta1)
+    out = output_power(r1, m1.gamma_ext, gain_db, m1.omega + delta1)
     return np.where((v >= lo) & (v <= hi), out, 0.0)
 
 
@@ -248,21 +248,17 @@ def predict_max_output(params: circuit.CircuitParams, flux: float,
                        delta1: float, chain: CalibrationChain) -> float:
     """Peak detected power (W) at a detuning past threshold.
 
-    The predicted peak intensity is scaled by the empirical ``scale07``
-    before conversion to detected power.  ``delta1`` must lie inside
+    The predicted peak intensity (:func:`steady.max_intensity` at the
+    operating point) is scaled by the empirical ``scale07`` before
+    conversion to detected power.  ``delta1`` must lie inside
     (-omega1, omega1), as :meth:`circuit.FluxPoint.operating_point` requires.
     """
     fp = circuit.at_flux(params, flux)
-    fp.operating_point(delta1)          # rejects a detuning off the model
-    return _max_output(fp, delta1, chain)
-
-
-def _max_output(fp: circuit.FluxPoint, delta1: float,
-                chain: CalibrationChain) -> float:
+    point = fp.operating_point(delta1)  # rejects a detuning off the model
     m1 = fp.mode1
-    delta = delta1 / m1.alpha
-    gamma1 = m1.gamma / m1.alpha
-    r1_max, _ = steady.max_intensity(delta, gamma1)   # raises above threshold
+    # delta1/alpha1, not point.delta: that one is rounded through the signal
+    # frequency and can put the exact threshold -sqrt(7)*Gamma1 above it
+    r1_max, _ = steady.max_intensity(delta1 / point.alpha1, point.gamma1)
     return float(output_power(chain.scale07 * r1_max, m1.gamma_ext,
                               chain.gain_db, m1.omega + delta1))
 
@@ -272,36 +268,38 @@ def visible_threshold(params: circuit.CircuitParams, flux: float,
     """Detuning (rad/s, negative) where oscillations first become visible.
 
     The true existence threshold is -sqrt(7)*Gamma1(flux); when the peak
-    output there is below the noise floor, visibility starts deeper in the
-    red, where the predicted peak power crosses the floor.  Returns the
-    larger magnitude of the two.
+    output there is below the noise floor F, visibility starts deeper in
+    the red, where the predicted peak power crosses the floor.  In units of
+    alpha1, write u = |delta| + sqrt(delta^2 - 7*gamma1^2), which inverts
+    :func:`steady.max_intensity` as |delta| = (u^2 + 7*gamma1^2)/(2*u).
+    The peak of :func:`predict_max_output` is then
+
+        K*(omega1*u - alpha1*(u^2 + 7*gamma1^2)/2),
+        K = hbar*2*Gamma1ext*10**(G/10)*scale07*4/7,
+
+    and it meets F at the smaller root of (alpha1/2)*u^2 - omega1*u + q = 0
+    with q = 3.5*alpha1*gamma1^2 + F/K, taken without cancellation as
+    u = 2*q/(omega1 + sqrt(omega1^2 - 2*alpha1*q)).  Returns the larger
+    magnitude of the two thresholds, the true one exactly.  A floor above
+    the largest peak, K*(omega1^2/(2*alpha1) - 3.5*alpha1*gamma1^2), raises
+    :class:`NoSignalError` naming both powers.
     """
-    fp = circuit.at_flux(params, flux)
-    true_th = steady.THRESHOLD_FACTOR * fp.mode1.gamma
-
-    def peak(mag):
-        return _max_output(fp, -mag, chain)
-
-    if peak(true_th * (1.0 + 1e-12)) >= chain.noise_floor_w:
-        return -true_th
-    hi = true_th * 2.0
-    for _ in range(200):
-        if peak(hi) >= chain.noise_floor_w:
-            break
-        hi *= 2.0
-    else:
-        raise ConvergenceError("noise floor never crossed",
-                               diagnostics={"flux": flux, "last": hi})
-    lo = true_th
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if peak(mid) >= chain.noise_floor_w:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-12 * hi:
-            break
-    return -0.5 * (lo + hi)
+    m1 = circuit.at_flux(params, flux).mode1
+    w1, a1, g1 = m1.omega, m1.alpha, m1.gamma / m1.alpha
+    k = (HBAR * 2.0 * m1.gamma_ext * 10.0 ** (chain.gain_db / 10.0)
+         * chain.scale07 * 4.0 / 7.0)
+    floor = chain.noise_floor_w
+    largest = k * (w1**2 / (2.0 * a1) - 3.5 * a1 * g1**2)
+    if not floor <= largest:
+        raise NoSignalError(
+            f"noise floor {floor:.6g} W lies above the largest predicted peak "
+            f"output {largest:.6g} W at flux {flux}")
+    q = 3.5 * a1 * g1**2 + floor / k
+    # the largest peak bounds q, so the square root is real up to rounding
+    u = 2.0 * q / (w1 + math.sqrt(max(w1**2 - 2.0 * a1 * q, 0.0)))
+    if u <= steady.THRESHOLD_FACTOR * g1:
+        return -steady.THRESHOLD_FACTOR * m1.gamma
+    return -a1 * (u**2 + 7.0 * g1**2) / (2.0 * u)
 
 
 @dataclass(frozen=True)
@@ -345,13 +343,12 @@ def region_map(params: circuit.CircuitParams, flux: float,
         raise DomainError("pd_grid_w", "pd_grid_w must hold finite positive "
                           f"powers, got {bad} of {pd.size} outside (0, inf)")
     fp = circuit.at_flux(params, flux)
-    m1 = fp.mode1
     lo = np.full((d1.size, 1), np.nan)
     hi = np.full((d1.size, 1), np.nan)
     boundary = np.full(d1.size, np.nan)
     for i, dd in enumerate(d1):
         point = fp.operating_point(dd)      # rejects a detuning off the model
-        window = steady.existence_window(dd / m1.alpha, m1.gamma / m1.alpha)
+        window = steady.existence_window(point.delta, point.gamma1)
         if window is None:
             continue
         lo[i], hi[i] = window

@@ -101,6 +101,12 @@ class CircuitParams:
             val = getattr(self, name)
             if val is not None and val <= 0:
                 raise domain(name, val, "positive when given")
+        # the products the properties divide by or take the root of
+        for name, other in (("L0", "d"), ("L0", "C0"), ("C0", "d")):
+            product = getattr(self, name) * getattr(self, other)
+            if not 0.0 < product < math.inf:
+                raise DomainError(name, f"{name}*{other} must be positive "
+                                  f"and finite, got {product!r}")
         if self.kerr_energy not in KERR_CONVENTIONS:
             raise domain("kerr_energy", self.kerr_energy,
                          f"one of {KERR_CONVENTIONS}")

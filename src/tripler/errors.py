@@ -99,7 +99,8 @@ class OverlappingRadiusError(TriplerError):
 
 
 class NoSignalError(TriplerError):
-    """Not enough data points above the noise floor to fit."""
+    """The signal does not clear the noise floor: too few points above it
+    to fit, or a floor above every predicted peak output."""
 
 
 class FormatError(TriplerError):

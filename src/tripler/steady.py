@@ -36,6 +36,11 @@ from .errors import (
 
 THRESHOLD_FACTOR = math.sqrt(7.0)
 
+#: the requirement of an argument whose ``x**2`` overflows, which Python
+#: raises as OverflowError (``x*x`` would give inf, but does not round as
+#: ``x**2`` does on every libm)
+_SQUARABLE = "small enough to square, below about 1.34e154 in magnitude"
+
 #: residual (in units of alpha1) below which a state counts as stationary
 STATIONARY_TOL = 1e-9
 
@@ -180,7 +185,10 @@ def existence_window(delta: float, gamma1: float):
     if delta > threshold_detuning(gamma1) or delta >= 0:
         return None
     adelta = -delta
-    root = math.sqrt(max(1.0 - 7.0 * gamma1**2 / delta**2, 0.0))
+    try:
+        root = math.sqrt(max(1.0 - 7.0 * gamma1**2 / delta**2, 0.0))
+    except OverflowError:   # past threshold |delta| is the larger argument
+        raise domain("delta", delta, _SQUARABLE) from None
     lo = 2.0 * adelta / 7.0 * (1.0 - root)
     hi = 2.0 * adelta / 7.0 * (1.0 + root)
     return lo, hi
@@ -236,8 +244,16 @@ def subharmonic_branches(delta: float, gamma1: float, r2_sq: float):
         raise domain("gamma1", gamma1, "non-negative and finite")
     if not 0.0 <= r2_sq < math.inf:
         raise domain("r2_sq", r2_sq, "non-negative and finite")
-    upper, lower = _closed_branches(delta, gamma1,
-                                    _branch_tolerance(delta, gamma1), r2_sq)
+    try:
+        tol = _branch_tolerance(delta, gamma1)
+    except OverflowError:
+        name, value = (("delta", delta) if abs(delta) >= gamma1
+                       else ("gamma1", gamma1))
+        raise domain(name, value, _SQUARABLE) from None
+    try:
+        upper, lower = _closed_branches(delta, gamma1, tol, r2_sq)
+    except OverflowError:   # r2_sq**2; delta and gamma1 squared above
+        raise domain("r2_sq", r2_sq, _SQUARABLE) from None
     if upper is None:
         return []
     # distinct roots differ by 2*sqrt(disc) > 2e-6*max(1, |delta|), which no
@@ -303,7 +319,11 @@ def max_intensity(delta: float, gamma1: float):
         raise BelowThresholdError(
             f"delta={delta} above threshold {threshold_detuning(gamma1):.6g}")
     adelta = -delta
-    r1_max_sq = 4.0 / 7.0 * (adelta + math.sqrt(max(delta**2 - 7.0 * gamma1**2, 0.0)))
+    try:
+        r1_max_sq = 4.0 / 7.0 * (
+            adelta + math.sqrt(max(delta**2 - 7.0 * gamma1**2, 0.0)))
+    except OverflowError:   # past threshold |delta| is the larger argument
+        raise domain("delta", delta, _SQUARABLE) from None
     return r1_max_sq, adelta / 14.0
 
 

@@ -301,7 +301,7 @@ class TestVisibleThreshold:
 
         monkeypatch.setattr(circuit, "mode_profile", counted)
         th = cal.visible_threshold(params, 0.3, chain)
-        # noise limited at this chain, so the search probed many detunings
+        # noise limited at this chain, so the floor crossing was solved for
         assert -th > steady.THRESHOLD_FACTOR * 1.001 * \
             real(params, 0.3, 1).gamma
         assert sorted(n for _, _, n in calls) == [1, 2]
@@ -337,6 +337,78 @@ class TestVisibleThreshold:
         assert -deep > 2 * th
         check = cal.predict_max_output(params, 0.0, deep, hard)
         assert check == pytest.approx(hard.noise_floor_w, rel=1e-6)
+
+
+def _oracle_threshold(params, flux, chain):
+    """Visible threshold (rad/s) from the peak output written in |delta1|,
+    scanned up to omega1 and bisected to adjacent floats; None when no
+    scanned peak reaches the floor."""
+    m1 = circuit.mode_profile(params, flux, 1)
+    true_th = math.sqrt(7.0) * m1.gamma
+    g1 = m1.gamma / m1.alpha
+
+    def peak(mag):
+        d = mag / m1.alpha
+        r1_max = 4.0 / 7.0 * (d + math.sqrt(max(d * d - 7.0 * g1 * g1, 0.0)))
+        return (HBAR * (m1.omega - mag) * chain.scale07 * r1_max * 2.0
+                * m1.gamma_ext * 10.0 ** (chain.gain_db / 10.0))
+
+    grid = np.linspace(true_th, m1.omega, 20001)[:-1]
+    values = [peak(float(mag)) for mag in grid]
+    # the scan decides reachability only for floors clear of its maximum
+    assert not 0.999 < max(values) / chain.noise_floor_w < 1.001
+    above = [i for i, v in enumerate(values) if v >= chain.noise_floor_w]
+    if not above:
+        return None
+    if above[0] == 0:
+        return -true_th
+    lo, hi = float(grid[above[0] - 1]), float(grid[above[0]])
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if peak(mid) >= chain.noise_floor_w else (mid, hi)
+    return -hi
+
+
+#: floors from vanishing to past the largest peak at flux 0.4 (6.5e-9 W),
+#: and deep noise-limited ones near the largest peaks at fluxes 0 (3.0e-7 W)
+#: and 0.2 (1.5e-7 W)
+ORACLE_FLOORS = [*np.logspace(-30.0, math.log10(2.9e-7), 24), 1e-7, 1.5e-7,
+                 2.8e-7]
+
+
+class TestVisibleThresholdClosedForm:
+    @pytest.mark.parametrize("flux", [0.0, 0.2, 0.4])
+    def test_matches_scanned_oracle(self, params, flux):
+        reached = 0
+        for floor in ORACLE_FLOORS:
+            chain = CalibrationChain(gain_db=66.0, noise_floor_w=float(floor))
+            want = _oracle_threshold(params, flux, chain)
+            if want is None:
+                with pytest.raises(NoSignalError):
+                    cal.visible_threshold(params, flux, chain)
+                continue
+            reached += 1
+            got = cal.visible_threshold(params, flux, chain)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), floor
+        assert reached >= 20
+
+    def test_threshold_deep_in_the_red(self, params):
+        # |delta1| near 0.38*omega1: doubling from the true threshold, a
+        # search steps past omega1 before it brackets this crossing
+        chain = CalibrationChain(gain_db=66.0, noise_floor_w=2.8e-7)
+        got = cal.visible_threshold(params, 0.0, chain)
+        assert got / TWO_PI == pytest.approx(-2047.41e6, rel=1e-6)
+        assert cal.predict_max_output(params, 0.0, got, chain) == \
+            pytest.approx(2.8e-7, rel=1e-9)
+
+    def test_unreachable_floor_names_both_powers(self, params):
+        m1 = circuit.mode_profile(params, 0.0, 1)
+        chain = CalibrationChain(gain_db=66.0, noise_floor_w=1e-3)
+        largest = cal.predict_max_output(params, 0.0, -0.5 * m1.omega,
+                                         chain)
+        with pytest.raises(NoSignalError, match="noise floor 0.001 W") as exc:
+            cal.visible_threshold(params, 0.0, chain)
+        assert f"{largest:.6g} W" in str(exc.value)
 
 
 class TestRegionMap:

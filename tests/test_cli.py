@@ -279,6 +279,14 @@ class TestSweepAndThresholds:
         assert len(rows) == 4
         assert all(float(r[1]) < 0 for r in rows)
 
+    def test_unreachable_floor_is_no_signal(self, workdir, capsys):
+        cfg = write_config(workdir, {
+            "chain": {**self.CHAIN, "noise_floor_w": 1e-3},
+            "thresholds": {"flux": [0.0, 0.3, 4]}})
+        assert main(["--config", cfg, "thresholds"]) == 5
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "noise floor 0.001 W" in err[0]
+
     def test_missing_chain_is_config_error(self, workdir):
         cfg = write_config(workdir, {"thresholds": {"flux": [0.0, 0.3, 4]}})
         assert main(["--config", cfg, "thresholds"]) == 2
@@ -583,6 +591,23 @@ class TestConfigErrors:
         assert len(err) == 1
         assert f"device file {str(path)!r}, line {line}: unknown key 'foo'" \
             in err[0]
+
+    def test_device_product_out_of_range(self, workdir, capsys):
+        # every value is positive and finite, but L0*d underflows to 0
+        path = workdir / "device.cfg"
+        values = {"length": "1e-200", "inductance_per_length": "1e-200",
+                  "capacitance_per_length": "1e190"}
+        lines = []
+        for line in path.read_text().splitlines():
+            key, _, rhs = line.partition(" = ")
+            if key in values:
+                line = f"{key} = {values[key]} {rhs.split()[1]}"
+            lines.append(line)
+        path.write_text("\n".join(lines) + "\n")
+        cfg = write_config(workdir, {"spectrum": {"flux": [0.0, 0.1, 2]}})
+        assert main(["--config", cfg, "spectrum"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "L0*d must be positive and finite" in err[0]
 
     def test_non_finite_flux_is_a_domain_error(self, workdir, capsys):
         cfg = write_config(workdir, {"steady": {**self.STEADY, "flux": "nan"}})

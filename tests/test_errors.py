@@ -17,7 +17,13 @@ from hypothesis import strategies as st
 
 import tripler
 from tripler import calibration, circuit, dynamics, steady
-from tripler.errors import DomainError, FluxRangeError, TriplerError, domain
+from tripler.errors import (
+    BelowThresholdError,
+    DomainError,
+    FluxRangeError,
+    TriplerError,
+    domain,
+)
 
 #: the package the tests import
 SRC = Path(tripler.__file__).resolve().parent
@@ -184,3 +190,34 @@ def test_negative_scalar_is_named(fn, kwargs, name, bad):
     # only where the domain admits no negative value: for a detuning or a
     # phase a negative value is valid input
     _check_named(fn, kwargs, name, bad)
+
+
+#: the closed forms that square a detuning, damping or pump intensity
+SQUARING = [(fn, kwargs, name) for fn, kwargs, name in ARGUMENTS
+            if fn in (steady.existence_window, steady.max_intensity,
+                      steady.subharmonic_branches, steady.stable_branch)]
+
+
+@pytest.mark.parametrize("bad", [1e200, -1e200])
+@pytest.mark.parametrize("fn, kwargs, name", SQUARING, ids=_ids(SQUARING))
+def test_finite_scalar_too_large_to_square_is_named(fn, kwargs, name, bad):
+    # x**2 overflows past about 1.34e154; that is a DomainError, not a raw
+    # OverflowError.  max_intensity above threshold stays a
+    # BelowThresholdError.
+    try:
+        _check_named(fn, kwargs, name, bad)
+    except BelowThresholdError:
+        assert fn is steady.max_intensity
+
+
+@pytest.mark.parametrize("fields, name", [
+    (dict(d=1e-200, L0=1e-200, C0=1e190), "L0"),    # L0*d underflows to 0
+    (dict(L0=1e200, C0=1e200), "L0"),               # L0*C0 overflows
+    (dict(d=1e-200, C0=1e-200, L0=1e190), "C0"),    # C0*d underflows to 0
+])
+def test_circuit_product_out_of_range_is_named(fields, name):
+    # each field is positive and finite, but a product the properties divide
+    # by or take the root of is not
+    with pytest.raises(DomainError) as exc:
+        dataclasses.replace(PARAMS, **fields)
+    assert exc.value.name == name
