@@ -197,7 +197,8 @@ static int beyond(cplx a1, cplx a2, double ceiling)
 }
 
 /* Steps `todo` more steps, from step `step` of `n_steps`, of every member
- * that has not stopped.
+ * j0 <= j < j1 that has not stopped.  Every array holds all m members, so
+ * calls on disjoint member ranges may run at once on the same arrays.
  *
  * state      (m, 2) complex: a1, a2 of each member, updated in place
  * out1, out2 (n_steps / store_every, m) complex: after step s, with s a
@@ -209,17 +210,18 @@ static int beyond(cplx a1, cplx a2, double ceiling)
  *            runner reports
  *
  * The ceiling is checked after each step that is a multiple of
- * check_every, and after the last.  Returns the number of members that
- * stopped in this call.
+ * check_every, and after the last.  Returns the number of members of the
+ * range that stopped in this call.
  */
 int64_t tripler_step(int64_t etd1, const coefficients *k, int64_t m,
-                     cplx *state, int64_t step, int64_t todo, int64_t n_steps,
-                     int64_t check_every, int64_t store_every, cplx *out1,
-                     cplx *out2, const double *draws, int64_t chunk,
-                     double ceiling, int64_t *fail)
+                     int64_t j0, int64_t j1, cplx *state, int64_t step,
+                     int64_t todo, int64_t n_steps, int64_t check_every,
+                     int64_t store_every, cplx *out1, cplx *out2,
+                     const double *draws, int64_t chunk, double ceiling,
+                     int64_t *fail)
 {
     int64_t stopped = 0;
-    for (int64_t j = 0; j < m; j++) {
+    for (int64_t j = j0; j < j1; j++) {
         cplx a1 = state[2 * j], a2 = state[2 * j + 1];
         const double *x = etd1 ? draws + 4 * chunk * j : 0;
         /* the next row to store, and the steps to it and to the next

@@ -56,6 +56,22 @@ def drive_amplitude_sq_through_x(p_d, x: float, fp: circuit.FluxPoint,
     return np.asarray(p_d, dtype=float) * q2_ext / (3.0 * HBAR * omega * x)
 
 
+def _power_ratio(gain_db: float) -> float:
+    """10**(gain_db/10), the power ratio of a gain in dB.
+
+    :class:`DomainError` names ``gain_db`` where the ratio is no finite
+    float: a NaN or infinite gain, or one above about 3082.5 dB, where the
+    power overflows.
+    """
+    if -math.inf < gain_db < math.inf:
+        try:
+            return 10.0 ** (gain_db / 10.0)
+        except OverflowError:
+            pass
+    raise domain("gain_db", gain_db,
+                 "finite, with 10**(gain_db/10) a finite float")
+
+
 def output_power(a1_sq, gamma1_ext: float, gain_db: float, omega: float):
     """Detected power (W) of ``a1_sq`` photons emitted through the output port.
 
@@ -67,19 +83,19 @@ def output_power(a1_sq, gamma1_ext: float, gain_db: float, omega: float):
         raise domain("gamma1_ext", gamma1_ext, "positive and finite")
     if not 0.0 < omega < math.inf:
         raise domain("omega", omega, "positive and finite")
-    if not -math.inf < gain_db < math.inf:
-        raise domain("gain_db", gain_db, "finite")
-    return HBAR * omega * a1_sq * 2.0 * gamma1_ext * 10.0 ** (gain_db / 10.0)
+    return HBAR * omega * a1_sq * 2.0 * gamma1_ext * _power_ratio(gain_db)
 
 
 @dataclass(frozen=True)
 class CalibrationChain:
     """Measurement-chain constants.
 
-    ``gain_db`` is the output gain; ``noise_floor_w`` the detected noise
-    power; ``x`` the fitted chain parameter when known; ``scale07`` the
-    empirical ratio of the observed to the predicted maximum intensity.
-    The drive-line attenuation enters only through ``x``.
+    ``gain_db`` is the output gain, whose power ratio 10**(gain_db/10)
+    must be a finite float (up to about 3082.5 dB); ``noise_floor_w`` the
+    detected noise power; ``x`` the fitted chain parameter when known;
+    ``scale07`` the empirical ratio of the observed to the predicted
+    maximum intensity.  The drive-line attenuation enters only through
+    ``x``.
     """
 
     gain_db: float
@@ -88,8 +104,7 @@ class CalibrationChain:
     scale07: float = 0.7
 
     def __post_init__(self):
-        if not -math.inf < self.gain_db < math.inf:
-            raise domain("gain_db", self.gain_db, "finite")
+        _power_ratio(self.gain_db)
         if not 0.0 < self.noise_floor_w < math.inf:
             raise domain("noise_floor_w", self.noise_floor_w,
                          "positive and finite")
@@ -286,7 +301,7 @@ def visible_threshold(params: circuit.CircuitParams, flux: float,
     """
     m1 = circuit.at_flux(params, flux).mode1
     w1, a1, g1 = m1.omega, m1.alpha, m1.gamma / m1.alpha
-    k = (HBAR * 2.0 * m1.gamma_ext * 10.0 ** (chain.gain_db / 10.0)
+    k = (HBAR * 2.0 * m1.gamma_ext * _power_ratio(chain.gain_db)
          * chain.scale07 * 4.0 / 7.0)
     floor = chain.noise_floor_w
     largest = k * (w1**2 / (2.0 * a1) - 3.5 * a1 * g1**2)

@@ -31,7 +31,14 @@ is bit for bit what the Python runners ``_run_rk4``/``_run_etd1`` give;
 they stay the definition, the tests' oracle and the fallback, which runs
 where the step cannot be built (one ``RuntimeWarning`` per process names
 why).  Each member draws from its own RNG stream spawned from the master
-seed, so results do not depend on how an ensemble is batched.  Python
+seed, so results do not depend on how an ensemble is batched.  An
+ensemble of M >= 2 members is split into contiguous member blocks, one
+per usable CPU (``os.sched_getaffinity``, else ``os.cpu_count``), each
+with at least :data:`_BLOCK_MIN_S` of estimated work, and the blocks are
+stepped at once on threads; no setting changes this, and the bytes are
+the same for any split.  A single trajectory, a shorter run and the Python
+runners, which hold the GIL, stay on the calling thread.  The first run
+after ``_step.c`` changes rebuilds it under a new cache name.  Python
 3.14's mixed float-complex arithmetic gives some signed zeros
 differently, which the C would have to follow.
 """
@@ -41,6 +48,7 @@ from __future__ import annotations
 import ctypes
 import math
 import os
+import threading
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -85,6 +93,13 @@ PYTHON_STEP_S = {"rk4": 6e-6, "etd1": 3.5e-6}
 #: its successor, is exactly a float, so ``duration / dt`` names the count
 #: without ambiguity; some thousand years at ``PYTHON_STEP_S``
 MAX_STEPS = 2**53 - 1
+
+#: least estimated serial wall time in seconds (members times steps times
+#: :data:`SCALAR_STEP_S`) per member block of a compiled run, so a run below
+#: it stays on the calling thread: starting and joining a thread costs about
+#: 80 us on the machine above (2000 in a row, three times), so n blocks
+#: cost at most n*80 us / (n*1 ms) = 8% of the time the split saves
+_BLOCK_MIN_S = 1e-3
 
 #: how ``_step.c`` is compiled; its cached file name hashes these flags
 _CFLAGS = ("-O2", "-ffp-contract=off", "-fno-builtin", "-shared", "-fPIC")
@@ -334,7 +349,10 @@ def integrate(system: TwoModeSystem, initial, duration: float, dt: float,
     it is unavailable those runners step the members one by one and give
     the same bytes.  Member j draws from the j-th RNG stream spawned from
     ``seed``, so a scalar run is member 0 of an ensemble with the same seed,
-    and the leading members of a wider run are the same, bit for bit.  Only
+    and the leading members of a wider run are the same, bit for bit.  A
+    large enough ensemble is stepped in member blocks on one thread per
+    usable CPU (see :func:`_run_kernel`), with the same bytes; every thread
+    is joined before this returns or raises.  Only
     every ``store_every``-th step is stored.  Raises
     :class:`DivergenceError` when an amplitude passes ``ceiling`` or stops
     being finite (``ceiling=math.inf`` keeps only the second test), at the
@@ -428,8 +446,9 @@ def _kernel():
             kernel = None
         else:
             i64, ptr = ctypes.c_int64, ctypes.c_void_p
-            kernel.argtypes = (i64, ptr, i64, ptr, i64, i64, i64, i64, i64,
-                               ptr, ptr, ptr, i64, ctypes.c_double, ptr)
+            kernel.argtypes = (i64, ptr, i64, i64, i64, ptr, i64, i64, i64,
+                               i64, i64, ptr, ptr, ptr, i64, ctypes.c_double,
+                               ptr)
             kernel.restype = i64
         _KERNEL.append(kernel)
     return _KERNEL[0]
@@ -529,14 +548,42 @@ def _overflow(step, dt):
     return DivergenceError("amplitude overflowed a float", t=step * dt)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _member_blocks(m, work_s):
+    """Contiguous ``(j0, j1)`` member ranges, as even as they go, for ``m``
+    members whose serial run is estimated at ``work_s`` seconds: one per
+    usable CPU, but none with less than :data:`_BLOCK_MIN_S` of it."""
+    n = min(m, _usable_cpus())
+    if work_s < n * _BLOCK_MIN_S:
+        n = max(1, int(work_s / _BLOCK_MIN_S))
+    return [(m * b // n, m * (b + 1) // n) for b in range(n)]
+
+
 def _run_kernel(kernel, c, state, dt, n_steps, store_every, out1, out2,
                 ceiling, noise, rngs):
     """The compiled step over every member of ``state``, (M, 2) complex.
 
-    It is called once per chunk of :data:`_NOISE_CHUNK` steps, after the
-    chunk's normals are drawn as :func:`_run_etd1` draws them, so a long
-    run stays interruptible.  A member that diverges stops; the earliest
-    stop is raised once its chunk is done, as :func:`_run_members` would.
+    The members are split into contiguous blocks by :func:`_member_blocks`
+    (one per usable CPU, each with at least :data:`_BLOCK_MIN_S` of work
+    at :data:`SCALAR_STEP_S`; no setting changes it); the calling thread
+    steps the first, a thread of its own each other.  A block is stepped
+    one chunk of :data:`_NOISE_CHUNK` steps per kernel call, after the
+    chunk's normals of its members are drawn as :func:`_run_etd1` draws
+    them; the kernel and numpy's draws release the GIL, so the blocks run
+    at once.  Each block writes only its members' parts of the shared
+    arrays, so the bytes do not depend on the split.  A member that
+    diverges stops.  Its block ends with the chunk, and every other block
+    ends after that chunk too, which is as far as the earliest stop can
+    lie; it is raised as :func:`_run_members` would.  An error in any block
+    (an interrupt in the first) ends the others after their current chunk
+    and is raised once every thread is joined, so a long run stays
+    interruptible.
     """
     m = len(state)
     chunk = min(_NOISE_CHUNK, n_steps)
@@ -553,17 +600,53 @@ def _run_kernel(kernel, c, state, dt, n_steps, store_every, out1, out2,
     p_constants, p_state, p_out1, p_out2, p_fail = pointers
     p_draws = None if draws is None else draws.ctypes.data
     check_every = _NOISE_CHUNK if etd1 else _CHECK_EVERY
-    step = 0
-    while step < n_steps:
-        todo = min(_NOISE_CHUNK, n_steps - step)
-        if etd1:
-            for row, rng in zip(draws, rngs):
-                rng.standard_normal((todo, 4), out=row[:todo])
-        if kernel(etd1, p_constants, m, p_state, step, todo, n_steps,
-                  check_every, store_every, p_out1, p_out2, p_draws, chunk,
-                  ceiling, p_fail):
-            break
-        step += todo
+    # the step no block goes past: the end of the earliest chunk in which a
+    # member stopped, 0 once a block failed
+    halt, lock, errors = [n_steps], threading.Lock(), []
+
+    def stop_at(step):
+        with lock:
+            halt[0] = min(halt[0], step)
+
+    def run(j0, j1):
+        step = 0
+        while step < halt[0]:
+            todo = min(_NOISE_CHUNK, n_steps - step)
+            if etd1:
+                for row, rng in zip(draws[j0:j1], rngs[j0:j1]):
+                    rng.standard_normal((todo, 4), out=row[:todo])
+            if kernel(etd1, p_constants, m, j0, j1, p_state, step, todo,
+                      n_steps, check_every, store_every, p_out1, p_out2,
+                      p_draws, chunk, ceiling, p_fail):
+                stop_at(step + todo)
+            step += todo
+
+    def worker(j0, j1):
+        try:
+            run(j0, j1)
+        except BaseException as exc:
+            stop_at(0)
+            errors.append(exc)
+
+    first, *rest = _member_blocks(m, m * n_steps * SCALAR_STEP_S[
+        "etd1" if etd1 else "rk4"])
+    threads = []
+    try:
+        for block in rest:
+            thread = threading.Thread(target=worker, args=block)
+            thread.start()
+            threads.append(thread)
+        run(*first)
+        for thread in threads:
+            thread.join()
+    except BaseException:
+        stop_at(0)
+        raise
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     stops = [(s, j, kind) for j, (kind, s) in enumerate(fail.tolist()) if kind]
     if stops:
         step, j, kind = min(stops)

@@ -69,6 +69,21 @@ class TestPowerConversions:
             cal.output_power(**kw)
         assert info.value.name == name
 
+    @pytest.mark.parametrize("gain_db", [3082.6, 4000.0, 1e300])
+    def test_gain_whose_power_overflows_is_named(self, gain_db, params):
+        # 10**(gain_db/10) overflows a float above about 3082.5 dB; that is
+        # a DomainError naming the gain, not a raw OverflowError
+        with pytest.raises(DomainError, match="^gain_db must be ") as info:
+            cal.output_power(1.0, 1e5, gain_db, 3e10)
+        assert info.value.name == "gain_db"
+        with pytest.raises(DomainError, match="^gain_db must be ") as info:
+            CalibrationChain(gain_db=gain_db, noise_floor_w=1e-9)
+        assert info.value.name == "gain_db"
+        # just below, the power and the threshold are finite
+        assert math.isfinite(cal.output_power(1.0, 1e5, 3082.5, 3e10))
+        quiet = CalibrationChain(gain_db=3082.5, noise_floor_w=1e-9)
+        assert math.isfinite(cal.visible_threshold(params, 0.0, quiet))
+
     def test_decibel_doubling_identity(self):
         omega = TWO_PI * 5.4e9
         g1e = omega / (2 * 19e3)

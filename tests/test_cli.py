@@ -568,6 +568,10 @@ class TestConfigErrors:
                       "simulate": {"bogus": 1}}, "'bogus'"),
         ("spectrum", {"spectrum": {"flux": [0.0, 0.1, 2]}, "steady": 5},
          "'steady' must be a JSON object"),
+        # a finite gain whose power ratio overflows a float
+        ("thresholds", {"chain": {**CHAIN, "gain_db": 4000.0},
+                        "thresholds": {"flux": [0.0, 0.1, 2]}},
+         "chain section: gain_db must be finite"),
     ])
     def test_in_process(self, workdir, capsys, command, doc, needle):
         cfg = write_config(workdir, doc)

@@ -1,6 +1,10 @@
+import contextlib
 import math
 import os
+import sys
 import tempfile
+import threading
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -462,6 +466,16 @@ def same_bits(x, y):
     return x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
+@contextlib.contextmanager
+def split_into(blocks):
+    """Compiled runs of any size split into ``blocks`` member blocks (at
+    most one per member), as on a machine with that many usable CPUs."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_BLOCK_MIN_S", 0.0)
+        patch.setattr(dynamics, "_usable_cpus", lambda: blocks)
+        yield
+
+
 def reference_kick_scales(noise, c, dt):
     """Per-quadrature kick deviations of both modes over ``dt``.
 
@@ -582,6 +596,30 @@ kerr = st.just(0.0) | st.floats(0, 5)
 damping = st.just(0.0) | st.floats(0, 10)
 
 
+def linear_pump():
+    """A driven pump without detuning, damping or Kerr shift: from a real
+    a2 = x at t = 0, a2 = x - i*t exactly on both schemes at dt = 1."""
+    return TwoModeSystem(delta1=0.0, delta2=0.0, alpha1=0.0, alpha2=0.0,
+                         Gamma1=0.0, Gamma2=0.0, Gamma2_ext=0.5, drive_b2=1.0)
+
+
+def errors_on_both_paths(system, initial, blocks, monkeypatch, kernel=None,
+                         **kw):
+    """The message and time of the DivergenceError that ``integrate`` raises
+    on the compiled step (``kernel`` in its place, if given) split into
+    ``blocks`` and on the fallback, which must agree; returns them."""
+    errors = []
+    for kernel in (kernel or dynamics._kernel(), None):
+        monkeypatch.setattr(dynamics, "_KERNEL", [kernel])
+        with split_into(blocks), warnings.catch_warnings(), \
+                pytest.raises(DivergenceError) as info:
+            warnings.simplefilter("ignore", StepSizeWarning)
+            dynamics.integrate(system, initial, **kw)
+        errors.append((str(info.value), info.value.t))
+    assert errors[0] == errors[1]
+    return errors[0]
+
+
 class TestStackedStep:
     """The compiled ensemble step against the Python runners as its oracle."""
 
@@ -601,15 +639,27 @@ class TestStackedStep:
                                   (1, 7), (8, 5)]),
            data=st.data(), steps=st.integers(1, 2 * dynamics._NOISE_CHUNK + 1),
            store_every=st.integers(1, 40), noisy=st.booleans(),
-           undamped=st.booleans(), seed=st.integers(0, 2**31 - 1))
+           undamped=st.booleans(), seed=st.integers(0, 2**31 - 1),
+           blocks=st.sampled_from([1, 2, 3]))
     @example(shape=(40,), data=None, steps=dynamics._NOISE_CHUNK + 77,
-             store_every=9, noisy=True, undamped=False, seed=12)
+             store_every=9, noisy=True, undamped=False, seed=12, blocks=1)
     @example(shape=(8, 5), data=None, steps=2 * dynamics._NOISE_CHUNK + 1,
-             store_every=6, noisy=False, undamped=True, seed=0)
+             store_every=6, noisy=False, undamped=True, seed=0, blocks=1)
+    # uneven blocks of 2, 2 and 3 members, and blocks of one member, each
+    # across a noise chunk boundary
+    @example(shape=(7,), data=None, steps=dynamics._NOISE_CHUNK + 77,
+             store_every=5, noisy=True, undamped=False, seed=13, blocks=3)
+    @example(shape=(7,), data=None, steps=dynamics._NOISE_CHUNK + 77,
+             store_every=5, noisy=False, undamped=False, seed=14, blocks=3)
+    @example(shape=(2,), data=None, steps=dynamics._NOISE_CHUNK + 1,
+             store_every=1, noisy=True, undamped=True, seed=15, blocks=2)
+    @example(shape=(2,), data=None, steps=dynamics._NOISE_CHUNK + 1,
+             store_every=1, noisy=False, undamped=False, seed=16, blocks=2)
     def test_members_match_python_runners(self, region2, shape, data, steps,
-                                          store_every, noisy, undamped, seed):
+                                          store_every, noisy, undamped, seed,
+                                          blocks):
         # member j of the compiled step is _run_rk4 / _run_etd1 of its own
-        # start, on stream j, bit for bit
+        # start, on stream j, bit for bit, however the members are split
         system = region2["system"]
         if undamped:
             system = replace(system, Gamma1=0.0)
@@ -621,10 +671,16 @@ class TestStackedStep:
         a1, a2 = self.start(region2, shape, parts)
         dt = region2["dt_em" if noisy else "dt_rk4"]
         noise = NoiseConfig.thermal(system, 0.15) if noisy else None
-        traj = dynamics.integrate(system, (a1, a2), duration=steps * dt, dt=dt,
-                                  noise=noise, seed=seed,
-                                  store_every=store_every)
+        kw = dict(duration=steps * dt, dt=dt, noise=noise, seed=seed,
+                  store_every=store_every)
+        with split_into(blocks):
+            traj = dynamics.integrate(system, (a1, a2), **kw)
         assert dynamics._KERNEL[0] is not None
+        if blocks > 1:
+            with split_into(1):
+                whole = dynamics.integrate(system, (a1, a2), **kw)
+            assert same_bits(traj.a1, whole.a1)
+            assert same_bits(traj.a2, whole.a2)
         rows = steps // store_every
         assert traj.a1.shape == (rows,) + shape
         got1, got2 = (x.reshape(rows, m) for x in (traj.a1, traj.a2))
@@ -645,26 +701,179 @@ class TestStackedStep:
         (5.0, 0.05, None, 1e9), (50.0, 1.0, None, math.inf),
         (0.1, 0.01, 1e20, 1e9), (0.1, 0.01, 1e250, math.inf)],
         ids=["rk4-ceiling", "rk4-overflow", "etd1-ceiling", "etd1-overflow"])
-    @pytest.mark.parametrize("members", [1, 3])
+    @pytest.mark.parametrize("members, blocks", [(1, 1), (3, 1), (3, 2),
+                                                 (3, 3)],
+                             ids=["1", "3", "3-split2", "3-split3"])
     def test_divergence_same_on_both_paths(self, soft_point, monkeypatch,
-                                           members, start, dt, d, ceiling):
+                                           members, blocks, start, dt, d,
+                                           ceiling):
         # the earliest member to diverge is reported, with the Python
-        # runner's message and time, by the compiled step and the fallback
+        # runner's message and time, by the compiled step in any split and
+        # by the fallback
         system = TwoModeSystem.from_point(driven_soft_point(soft_point))
         amps = np.array([start, 0.1, 0.6 * start][:members])
         kw = dict(duration=50 * dt, dt=dt, ceiling=ceiling)
         if d is not None:
             kw.update(noise=NoiseConfig(d1=d, d2=d), seed=1)
-        errors = []
-        for kernel in (dynamics._kernel(), None):
-            monkeypatch.setattr(dynamics, "_KERNEL", [kernel])
-            with warnings.catch_warnings(), \
-                    pytest.raises(DivergenceError) as info:
-                warnings.simplefilter("ignore", StepSizeWarning)
-                dynamics.integrate(system, (amps, amps), **kw)
-            errors.append((str(info.value), info.value.t))
-        assert errors[0] == errors[1]
-        assert ("overflowed" in errors[0][0]) == (ceiling == math.inf)
+        message, _ = errors_on_both_paths(system, (amps, amps), blocks,
+                                          monkeypatch, **kw)
+        assert ("overflowed" in message) == (ceiling == math.inf)
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["rk4", "etd1"])
+    @pytest.mark.parametrize("blocks", [1, 2, 3])
+    def test_earliest_stop_in_a_later_block(self, monkeypatch, noisy, blocks):
+        # |a2| = |x - i*t| passes the ceiling 1200 at t = sqrt(1200^2 -
+        # x^2).  Member 1 stops in the second chunk (at step 704 or 1024),
+        # members 0 and 2 in the third (at 1216 and 1152, or both at 1536).
+        # The other blocks wait for block 0 to stop first: they must still
+        # step on to the earliest stop
+        a2 = np.array([0.0, 1000.0, 500.0])
+        kw = dict(duration=2000.0, dt=1.0, ceiling=1200.0)
+        if noisy:
+            kw.update(noise=NoiseConfig(d1=0.0, d2=0.0), seed=2)
+        real, stopped = dynamics._kernel(), threading.Event()
+
+        def kernel(etd1, constants, m, j0, *args):
+            if j0 > 0:
+                assert stopped.wait(10)
+            result = real(etd1, constants, m, j0, *args)
+            if j0 == 0 and result:
+                stopped.set()
+            return result
+
+        threads = threading.active_count()
+        message, t = errors_on_both_paths(linear_pump(), (np.zeros(3), a2),
+                                          blocks, monkeypatch, kernel, **kw)
+        assert t == (1024.0 if noisy else 704.0)
+        assert "exceeded ceiling" in message
+        assert threading.active_count() == threads
+
+    @staticmethod
+    def blocks_seen(region2, blocks, m, kernel=None):
+        """The ``(j0, j1, on the calling thread)`` of every kernel call of a
+        noisy run of ``m`` members over three noise chunks split into
+        ``blocks``, with ``kernel`` in the compiled step's place."""
+        real, seen = dynamics._kernel(), []
+        kernel = kernel or real
+        caller = threading.current_thread()
+
+        def recording(etd1, constants, m, j0, j1, *args):
+            seen.append((j0, j1, threading.current_thread() is caller))
+            return kernel(etd1, constants, m, j0, j1, *args)
+
+        system = region2["system"]
+        init = (np.full(m, 0.5 + 0.1j), np.zeros(m, dtype=complex))
+        dt = region2["dt_em"]
+        with pytest.MonkeyPatch.context() as patch, split_into(blocks):
+            patch.setattr(dynamics, "_KERNEL", [recording])
+            dynamics.integrate(system, init,
+                               duration=3 * dynamics._NOISE_CHUNK * dt, dt=dt,
+                               noise=NoiseConfig.thermal(system, 0.15),
+                               seed=3)
+        return seen
+
+    def test_blocks_split_the_members_once(self, region2):
+        threads = threading.active_count()
+        # the calling thread steps the first block, a thread each other one
+        assert sorted(set(self.blocks_seen(region2, 3, 7))) == [
+            (0, 2, True), (2, 4, False), (4, 7, False)]
+        assert threading.active_count() == threads
+        # one member, or a run too short to pay for a thread, stays serial
+        assert set(self.blocks_seen(region2, 3, 1)) == {(0, 1, True)}
+        least = dynamics._BLOCK_MIN_S
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamics, "_usable_cpus", lambda: 3)
+            assert dynamics._member_blocks(7, 0.9 * least) == [(0, 7)]
+            assert dynamics._member_blocks(1, math.inf) == [(0, 1)]
+            # no block with less than the least work
+            assert dynamics._member_blocks(7, 2.5 * least) \
+                == [(0, 3), (3, 7)]
+            assert dynamics._member_blocks(7, 3 * least) \
+                == [(0, 2), (2, 4), (4, 7)]
+            assert dynamics._member_blocks(2, math.inf) == [(0, 1), (1, 2)]
+
+    def test_usable_cpus(self, monkeypatch):
+        assert dynamics._usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert dynamics._usable_cpus() == (os.cpu_count() or 1)
+
+    @pytest.mark.parametrize("failing", [0, 1], ids=["caller", "worker"])
+    def test_error_in_a_block_is_raised(self, region2, failing):
+        # the error ends the other blocks within one chunk and is raised
+        # once every thread is joined: a block that fails as a worker ends
+        # here before block 0 steps a chunk, so block 0 steps at most one
+        # of the three
+        threads, real, calls = threading.active_count(), dynamics._kernel(), []
+
+        def kernel(etd1, constants, m, j0, *args):
+            calls.append(j0)
+            if j0 == (0, 2)[failing]:
+                raise RuntimeError("kernel failed in this test")
+            deadline = time.monotonic() + 10
+            while failing and threading.active_count() > threads \
+                    and time.monotonic() < deadline:
+                time.sleep(1e-3)
+            return real(etd1, constants, m, j0, *args)
+
+        with pytest.raises(RuntimeError, match="kernel failed in this test"):
+            self.blocks_seen(region2, 2, 4, kernel)
+        assert threading.active_count() == threads
+        assert calls.count(0) <= 1 or not failing
+
+    def test_thread_that_cannot_start(self, region2, monkeypatch):
+        # the worker already started ends and is joined, then the error of
+        # the one that could not start is raised
+        threads, started = threading.active_count(), []
+
+        class Thread(threading.Thread):
+            def start(self):
+                if started:
+                    raise RuntimeError("can't start new thread")
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Thread)
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            self.blocks_seen(region2, 3, 6)
+        assert len(started) == 1 and not started[0].is_alive()
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["rk4", "etd1"])
+    def test_many_blocks_switching_fast(self, region2, monkeypatch, noisy):
+        # eight blocks on fewer cores, the interpreter switching threads
+        # every microsecond: the samples are those of one block, and the
+        # earliest of 16 stops spread over the blocks and three chunks is
+        # the Python runners'
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            system = region2["system"]
+            init = self.start(region2, (16,),
+                              np.random.default_rng(4).uniform(-0.7, 0.7, 64))
+            dt = region2["dt_em" if noisy else "dt_rk4"]
+            kw = dict(duration=3 * dynamics._NOISE_CHUNK * dt, dt=dt, seed=6,
+                      noise=NoiseConfig.thermal(system, 0.15) if noisy else None)
+            with split_into(8):
+                split = dynamics.integrate(system, init, **kw)
+            with split_into(1):
+                whole = dynamics.integrate(system, init, **kw)
+            assert same_bits(split.a1, whole.a1)
+            assert same_bits(split.a2, whole.a2)
+            # crossings at t = 1150, 1100, ..., 400, in blocks of two taken
+            # in the order 3, 6, 1, 4, 0, 7, 2, 5: the earliest in block 5
+            order = [3, 6, 1, 4, 0, 7, 2, 5]
+            t = np.empty(16)
+            t[[2 * b + k for b in order for k in (0, 1)]] = \
+                1150.0 - 50.0 * np.arange(16)
+            a2 = np.sqrt(1200.0**2 - t**2)
+            kw = dict(duration=2000.0, dt=1.0, ceiling=1200.0)
+            if noisy:
+                kw.update(noise=NoiseConfig(d1=0.0, d2=0.0), seed=2)
+            _, stop = errors_on_both_paths(linear_pump(), (np.zeros(16), a2),
+                                           8, monkeypatch, **kw)
+            assert stop == (512.0 if noisy else 448.0)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_infinite_rate_is_divergence(self, monkeypatch):
         # a finite pump of 1e150 photon amplitude makes the cross-Kerr rate
@@ -819,9 +1028,15 @@ class TestStackedStep:
         assert abs(solo.a1[0] - want[0, 0]) <= tol
         assert abs(solo.a2[0] - want[1, 0]) <= tol
 
-    @pytest.mark.parametrize("shape", [(4,), (2, 3), (1,)])
+    # 7 members over 3 blocks of 2, 2 and 3; 2 over blocks of one member
+    @pytest.mark.parametrize("shape, blocks", [((4,), 1), ((2, 3), 1),
+                                               ((1,), 1), ((7,), 3),
+                                               ((2,), 2)],
+                             ids=["shape0", "shape1", "shape2", "7-split3",
+                                  "2-split2"])
     @pytest.mark.parametrize("noisy", [False, True], ids=["rk4", "em"])
-    def test_integrate_matches_reference_loops(self, region2, shape, noisy):
+    def test_integrate_matches_reference_loops(self, region2, shape, blocks,
+                                               noisy):
         system = region2["system"]
         rng = np.random.default_rng(23)
         a1 = region2["radius"] * (rng.uniform(-0.7, 0.7, shape)
@@ -836,7 +1051,8 @@ class TestStackedStep:
         else:
             dt = region2["dt_rk4"]
             kw = dict(duration=700 * dt, dt=dt, store_every=3)
-        traj = dynamics.integrate(system, (a1, a2), **kw)
+        with split_into(blocks):
+            traj = dynamics.integrate(system, (a1, a2), **kw)
         want1, want2 = reference_integrate(system, a1, a2, **kw)
         assert same_bits(traj.a1, want1)
         assert same_bits(traj.a2, want2)
@@ -865,10 +1081,14 @@ class TestStackedStep:
         assert same_bits(traj.a1, want1)
         assert same_bits(traj.a2, want2)
 
-    @pytest.mark.parametrize("noisy", [False, True], ids=["rk4", "etd1"])
-    def test_steps_allocate_nothing_that_accumulates(self, region2, noisy):
+    @pytest.mark.parametrize("noisy, blocks", [(False, 1), (True, 1),
+                                               (False, 3), (True, 3)],
+                             ids=["rk4", "etd1", "rk4-split3", "etd1-split3"])
+    def test_steps_allocate_nothing_that_accumulates(self, region2, noisy,
+                                                     blocks):
         # traced peak at n and at 4n steps, after an untraced run for the
-        # one-time set-up: only the stored samples may grow
+        # one-time set-up: only the stored samples may grow, also with the
+        # members split across threads
         system = region2["system"]
         # past one noise chunk, so the draw buffer is full-size at n and 4n
         n = 2 * dynamics._NOISE_CHUNK
@@ -876,16 +1096,17 @@ class TestStackedStep:
         kw = dict(dt=region2["dt_rk4"], store_every=16)
         if noisy:
             kw.update(noise=NoiseConfig.thermal(system, 0.15), seed=4)
-        dynamics.integrate(system, init, duration=n * kw["dt"], **kw)
         peaks = []
-        for steps in (n, 4 * n):
-            tracemalloc.start()
-            try:
-                traj = dynamics.integrate(system, init,
-                                          duration=steps * kw["dt"], **kw)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        with split_into(blocks):
+            dynamics.integrate(system, init, duration=n * kw["dt"], **kw)
+            for steps in (n, 4 * n):
+                tracemalloc.start()
+                try:
+                    traj = dynamics.integrate(system, init,
+                                              duration=steps * kw["dt"], **kw)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
         assert peaks[1] - peaks[0] <= traj.a1.nbytes + traj.a2.nbytes
 
 
