@@ -96,29 +96,6 @@ def golden_min(f, a, b, c):
     return x1 if f1 < f2 else x2
 
 
-def bracket_roots(f_values, grid):
-    """Brackets ``(grid[i], grid[i+1])`` where tabulated ``f_values`` change sign.
-
-    Exact zeros at grid nodes are returned as degenerate brackets; the
-    brackets hold the grid's own elements.  A NaN value raises
-    :class:`ConvergenceError` naming its grid point.
-    """
-    values = list(f_values)
-    for i, fx in enumerate(values):
-        if fx != fx:
-            raise _nan_error(float(grid[i]))
-    brackets = []
-    positive = [fx > 0.0 for fx in values]
-    for i in range(len(values) - 1):
-        if values[i] == 0.0:
-            brackets.append((grid[i], grid[i]))
-        elif positive[i] != positive[i + 1] and values[i + 1] != 0.0:
-            brackets.append((grid[i], grid[i + 1]))
-    if values and values[-1] == 0.0:
-        brackets.append((grid[-1], grid[-1]))
-    return brackets
-
-
 def linspace(lo: float, hi: float, n: int) -> list:
     """The ``n`` points of an axis, bit for bit ``np.linspace(lo, hi, n)``.
 

@@ -533,6 +533,9 @@ def _member_rngs(seed, m):
 
 
 def _beyond(top, ceiling, step, dt):
+    if math.isnan(top):     # NaN compares false with any ceiling
+        return DivergenceError("amplitude is no longer finite (nan)",
+                               t=step * dt)
     return DivergenceError(
         f"amplitude {top:.3e} exceeded ceiling {ceiling:.3e}", t=step * dt)
 

@@ -83,7 +83,8 @@ class ResidualError(TriplerError):
 
 
 class DivergenceError(TriplerError):
-    """Time integration blew past the configured amplitude ceiling."""
+    """Time integration blew past the amplitude ceiling or stopped being
+    finite."""
 
     def __init__(self, message, t=None):
         super().__init__(message)

@@ -22,7 +22,7 @@ import warnings
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
-from ._roots import bisect, bracket_roots, linspace, polyroots
+from ._roots import bisect, golden_min, polyroots
 from .errors import (
     BelowThresholdError,
     ConvergenceError,
@@ -51,9 +51,17 @@ STABILITY_TOL = -1e-9
 #: check is rejected as not stationary at all
 _VERIFY_TOL = 1e-6
 
-#: points of the scan over the existence window in
-#: :func:`solve_selfconsistent`, a resolution of 1e-4 of the window
-_SCAN_POINTS = 10000
+#: knots of the response table over the existence window in
+#: :func:`_response_knots`, and their positions as fractions of the window:
+#: Chebyshev-Lobatto points (1 - cos(pi*k/399))/2, clustered toward both
+#: edges, where the closed branch has its square-root singularity.  A cell
+#: is 3.9e-3 of the window wide mid-window and 1.5e-5 at the edges.  The
+#: table can miss a pair of extrema of the response curve less than two
+#: cells apart, and with them a pair of roots; a smaller table widens that
+#: gap
+_TABLE_SIZE = 400
+_TABLE_SPACING = tuple((1.0 - math.cos(math.pi * k / (_TABLE_SIZE - 1))) / 2.0
+                       for k in range(_TABLE_SIZE))
 
 
 @dataclass(frozen=True)
@@ -660,27 +668,41 @@ def _response_lhs(point: DimensionlessPoint, v: float, branch: int = +1):
     return _Response(point)(v, branch)
 
 
-def _mismatch_tables(response: _Response, grid, root_signs, R: float):
-    """|LHS| - R at every grid point, one list per sign in ``root_signs``.
+def _response_knots(response: _Response, lo: float, hi: float, branch: int):
+    """Knots ``(v, m)`` of the curve m(v) = |LHS| on one closed branch.
 
-    One pass over the grid: the closed branch is evaluated once per point
-    for every sign, and the response formula once per point and sign.  No
-    branch values outlive their point (keeping a pair per point would hold
-    about 1.3 MB through the solve).  A point where the branch is absent
-    raises as the single-point :func:`_response_lhs` does for the first
-    sign.
+    m is tabulated on :data:`_TABLE_SIZE` points of ``[lo, hi]`` at the
+    :data:`_TABLE_SPACING`; each interior turn of the table's slope is
+    polished to the extremum of m by :func:`golden_min`.  Returned are the
+    window ends and the polished extrema in increasing v, each with its m,
+    so that m is monotone between consecutive knots.  The curve does not
+    depend on the drive: the states at drive R are its crossings of the
+    level R.  A point where the branch is absent raises as the single-point
+    :func:`_response_lhs` does.
     """
-    delta, gamma1 = response.point.delta, response.point.gamma1
-    tol = _branch_tolerance(delta, gamma1)
-    lhs = response.lhs
-    tables = [(sign < 0, []) for sign in root_signs]
-    for v in grid:
-        pair = _closed_branches(delta, gamma1, tol, v)
-        if pair[0] is None:
-            raise _absent(root_signs[0], delta, v)
-        for side, vals in tables:
-            vals.append(abs(lhs(v, pair[side])) - R)
-    return [vals for _, vals in tables]
+    def m(v):
+        return abs(response(v, branch)[0])
+
+    span = hi - lo
+    vs = [lo + span * s for s in _TABLE_SPACING[:-1]] + [hi]
+    ms = [m(v) for v in vs]
+    if not all(map(math.isfinite, ms)):
+        raise ConvergenceError("response curve not finite over the window",
+                               diagnostics={"window": (lo, hi)})
+    knots = [(lo, ms[0]), (hi, ms[-1])]
+    rising = None           # direction of the last slope that was not flat
+    for k in range(_TABLE_SIZE - 1):
+        step = ms[k + 1] - ms[k]
+        if step == 0.0:
+            continue
+        if rising is not None and (step > 0.0) != rising:
+            # the slope turns at knot k: a minimum of m where it turns up,
+            # a maximum (a minimum of -m) where it turns down
+            sign = 1.0 if step > 0.0 else -1.0
+            v = golden_min(lambda x: sign * m(x), vs[k - 1], vs[k], vs[k + 1])
+            knots.append((v, m(v)))
+        rising = step > 0.0
+    return sorted(knots)
 
 
 def _triad_states(response: _Response, v: float, branch_id: int,
@@ -809,18 +831,27 @@ def solve_selfconsistent(point: DimensionlessPoint,
     (usually saddles, but the pump back-action can stabilize them at
     moderate detuning).
 
-    The solve is the 1D reduction: the closed r1^2(r2^2) branch is
-    substituted into the response equation, which is then scanned over
-    :data:`_SCAN_POINTS` points of the window and bisected in r2^2.  It runs
-    on Python floats and complex numbers throughout and loads no numpy.
+    The solve is the 1D reduction: with the closed r1^2(r2^2) branch
+    substituted, the response equation reads m(v) = R in v = r2^2, where
+    m = |LHS| and R is the drive scale.  The drive enters only as that
+    level, so each branch has one curve m(v) over the window, and its knots
+    (:func:`_response_knots`: the window ends and the polished extrema of a
+    :data:`_TABLE_SIZE`-point table) cut it into monotone pieces.  Each
+    piece whose ends lie strictly on either side of R holds one root, which
+    is bisected in v; a knot whose m equals R is a root itself.  Near a
+    fold, where R comes close to an extremum, the two roots lie on either
+    side of that extremum's knot, so both are bracketed however close
+    together they are.  A state that still misses :data:`STATIONARY_TOL`
+    raises :class:`ConvergenceError` naming its bracket and the fold.
 
     Once per solve, the point's constants (delta, gamma1, delta2, gamma2,
     beta^2, beta^2/3) are bound into the response formula
-    (:class:`_Response`), and the scan computes the branch tolerance.  Once
-    per grid point, the closed branch gives the r1^2 of both signs
-    (:func:`_closed_branches`); the formula then runs once per point and
-    sign (:func:`_mismatch_tables`).  The bisection, the silent states and
-    the triad states evaluate the same bound formula.
+    (:class:`_Response`); the table, the polish, the bisection, the silent
+    states and the triad states all evaluate it, with r1^2 from the one
+    branch rule (:func:`_closed_branches`).  A solve takes about a thousand
+    scalar evaluations per branch, so it runs on Python floats and complex
+    numbers and loads no numpy: importing numpy would cost ``tripler
+    steady`` more than the solve.
     """
     response = _Response(point)
     states = _ground_states(response)
@@ -831,27 +862,37 @@ def solve_selfconsistent(point: DimensionlessPoint,
     if hi <= lo:
         return states
     pad = 1e-9 * (hi - lo)
-    grid = linspace(lo + pad, hi - pad, _SCAN_POINTS)
     R = point.drive_scale
     branch_id = len(states)
-    root_signs = (+1, -1) if all_branches else (+1,)
-    tables = _mismatch_tables(response, grid, root_signs, R)
-    for root_sign, vals in zip(root_signs, tables):
+    for root_sign in ((+1, -1) if all_branches else (+1,)):
 
         def f(v):
             lhs, _ = response(v, root_sign)
             return abs(lhs) - R
 
-        if not all(map(math.isfinite, vals)):
-            raise ConvergenceError("response mismatch not finite over the window",
-                                   diagnostics={"window": window})
-        for a, b in bracket_roots(vals, grid):
-            v = a if a == b else bisect(f, a, b, rtol=1e-14)
-            states.extend(_triad_states(response, v, branch_id, root_sign))
+        knots = _response_knots(response, lo + pad, hi - pad, root_sign)
+        for k, (v, m) in enumerate(knots):
+            if m == R:                  # a knot on the level is a root
+                bracket = knots[k:k + 1]
+            elif k + 1 < len(knots) and knots[k + 1][1] != R \
+                    and (m > R) != (knots[k + 1][1] > R):
+                bracket = knots[k:k + 2]
+                v = bisect(f, v, knots[k + 1][0], rtol=1e-14)
+            else:
+                continue
+            triads = _triad_states(response, v, branch_id, root_sign)
+            worst = max(triads, key=lambda st: st.residual)
+            if worst.residual > STATIONARY_TOL:
+                # the fold: the extremum closest to the level that ends the
+                # bracket, if one does
+                fold = min((knot for knot in bracket
+                            if knot not in (knots[0], knots[-1])),
+                           key=lambda knot: abs(knot[1] - R), default=None)
+                raise ConvergenceError(
+                    "self-consistent state exceeds the stationary tolerance",
+                    diagnostics={
+                        "r2_sq": worst.r2_sq, "residual": worst.residual,
+                        "drive_scale": R, "bracket": bracket, "fold": fold})
+            states.extend(triads)
             branch_id += 1
-    for st in states:
-        if st.kind == "triad" and st.residual > STATIONARY_TOL:
-            raise ConvergenceError(
-                "self-consistent state exceeds the stationary tolerance",
-                diagnostics={"r2_sq": st.r2_sq, "residual": st.residual})
     return states

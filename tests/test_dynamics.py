@@ -719,6 +719,15 @@ class TestStackedStep:
                                           monkeypatch, **kw)
         assert ("overflowed" in message) == (ceiling == math.inf)
 
+    def test_nan_amplitude_is_not_finite(self, soft_point, monkeypatch):
+        # from this start the step reaches NaN at t = 3.2 with no amplitude
+        # past the ceiling before it; a NaN exceeds no ceiling
+        system = TwoModeSystem.from_point(driven_soft_point(soft_point))
+        message, t = errors_on_both_paths(system, (3.0, 3.0), 1, monkeypatch,
+                                          duration=5.0, dt=0.05)
+        assert message == "amplitude is no longer finite (nan)"
+        assert t == pytest.approx(3.2, rel=1e-12)
+
     @pytest.mark.parametrize("noisy", [False, True], ids=["rk4", "etd1"])
     @pytest.mark.parametrize("blocks", [1, 2, 3])
     def test_earliest_stop_in_a_later_block(self, monkeypatch, noisy, blocks):

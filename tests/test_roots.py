@@ -1,5 +1,5 @@
-"""Root finding and the axis grid: sign-change oracles, NaN function values,
-polynomials built from known roots, and numpy's ``linspace``."""
+"""Root finding and the axis grid: NaN function values, polynomials built
+from known roots, and numpy's ``linspace``."""
 
 import math
 import sys
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tripler._roots import bisect, bracket_roots, linspace, polyroots
+from tripler._roots import bisect, linspace, polyroots
 from tripler.errors import ConvergenceError
 
 
@@ -40,42 +40,6 @@ class TestBisect:
     def test_unbracketed(self):
         with pytest.raises(ConvergenceError, match="not bracketed"):
             bisect(lambda x: x + 1.0, 0.0, 1.0)
-
-
-def _sign_change_brackets(values, grid):
-    """A degenerate bracket at each zero, else one wherever numpy's signs of
-    neighbouring values multiply to -1."""
-    s = np.sign(values)
-    out = []
-    for i in range(len(values)):
-        if s[i] == 0:
-            out.append((grid[i], grid[i]))
-        elif i + 1 < len(values) and s[i] * s[i + 1] < 0:
-            out.append((grid[i], grid[i + 1]))
-    return out
-
-
-class TestBracketRoots:
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(st.lists(st.sampled_from([-2.5, -1e-300, 0.0, 1e-300, 3.0,
-                                     math.inf, -math.inf]), max_size=12))
-    def test_matches_numpy_signs(self, values):
-        grid = np.linspace(0.0, 1.0, len(values))
-        values = np.asarray(values, dtype=float)
-        assert bracket_roots(values, grid) \
-            == _sign_change_brackets(values, grid.tolist())
-
-    def test_lists_and_arrays_agree(self):
-        grid = [0.0, 0.5, 1.0, 1.5]
-        values = [1.0, -1.0, 0.0, 2.0]
-        assert bracket_roots(values, grid) == bracket_roots(
-            np.array(values), np.array(grid)) == [(0.0, 0.5), (1.0, 1.0)]
-
-    def test_nan_cell_named(self):
-        with pytest.raises(ConvergenceError, match="NaN at 0.5") as info:
-            bracket_roots(np.array([1.0, math.nan, -1.0]),
-                          np.array([0.0, 0.5, 1.0]))
-        assert info.value.diagnostics == {"point": 0.5}
 
 
 @st.composite

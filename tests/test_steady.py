@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tripler import circuit, steady
@@ -514,50 +514,40 @@ class TestSolveSelfConsistent:
     @given(gamma1=st.floats(0.2, 3.0), past=st.floats(1e-6, 10.0),
            Delta=st.floats(40.0, 2000.0), gamma2=st.floats(0.5, 15.0),
            beta=st.floats(0.8, 1.6), b2=st.floats(0.0, 50.0),
-           edge_offsets=st.lists(st.sampled_from(
-               (-1e-6, -1e-12, -1e-15, 0.0, 1e-15, 1e-12, 1e-9, 1e-6)),
-               min_size=1, max_size=4),
-           root_signs=st.sampled_from(((1,), (1, -1), (-1,))))
-    def test_scan_matches_single_point_path(self, gamma1, past, Delta,
-                                            gamma2, beta, b2, edge_offsets,
-                                            root_signs):
-        # the scan shares one closed-branch evaluation per point between
-        # the signs; every tabulated |LHS| - R must be the single-point
-        # value bit for bit, and a point off the window must raise as the
-        # single-point path does, naming the scan's first sign
+           edge_offsets=st.tuples(*[st.sampled_from(
+               (-1e-6, -1e-12, -1e-15, 0.0, 1e-15, 1e-12, 1e-9, 1e-6))] * 2),
+           root_sign=st.sampled_from((1, -1)))
+    def test_knots_match_single_point_path(self, gamma1, past, Delta, gamma2,
+                                           beta, b2, edge_offsets, root_sign):
+        # every knot's m must be the single-point |LHS| bit for bit, the
+        # knots must not depend on the drive, and a window reaching past
+        # the existence window must raise as the single-point path does
         pt = make_point(delta=-math.sqrt(7.0) * gamma1 * (1.0 + past),
                         Delta=Delta, gamma1=gamma1, gamma2=gamma2,
                         gamma2_ext=0.9 * gamma2, beta=beta, drive_b2=b2)
         lo, hi = steady.existence_window(pt.delta, pt.gamma1)
-        span = hi - lo
-        grid = [lo + span * k / 7 for k in range(8)]
-        for off in edge_offsets:       # negative offsets leave the window
-            grid += [lo + off * span, hi - off * span]
-        grid.sort()
-        R = pt.drive_scale
-        response = steady._Response(pt)
-        absent = None
-        for v in grid:
-            try:
-                steady._response_lhs(pt, v, root_signs[0])
-            except BelowThresholdError as exc:
-                absent = (v, str(exc))
-                break
-        if absent is not None:
-            v, message = absent
-            assert message == (f"branch {root_signs[0]} absent at "
-                               f"delta={pt.delta}, r2_sq={v}")
+        span = hi - lo        # negative offsets leave the window
+        lo, hi = lo + edge_offsets[0] * span, hi - edge_offsets[1] * span
+        try:
+            knots = steady._response_knots(steady._Response(pt), lo, hi,
+                                           root_sign)
+        except BelowThresholdError as exc:
+            message = str(exc)
+            prefix = f"branch {root_sign} absent at delta={pt.delta}, r2_sq="
+            assert message.startswith(prefix)
+            v = float(message[len(prefix):])
+            assert lo <= v <= hi
             with pytest.raises(BelowThresholdError) as info:
-                steady._mismatch_tables(response, grid, root_signs, R)
+                steady._response_lhs(pt, v, root_sign)
             assert str(info.value) == message
             return
-        tables = steady._mismatch_tables(response, grid, root_signs, R)
-        assert len(tables) == len(root_signs)
-        for sign, vals in zip(root_signs, tables):
-            assert len(vals) == len(grid)
-            for v, val in zip(grid, vals):
-                lhs, _ = steady._response_lhs(pt, v, sign)
-                assert val.hex() == (abs(lhs) - R).hex()
+        assert knots[0][0] == lo and knots[-1][0] == hi
+        assert [v for v, _ in knots] == sorted(v for v, _ in knots)
+        for v, m in knots:
+            lhs, _ = steady._response_lhs(pt, v, root_sign)
+            assert m.hex() == abs(lhs).hex()
+        assert steady._response_knots(steady._Response(pt.with_drive(b2 + 1.0)),
+                                      lo, hi, root_sign) == knots
 
     def test_brute_force_equivalence_coarse_grid(self):
         # scan the 2-D residual surface over (r1^2, r2^2) independently and
@@ -717,6 +707,105 @@ class TestFoldPolish:
         pt = pt.with_drive(consistent_drive(pt, 1.429))
         states = steady.solve_selfconsistent(pt, all_branches=True)
         assert sum(s.kind == "triad" for s in states) == 6
+
+
+def oracle_response_curve(pt, vs, sign):
+    """m(v) = |LHS| of the closed-branch response over the array ``vs``,
+    written out apart from steady._Response; NaN where the branch is
+    absent."""
+    base = -(pt.delta + 1.5 * vs)
+    disc = -vs * pt.delta - 1.75 * vs**2 - pt.gamma1**2
+    with np.errstate(invalid="ignore"):
+        y = base + sign * np.sqrt(disc)
+    b2, sq = pt.beta**2, np.sqrt(vs)
+    re = (pt.delta2 + b2 * (vs + 2 * y)) * sq \
+        + (b2 / 3.0) * y * (-pt.delta - 2 * vs - y) / sq
+    im = pt.gamma2 * sq + (b2 / 3.0) * y * pt.gamma1 / sq
+    return np.hypot(re, im)
+
+
+class TestResponseCurve:
+    """Triad roots as the crossings of the drive-independent curve m(v)
+    with the drive level, against a dense scan and the flow itself."""
+
+    def test_fold_pair_inside_one_old_scan_cell(self, params):
+        # the drive sits 1e-10 relative below the saddle-node where a stable
+        # triad and a saddle annihilate, 8.4e-5 apart in r2^2: a uniform
+        # scan of 10 000 points over the window put both in one cell and
+        # returned only the silent state
+        pt = circuit.device_point(params, 0.0, 2 * math.pi * -8e6,
+                                  drive_b2=math.sqrt(688357570379.766))
+        triads = [s for s in steady.solve_selfconsistent(pt, all_branches=True)
+                  if s.kind == "triad"]
+        assert [(s.root_sign, s.copy) for s in triads] \
+            == [(1, 0), (1, 1), (1, 2)] * 2
+        assert [s.r2_sq for s in triads[::3]] \
+            == pytest.approx([45.72099486, 45.72107899], rel=1e-9)
+        for s in triads:
+            u1, u2 = s.amplitudes(pt)
+            assert max(abs(z) for z in steady.flow(pt, u1, u2)) \
+                <= steady.STATIONARY_TOL
+            growth = oracle_max_growth(pt, u1, u2)
+            assert abs(growth) > 1e-3 and s.stable == (growth < 0)
+        assert [s.stable for s in triads] == [True] * 3 + [False] * 3
+
+    def test_state_off_tolerance_names_its_fold(self, params, monkeypatch):
+        # with a tolerance no residual meets, the first root raises; its
+        # bracket runs from the curve's minimum to the maximum at the fold
+        monkeypatch.setattr(steady, "STATIONARY_TOL", 0.0)
+        pt = circuit.device_point(params, 0.0, 2 * math.pi * -8e6,
+                                  drive_b2=math.sqrt(688357570379.766))
+        with pytest.raises(ConvergenceError, match="stationary tolerance") \
+                as info:
+            steady.solve_selfconsistent(pt)
+        found = info.value.diagnostics
+        v, m = found["fold"]
+        assert found["bracket"][-1] == (v, m)
+        assert found["r2_sq"] < v == pytest.approx(45.72104, rel=1e-6)
+        assert 0.0 < m - found["drive_scale"] <= 1e-9 * m
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(gamma1=st.floats(0.2, 3.0), past=st.floats(0.05, 10.0),
+           Delta=st.floats(40.0, 2000.0), gamma2=st.floats(0.5, 15.0),
+           ext=st.floats(0.5, 1.0), beta=st.floats(0.8, 1.6),
+           frac=st.floats(0.02, 0.98), level=st.floats(0.6, 1.4),
+           sign=st.sampled_from((1, -1)), phase=st.floats(0.0, 2 * math.pi))
+    def test_states_match_dense_scan_property(self, gamma1, past, Delta,
+                                              gamma2, ext, beta, frac, level,
+                                              sign, phase):
+        # a drive near the curve's value somewhere in the window; away from
+        # folds the number of triad roots per branch must be the number of
+        # crossings of a dense scan, and every state must be stationary
+        pt = make_point(delta=-math.sqrt(7.0) * gamma1 * (1.0 + past),
+                        Delta=Delta, gamma1=gamma1, gamma2=gamma2,
+                        gamma2_ext=ext * gamma2, beta=beta, drive_phase=phase)
+        lo, hi = steady.existence_window(pt.delta, pt.gamma1)
+        pt = pt.with_drive(level * consistent_drive(pt, lo + frac * (hi - lo),
+                                                    sign))
+        R = pt.drive_scale
+        span = hi - lo
+        edges = span * np.logspace(-9, -2, 2000)
+        vs = np.unique(np.concatenate([
+            np.linspace(lo + 1e-9 * span, hi - 1e-9 * span, 20001),
+            lo + edges, hi - edges]))
+        counts = {}
+        for branch in (1, -1):
+            m = oracle_response_curve(pt, vs, branch)
+            assume(np.all(np.isfinite(m)))
+            turns = np.nonzero(np.diff(np.sign(np.diff(m))))[0] + 1
+            # away from folds: no extremum or end within 1e-3 of the level
+            for k in (0, -1, *turns):
+                assume(abs(m[k] - R) > 1e-3 * R)
+            counts[branch] = int(np.count_nonzero(np.diff(np.sign(m - R))))
+        states = steady.solve_selfconsistent(pt, all_branches=True)
+        for branch in (1, -1):
+            assert sum(s.kind == "triad" and s.root_sign == branch
+                       for s in states) == 3 * counts[branch]
+        for s in states:
+            u1, u2 = s.amplitudes(pt)
+            assert max(abs(z) for z in steady.flow(pt, u1, u2)) \
+                <= steady.STATIONARY_TOL
 
 
 class TestStability:
