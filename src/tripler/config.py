@@ -36,6 +36,8 @@ _KEYS = {
     "flux_quantum": ("Phi0", "Wb", False),
     "kerr_energy_convention": ("kerr_energy", "enum", False),
 }
+#: CircuitParams field -> key
+_FIELD_KEYS = {field: key for key, (field, _, _) in _KEYS.items()}
 
 
 def parse_device_config(text: str, source: str | None = None) -> CircuitParams:
@@ -88,7 +90,13 @@ def parse_device_config(text: str, source: str | None = None) -> CircuitParams:
     try:
         return CircuitParams(**fields)
     except DomainError as exc:
-        raise error(str(exc)) from exc
+        # "L0*d must ..." names the fields; the file knows them by their keys
+        head, sep, rest = str(exc).partition(" must ")
+        if sep:
+            head = "*".join(repr(_FIELD_KEYS[f]) if f in _FIELD_KEYS else f
+                            for f in head.split("*"))
+        raise error(head + sep + rest,
+                    seen.get(_FIELD_KEYS.get(exc.name))) from exc
 
 
 def load_device_config(path) -> CircuitParams:

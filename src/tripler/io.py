@@ -128,11 +128,12 @@ def trajectory_from_bytes(payload: bytes) -> Trajectory:
 
     if payload[:4] != MAGIC:
         raise FormatError("bad magic: not a trajectory payload")
-    if payload[4] != VERSION:
+    if len(payload) > 4 and payload[4] != VERSION:
         raise FormatError(f"unsupported trajectory format version {payload[4]}")
-    off = 5
-    dt, seed, b2, phase, n = _HEADER.unpack_from(payload, off)
-    off += _HEADER.size
+    off = 5 + _HEADER.size
+    if len(payload) < off:
+        raise FormatError(f"truncated header: {len(payload)} < {off} bytes")
+    dt, seed, b2, phase, n = _HEADER.unpack_from(payload, 5)
     expect = off + 32 * n
     if len(payload) < expect:
         raise FormatError(f"truncated payload: {len(payload)} < {expect} bytes")
@@ -166,8 +167,9 @@ def write_trajectory_csv(path, traj: Trajectory, meta: dict | None = None):
 def read_trajectory_csv(path) -> Trajectory:
     from .dynamics import Trajectory
 
-    meta, rows = _read_csv(path, ("t_s", "a1_re", "a1_im", "a2_re", "a2_im"))
-    data = np.asarray([[float(c) for c in r] for r in rows])
+    meta, rows = _read_csv(path, ("t_s", "a1_re", "a1_im", "a2_re", "a2_im"),
+                           float)
+    data = np.asarray(rows)
     if data.size == 0:
         raise FormatError("trajectory CSV carries no samples")
     dt = float(meta.get("dt_s", data[0, 0]))
@@ -196,7 +198,7 @@ def write_histogram_csv(path, hist: Histogram2D, meta: dict | None = None):
 def read_histogram_csv(path) -> Histogram2D:
     from .dynamics import Histogram2D
 
-    meta, rows = _read_csv(path, ("i_bin", "q_bin", "count"))
+    meta, rows = _read_csv(path, ("i_bin", "q_bin", "count"), int)
     try:
         i_edges = np.asarray(meta["i_edges"], dtype=float)
         q_edges = np.asarray(meta["q_edges"], dtype=float)
@@ -206,19 +208,30 @@ def read_histogram_csv(path) -> Histogram2D:
     except KeyError as exc:
         raise FormatError(f"histogram header missing {exc}") from exc
     counts = np.zeros((i_edges.size - 1, q_edges.size - 1), dtype=np.int64)
-    for r in rows:
-        counts[int(r[0]), int(r[1])] = int(r[2])
+    for i, j, n in rows:
+        if not (0 <= i < counts.shape[0] and 0 <= j < counts.shape[1]):
+            raise FormatError(f"{path}: bin ({i}, {j}) outside the "
+                              f"{counts.shape[0]}x{counts.shape[1]} grid")
+        if not 0 <= n <= np.iinfo(np.int64).max:
+            raise FormatError(f"{path}: bin ({i}, {j}) has count {n}")
+        counts[i, j] = n
     return Histogram2D(i_edges=i_edges, q_edges=q_edges, counts=counts,
                        fs=fs, window=window, units=units)
 
 
-def _read_csv(path, expected_header):
+def _read_csv(path, expected_header, parse=None):
+    """``(meta, rows)`` of a table written by :func:`write_table`.
+
+    Without ``parse`` each row is its list of text cells, as written.  With
+    it, each row must hold one cell per column, each read by ``parse``; a
+    row that does not raises :class:`FormatError` naming its line.
+    """
     meta = {}
     rows = []
     header_seen = False
     try:
         with open(path, encoding="utf-8") as fh:
-            for raw in fh:
+            for number, raw in enumerate(fh, 1):
                 line = raw.rstrip("\n")
                 if not line:
                     continue
@@ -239,6 +252,16 @@ def _read_csv(path, expected_header):
                             f"got {tuple(cells)}")
                     header_seen = True
                     continue
+                if parse is not None:
+                    if len(cells) != len(expected_header):
+                        raise FormatError(
+                            f"{path}: line {number}: {len(cells)} cells, "
+                            f"expected {len(expected_header)}")
+                    try:
+                        cells = [parse(c) for c in cells]
+                    except ValueError as exc:
+                        raise FormatError(f"{path}: line {number}: {exc}") \
+                            from None
                 rows.append(cells)
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: {exc}") from exc
@@ -271,7 +294,7 @@ def read_linecut_csv(path):
     from .calibration import Linecut, dbm_to_watt
 
     path = Path(path)
-    _, rows = _read_csv(path, ("pd_dbm", "pout_w"))
+    _, rows = _read_csv(path, ("pd_dbm", "pout_w"), float)
     side_path = path.with_name(path.name + ".meta.json")
     if not side_path.exists():
         raise FormatError(f"missing metadata sidecar {side_path.name}")
@@ -284,12 +307,12 @@ def read_linecut_csv(path):
     except (ValueError, TypeError) as exc:
         raise FormatError(f"sidecar {side_path.name}: {exc}") from exc
     try:
-        pd = dbm_to_watt([float(r[0]) for r in rows])
-        pout = np.asarray([float(r[1]) for r in rows])
+        pd = dbm_to_watt([r[0] for r in rows])
+        pout = np.asarray([r[1] for r in rows])
         order = np.argsort(pd)
         cut = Linecut(delta1=delta1, flux=flux, pd_w=pd[order],
                       pout_w=pout[order])
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise FormatError(f"linecut {path}: {exc}") from exc
     return cut, sidecar
 

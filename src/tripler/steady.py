@@ -214,7 +214,11 @@ def branch_quadratic(delta, gamma1, r2_sq):
 
 def _branch_tolerance(delta: float, gamma1: float) -> float:
     """Discriminant magnitude below which the two closed-branch roots merge."""
-    return 1e-12 * max(1.0, delta**2, gamma1**2)
+    try:
+        return 1e-12 * max(1.0, delta**2, gamma1**2)
+    except OverflowError:   # the larger argument is past about 1.34e154
+        big = ("delta", delta) if abs(delta) >= gamma1 else ("gamma1", gamma1)
+        raise domain(*big, _SQUARABLE) from None
 
 
 def _closed_branches(delta: float, gamma1: float, tol: float, r2_sq: float):
@@ -252,12 +256,7 @@ def subharmonic_branches(delta: float, gamma1: float, r2_sq: float):
         raise domain("gamma1", gamma1, "non-negative and finite")
     if not 0.0 <= r2_sq < math.inf:
         raise domain("r2_sq", r2_sq, "non-negative and finite")
-    try:
-        tol = _branch_tolerance(delta, gamma1)
-    except OverflowError:
-        name, value = (("delta", delta) if abs(delta) >= gamma1
-                       else ("gamma1", gamma1))
-        raise domain(name, value, _SQUARABLE) from None
+    tol = _branch_tolerance(delta, gamma1)
     try:
         upper, lower = _closed_branches(delta, gamma1, tol, r2_sq)
     except OverflowError:   # r2_sq**2; delta and gamma1 squared above
@@ -361,40 +360,49 @@ def second_mode_response(point: DimensionlessPoint):
     """All pump-intensity branches r2^2 of a silent state (r1 = 0).
 
     With the fundamental mode silent the second mode is a driven Duffing
-    oscillator: M(x) = beta^2 x^3 + delta2 x with x = r2 satisfies
-    M(x)^2 + gamma2^2 x^2 = R^2, R the dimensionless drive.  Every real
-    non-negative root is returned with a back-bending tag for segments
-    where the root moves opposite to the drive power (the hallmark of the
-    unstable middle branch of a multivalued response).
+    oscillator (Landau & Lifshitz, *Mechanics*, section 29): v = r2^2
+    solves the cubic v*((beta^2 v + delta2)^2 + gamma2^2) = R^2, R the
+    dimensionless drive, whose real roots are positive (v = 0 for R = 0).
+    Each is returned in increasing v and tagged back-bending, the middle
+    branch of a multivalued response, where the slope dR^2/dv is negative
+    (:func:`_pump_block`).  A coefficient that overflows raises
+    :class:`DomainError` naming its input.
     """
-    scale = max(1.0, abs(point.delta2), point.drive_scale ** (1 / 3.0))
-    b2, c1 = point.beta**2, point.delta2
-    R = point.drive_scale
-    if point.gamma2 == 0.0:
-        # the squared equation factors into M(x) = +R and M(x) = -R;
-        # rooting the cubics directly avoids the double roots the squared
-        # form would produce
-        raw = []
-        for rhs in {R, -R}:
-            raw.extend(polyroots([-rhs, c1, 0.0, b2]))
-    else:
-        # (b2 x^3 + c1 x)^2 + g2^2 x^2 - R^2, ascending powers of x
-        raw = polyroots([-(R * R), 0.0, c1**2 + point.gamma2**2, 0.0,
-                         2.0 * b2 * c1, 0.0, b2**2])
-    xs = sorted(r.real for r in raw
-                if abs(r.imag) <= 1e-9 * scale and r.real >= -1e-12 * scale)
-
+    b2, d2, g2, R = point.beta**2, point.delta2, point.gamma2, point.drive_scale
+    coeffs = (-(R * R), d2 * d2 + g2 * g2, 2.0 * b2 * d2, b2 * b2)
+    if not all(map(math.isfinite, coeffs)):
+        name = ("drive_b2" if R * R == math.inf else "gamma2" if g2 * g2 == math.inf
+                else "delta" if abs(3.0 * point.delta) >= abs(point.Delta) else "Delta")
+        raise domain(name, getattr(point, name),
+                     "small enough for a finite silent-state response")
     out = []
-    for x in xs:
-        x = max(x, 0.0)
-        if out and abs(x - math.sqrt(out[-1].r2_sq)) <= 1e-9 * max(1.0, x):
-            continue  # collapse multiple roots
-        M = b2 * x**3 + c1 * x
-        # dR^2/dx < 0 marks the back-bending segment
-        dM = 3.0 * b2 * x**2 + c1
-        slope = 2.0 * M * dM + 2.0 * point.gamma2**2 * x
-        out.append(ResponseBranch(r2_sq=x * x, back_bending=slope < 0.0))
+    for z in polyroots(coeffs):
+        v, fold = z.real, False
+        if z.imag or v < 0.0 or out and v == out[-1].r2_sq:
+            continue
+        if out and v - out[-1].r2_sq <= 1e-7 * v:
+            # a double root (a fold), which the rounded cubic splits by about
+            # sqrt(eps): one Newton step on the slope, where it is a simple
+            # root, from the middle of the pair
+            v, fold = 0.5 * (v + out.pop().r2_sq), True
+            v -= _pump_block(point, v)[0] / (2.0 * b2 * (2.0 * d2 + 3.0 * b2 * v))
+        out.append(ResponseBranch(v, not fold and _pump_block(point, v)[0] < 0.0))
     return out
+
+
+def _pump_block(point: DimensionlessPoint, v: float):
+    """Slope dR^2/dv of the silent response at v and its state's pump pair.
+
+    With P = (delta2 + beta^2 v)(delta2 + 3 beta^2 v) the pump block of the
+    Jacobian at u1 = 0 has the eigenvalues -gamma2 +- sqrt(-P), sorted as
+    :func:`_eigvals` sorts, and the determinant P + gamma2^2, the slope:
+    where the slope is negative, one eigenvalue is positive (a saddle).
+    """
+    b2v = point.beta**2 * v
+    P = (point.delta2 + b2v) * (point.delta2 + 3.0 * b2v)
+    root = cmath.sqrt(-P)
+    g2 = point.gamma2
+    return P + g2 * g2, (-g2 + root, -g2 - root)
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +632,7 @@ class _Response:
     exactly; it returns ``(LHS, r1_sq)``.
     """
 
-    __slots__ = ("point", "lhs")
+    __slots__ = ("point", "lhs", "tol")
 
     def __init__(self, point: DimensionlessPoint):
         delta, gamma1, gamma2 = point.delta, point.gamma1, point.gamma2
@@ -644,28 +652,19 @@ class _Response:
 
         self.point = point
         self.lhs = lhs
+        self.tol = _branch_tolerance(delta, gamma1)
 
     def __call__(self, v: float, branch: int):
         if branch:
-            delta, gamma1 = self.point.delta, self.point.gamma1
-            pair = _closed_branches(delta, gamma1,
-                                    _branch_tolerance(delta, gamma1), v)
-            r1_sq = pair[branch < 0]
+            delta = self.point.delta
+            r1_sq = _closed_branches(delta, self.point.gamma1, self.tol,
+                                     v)[branch < 0]
             if r1_sq is None:
-                raise _absent(branch, delta, v)
+                raise BelowThresholdError(
+                    f"branch {branch} absent at delta={delta}, r2_sq={v}")
         else:
             r1_sq = 0.0
         return self.lhs(v, r1_sq), r1_sq
-
-
-def _absent(branch: int, delta: float, v: float) -> BelowThresholdError:
-    return BelowThresholdError(
-        f"branch {branch} absent at delta={delta}, r2_sq={v}")
-
-
-def _response_lhs(point: DimensionlessPoint, v: float, branch: int = +1):
-    """``(LHS, r1_sq)`` of :class:`_Response` at one pump intensity v."""
-    return _Response(point)(v, branch)
 
 
 def _response_knots(response: _Response, lo: float, hi: float, branch: int):
@@ -677,8 +676,8 @@ def _response_knots(response: _Response, lo: float, hi: float, branch: int):
     window ends and the polished extrema in increasing v, each with its m,
     so that m is monotone between consecutive knots.  The curve does not
     depend on the drive: the states at drive R are its crossings of the
-    level R.  A point where the branch is absent raises as the single-point
-    :func:`_response_lhs` does.
+    level R.  A point where the branch is absent raises as a call of
+    ``response`` there does.
     """
     def m(v):
         return abs(response(v, branch)[0])
@@ -788,33 +787,30 @@ def _newton_polish(point: DimensionlessPoint, state: SteadyState,
 
 
 def _ground_states(response: _Response):
+    """The silent states, one per root of :func:`second_mode_response`.
+
+    With u1 = 0 the Jacobian splits into mode blocks, so the spectrum is the
+    fundamental pair of :func:`ground_eigenvalue`, reported first, and the
+    pump pair of :func:`_pump_block`; no matrix is built.
+    """
     point = response.point
     states = []
-    branches = second_mode_response(point)
-    if not branches:
-        branches = [ResponseBranch(0.0, False)]
-    for i, br in enumerate(branches):
-        v = br.r2_sq
+    for i, br in enumerate(second_mode_response(point)):
+        v, phi2 = br.r2_sq, 0.0
         if v > 0:
             lhs = response.lhs(v, 0.0)
             phi2 = (point.drive_phase - cmath.phase(lhs)) % (2.0 * math.pi)
-        else:
-            phi2 = 0.0
-        st = SteadyState(kind="ground", r1_sq=0.0, r2_sq=v, theta=0.0,
-                         phi1=0.0, phi2=phi2, stable=False, eigenvalues=(),
-                         residual=math.nan, branch=i, back_bending=br.back_bending)
-        u1, u2 = st.amplitudes(point)
-        res = stationary_residual(point, u1, u2)
+        res = stationary_residual(point, 0j, math.sqrt(v) / point.beta
+                                  * cmath.exp(1j * phi2))
         if res > _VERIFY_TOL:
             raise ConvergenceError("silent-state response root failed to verify",
                                    diagnostics={"r2_sq": v, "residual": res})
-        # a1 = 0 decouples the Jacobian into mode blocks, so its spectrum is
-        # the analytic fundamental pair, reported first, and the pump pair
-        J = jacobian(point, u1, u2)
         lam0 = ground_eigenvalue(point, v)
-        eig = (lam0, lam0.conjugate(), *_eigvals((J[2][2:], J[3][2:])))
-        verdict = max(z.real for z in eig) < STABILITY_TOL
-        states.append(replace(st, stable=verdict, eigenvalues=eig, residual=res))
+        eig = (lam0, lam0.conjugate(), *_pump_block(point, v)[1])
+        states.append(SteadyState(
+            kind="ground", r1_sq=0.0, r2_sq=v, theta=0.0, phi1=0.0, phi2=phi2,
+            stable=max(z.real for z in eig) < STABILITY_TOL, eigenvalues=eig,
+            residual=res, branch=i, back_bending=br.back_bending))
     return states
 
 
@@ -822,13 +818,15 @@ def solve_selfconsistent(point: DimensionlessPoint,
                          all_branches: bool = False):
     """Every stationary state at the given operating point.
 
-    Returns the silent state(s) plus, when the detuning is past threshold,
-    each pump intensity in the existence window where the closed
-    upper-branch fundamental solution and the second-mode response agree.
-    Each excited root expands into its three phase copies; all states carry
-    a stability verdict and eigenvalues.  ``all_branches`` adds the
-    self-consistent roots built on the lower fundamental branch as well
-    (usually saddles, but the pump back-action can stabilize them at
+    Returns the silent states, the roots of the pump's response cubic in
+    v = r2^2, their pump stability read off its slope
+    (:func:`second_mode_response`, :func:`_ground_states`), plus, when the
+    detuning is past threshold, each pump intensity in the existence window
+    where the closed upper-branch fundamental solution and the second-mode
+    response agree.  Each excited root expands into its three phase copies;
+    all states carry a stability verdict and eigenvalues.  ``all_branches``
+    adds the self-consistent roots built on the lower fundamental branch as
+    well (usually saddles, but the pump back-action can stabilize them at
     moderate detuning).
 
     The solve is the 1D reduction: with the closed r1^2(r2^2) branch
@@ -846,9 +844,10 @@ def solve_selfconsistent(point: DimensionlessPoint,
 
     Once per solve, the point's constants (delta, gamma1, delta2, gamma2,
     beta^2, beta^2/3) are bound into the response formula
-    (:class:`_Response`); the table, the polish, the bisection, the silent
-    states and the triad states all evaluate it, with r1^2 from the one
-    branch rule (:func:`_closed_branches`).  A solve takes about a thousand
+    (:class:`_Response`), with the branch rule's tolerance; the table, the
+    polish, the bisection, the silent states and the triad states all
+    evaluate it, with r1^2 from the one branch rule
+    (:func:`_closed_branches`).  A solve takes about a thousand
     scalar evaluations per branch, so it runs on Python floats and complex
     numbers and loads no numpy: importing numpy would cost ``tripler
     steady`` more than the solve.

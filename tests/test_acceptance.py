@@ -197,7 +197,7 @@ def test_criterion_06_stability_suite():
         for sign in (+1, -1):
             drive = consistent_drive(base, v, root_sign=sign)
             pt = base.with_drive(drive)
-            lhs, r1_sq = steady._response_lhs(pt, v, sign)
+            lhs, r1_sq = steady._Response(pt)(v, sign)
             theta = steady._theta_exact(delta, gamma1, r1_sq, v)
             phi2 = (pt.drive_phase - np.angle(complex(lhs))) % (2 * math.pi)
             st = steady.SteadyState(

@@ -611,7 +611,8 @@ class TestConfigErrors:
         cfg = write_config(workdir, {"spectrum": {"flux": [0.0, 0.1, 2]}})
         assert main(["--config", cfg, "spectrum"]) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "L0*d must be positive and finite" in err[0]
+        assert len(err) == 1 and ", line 4: 'inductance_per_length'*'length' " \
+            "must be positive and finite" in err[0]
 
     def test_non_finite_flux_is_a_domain_error(self, workdir, capsys):
         cfg = write_config(workdir, {"steady": {**self.STEADY, "flux": "nan"}})

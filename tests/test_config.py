@@ -44,7 +44,8 @@ def test_unknown_key_reports_line():
     (GOOD + "squid_inductance = 1.0 H\n", "dev.cfg, line 9: unknown key"),
     (GOOD + "length = 1.0e-3 m\n", "dev.cfg, line 9: duplicate key"),
     ("length = 1e-3 m\n", "dev.cfg: missing required keys"),
-    (GOOD.replace("= 1.90e-6    A", "= -1.90e-6   A"), "dev.cfg: "),
+    (GOOD.replace("= 1.90e-6    A", "= -1.90e-6   A"),
+     "dev.cfg, line 3: 'critical_current' must be positive"),
 ])
 def test_source_heads_every_error(text, where):
     with pytest.raises(ConfigError) as err:
@@ -117,8 +118,29 @@ NUMERIC_KEYS = [(key, field, unit) for key, (field, unit, _) in _KEYS.items()
 def test_non_finite_field_named(key, field, unit, bad):
     lines = [ln for ln in GOOD.splitlines() if not ln.startswith(key + " ")]
     text = "\n".join(lines + [f"{key} = {bad} {unit}"]) + "\n"
-    with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+    with pytest.raises(ConfigError,
+                       match=f"^line {len(lines) + 1}: '{key}' must be finite"):
         parse_device_config(text)
+
+
+@pytest.mark.parametrize("edits, message", [
+    ({"19.0e3     1": "0 1"},
+     "line 8: 'q_external_1' must be positive when given, got 0.0"),
+    ({"86.1e-15   F": "1.0 F"},
+     "line 4: 'squid_capacitance' must be below the resonator capacitance"),
+    # the cross-field check names both keys, on the line of the first
+    ({"5.080e-3   m": "1e-200 m", "0.44e-6    H/m": "1e-200 H/m"},
+     "line 5: 'inductance_per_length'*'length' must be positive and finite, "
+     "got 0.0"),
+], ids=["optional-zero", "capacitance", "product"])
+def test_rejected_value_named_by_key_and_line(edits, message):
+    text = GOOD
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    with pytest.raises(ConfigError) as err:
+        parse_device_config(text, source="device file 'd.cfg'")
+    assert str(err.value).startswith(f"device file 'd.cfg', {message}")
 
 
 def _positive(lo, hi):

@@ -210,6 +210,31 @@ def test_finite_scalar_too_large_to_square_is_named(fn, kwargs, name, bad):
         assert fn is steady.max_intensity
 
 
+#: a point past no threshold, whose solve finds only the silent state
+SILENT = dict(delta=1.0, Delta=20.0, gamma1=1.0, gamma2=1.5, gamma2_ext=1.4,
+              beta=1.2, alpha1=1.0)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("delta", 1e200),       # squared by the branch tolerance of every solve
+    ("Delta", 1e200),       # delta2^2 in the silent-state response cubic
+    ("drive_b2", 1e160),    # R^2 there
+])
+def test_solve_names_the_input_that_overflows_the_silent_cubic(name, value):
+    point = steady.DimensionlessPoint(**{**SILENT, name: value})
+    with pytest.raises(DomainError) as exc:
+        steady.solve_selfconsistent(point)
+    assert exc.value.name == name
+
+
+def test_solve_verifies_the_silent_state_at_a_huge_detuning():
+    # delta2^2 = 9e200 is finite, and the undriven state is v = 0 exactly
+    point = steady.DimensionlessPoint(**{**SILENT, "delta": 1e100})
+    (state,) = steady.solve_selfconsistent(point)
+    assert (state.kind, state.r2_sq, state.residual) == ("ground", 0.0, 0.0)
+    assert state.stable
+
+
 @pytest.mark.parametrize("fields, name", [
     (dict(d=1e-200, L0=1e-200, C0=1e190), "L0"),    # L0*d underflows to 0
     (dict(L0=1e200, C0=1e200), "L0"),               # L0*C0 overflows

@@ -103,6 +103,16 @@ class TestTrajectoryBinary:
         with pytest.raises(FormatError):
             tio.trajectory_from_bytes(payload[:-8])
 
+    @pytest.mark.parametrize("cut, needle", [
+        (4, "truncated header: 4 < 45"),
+        (15, "truncated header: 15 < 45"),
+        (44, "truncated header: 44 < 45"),
+    ], ids=["magic-only", "partial-header", "header-less-one"])
+    def test_short_header_is_a_format_error(self, cut, needle):
+        payload = tio.trajectory_to_bytes(make_traj())
+        with pytest.raises(FormatError, match=needle):
+            tio.trajectory_from_bytes(payload[:cut])
+
     def test_unseeded_trajectory(self, tmp_path):
         traj = Trajectory(dt=1e-9, a1=np.zeros(3, complex),
                           a2=np.zeros(3, complex), drive_b2=0.0,
@@ -145,6 +155,20 @@ class TestTrajectoryBinary:
         tio.write_trajectory_csv(path, traj)
         # repr() writes the shortest string that parses back to the float
         assert same_bits(tio.read_trajectory_csv(path), traj)
+
+
+class TestTrajectoryCSV:
+    @pytest.mark.parametrize("row, needle", [
+        ("1e-9,0.0,0.0,0.0", "line 4: 4 cells, expected 5"),
+        ("1e-9,0.0,0.0,0.0,0.0,0.0", "line 4: 6 cells, expected 5"),
+        ("1e-9,0.0,x,0.0,0.0", "line 4: could not convert string"),
+    ], ids=["short-row", "long-row", "text-cell"])
+    def test_bad_row_is_a_format_error(self, tmp_path, row, needle):
+        path = tmp_path / "t.csv"
+        path.write_text("# dt_s: 1e-9\nt_s,a1_re,a1_im,a2_re,a2_im\n"
+                        f"1e-9,1.0,0.0,0.0,0.0\n{row}\n")
+        with pytest.raises(FormatError, match=needle):
+            tio.read_trajectory_csv(path)
 
 
 class TestWriteTable:
@@ -231,6 +255,23 @@ class TestHistogramCSV:
         path = tmp_path / "h.csv"
         path.write_text("1,2,3\n")
         with pytest.raises(FormatError):
+            tio.read_histogram_csv(path)
+
+    @pytest.mark.parametrize("row, needle", [
+        ("1,2", "line 7: 2 cells, expected 3"),
+        ("1,1,1,1", "line 7: 4 cells, expected 3"),
+        ("a,0,3", "line 7: invalid literal"),
+        ("-1,0,3", r"bin \(-1, 0\) outside the 2x2 grid"),
+        ("0,2,3", r"bin \(0, 2\) outside the 2x2 grid"),
+        ("0,1,-3", r"bin \(0, 1\) has count -3"),
+    ], ids=["short-row", "long-row", "text-bin", "negative-bin",
+            "bin-past-edges", "negative-count"])
+    def test_bad_row_is_a_format_error(self, tmp_path, row, needle):
+        path = tmp_path / "h.csv"
+        path.write_text("# i_edges: [0.0, 1.0, 2.0]\n# q_edges: [0.0, 1.0, 2.0]\n"
+                        "# fs_hz: 1.0\n# window_s: 1.0\ni_bin,q_bin,count\n"
+                        f"0,0,1\n{row}\n")
+        with pytest.raises(FormatError, match=needle):
             tio.read_histogram_csv(path)
 
 

@@ -357,11 +357,53 @@ class TestSecondModeResponse:
             branches = steady.second_mode_response(pt)
             assert len(branches) == n_roots
             for br in branches:
-                lhs, _ = steady._response_lhs(pt, br.r2_sq, 0)
+                lhs, _ = steady._Response(pt)(br.r2_sq, 0)
                 phi2 = pt.drive_phase - cmath.phase(lhs)
                 u2 = math.sqrt(br.r2_sq) / pt.beta * cmath.exp(1j * phi2)
                 assert steady.stationary_residual(pt, 0j, u2) \
                     <= 1e-9 * max(1.0, R**2)
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(adelta2=st.floats(0.1, 60.0), sign=st.sampled_from((-1.0, 1.0)),
+           gamma2=st.floats(1e-3, 2.0), beta=st.floats(0.5, 2.0),
+           level=st.floats(-0.25, 1.25), log_r2=st.floats(-4.0, 8.0))
+    def test_cubic_roots_match_the_sextic(self, adelta2, sign, gamma2, beta,
+                                          level, log_r2):
+        # the oracle roots R^2 = M(x)^2 + gamma2^2 x^2 as a sextic in x = r2
+        # with numpy; past delta2 = -sqrt(3)*gamma2 the response bends back
+        # between the slope's roots v+- and ``level`` spans that segment
+        b2, delta2 = beta**2, sign * adelta2
+        disc = delta2**2 - 3.0 * gamma2**2
+
+        def r_sq(v):
+            return v * ((b2 * v + delta2) ** 2 + gamma2**2)
+
+        if delta2 < 0.0 and disc > 0.0:
+            lo, hi = (r_sq((-2.0 * delta2 + s * math.sqrt(disc)) / (3.0 * b2))
+                      for s in (1.0, -1.0))
+            R_sq = lo + level * (hi - lo)
+            # at a fold (level 0 or 1) the oracle may miss the double root
+            assume(min(abs(level), abs(level - 1.0)) > 1e-6)
+        else:
+            R_sq = 10.0**log_r2
+        assume(R_sq > 0.0)
+        pt = make_point(delta=-1.0, Delta=delta2 + 3.0, gamma2=gamma2,
+                        gamma2_ext=gamma2, beta=beta, alpha1=1.0,
+                        drive_b2=math.sqrt(R_sq) / (beta * math.sqrt(2 * gamma2)))
+        R, c1 = pt.drive_scale, pt.delta2
+        xs = np.polynomial.polynomial.polyroots(
+            [-R * R, 0.0, c1**2 + gamma2**2, 0.0, 2.0 * b2 * c1, 0.0, b2**2])
+        scale = max(1.0, abs(c1), R ** (1 / 3))
+        want = sorted(x.real**2 for x in xs
+                      if abs(x.imag) <= 1e-9 * scale and x.real > 0.0)
+        assume(all(b - a > 1e-6 * b for a, b in zip(want, want[1:])))
+        got = steady.second_mode_response(pt)
+        assert len(got) == len(want)
+        for br, v in zip(got, want):
+            assert br.r2_sq == pytest.approx(v, rel=1e-10, abs=0.0)
+            h = 1e-7 * v
+            assert br.back_bending == (r_sq(v + h) - r_sq(v - h) < 0.0)
 
 
 class TestMaxDrive:
@@ -417,7 +459,7 @@ class TestMaxDrive:
 
 def consistent_drive(pt, v, root_sign=+1):
     """Drive amplitude making pump intensity v exactly self-consistent."""
-    lhs, _ = steady._response_lhs(pt, v, root_sign)
+    lhs, _ = steady._Response(pt)(v, root_sign)
     R = abs(lhs)
     return R / (pt.beta * math.sqrt(2 * pt.gamma2_ext / pt.alpha1))
 
@@ -538,13 +580,13 @@ class TestSolveSelfConsistent:
             v = float(message[len(prefix):])
             assert lo <= v <= hi
             with pytest.raises(BelowThresholdError) as info:
-                steady._response_lhs(pt, v, root_sign)
+                steady._Response(pt)(v, root_sign)
             assert str(info.value) == message
             return
         assert knots[0][0] == lo and knots[-1][0] == hi
         assert [v for v, _ in knots] == sorted(v for v, _ in knots)
         for v, m in knots:
-            lhs, _ = steady._response_lhs(pt, v, root_sign)
+            lhs, _ = steady._Response(pt)(v, root_sign)
             assert m.hex() == abs(lhs).hex()
         assert steady._response_knots(steady._Response(pt.with_drive(b2 + 1.0)),
                                       lo, hi, root_sign) == knots
