@@ -72,17 +72,22 @@ def _power_ratio(gain_db: float) -> float:
                  "finite, with 10**(gain_db/10) a finite float")
 
 
-def output_power(a1_sq, gamma1_ext: float, gain_db: float, omega: float):
-    """Detected power (W) of ``a1_sq`` photons emitted through the output port.
-
-    ``a1_sq`` may be an array, which is not checked (NaN propagates); the
-    three scalars are, one comparison each, since the fit calls this once
-    per objective evaluation.
-    """
+def _check_output_port(gamma1_ext: float, omega: float):
+    """Reject an output rate or signal frequency that is not positive and
+    finite, one comparison each."""
     if not 0.0 < gamma1_ext < math.inf:
         raise domain("gamma1_ext", gamma1_ext, "positive and finite")
     if not 0.0 < omega < math.inf:
         raise domain("omega", omega, "positive and finite")
+
+
+def output_power(a1_sq, gamma1_ext: float, gain_db: float, omega: float):
+    """Detected power (W) of ``a1_sq`` photons emitted through the output port.
+
+    ``a1_sq`` may be an array, which is not checked (NaN propagates); the
+    three scalars are, one comparison each.
+    """
+    _check_output_port(gamma1_ext, omega)
     return HBAR * omega * a1_sq * 2.0 * gamma1_ext * _power_ratio(gain_db)
 
 
@@ -155,30 +160,101 @@ def pump_intensity(p_d, x: float, fp: circuit.FluxPoint, delta1: float):
             / (3.0 * HBAR * omega * (3.0 * m1.omega - m2.omega)**2 * x))
 
 
+class _Objective:
+    """The linecut model and the fit's chi^2, constants bound once.
+
+    Built from ``(delta1, FluxPoint, pd_w)`` per linecut, it holds one
+    array per constant over every point of every linecut, in order: the
+    pump-intensity numerator beta^2*omega2*P_d and denominator
+    3*hbar*omega*(3*omega1 - omega2)^2, so that v = num/(den*x)
+    (:func:`pump_intensity`); the existence window, empty above threshold;
+    delta and gamma1; and the factors hbar*omega and 2*Gamma1ext of
+    :func:`output_power`.  :meth:`model` is the one model formula: the
+    stiff-pump upper branch r1^2 = base + sqrt(disc) of
+    :func:`steady.branch_quadratic` inside the window, zero outside.
+
+    ``pout_w``, the measured powers in the same order, is needed only by
+    the weighted chi^2 (:meth:`chi2`, :meth:`__call__`), which sums each
+    linecut's slice and adds the sums in linecut order.
+    """
+
+    __slots__ = ("num", "den", "lo", "hi", "delta", "gamma1", "hbar_omega",
+                 "two_gext", "ratio", "pout", "slices", "rows")
+
+    def __init__(self, cuts, gain_db: float, pout_w=None):
+        nums, consts, stops = [], [], [0]
+        for delta1, fp, pd in cuts:
+            m1, m2 = fp.mode1, fp.mode2
+            omega = m1.omega + delta1
+            _check_output_port(m1.gamma_ext, omega)
+            delta, gamma1 = delta1 / m1.alpha, m1.gamma / m1.alpha
+            lo, hi = (steady.existence_window(delta, gamma1)
+                      or (math.inf, -math.inf))
+            nums.append(fp.beta**2 * m2.omega * np.asarray(pd, dtype=float))
+            consts.append((3.0 * HBAR * omega * (3.0 * m1.omega - m2.omega)**2,
+                           lo, hi, delta, gamma1, HBAR * omega,
+                           2.0 * m1.gamma_ext))
+            stops.append(stops[-1] + nums[-1].size)
+        self.num = np.concatenate(nums)
+        (self.den, self.lo, self.hi, self.delta, self.gamma1,
+         self.hbar_omega, self.two_gext) = np.repeat(
+            np.array(consts).T, np.diff(stops), axis=1)
+        self.ratio = _power_ratio(gain_db)
+        self.pout = None if pout_w is None else np.asarray(pout_w, dtype=float)
+        self.slices = tuple(slice(a, b) for a, b in zip(stops, stops[1:]))
+        # grid rows per block: no temporary outgrows the (_GRID_SIZE, n)
+        # array of the longest linecut
+        longest = max(b - a for a, b in zip(stops, stops[1:]))
+        self.rows = max(_GRID_SIZE * longest // max(stops[-1], 1), 1)
+
+    def model(self, x):
+        """Detected power per point at ``x``, a scalar or a column ``(k, 1)``
+        of chain parameters (then one row per value)."""
+        v = self.num / (self.den * x)
+        base, disc = steady.branch_quadratic(self.delta, self.gamma1, v)
+        r1 = base + np.sqrt(np.maximum(disc, 0.0))
+        out = self.hbar_omega * r1 * self.two_gext * self.ratio
+        return np.where((v >= self.lo) & (v <= self.hi), out, 0.0)
+
+    def weights(self, x: float, floor: float):
+        """Relative-noise weights 1/max(P_model, floor)^2 at chain parameter x."""
+        return 1.0 / np.maximum(self.model(x), floor) ** 2
+
+    def chi2(self, x, weights):
+        """sum w*(P_model - P)^2 at ``x``, shaped as :meth:`model` takes it."""
+        sq = (self.model(x) - self.pout) ** 2 * weights
+        total = 0.0
+        for part in self.slices:
+            total = total + np.add.reduce(sq[..., part], axis=-1)
+        return total
+
+    def __call__(self, log10x, weights):
+        """:meth:`chi2` at each value of a 1-D sequence of log10 X, in row
+        blocks of ``rows``."""
+        xs = [10.0 ** float(g) for g in log10x]
+        out = np.empty(len(xs))
+        for a in range(0, len(xs), self.rows):
+            out[a:a + self.rows] = self.chi2(
+                np.array(xs[a:a + self.rows])[:, None], weights)
+        return out
+
+
 def _linecut_model(p_d, x, fp: circuit.FluxPoint, delta1: float,
                    gain_db: float):
-    """Model detected power along a linecut for a given chain parameter.
+    """Model detected power along one linecut for a given chain parameter.
 
-    ``x`` is a scalar or a column ``(k, 1)`` of chain parameters; the
-    result then has one row per value.  Drive powers whose pump intensity
-    falls outside the existence window give zero.
+    ``p_d`` is 1-D and ``x`` a scalar or a column ``(k, 1)`` of chain
+    parameters; the result then has one row per value.  Drive powers whose
+    pump intensity falls outside the existence window give zero.
     """
-    m1 = fp.mode1
-    delta = delta1 / m1.alpha
-    gamma1 = m1.gamma / m1.alpha
-    v = pump_intensity(p_d, x, fp, delta1)
-    window = steady.existence_window(delta, gamma1)
-    if window is None:
-        return np.zeros_like(v)
-    lo, hi = window
-    base, disc = steady.branch_quadratic(delta, gamma1, v)
-    r1 = base + np.sqrt(np.maximum(disc, 0.0))
-    out = output_power(r1, m1.gamma_ext, gain_db, m1.omega + delta1)
-    return np.where((v >= lo) & (v <= hi), out, 0.0)
+    return _Objective([(delta1, fp, p_d)], gain_db).model(x)
 
 
 #: search interval of the chain parameter X in :func:`fit_x`
 _X_BOUNDS = (1e8, 1e16)
+
+#: points of the log10 X grid over :data:`_X_BOUNDS` in :func:`fit_x`
+_GRID_SIZE = 161
 
 #: fewest points above the noise floor a linecut must give :func:`fit_x`
 _MIN_POINTS = 5
@@ -190,40 +266,33 @@ class FitResult:
 
     x: float
     x_sigma: float
-    residual: float      # sum of squared residuals at the optimum (W^2)
+    residual: float      # weighted chi^2 at the optimum (dimensionless)
+    rel_noise: float     # estimated relative noise sqrt(residual / dof)
     n_points: int
     curves: tuple        # model P_out per linecut at the fitted x
 
 
-def _rss(cuts, log10x, gain_db: float):
-    """Sum of squared residuals at each value of a 1-D sequence of log10 X.
-
-    ``cuts`` holds ``(delta1, FluxPoint, pd_w, pout_w)`` per linecut,
-    restricted to the points used in the fit; the per-linecut sums are
-    added in the order given.
-    """
-    x = np.array([10.0 ** float(g) for g in log10x])[:, None]
-    total = np.zeros(len(log10x))
-    for delta1, fp, pd, po in cuts:
-        model = _linecut_model(pd, x, fp, delta1, gain_db)
-        total = total + np.sum((model - po) ** 2, axis=-1)
-    return total
-
-
 def fit_x(linecuts, params: circuit.CircuitParams,
           chain: CalibrationChain) -> FitResult:
-    """Least-squares fit of the chain parameter X to power linecuts.
+    """Weighted least-squares fit of the chain parameter X to power linecuts.
 
-    Uniform absolute-power weighting over the points above the noise
-    floor; each linecut must contribute at least ``_MIN_POINTS`` such
-    points, and X is searched within ``_X_BOUNDS``.  The achieved 1-sigma
-    uncertainty comes from the curvature of the residual near the optimum.
+    Fits the points above the noise floor F; each linecut must contribute
+    at least ``_MIN_POINTS`` of them, and X is searched within
+    ``_X_BOUNDS``.  The noise model is relative, sigma_i = eps*max(P_i, F)
+    (Press et al., Numerical Recipes 3rd ed., sections 15.1 and 15.6): a
+    :data:`_GRID_SIZE`-point log10 X grid of the unweighted residual gives
+    X0, the weights w_i = 1/max(P_model,i(X0), F)^2 are taken from the
+    model there (not from the data, which would bias the fit), and the
+    grid is run again on the weighted chi^2, then refined by a golden
+    search.  ``residual`` is that chi^2 at the optimum, ``rel_noise`` the
+    estimated eps = sqrt(chi^2/dof), and ``x_sigma`` the 1-sigma of the
+    Fisher information, from the curvature of chi^2 in X.
     """
     linecuts = list(linecuts)
     if not linecuts:
         raise NoSignalError("no linecuts supplied")
     by_flux = {}
-    cuts = []
+    cuts, pout = [], []
     for lc in linecuts:
         if lc.flux not in by_flux:
             by_flux[lc.flux] = circuit.at_flux(params, lc.flux)
@@ -232,30 +301,38 @@ def fit_x(linecuts, params: circuit.CircuitParams,
             raise NoSignalError(
                 f"linecut at delta1={lc.delta1:.3g} has {int(mask.sum())} points "
                 f"above the noise floor; need {_MIN_POINTS}")
-        cuts.append((lc.delta1, by_flux[lc.flux], lc.pd_w[mask],
-                     lc.pout_w[mask]))
-    n_points = sum(pd.size for _, _, pd, _ in cuts)
+        cuts.append((lc.delta1, by_flux[lc.flux], lc.pd_w[mask]))
+        pout.append(lc.pout_w[mask])
+    objective = _Objective(cuts, chain.gain_db, np.concatenate(pout))
+    n_points = objective.pout.size
 
-    lo, hi = math.log10(_X_BOUNDS[0]), math.log10(_X_BOUNDS[1])
-    grid = np.linspace(lo, hi, 161)
-    vals = _rss(cuts, grid, chain.gain_db)
-    k = int(np.argmin(vals))
-    if k in (0, len(grid) - 1):
-        raise ConvergenceError("objective minimized at the search boundary",
-                               diagnostics={"bounds": _X_BOUNDS})
-    log10x = golden_min(lambda g: _rss(cuts, [g], chain.gain_db)[0],
+    grid = np.linspace(math.log10(_X_BOUNDS[0]), math.log10(_X_BOUNDS[1]),
+                       _GRID_SIZE).tolist()
+
+    def grid_min(weights):
+        k = int(np.argmin(objective(grid, weights)))
+        if k in (0, _GRID_SIZE - 1):
+            raise ConvergenceError("objective minimized at the search boundary",
+                                   diagnostics={"bounds": _X_BOUNDS})
+        return k
+
+    k = grid_min(np.ones(n_points))
+    weights = objective.weights(10.0 ** grid[k], chain.noise_floor_w)
+    k = grid_min(weights)
+    log10x = golden_min(lambda g: objective.chi2(10.0 ** g, weights),
                         grid[k - 1], grid[k], grid[k + 1])
     x = 10.0 ** log10x
     # 1-sigma from the curvature of chi^2 with respect to x itself
     h = 1e-4 * x
-    chi, up, down = (float(v) for v in _rss(
-        cuts, [log10x, math.log10(x + h), math.log10(x - h)], chain.gain_db))
+    chi, up, down = objective.chi2(np.array([[x], [x + h], [x - h]]),
+                                   weights).tolist()
     curv = (up - 2.0 * chi + down) / h**2
     dof = max(n_points - 1, 1)
     sigma = math.sqrt(2.0 * (chi / dof) / curv) if curv > 0 else math.inf
     curves = tuple(_linecut_model(lc.pd_w, x, by_flux[lc.flux], lc.delta1,
                                   chain.gain_db) for lc in linecuts)
-    return FitResult(x=x, x_sigma=sigma, residual=chi, n_points=n_points,
+    return FitResult(x=x, x_sigma=sigma, residual=chi,
+                     rel_noise=math.sqrt(chi / dof), n_points=n_points,
                      curves=curves)
 
 

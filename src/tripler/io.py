@@ -18,6 +18,8 @@ rename (:func:`atomic_write_bytes`).
 from __future__ import annotations
 
 import json
+import math
+import operator
 import os
 import struct
 import tempfile
@@ -134,6 +136,7 @@ def trajectory_from_bytes(payload: bytes) -> Trajectory:
     if len(payload) < off:
         raise FormatError(f"truncated header: {len(payload)} < {off} bytes")
     dt, seed, b2, phase, n = _HEADER.unpack_from(payload, 5)
+    _check_dt(dt, "header dt")
     expect = off + 32 * n
     if len(payload) < expect:
         raise FormatError(f"truncated payload: {len(payload)} < {expect} bytes")
@@ -172,13 +175,51 @@ def read_trajectory_csv(path) -> Trajectory:
     data = np.asarray(rows)
     if data.size == 0:
         raise FormatError("trajectory CSV carries no samples")
-    dt = float(meta.get("dt_s", data[0, 0]))
-    seed = meta.get("seed")
+    dt = _header(meta, "dt_s", float, path, float(data[0, 0]))
+    _check_dt(dt, f"{path}: header 'dt_s'")
+    seed = _header(meta, "seed", _seed, path)
     amps = np.ascontiguousarray(data[:, 1:]).view(complex)   # bit for bit
     return Trajectory(dt=dt, a1=amps[:, 0].copy(), a2=amps[:, 1].copy(),
-                      drive_b2=float(meta.get("drive_b2", 0.0)),
-                      drive_phase=float(meta.get("drive_phase_rad", 0.0)),
-                      seed=None if seed in (None, "None") else int(seed))
+                      drive_b2=_header(meta, "drive_b2", float, path, 0.0),
+                      drive_phase=_header(meta, "drive_phase_rad", float, path,
+                                          0.0),
+                      seed=seed)
+
+
+def _check_dt(dt: float, where: str):
+    """A sampling interval that is not positive and finite raises
+    :class:`FormatError` headed by ``where``."""
+    if not 0.0 < dt < math.inf:
+        raise FormatError(f"{where}: dt must be positive and finite, "
+                          f"got {dt!r}")
+
+
+def _header(meta, key, parse, path, default=None):
+    """``parse`` of the header comment ``key``, or ``default`` without one.
+
+    A value that ``parse`` rejects raises :class:`FormatError` naming the
+    path and the key.
+    """
+    if key not in meta:
+        return default
+    try:
+        return parse(meta[key])
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: header {key!r}: {exc}") from None
+
+
+def _seed(value):
+    """A seed header: an integer (not a float such as 1.5), or none."""
+    return None if value in (None, "None") else operator.index(value)
+
+
+def _edges(value):
+    """Bin edges: a flat list of at least two floats."""
+    edges = np.asarray(value, dtype=float)
+    if edges.ndim != 1 or edges.size < 2:
+        raise TypeError(f"bin edges must be a list of at least two numbers, "
+                         f"got {value!r}")
+    return edges
 
 
 # ---------------------------------------------------------------------------
@@ -199,14 +240,14 @@ def read_histogram_csv(path) -> Histogram2D:
     from .dynamics import Histogram2D
 
     meta, rows = _read_csv(path, ("i_bin", "q_bin", "count"), int)
-    try:
-        i_edges = np.asarray(meta["i_edges"], dtype=float)
-        q_edges = np.asarray(meta["q_edges"], dtype=float)
-        fs = float(meta["fs_hz"])
-        window = float(meta["window_s"])
-        units = str(meta.get("units", "photon_amplitude"))
-    except KeyError as exc:
-        raise FormatError(f"histogram header missing {exc}") from exc
+    for key in ("i_edges", "q_edges", "fs_hz", "window_s"):
+        if key not in meta:
+            raise FormatError(f"histogram header missing {key!r}")
+    i_edges = _header(meta, "i_edges", _edges, path)
+    q_edges = _header(meta, "q_edges", _edges, path)
+    fs = _header(meta, "fs_hz", float, path)
+    window = _header(meta, "window_s", float, path)
+    units = str(meta.get("units", "photon_amplitude"))
     counts = np.zeros((i_edges.size - 1, q_edges.size - 1), dtype=np.int64)
     for i, j, n in rows:
         if not (0 <= i < counts.shape[0] and 0 <= j < counts.shape[1]):
@@ -318,9 +359,10 @@ def read_linecut_csv(path):
 
 
 def write_fit_report(path, result, meta: dict | None = None):
-    """Fit report JSON with fields {x, x_sigma, residual, n_points}."""
+    """Fit report JSON with fields {x, x_sigma, residual, rel_noise,
+    n_points}."""
     doc = {k: getattr(result, k) for k in ("x", "x_sigma", "residual",
-                                           "n_points")}
+                                           "rel_noise", "n_points")}
     if meta:
         doc["meta"] = meta
     write_json(path, doc)

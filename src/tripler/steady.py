@@ -101,10 +101,10 @@ class DimensionlessPoint:
     flux: float | None = None
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name in _POINT_FIELDS:
+            value = getattr(self, name)
             if value is not None and not math.isfinite(value):
-                raise domain(f.name, value, "finite")
+                raise domain(name, value, "finite")
         for name in ("gamma1", "gamma2", "gamma2_ext", "drive_b2"):
             if getattr(self, name) < 0:
                 raise domain(name, getattr(self, name), "non-negative")
@@ -131,6 +131,11 @@ class DimensionlessPoint:
         if phase is not None:
             kw["drive_phase"] = phase
         return replace(self, **kw)
+
+
+#: the field names of :class:`DimensionlessPoint` in declaration order, which
+#: its check walks on every construction (``fields()`` rebuilds the tuple)
+_POINT_FIELDS = tuple(f.name for f in fields(DimensionlessPoint))
 
 
 @dataclass(frozen=True)
@@ -637,7 +642,10 @@ class _Response:
     def __init__(self, point: DimensionlessPoint):
         delta, gamma1, gamma2 = point.delta, point.gamma1, point.gamma2
         delta2 = point.delta2
-        b2 = point.beta**2
+        try:
+            b2 = point.beta**2
+        except OverflowError:
+            raise domain("beta", point.beta, _SQUARABLE) from None
         b2_3 = b2 / 3.0
 
         def lhs(v, r1_sq):

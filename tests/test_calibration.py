@@ -153,24 +153,78 @@ class TestFit:
             keep = lc.pout_w > chain.noise_floor_w
             prepared.append((lc.delta1, circuit.at_flux(params, lc.flux),
                              lc.pd_w[keep], lc.pout_w[keep]))
+        objective = cal._Objective([c[:3] for c in prepared], chain.gain_db,
+                                   np.concatenate([c[3] for c in prepared]))
         grid = np.linspace(8.0, 16.0, 161)
-        got = cal._rss(prepared, grid, chain.gain_db)
-        expect = []
-        for g in grid:
-            x = 10.0 ** float(g)
-            total = 0.0
-            for d1, fp, pd, po in prepared:
-                model = np.array([closed_form_output(float(p), x, fp, d1,
-                                                     chain.gain_db)
-                                  for p in pd])
-                total += float(np.sum((model - po) ** 2))
-            expect.append(total)
+        unit = np.ones(objective.pout.size)
+        # the fit's weights: the model at the unweighted grid minimum
+        x_grid = 10.0 ** float(grid[int(np.argmin(objective(grid, unit)))])
+        fit_weights = objective.weights(x_grid, chain.noise_floor_w)
+        assert fit_weights.tolist() == [
+            1.0 / max(closed_form_output(float(p), x_grid, fp, d1,
+                                         chain.gain_db),
+                      chain.noise_floor_w) ** 2
+            for d1, fp, pd, _ in prepared for p in pd]
+        for weights in (unit, fit_weights):
+            got = objective(grid, weights)
+            expect = []
+            for g in grid:
+                x = 10.0 ** float(g)
+                total = 0.0
+                start = 0
+                for d1, fp, pd, po in prepared:
+                    model = np.array([closed_form_output(float(p), x, fp, d1,
+                                                         chain.gain_db)
+                                      for p in pd])
+                    w = weights[start:start + pd.size]
+                    start += pd.size
+                    total += float(np.sum(w * (model - po) ** 2))
+                expect.append(total)
+            assert got.tolist() == expect
         # near the true X every linecut has points inside its window, so
         # the comparison covers the closed-form branch, not just zeros
         assert all(sum(closed_form_output(float(p), 1e12, fp, d1,
                                           chain.gain_db) > 0 for p in pd) > 3
                    for d1, fp, pd, _ in prepared)
-        assert got.tolist() == expect
+
+    @pytest.mark.parametrize("flux", [0.0, 0.4])
+    def test_x_sigma_matches_the_monte_carlo_spread(self, params, chain,
+                                                    flux):
+        # Linecuts from the test-local closed form, at the detunings whose
+        # peak output is about 2, 4 and 8 times the floor, with 1% relative
+        # Gaussian noise.  Over 200 seeded draws the sd of x/x0 is known to
+        # about 5%; it must match the median x_sigma/x0 within a factor 1.3,
+        # and the median rel_noise must read the 1% within 5%.
+        x0, noise, draws = 1e12, 0.01, 200
+        fp = circuit.at_flux(params, flux)
+        m1 = fp.mode1
+        g = m1.gamma / m1.alpha
+        per_photon = (HBAR * m1.omega * 2.0 * m1.gamma_ext
+                      * 10.0 ** (chain.gain_db / 10.0))
+        clean = []
+        for mult in (2.0, 4.0, 8.0):
+            # peak r1^2 = (4/7)(a + sqrt(a^2 - 7 g^2)) at a = |delta|,
+            # inverted for a
+            s = 1.75 * mult * chain.noise_floor_w / per_photon
+            d1 = -m1.alpha * (s * s + 7.0 * g * g) / (2.0 * s)
+            lo, hi = steady.existence_window(d1 / m1.alpha, g)
+            per_watt = float(cal.pump_intensity(1.0, x0, fp, d1))
+            pd = np.geomspace(0.5 * lo / per_watt, 1.2 * hi / per_watt, 40)
+            clean.append((d1, pd, np.array([
+                closed_form_output(float(p), x0, fp, d1, chain.gain_db)
+                for p in pd])))
+        rng = np.random.default_rng(29)
+        fits = []
+        for _ in range(draws):
+            cuts = [Linecut(delta1=d1, flux=flux, pd_w=pd, pout_w=np.maximum(
+                po * (1.0 + noise * rng.standard_normal(po.size)), 0.0))
+                for d1, pd, po in clean]
+            fits.append(cal.fit_x(cuts, params, chain))
+        spread = float(np.std([f.x / x0 for f in fits], ddof=1))
+        sigma = float(np.median([f.x_sigma / x0 for f in fits]))
+        assert 1.0 / 1.3 < spread / sigma < 1.3, (spread, sigma)
+        assert float(np.median([f.rel_noise for f in fits])) \
+            == pytest.approx(noise, rel=0.05)
 
     def test_builds_each_flux_once(self, params, chain, monkeypatch):
         cuts = (synthetic_linecuts(params, chain, 1e12, [-4e6, -8e6, -12e6],

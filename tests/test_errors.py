@@ -227,6 +227,17 @@ def test_solve_names_the_input_that_overflows_the_silent_cubic(name, value):
     assert exc.value.name == name
 
 
+@pytest.mark.parametrize("drive_b2", [0.0, 1.0])
+def test_solve_names_a_beta_too_large_to_square(drive_b2):
+    # beta^2 is bound into the response formula before any root is sought
+    point = steady.DimensionlessPoint(**{**SILENT, "beta": 1e200,
+                                         "delta": -10.0, "drive_b2": drive_b2})
+    with pytest.raises(DomainError, match="^beta must be small enough to "
+                                          "square") as exc:
+        steady.solve_selfconsistent(point, all_branches=True)
+    assert exc.value.name == "beta"
+
+
 def test_solve_verifies_the_silent_state_at_a_huge_detuning():
     # delta2^2 = 9e200 is finite, and the undriven state is v = 0 exactly
     point = steady.DimensionlessPoint(**{**SILENT, "delta": 1e100})

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import stat
+import struct
 
 import numpy as np
 import pytest
@@ -113,6 +114,13 @@ class TestTrajectoryBinary:
         with pytest.raises(FormatError, match=needle):
             tio.trajectory_from_bytes(payload[:cut])
 
+    @pytest.mark.parametrize("dt", [math.nan, -1.0, 0.0, math.inf])
+    def test_dt_not_positive_and_finite_is_a_format_error(self, dt):
+        payload = tio.trajectory_to_bytes(make_traj())
+        bad = payload[:5] + struct.pack("<d", dt) + payload[13:]
+        with pytest.raises(FormatError, match="dt must be positive and finite"):
+            tio.trajectory_from_bytes(bad)
+
     def test_unseeded_trajectory(self, tmp_path):
         traj = Trajectory(dt=1e-9, a1=np.zeros(3, complex),
                           a2=np.zeros(3, complex), drive_b2=0.0,
@@ -170,6 +178,60 @@ class TestTrajectoryCSV:
         with pytest.raises(FormatError, match=needle):
             tio.read_trajectory_csv(path)
 
+
+    @pytest.mark.parametrize("head, first_t", [
+        ("# dt_s: NaN\n", "1e-9"),
+        ("# dt_s: -1.0\n", "1e-9"),
+        ("# dt_s: 0.0\n", "1e-9"),
+        ("# dt_s: Infinity\n", "1e-9"),
+        ("", "-1e-9"),
+    ], ids=["nan", "negative", "zero", "infinite", "from-negative-time"])
+    def test_dt_not_positive_and_finite_is_a_format_error(self, tmp_path,
+                                                          head, first_t):
+        path = tmp_path / "t.csv"
+        path.write_text(f"{head}t_s,a1_re,a1_im,a2_re,a2_im\n"
+                        f"{first_t},1.0,0.0,0.0,0.0\n")
+        with pytest.raises(FormatError, match="header 'dt_s': dt must be "
+                                              "positive and finite"):
+            tio.read_trajectory_csv(path)
+
+
+#: per reader, a table whose header comments read back
+HEADED_TABLES = {
+    "trajectory": (tio.read_trajectory_csv,
+                   "# dt_s: 1e-9\n# seed: 3\nt_s,a1_re,a1_im,a2_re,a2_im\n"
+                   "1e-9,1.0,0.0,0.0,0.0\n"),
+    "histogram": (tio.read_histogram_csv,
+                  "# i_edges: [0.0, 1.0, 2.0]\n# q_edges: [0.0, 1.0, 2.0]\n"
+                  "# fs_hz: 1.0\n# window_s: 1.0\ni_bin,q_bin,count\n0,0,1\n"),
+}
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("trajectory", "seed", '"abc"'),
+    ("trajectory", "seed", "[1]"),
+    ("trajectory", "seed", "1.5"),
+    ("trajectory", "dt_s", '"ab"'),
+    ("trajectory", "drive_b2", "null"),
+    ("trajectory", "drive_phase_rad", "{}"),
+    ("histogram", "i_edges", '"ab"'),
+    ("histogram", "q_edges", "[[0.0], 1.0]"),
+    ("histogram", "i_edges", "5.0"),
+    ("histogram", "q_edges", "[1.0]"),
+    ("histogram", "fs_hz", "null"),
+    ("histogram", "window_s", '"w"'),
+], ids=["seed-text", "seed-list", "seed-fraction", "dt-text", "drive-null",
+        "phase-object", "i-edges-text", "q-edges-ragged", "i-edges-scalar",
+        "q-edges-single", "fs-null", "window-text"])
+def test_malformed_header_comment_is_a_format_error(tmp_path, kind, key,
+                                                    value):
+    reader, table = HEADED_TABLES[kind]
+    lines = [ln for ln in table.splitlines(keepends=True)
+             if not ln.startswith(f"# {key}:")]
+    path = tmp_path / "t.csv"
+    path.write_text(f"# {key}: {value}\n" + "".join(lines))
+    with pytest.raises(FormatError, match=f"t.csv: header '{key}': "):
+        reader(path)
 
 class TestWriteTable:
     @settings(max_examples=100, deadline=None, derandomize=True,
@@ -330,7 +392,8 @@ class TestFitReport:
         class R:
             x = 9.97e11
             x_sigma = 3e9
-            residual = 1.2e-20
+            residual = 55.1
+            rel_noise = 0.0099
             n_points = 57
 
         path = tmp_path / "fit.json"
@@ -338,6 +401,8 @@ class TestFitReport:
         doc = json.loads(path.read_text())
         assert doc["x"] == 9.97e11
         assert doc["x_sigma"] == 3e9
+        assert doc["residual"] == 55.1
+        assert doc["rel_noise"] == 0.0099
         assert doc["n_points"] == 57
         assert doc["meta"]["seed"] == 5
 
