@@ -1,5 +1,5 @@
-"""Scalar root finding, polynomial roots and the axis grid used across the
-solvers, all on Python numbers."""
+"""Scalar root finding, scalar minimization, polynomial roots and the axis
+grid used across the solvers, all on Python numbers."""
 
 import cmath
 import math
@@ -9,10 +9,10 @@ from .errors import ConvergenceError
 
 _EPS = sys.float_info.epsilon
 
-#: iterations of :func:`bisect` before it gives up and of :func:`golden_min`
-#: before it stops, and the relative bracket width golden_min stops at
+#: iterations of :func:`bisect` before it gives up and of :func:`brent_min`
+#: before it stops, and the relative width brent_min locates a minimum to
 _MAXITER = 200
-_GOLDEN_RTOL = 1e-12
+_MIN_RTOL = 1e-12
 
 #: Aberth sweeps before giving up; convergence is cubic near simple roots,
 #: and a quartic from a Jacobian takes about six
@@ -68,32 +68,71 @@ def bisect(f, lo, hi, rtol=1e-12):
 _GOLD = (3.0 - math.sqrt(5.0)) / 2.0
 
 
-def golden_min(f, a, b, c):
+def brent_min(f, a, b, c):
     """Minimizer of ``f`` on a bracket ``a < b < c`` with f(b) <= f(a), f(c).
 
-    Golden-section search (Kiefer 1953): each step probes the larger
-    sub-interval and keeps the part holding the lower value, shrinking the
-    bracket by 0.618 per evaluation until its width drops below
-    ``_GOLDEN_RTOL`` relative to the inner points, for at most ``_MAXITER``
-    evaluations.  Needs no derivative and cannot fail; it returns the
-    lowest point seen.
+    Brent's method (Brent, *Algorithms for Minimization without
+    Derivatives*, 1973, ch. 5; Numerical Recipes 3rd ed., section 10.3):
+    each step fits a parabola through the three lowest points seen and
+    takes its vertex when that lies inside the bracket and moves less than
+    half the step before last; otherwise it takes a golden-section step
+    into the larger part of the bracket.  A point closer than ``tol`` to
+    the best one is moved out to ``tol``, and the search stops once every
+    point of the bracket lies within ``2 * tol`` of the best one, where
+    ``tol = _MIN_RTOL * |x| + eps * (c - a)``: relative, with an absolute
+    floor that lets a minimum at 0 stop too.  It evaluates ``f`` at most
+    ``_MAXITER + 1`` times, needs no derivative and cannot fail; it returns
+    the lowest point seen, starting from ``b``, a ``float`` for float
+    bracket ends.
     """
-    x0, x3 = a, c
-    if c - b > b - a:
-        x1, x2 = b, b + _GOLD * (c - b)
-    else:
-        x1, x2 = b - _GOLD * (b - a), b
-    f1, f2 = f(x1), f(x2)
+    floor = _EPS * (c - a)
+    x = w = v = b
+    fx = fw = fv = float(f(b))      # no numpy scalar in the steps
+    d = e = 0.0         # the last step and the one before it
     for _ in range(_MAXITER):
-        if x3 - x0 <= _GOLDEN_RTOL * (abs(x1) + abs(x2)):
+        mid = 0.5 * (a + c)
+        tol = _MIN_RTOL * abs(x) + floor
+        if max(x - a, c - x) <= 2.0 * tol:
             break
-        if f2 < f1:
-            x0, x1, x2 = x1, x2, x2 + _GOLD * (x3 - x2)
-            f1, f2 = f2, f(x2)
+        parabolic = False
+        if abs(e) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            # accept the vertex x + p/q if it lies inside the bracket and
+            # moves less than half the step before last
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (c - x):
+                e, d = d, p / q
+                parabolic = True
+                u = x + d
+                if u - a < 2.0 * tol or c - u < 2.0 * tol:
+                    d = math.copysign(tol, mid - x)
+        if not parabolic:
+            e = (a if x >= mid else c) - x
+            d = _GOLD * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = float(f(u))
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                c = x
+            v, w, x = w, x, u
+            fv, fw, fx = fw, fx, fu
         else:
-            x3, x2, x1 = x2, x1, x1 - _GOLD * (x1 - x0)
-            f2, f1 = f1, f(x1)
-    return x1 if f1 < f2 else x2
+            if u < x:
+                a = u
+            else:
+                c = u
+            if fu <= fw or w == x:
+                v, w, fv, fw = w, u, fw, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x
 
 
 def linspace(lo: float, hi: float, n: int) -> list:

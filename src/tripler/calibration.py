@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from . import _lazy_import, circuit, steady
-from ._roots import golden_min
+from ._roots import brent_min
 from .circuit import HBAR
 from .errors import ConvergenceError, DomainError, NoSignalError, domain
 
@@ -283,8 +283,9 @@ def fit_x(linecuts, params: circuit.CircuitParams,
     :data:`_GRID_SIZE`-point log10 X grid of the unweighted residual gives
     X0, the weights w_i = 1/max(P_model,i(X0), F)^2 are taken from the
     model there (not from the data, which would bias the fit), and the
-    grid is run again on the weighted chi^2, then refined by a golden
-    search.  ``residual`` is that chi^2 at the optimum, ``rel_noise`` the
+    grid is run again on the weighted chi^2, then refined by Brent's
+    minimizer (:func:`_roots.brent_min`) between the grid neighbours of its
+    minimum.  ``residual`` is that chi^2 at the optimum, ``rel_noise`` the
     estimated eps = sqrt(chi^2/dof), and ``x_sigma`` the 1-sigma of the
     Fisher information, from the curvature of chi^2 in X.
     """
@@ -319,8 +320,8 @@ def fit_x(linecuts, params: circuit.CircuitParams,
     k = grid_min(np.ones(n_points))
     weights = objective.weights(10.0 ** grid[k], chain.noise_floor_w)
     k = grid_min(weights)
-    log10x = golden_min(lambda g: objective.chi2(10.0 ** g, weights),
-                        grid[k - 1], grid[k], grid[k + 1])
+    log10x = brent_min(lambda g: objective.chi2(10.0 ** g, weights),
+                       grid[k - 1], grid[k], grid[k + 1])
     x = 10.0 ** log10x
     # 1-sigma from the curvature of chi^2 with respect to x itself
     h = 1e-4 * x

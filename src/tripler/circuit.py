@@ -17,6 +17,7 @@ Flux is always expressed in units of the flux quantum.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, fields
 from functools import cache, cached_property
 from typing import TYPE_CHECKING
@@ -47,6 +48,9 @@ FLUX_LIMIT = 0.45
 KERR_CONVENTIONS = ("per_junction", "total")
 
 _SPECTRUM_RTOL = 1e-12
+
+#: mode profiles :func:`mode_profile` keeps per :class:`CircuitParams`
+_PROFILES_KEPT = 8
 
 
 @dataclass(frozen=True)
@@ -174,6 +178,19 @@ class CircuitParams:
         raise MissingCouplingError(
             "neither Cc nor Q_ext_1 given: external damping is undetermined")
 
+    @cached_property
+    def _profiles(self) -> OrderedDict:
+        """The last :data:`_PROFILES_KEPT` results of :func:`mode_profile`
+        on this instance, keyed by ``(flux, n)``, oldest first.
+
+        One flux point asks for the same two modes many times over (its
+        threshold, peak outputs, region map and fit each build them), and a
+        mode costs a dispersion bisection.  Held per instance, so that
+        ``dataclasses.replace`` starts with none; ordered, so that dropping
+        the oldest is one call that no other thread can interleave.
+        """
+        return OrderedDict()
+
 
 @dataclass(frozen=True)
 class ModeProfile:
@@ -217,6 +234,8 @@ def mode_profile(params: CircuitParams, flux: float, n: int) -> ModeProfile:
     Kerr coefficient is ``alpha = hbar*omega^2*E_L^2 / (16*E_J^3(flux))``.
     Gamma_ext = omega*kd*(Cc/C_cav)^2 with the coupling ratio held flux
     independent; Gamma_int = omega/(2*Q_int), also flux independent in Q.
+    The last :data:`_PROFILES_KEPT` results are kept on ``params`` and
+    returned again for an equal ``(flux, n)``.
     """
     if n not in (1, 2):
         raise domain("n", n, "1 or 2: only the two lowest modes are modeled")
@@ -224,6 +243,17 @@ def mode_profile(params: CircuitParams, flux: float, n: int) -> ModeProfile:
         raise FluxRangeError(
             f"flux {flux} is outside the model validity range "
             f"|flux| <= {FLUX_LIMIT}")
+    kept, key = params._profiles, (float(flux), n)  # a 0-d array is unhashable
+    profile = kept.get(key)
+    if profile is None:
+        profile = _mode_profile(params, flux, n)
+        if len(kept) >= _PROFILES_KEPT:
+            kept.popitem(last=False)
+        kept[key] = profile
+    return profile
+
+
+def _mode_profile(params: CircuitParams, flux: float, n: int) -> ModeProfile:
     kd = _dispersion_root(params, flux, n)
     omega = kd * params.velocity / params.d
     ej = params.kerr_josephson_energy(flux)

@@ -22,7 +22,7 @@ import warnings
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
-from ._roots import bisect, golden_min, polyroots
+from ._roots import bisect, brent_min, polyroots
 from .errors import (
     BelowThresholdError,
     ConvergenceError,
@@ -79,7 +79,7 @@ class DimensionlessPoint:
     gamma2_ext:
         External part of the second-mode damping, Gamma_2ext / alpha1.
     beta:
-        Mode asymmetry (alpha2/alpha1)**(1/4).
+        Mode asymmetry (alpha2/alpha1)**(1/4), small enough to square.
     alpha1:
         Kerr coefficient of the fundamental mode in rad/s, kept for unit
         restoration.
@@ -114,6 +114,10 @@ class DimensionlessPoint:
         for name in ("alpha1", "beta"):
             if getattr(self, name) <= 0:
                 raise domain(name, getattr(self, name), "positive")
+        try:    # every consumer squares beta
+            self.beta**2
+        except OverflowError:
+            raise domain("beta", self.beta, _SQUARABLE) from None
 
     @property
     def delta2(self) -> float:
@@ -376,8 +380,11 @@ def second_mode_response(point: DimensionlessPoint):
     b2, d2, g2, R = point.beta**2, point.delta2, point.gamma2, point.drive_scale
     coeffs = (-(R * R), d2 * d2 + g2 * g2, 2.0 * b2 * d2, b2 * b2)
     if not all(map(math.isfinite, coeffs)):
-        name = ("drive_b2" if R * R == math.inf else "gamma2" if g2 * g2 == math.inf
-                else "delta" if abs(3.0 * point.delta) >= abs(point.Delta) else "Delta")
+        name = ("beta" if b2 * b2 == math.inf
+                else "drive_b2" if R * R == math.inf
+                else "gamma2" if g2 * g2 == math.inf
+                else "delta" if abs(3.0 * point.delta) >= abs(point.Delta)
+                else "Delta")
         raise domain(name, getattr(point, name),
                      "small enough for a finite silent-state response")
     out = []
@@ -642,10 +649,7 @@ class _Response:
     def __init__(self, point: DimensionlessPoint):
         delta, gamma1, gamma2 = point.delta, point.gamma1, point.gamma2
         delta2 = point.delta2
-        try:
-            b2 = point.beta**2
-        except OverflowError:
-            raise domain("beta", point.beta, _SQUARABLE) from None
+        b2 = point.beta**2
         b2_3 = b2 / 3.0
 
         def lhs(v, r1_sq):
@@ -680,7 +684,7 @@ def _response_knots(response: _Response, lo: float, hi: float, branch: int):
 
     m is tabulated on :data:`_TABLE_SIZE` points of ``[lo, hi]`` at the
     :data:`_TABLE_SPACING`; each interior turn of the table's slope is
-    polished to the extremum of m by :func:`golden_min`.  Returned are the
+    polished to the extremum of m by :func:`brent_min`.  Returned are the
     window ends and the polished extrema in increasing v, each with its m,
     so that m is monotone between consecutive knots.  The curve does not
     depend on the drive: the states at drive R are its crossings of the
@@ -706,7 +710,7 @@ def _response_knots(response: _Response, lo: float, hi: float, branch: int):
             # the slope turns at knot k: a minimum of m where it turns up,
             # a maximum (a minimum of -m) where it turns down
             sign = 1.0 if step > 0.0 else -1.0
-            v = golden_min(lambda x: sign * m(x), vs[k - 1], vs[k], vs[k + 1])
+            v = brent_min(lambda x: sign * m(x), vs[k - 1], vs[k], vs[k + 1])
             knots.append((v, m(v)))
         rising = step > 0.0
     return sorted(knots)

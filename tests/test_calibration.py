@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from tripler import calibration as cal
 from tripler import circuit, steady
-from tripler._roots import golden_min
+from tripler._roots import brent_min
 from tripler.calibration import CalibrationChain, Linecut
 from tripler.errors import BelowThresholdError, DomainError, NoSignalError
 
@@ -287,7 +287,7 @@ class TestFit:
         for a, b, c in ((xm - 1.0, xm + 0.1, xm + 0.3),
                         (xm - 0.05, xm - 0.01, xm + 2.0),
                         (xm - 0.5, xm, xm + 0.5)):
-            assert golden_min(f, a, b, c) == pytest.approx(xm, abs=1e-11)
+            assert brent_min(f, a, b, c) == pytest.approx(xm, abs=1e-11)
 
     @pytest.mark.skip(reason="no digitized measured linecuts are bundled; "
                              "when supplied, the fit is expected to land on "
@@ -604,3 +604,32 @@ class TestRegionMap:
         with pytest.raises(ValueError):
             cal.region_map(params, 0.0, nochain, np.array([-1e6]),
                            np.array([1e-9]))
+
+
+def test_one_flux_point_solves_each_mode_once(chain, monkeypatch):
+    # threshold, peak outputs, region map and fit at one flux, as a
+    # calibration run calls them: each builds both modes, which used to
+    # cost 14 dispersion bisections
+    flux = 0.23
+    cuts = synthetic_linecuts(circuit.reference_params(), chain, 1e12,
+                              [-6e6, -10e6], noise=0.01, seed=6, flux=flux)
+    params = circuit.reference_params()
+    params.coupling_ratio_sq    # the zero-flux inversion, once per instance
+    calls = []
+    root = circuit._dispersion_root
+
+    def counted(p, f, n):
+        calls.append((f, n))
+        return root(p, f, n)
+
+    monkeypatch.setattr(circuit, "_dispersion_root", counted)
+    m1 = circuit.mode_profile(params, flux, 1)
+    circuit.mode_profile(params, flux, 2)
+    cal.visible_threshold(params, flux, chain)
+    for mult in (1.5, 3.0, 6.0):
+        cal.predict_max_output(params, flux,
+                               -mult * steady.THRESHOLD_FACTOR * m1.gamma, chain)
+    cal.region_map(params, flux, chain, TWO_PI * np.linspace(-20e6, -1e6, 4),
+                   np.geomspace(1e-7, 1e-3, 5))
+    cal.fit_x(cuts, params, chain)
+    assert sorted(calls) == [(flux, 1), (flux, 2)]

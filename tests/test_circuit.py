@@ -200,6 +200,45 @@ class TestDamping:
         assert m2b.gamma_int == pytest.approx(m2b.omega / (2 * 30e3), rel=1e-12)
 
 
+class TestKeptProfiles:
+    """mode_profile keeps its last results on the CircuitParams instance."""
+
+    FLUXES = (0.0, 0.05, -0.05, 0.1, 0.2, 0.3, 0.4, 0.44, 0.05, 0.0)
+
+    def test_kept_profile_equals_a_fresh_instance_bit_for_bit(self):
+        params = circuit.reference_params()
+        for flux in self.FLUXES:
+            for n in (1, 2):
+                kept = circuit.mode_profile(params, flux, n)
+                for same in (flux, np.float64(flux), np.array(flux)):
+                    assert circuit.mode_profile(params, same, n) is kept
+                fresh = circuit.mode_profile(circuit.reference_params(),
+                                             flux, n)
+                # repr round-trips every float exactly, and tells -0.0 apart
+                assert repr(kept) == repr(fresh)
+
+    def test_never_more_than_the_bound(self):
+        params = circuit.reference_params()
+        keys = [(flux, n) for flux in self.FLUXES for n in (1, 2)]
+        for k, key in enumerate(keys):
+            circuit.mode_profile(params, *key)
+            assert len(params._profiles) == min(k + 1,
+                                                circuit._PROFILES_KEPT)
+        assert list(params._profiles) == keys[-circuit._PROFILES_KEPT:]
+
+    def test_replace_starts_empty(self):
+        from dataclasses import replace
+        params = circuit.reference_params()
+        circuit.mode_profile(params, 0.2, 1)
+        stiffer = replace(params, Ic=2.2e-6)
+        assert not stiffer._profiles
+        got = circuit.mode_profile(stiffer, 0.2, 1)
+        assert got.omega > circuit.mode_profile(params, 0.2, 1).omega
+        assert repr(got) == repr(circuit.mode_profile(
+            replace(circuit.reference_params(), Ic=2.2e-6), 0.2, 1))
+        assert not replace(params)._profiles
+
+
 class TestCouplingsAndReduction:
     def test_coupling_identities(self, modes0):
         m1, m2 = modes0

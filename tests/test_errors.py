@@ -219,6 +219,7 @@ SILENT = dict(delta=1.0, Delta=20.0, gamma1=1.0, gamma2=1.5, gamma2_ext=1.4,
     ("delta", 1e200),       # squared by the branch tolerance of every solve
     ("Delta", 1e200),       # delta2^2 in the silent-state response cubic
     ("drive_b2", 1e160),    # R^2 there
+    ("beta", 1e100),        # beta^4 there, with beta^2 finite
 ])
 def test_solve_names_the_input_that_overflows_the_silent_cubic(name, value):
     point = steady.DimensionlessPoint(**{**SILENT, name: value})
@@ -229,12 +230,24 @@ def test_solve_names_the_input_that_overflows_the_silent_cubic(name, value):
 
 @pytest.mark.parametrize("drive_b2", [0.0, 1.0])
 def test_solve_names_a_beta_too_large_to_square(drive_b2):
-    # beta^2 is bound into the response formula before any root is sought
-    point = steady.DimensionlessPoint(**{**SILENT, "beta": 1e200,
-                                         "delta": -10.0, "drive_b2": drive_b2})
+    # the point itself refuses it, before any consumer squares beta
     with pytest.raises(DomainError, match="^beta must be small enough to "
                                           "square") as exc:
+        point = steady.DimensionlessPoint(**{**SILENT, "beta": 1e200,
+                                             "delta": -10.0,
+                                             "drive_b2": drive_b2})
         steady.solve_selfconsistent(point, all_branches=True)
+    assert exc.value.name == "beta"
+
+
+@pytest.mark.parametrize("consumer", [steady.max_drive,
+                                      steady.second_mode_response])
+def test_consumers_name_a_beta_too_large_to_square(consumer):
+    with pytest.raises(DomainError, match="^beta must be small enough to "
+                                          "square") as exc:
+        consumer(steady.DimensionlessPoint(**{**SILENT, "beta": 1e200,
+                                              "delta": -10.0,
+                                              "drive_b2": 1.0}))
     assert exc.value.name == "beta"
 
 

@@ -1,5 +1,6 @@
-"""Root finding and the axis grid: NaN function values, polynomials built
-from known roots, and numpy's ``linspace``."""
+"""Root finding, minimization and the axis grid: NaN function values,
+smooth unimodal functions, polynomials built from known roots, and numpy's
+``linspace``."""
 
 import math
 import sys
@@ -10,8 +11,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tripler._roots import bisect, linspace, polyroots
+from tripler._roots import _MIN_RTOL, bisect, brent_min, linspace, polyroots
 from tripler.errors import ConvergenceError
+
+_EPS = sys.float_info.epsilon
 
 
 def _nan_above(edge, below=-1.0):
@@ -42,6 +45,70 @@ class TestBisect:
             bisect(lambda x: x + 1.0, 0.0, 1.0)
 
 
+def _counted(f):
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
+@st.composite
+def _unimodal(draw):
+    """``(m, k, s, (a, b, c))``: f(x) = s*expm1(k*(x - m))^2, smooth,
+    asymmetric and unimodal with its minimum 0 at m, and a bracket of it."""
+    m = draw(st.one_of(st.floats(-1e6, 1e6), st.floats(-1e-3, 1e-3)))
+    k = draw(st.floats(0.05, 5.0)) * draw(st.sampled_from((-1.0, 1.0)))
+    s = draw(st.floats(1e-3, 1e3))
+    a = m - draw(st.floats(1e-6, 10.0))
+    c = m + draw(st.floats(1e-6, 10.0))
+    b = draw(st.floats(a, c, exclude_min=True, exclude_max=True))
+    return m, k, s, (a, b, c)
+
+
+class TestBrentMin:
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              database=None)
+    @given(case=_unimodal())
+    def test_smooth_unimodal_minimum_within_the_width(self, case):
+        m, k, s, (a, b, c) = case
+
+        def f(x):
+            return s * math.expm1(k * (x - m)) ** 2
+
+        assume(a < b < c and f(b) <= min(f(a), f(c)))
+        got = brent_min(f, a, b, c)
+        # every point of the final bracket, the argmin among them, lies
+        # within twice the stopping tolerance of the result
+        assert abs(got - m) <= 2.0 * (_MIN_RTOL * abs(got) + _EPS * (c - a))
+        assert f(got) <= f(b)
+
+    @pytest.mark.parametrize("constant", [0.0, 1e-7])
+    def test_quadratic_in_a_few_evaluations(self, constant):
+        # two golden steps give three distinct points, the parabola through
+        # them hits the vertex, and a probe on either side stops the search;
+        # golden section takes about 55.  numpy values give a float result
+        xm = 12.001
+        for a, b, c in ((xm - 1.0, xm + 0.1, xm + 0.3),
+                        (xm - 0.05, xm - 0.01, xm + 2.0),
+                        (xm - 0.5, xm, xm + 0.5)):
+            f, calls = _counted(lambda x: np.float64(2.0) * (x - xm) ** 2
+                                + constant)
+            got = brent_min(f, a, b, c)
+            assert type(got) is float
+            assert got == pytest.approx(xm, abs=1e-11)
+            assert len(calls) <= 7
+
+    def test_minimum_at_zero_stops_on_the_absolute_floor(self):
+        # a purely relative width is 0 at x = 0, where golden section
+        # spent all of its 202 evaluations
+        f, calls = _counted(abs)
+        assert brent_min(f, -0.5, 0.0, 0.5) == 0.0
+        assert len(calls) <= 40
+
+
 @st.composite
 def _axes(draw):
     """``[lo, hi, n]`` with a finite span: any, zero, or a few ulps from a
@@ -63,9 +130,6 @@ class TestLinspace:
         points = linspace(*axis)
         assert all(type(x) is float for x in points)
         assert np.array(points).tobytes() == np.linspace(*axis).tobytes()
-
-
-_EPS = sys.float_info.epsilon
 
 
 @st.composite
