@@ -790,6 +790,22 @@ def boxcar_demodulate(traj: Trajectory, fs: float,
     return means * scale if scale is not None else means
 
 
+def _bin_edges(value, name: str) -> np.ndarray:
+    """The one rule for histogram edges, also those of a histogram file:
+    ``value`` as a float array, else :class:`DomainError` naming ``name``."""
+    try:
+        edges = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        edges = None
+    if edges is None or edges.ndim != 1 or edges.size < 2 \
+            or not np.isfinite(edges).all() or not (np.diff(edges) > 0).all():
+        got = repr(value) if edges is None \
+            else np.array2string(edges, threshold=8)
+        raise DomainError(name, f"{name} must be 1-D bin edges, at least two, "
+                          f"finite and strictly increasing, got {got}")
+    return edges
+
+
 def demodulate_histogram(traj: Trajectory, fs: float, bins=101,
                          scale: float | None = None) -> Histogram2D:
     """Boxcar-demodulated IQ histogram of the fundamental mode.
@@ -800,9 +816,11 @@ def demodulate_histogram(traj: Trajectory, fs: float, bins=101,
     spread along lines joining the states: distinct attractors average
     together.  A gain ``scale`` (volts per photon amplitude) switches the
     axes to volts.  ``bins`` is a bin count per axis or a pair of edge
-    arrays.
+    arrays, each checked by :func:`_bin_edges`.
     """
-    if np.isscalar(bins) and not (1 <= bins < math.inf and bins == int(bins)):
+    if not np.isscalar(bins):
+        i_edges, q_edges = (_bin_edges(b, "bins") for b in bins)
+    elif not (1 <= bins < math.inf and bins == int(bins)):
         raise domain("bins", bins, "a positive whole number")
     means = boxcar_demodulate(traj, fs, scale=scale)
     w = max(int(round(1.0 / (fs * traj.dt))), 1)
@@ -810,10 +828,7 @@ def demodulate_histogram(traj: Trajectory, fs: float, bins=101,
     if np.isscalar(bins):
         lim = float(np.max(np.abs(means))) * 1.05
         lim = lim if lim > 0 else 1.0
-        edges = np.linspace(-lim, lim, int(bins) + 1)
-        i_edges = q_edges = edges
-    else:
-        i_edges, q_edges = (np.asarray(b, dtype=float) for b in bins)
+        i_edges = q_edges = np.linspace(-lim, lim, int(bins) + 1)
     counts, _, _ = np.histogram2d(i, q, bins=[i_edges, q_edges])
     return Histogram2D(i_edges=i_edges, q_edges=q_edges,
                        counts=counts.astype(np.int64),

@@ -114,7 +114,3 @@ class RegimeWarning(UserWarning):
 
 class StepSizeWarning(UserWarning):
     """Integration step too coarse for the fastest timescale of the system."""
-
-
-class StabilityMismatchWarning(UserWarning):
-    """Closed-form and numeric stability verdicts disagree."""

@@ -213,15 +213,6 @@ def _seed(value):
     return None if value in (None, "None") else operator.index(value)
 
 
-def _edges(value):
-    """Bin edges: a flat list of at least two floats."""
-    edges = np.asarray(value, dtype=float)
-    if edges.ndim != 1 or edges.size < 2:
-        raise TypeError(f"bin edges must be a list of at least two numbers, "
-                         f"got {value!r}")
-    return edges
-
-
 # ---------------------------------------------------------------------------
 # histograms
 
@@ -237,14 +228,16 @@ def write_histogram_csv(path, hist: Histogram2D, meta: dict | None = None):
 
 
 def read_histogram_csv(path) -> Histogram2D:
-    from .dynamics import Histogram2D
+    from .dynamics import Histogram2D, _bin_edges
 
     meta, rows = _read_csv(path, ("i_bin", "q_bin", "count"), int)
     for key in ("i_edges", "q_edges", "fs_hz", "window_s"):
         if key not in meta:
             raise FormatError(f"histogram header missing {key!r}")
-    i_edges = _header(meta, "i_edges", _edges, path)
-    q_edges = _header(meta, "q_edges", _edges, path)
+    i_edges = _header(meta, "i_edges", lambda v: _bin_edges(v, "i_edges"),
+                      path)
+    q_edges = _header(meta, "q_edges", lambda v: _bin_edges(v, "q_edges"),
+                      path)
     fs = _header(meta, "fs_hz", float, path)
     window = _header(meta, "window_s", float, path)
     units = str(meta.get("units", "photon_amplitude"))

@@ -30,7 +30,6 @@ from .errors import (
     PhaseDomainError,
     RegimeWarning,
     ResidualError,
-    StabilityMismatchWarning,
     domain,
 )
 
@@ -142,6 +141,22 @@ class DimensionlessPoint:
 _POINT_FIELDS = tuple(f.name for f in fields(DimensionlessPoint))
 
 
+class _Polar(NamedTuple):
+    """The polar fields of a state, in :class:`SteadyState` order."""
+
+    r1_sq: float
+    r2_sq: float
+    theta: float
+    phi1: float
+    phi2: float
+
+    def amplitudes(self, point: DimensionlessPoint) -> tuple[complex, complex]:
+        """Complex mode amplitudes (u1, u2) with u2 carrying the 1/beta scale."""
+        u1 = math.sqrt(max(self.r1_sq, 0.0)) * cmath.exp(1j * self.phi1)
+        u2 = math.sqrt(max(self.r2_sq, 0.0)) / point.beta * cmath.exp(1j * self.phi2)
+        return u1, u2
+
+
 @dataclass(frozen=True)
 class SteadyState:
     """One stationary solution branch.
@@ -150,7 +165,7 @@ class SteadyState:
     states; the three triad members share identical amplitudes and relative
     phase ``theta = 3*phi1 - phi2`` and differ in phi1 by exactly 2*pi/3
     (``copy`` indexes them 0..2).  ``branch`` numbers coexisting response
-    roots.  Eigenvalues are in units of alpha1.
+    roots.  Eigenvalues are in units of alpha1; ``stable`` is read off them.
     """
 
     kind: str
@@ -159,7 +174,6 @@ class SteadyState:
     theta: float
     phi1: float
     phi2: float
-    stable: bool
     eigenvalues: tuple[complex, ...]
     residual: float
     branch: int = 0
@@ -167,11 +181,12 @@ class SteadyState:
     root_sign: int = +1
     back_bending: bool = False
 
-    def amplitudes(self, point: DimensionlessPoint) -> tuple[complex, complex]:
-        """Complex mode amplitudes (u1, u2) with u2 carrying the 1/beta scale."""
-        u1 = math.sqrt(max(self.r1_sq, 0.0)) * cmath.exp(1j * self.phi1)
-        u2 = math.sqrt(max(self.r2_sq, 0.0)) / point.beta * cmath.exp(1j * self.phi2)
-        return u1, u2
+    amplitudes = _Polar.amplitudes      # it reads only the polar fields
+
+    @property
+    def stable(self) -> bool:
+        """The one stability rule: every real part below STABILITY_TOL."""
+        return max(z.real for z in self.eigenvalues) < STABILITY_TOL
 
 
 @dataclass(frozen=True)
@@ -585,46 +600,27 @@ def closed_form_lambda_sq(delta: float, r1_sq: float, r2_sq: float,
     return -branch * 6.0 * r1_sq * math.sqrt(r2_sq) * math.sqrt(X)
 
 
+def _spectrum(point: DimensionlessPoint, u1: complex, u2: complex):
+    """Eigenvalues of the 4x4 Jacobian at (u1, u2), as :func:`_eigvals`."""
+    return tuple(_eigvals(jacobian(point, u1, u2)))
+
+
 def stability(state: SteadyState, point: DimensionlessPoint):
     """Stability verdict and eigenvalues (units of alpha1) for a state.
 
-    The eigenvalues are those of the full 4x4 Jacobian (:func:`_eigvals`,
-    the roots of its characteristic polynomial), sorted by descending real
-    part; the solve gives silent states the analytic fundamental pair and
-    the pump block's pair instead (:func:`_ground_states`).  Where the
-    far-from-threshold closed form applies (|delta| >= 10*gamma1) its sign
-    is cross-checked against the numeric verdict of the fundamental-mode
-    2x2 block and a warning is raised on disagreement.
+    The eigenvalues are the full 4x4 Jacobian's (:func:`_spectrum`), as the
+    solve gives triad states, and the verdict :attr:`SteadyState.stable`
+    reads off them; the solve gives silent states their analytic pairs
+    instead (:func:`_ground_states`).  A residual not within _VERIFY_TOL,
+    NaN included, raises :class:`ResidualError`.
     """
     u1, u2 = state.amplitudes(point)
     res = stationary_residual(point, u1, u2)
-    if res > _VERIFY_TOL:
+    if not res <= _VERIFY_TOL:
         raise ResidualError(
             f"state residual {res:.3g} exceeds {_VERIFY_TOL:.3g}")
-    J = jacobian(point, u1, u2)
-    eig = tuple(_eigvals(J))
-    verdict = eig[0].real < STABILITY_TOL
-    if state.kind == "triad" and point.gamma1 >= 1e-6 \
-            and abs(point.delta) >= 10.0 * point.gamma1:
-        # the closed form linearizes the fundamental mode at frozen pump, so
-        # compare it against that same sub-block; the full spectrum above
-        # stays authoritative for the verdict (it also sees pump-side folds)
-        branch = +1 if state.r1_sq + point.delta + 1.5 * state.r2_sq >= 0 else -1
-        try:
-            lam_sq = closed_form_lambda_sq(point.delta, state.r1_sq,
-                                           state.r2_sq, branch)
-        except PhaseDomainError:
-            lam_sq = None
-        if lam_sq is not None:
-            sub_stable = _eigvals((J[0][:2], J[1][:2]))[0].real \
-                < STABILITY_TOL
-            if (lam_sq < 0) != sub_stable:
-                warnings.warn(
-                    f"closed-form exponent sign ({lam_sq:+.3g}) disagrees with "
-                    "the numeric fundamental-mode linearization "
-                    f"({'stable' if sub_stable else 'unstable'})",
-                    StabilityMismatchWarning, stacklevel=2)
-    return verdict, eig
+    state = replace(state, eigenvalues=_spectrum(point, u1, u2))
+    return state.stable, state.eigenvalues
 
 
 # ---------------------------------------------------------------------------
@@ -638,10 +634,10 @@ class _Response:
     LHS of the second-mode equation at pump intensity v = r2^2, with the
     fundamental intensity r1_sq and the exact relative phase substituted
     from the stationary conditions, so a zero of |LHS| - R solves both
-    stationary equations at once.  Calling the instance with ``(v, branch)``
-    takes r1_sq from the closed branch (+1 upper, -1 lower) or, for branch
-    0, the silent state r1 = 0, where every back-action term vanishes
-    exactly; it returns ``(LHS, r1_sq)``.
+    stationary equations at once; at r1_sq = 0, the silent state, every
+    back-action term vanishes exactly.  Calling the instance with
+    ``(v, branch)`` takes r1_sq from the closed branch (+1 upper, -1 lower)
+    and returns ``(LHS, r1_sq)``.
     """
 
     __slots__ = ("point", "lhs", "tol")
@@ -667,15 +663,12 @@ class _Response:
         self.tol = _branch_tolerance(delta, gamma1)
 
     def __call__(self, v: float, branch: int):
-        if branch:
-            delta = self.point.delta
-            r1_sq = _closed_branches(delta, self.point.gamma1, self.tol,
-                                     v)[branch < 0]
-            if r1_sq is None:
-                raise BelowThresholdError(
-                    f"branch {branch} absent at delta={delta}, r2_sq={v}")
-        else:
-            r1_sq = 0.0
+        delta = self.point.delta
+        r1_sq = _closed_branches(delta, self.point.gamma1, self.tol,
+                                 v)[branch < 0]
+        if r1_sq is None:
+            raise BelowThresholdError(
+                f"branch {branch} absent at delta={delta}, r2_sq={v}")
         return self.lhs(v, r1_sq), r1_sq
 
 
@@ -718,26 +711,28 @@ def _response_knots(response: _Response, lo: float, hi: float, branch: int):
 
 def _triad_states(response: _Response, v: float, branch_id: int,
                   root_sign: int):
+    """The three phase copies of the triad root at v, each built once.
+
+    A copy whose residual misses STATIONARY_TOL is polished first.  Copies
+    1 and 2 are copy 0 under u1 -> u1*exp(2*pi*i*k/3), which makes their
+    Jacobians similar to its: all carry copy 0's final spectrum.
+    """
     point = response.point
     lhs, r1_sq = response(v, root_sign)
     phi2 = (point.drive_phase - cmath.phase(lhs)) % (2.0 * math.pi)
     theta, phis = triad_phases(point.delta, point.gamma1, r1_sq, v, phi2)
     states = []
     for k, phi1 in enumerate(phis):
-        phi1 %= 2.0 * math.pi
-        st = SteadyState(kind="triad", r1_sq=r1_sq, r2_sq=v, theta=theta,
-                         phi1=phi1, phi2=phi2, stable=False, eigenvalues=(),
-                         residual=math.nan, branch=branch_id, copy=k,
-                         root_sign=root_sign)
-        u1, u2 = st.amplitudes(point)
+        polar = _Polar(r1_sq, v, theta, phi1 % (2.0 * math.pi), phi2)
+        u1, u2 = polar.amplitudes(point)
         res = stationary_residual(point, u1, u2)
         if res > STATIONARY_TOL:
-            st, res = _newton_polish(point, st, u1, u2)
+            polar, res = _newton_polish(point, polar, u1, u2)
         if k == 0:
-            # copies 1 and 2 are copy 0 under u1 -> u1*exp(2*pi*i*k/3), which
-            # makes their Jacobians similar to its: one spectrum serves all
-            verdict, eig = stability(replace(st, residual=res), point)
-        states.append(replace(st, stable=verdict, eigenvalues=eig, residual=res))
+            eig = _spectrum(point, *polar.amplitudes(point))
+        states.append(SteadyState(
+            "triad", *polar, eigenvalues=eig, residual=res, branch=branch_id,
+            copy=k, root_sign=root_sign))
     return states
 
 
@@ -763,17 +758,18 @@ def _solve(rows, rhs):
     return x
 
 
-def _newton_polish(point: DimensionlessPoint, state: SteadyState,
+def _newton_polish(point: DimensionlessPoint, polar: _Polar,
                    u1: complex, u2: complex):
-    """Up to 3 Newton steps on the full stationary equations from (u1, u2).
+    """Up to 3 Newton steps on the stationary equations from (u1, u2), the
+    amplitudes of ``polar``.
 
     Next to a window edge the closed branch r1^2(r2^2) has a square-root
     singularity, so the 1D reduction loses digits there; the 4x4 Jacobian
     stays well conditioned.  Returns the best of the start and the iterates,
-    rebuilt from its amplitudes (stability not yet assessed), with its
-    residual.  A singular Jacobian raises :class:`ConvergenceError`.
+    rebuilt as :class:`_Polar` from its amplitudes, with its residual.  A
+    singular Jacobian raises :class:`ConvergenceError`.
     """
-    best = state, stationary_residual(point, u1, u2)
+    best = polar, stationary_residual(point, u1, u2)
     for _ in range(3):
         du1, du2 = flow(point, u1, u2)
         dx = _solve(jacobian(point, u1, u2),
@@ -781,18 +777,16 @@ def _newton_polish(point: DimensionlessPoint, state: SteadyState,
         if dx is None:
             raise ConvergenceError(
                 "singular Jacobian in the Newton polish",
-                diagnostics={"r2_sq": state.r2_sq, "residual": best[1]})
+                diagnostics={"r2_sq": polar.r2_sq, "residual": best[1]})
         u1 -= complex(dx[0], dx[1])
         u2 -= complex(dx[2], dx[3])
         phi1 = cmath.phase(u1) % (2.0 * math.pi)
         phi2 = cmath.phase(u2) % (2.0 * math.pi)
-        state = replace(state, r1_sq=abs(u1) ** 2,
-                        r2_sq=(point.beta * abs(u2)) ** 2,
-                        theta=(3.0 * phi1 - phi2) % (2.0 * math.pi),
-                        phi1=phi1, phi2=phi2)
-        res = stationary_residual(point, *state.amplitudes(point))
+        polar = _Polar(abs(u1) ** 2, (point.beta * abs(u2)) ** 2,
+                       (3.0 * phi1 - phi2) % (2.0 * math.pi), phi1, phi2)
+        res = stationary_residual(point, *polar.amplitudes(point))
         if res < best[1]:
-            best = state, res
+            best = polar, res
         if res <= STATIONARY_TOL:
             break
     return best
@@ -821,8 +815,8 @@ def _ground_states(response: _Response):
         eig = (lam0, lam0.conjugate(), *_pump_block(point, v)[1])
         states.append(SteadyState(
             kind="ground", r1_sq=0.0, r2_sq=v, theta=0.0, phi1=0.0, phi2=phi2,
-            stable=max(z.real for z in eig) < STABILITY_TOL, eigenvalues=eig,
-            residual=res, branch=i, back_bending=br.back_bending))
+            eigenvalues=eig, residual=res, branch=i,
+            back_bending=br.back_bending))
     return states
 
 
@@ -836,10 +830,10 @@ def solve_selfconsistent(point: DimensionlessPoint,
     detuning is past threshold, each pump intensity in the existence window
     where the closed upper-branch fundamental solution and the second-mode
     response agree.  Each excited root expands into its three phase copies;
-    all states carry a stability verdict and eigenvalues.  ``all_branches``
-    adds the self-consistent roots built on the lower fundamental branch as
-    well (usually saddles, but the pump back-action can stabilize them at
-    moderate detuning).
+    all states carry eigenvalues, from which ``stable`` is read.
+    ``all_branches`` adds the self-consistent roots built on the lower
+    fundamental branch as well (usually saddles, but the pump back-action
+    can stabilize them at moderate detuning).
 
     The solve is the 1D reduction: with the closed r1^2(r2^2) branch
     substituted, the response equation reads m(v) = R in v = r2^2, where

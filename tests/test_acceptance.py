@@ -203,7 +203,7 @@ def test_criterion_06_stability_suite():
             st = steady.SteadyState(
                 kind="triad", r1_sq=r1_sq, r2_sq=v, theta=theta,
                 phi1=((theta + phi2) / 3.0) % (2 * math.pi), phi2=phi2,
-                stable=False, eigenvalues=(), residual=0.0, root_sign=sign)
+                eigenvalues=(), residual=0.0, root_sign=sign)
             verdict, _ = steady.stability(st, pt)
             lam_sq = steady.closed_form_lambda_sq(delta, r1_sq, v, sign)
             total += 1

@@ -1163,6 +1163,22 @@ class TestDemodulation:
         with pytest.raises(ValueError, match="^bins must be a positive"):
             dynamics.demodulate_histogram(traj, fs=1.0, bins=bins)
 
+    @pytest.mark.parametrize("edges", [
+        [0.0, math.nan, 1.0], [1.0, 0.0, -1.0], [0.0]],
+        ids=["nan", "decreasing", "single"])
+    def test_bad_bin_edges_rejected(self, edges):
+        # unchecked, a NaN edge was accepted, decreasing edges raised
+        # numpy's own error and a single edge gave a histogram of no bins
+        traj = Trajectory(dt=0.1, a1=np.ones(10, complex),
+                          a2=np.zeros(10, complex), drive_b2=0.0,
+                          drive_phase=0.0)
+        good = np.linspace(-2.0, 2.0, 5)
+        for bins in ((edges, good), (good, edges)):
+            with pytest.raises(DomainError,
+                               match="^bins must be 1-D bin edges") as info:
+                dynamics.demodulate_histogram(traj, fs=1.0, bins=bins)
+            assert info.value.name == "bins"
+
     def test_empty_trajectory(self):
         traj = Trajectory(dt=0.01, a1=np.empty(0, complex),
                           a2=np.empty(0, complex), drive_b2=0.0,

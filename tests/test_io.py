@@ -218,11 +218,14 @@ HEADED_TABLES = {
     ("histogram", "q_edges", "[[0.0], 1.0]"),
     ("histogram", "i_edges", "5.0"),
     ("histogram", "q_edges", "[1.0]"),
+    ("histogram", "i_edges", "[0.0, NaN, 2.0]"),
+    ("histogram", "i_edges", "[2.0, 1.0, 0.0]"),
     ("histogram", "fs_hz", "null"),
     ("histogram", "window_s", '"w"'),
 ], ids=["seed-text", "seed-list", "seed-fraction", "dt-text", "drive-null",
         "phase-object", "i-edges-text", "q-edges-ragged", "i-edges-scalar",
-        "q-edges-single", "fs-null", "window-text"])
+        "q-edges-single", "i-edges-nan", "i-edges-decreasing", "fs-null",
+        "window-text"])
 def test_malformed_header_comment_is_a_format_error(tmp_path, kind, key,
                                                     value):
     reader, table = HEADED_TABLES[kind]

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -357,7 +358,7 @@ class TestSecondModeResponse:
             branches = steady.second_mode_response(pt)
             assert len(branches) == n_roots
             for br in branches:
-                lhs, _ = steady._Response(pt)(br.r2_sq, 0)
+                lhs = steady._Response(pt).lhs(br.r2_sq, 0.0)
                 phi2 = pt.drive_phase - cmath.phase(lhs)
                 u2 = math.sqrt(br.r2_sq) / pt.beta * cmath.exp(1j * phi2)
                 assert steady.stationary_residual(pt, 0j, u2) \
@@ -716,12 +717,10 @@ class TestFoldPolish:
         pt = DimensionlessPoint(delta=0.0, Delta=20.0, gamma1=0.0,
                                 gamma2=1.5, gamma2_ext=1.4, beta=1.2,
                                 alpha1=1.0, drive_b2=1.0)
-        state = steady.SteadyState(kind="triad", r1_sq=0.0, r2_sq=0.0,
-                                   theta=0.0, phi1=0.0, phi2=0.0,
-                                   stable=False, eigenvalues=(),
-                                   residual=math.nan)
+        polar = steady._Polar(r1_sq=0.0, r2_sq=0.0, theta=0.0, phi1=0.0,
+                              phi2=0.0)
         with pytest.raises(ConvergenceError, match="singular") as info:
-            steady._newton_polish(pt, state, 0j, 0j)
+            steady._newton_polish(pt, polar, 0j, 0j)
         assert info.value.diagnostics["r2_sq"] == 0.0
 
     def test_polish_returns_its_best_iterate(self):
@@ -730,12 +729,10 @@ class TestFoldPolish:
         pt = make_point(delta=-9.0, Delta=20.0, gamma1=1.0, gamma2=1.5,
                         gamma2_ext=1.4, beta=1.2, drive_b2=3.0)
         u1, u2 = 0.8 + 2.2j, 0.14 + 1.45j
-        state = steady.SteadyState(kind="triad", r1_sq=1.0, r2_sq=1.0,
-                                   theta=0.0, phi1=0.0, phi2=0.0,
-                                   stable=False, eigenvalues=(),
-                                   residual=math.nan)
+        polar = steady._Polar(r1_sq=1.0, r2_sq=1.0, theta=0.0, phi1=0.0,
+                              phi2=0.0)
         start = max(abs(z) for z in oracle_flow(pt, u1, u2))
-        polished, res = steady._newton_polish(pt, state, u1, u2)
+        polished, res = steady._newton_polish(pt, polar, u1, u2)
         assert res == steady.stationary_residual(pt,
                                                  *polished.amplitudes(pt))
         assert res <= start
@@ -904,6 +901,38 @@ class TestStability:
         lam_sq = steady.closed_form_lambda_sq(-20.0, 13.24, 1.429, -1)
         assert lam_sq > 0
 
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              database=None)
+    @given(log_gamma1=st.floats(-6.0, 2.0), log_ratio=st.floats(1.0, 4.0),
+           log_gap=st.floats(-10.0, math.log10(0.5)), from_top=st.booleans(),
+           phi2=st.floats(0.0, 2 * math.pi))
+    def test_closed_form_sign_matches_fundamental_block_property(
+            self, log_gamma1, log_ratio, log_gap, from_top, phi2):
+        # far from threshold (|delta| >= 10*gamma1) the closed-form exponent
+        # linearizes the fundamental mode at frozen pump: its sign must give
+        # the verdict of the Jacobian's fundamental 2x2 block, on both
+        # branches and down to 1e-10 of the window width from either edge,
+        # where the two roots nearly merge
+        gamma1 = 10.0**log_gamma1
+        delta = -gamma1 * 10.0**log_ratio
+        lo, hi = steady.existence_window(delta, gamma1)
+        gap = 10.0**log_gap * (hi - lo)
+        v = hi - gap if from_top else lo + gap
+        roots = steady.subharmonic_branches(delta, gamma1, v)
+        assume(len(roots) == 2)
+        pt = make_point(delta=delta, gamma1=gamma1)
+        for r1_sq, branch in roots:
+            try:
+                lam_sq = steady.closed_form_lambda_sq(delta, r1_sq, v, branch)
+            except PhaseDomainError:
+                continue
+            theta = steady._theta_exact(delta, gamma1, r1_sq, v)
+            u1 = math.sqrt(r1_sq) * cmath.exp(1j * (theta + phi2) / 3.0)
+            u2 = math.sqrt(v) / pt.beta * cmath.exp(1j * phi2)
+            block = np.asarray(steady.jacobian(pt, u1, u2))[:2, :2]
+            stable = np.linalg.eigvals(block).real.max() < steady.STABILITY_TOL
+            assert (lam_sq < 0) == stable, (branch, lam_sq)
+
     def test_jacobian_matches_finite_differences(self):
         pt = make_point(drive_b2=3.0, drive_phase=0.7)
         rng = np.random.default_rng(3)
@@ -959,14 +988,19 @@ class TestStability:
         assert np.max(np.abs(np.array(triads[1].eigenvalues) - want)) \
             <= 1e-6 * scale
 
-    def test_residual_guard(self):
+    @pytest.mark.parametrize("fields", [
+        {}, {"r1_sq": math.nan}, {"phi1": math.nan}, {"r2_sq": math.inf}],
+        ids=["off-state", "r1-nan", "phi1-nan", "r2-inf"])
+    def test_residual_guard(self, fields):
+        # a NaN residual fails the guard too, rather than reaching the
+        # characteristic polynomial as non-finite coefficients
         pt = make_point(drive_b2=1.0)
         bogus = steady.SteadyState(kind="triad", r1_sq=5.0, r2_sq=1.0,
-                                   theta=2.0, phi1=0.1, phi2=0.0, stable=False,
+                                   theta=2.0, phi1=0.1, phi2=0.0,
                                    eigenvalues=(), residual=math.nan)
         from tripler.errors import ResidualError
         with pytest.raises(ResidualError):
-            steady.stability(bogus, pt)
+            steady.stability(dataclasses.replace(bogus, **fields), pt)
 
 
 def _seeded_points():
