@@ -174,8 +174,10 @@ class _Objective:
     :func:`steady.branch_quadratic` inside the window, zero outside.
 
     ``pout_w``, the measured powers in the same order, is needed only by
-    the weighted chi^2 (:meth:`chi2`, :meth:`__call__`), which sums each
-    linecut's slice and adds the sums in linecut order.
+    the residuals: :meth:`__call__` squares them over a grid of X once,
+    in row blocks, and :meth:`reduce` weights the blocks; it and
+    :meth:`chi2` sum each linecut's slice and add the sums in linecut
+    order.
     """
 
     __slots__ = ("num", "den", "lo", "hi", "delta", "gamma1", "hbar_omega",
@@ -220,23 +222,30 @@ class _Objective:
         """Relative-noise weights 1/max(P_model, floor)^2 at chain parameter x."""
         return 1.0 / np.maximum(self.model(x), floor) ** 2
 
-    def chi2(self, x, weights):
-        """sum w*(P_model - P)^2 at ``x``, shaped as :meth:`model` takes it."""
-        sq = (self.model(x) - self.pout) ** 2 * weights
+    def _total(self, terms):
+        """Sum of ``terms`` over the last axis: each linecut's slice, the
+        sums added in linecut order."""
         total = 0.0
         for part in self.slices:
-            total = total + np.add.reduce(sq[..., part], axis=-1)
+            total = total + np.add.reduce(terms[..., part], axis=-1)
         return total
 
-    def __call__(self, log10x, weights):
-        """:meth:`chi2` at each value of a 1-D sequence of log10 X, in row
-        blocks of ``rows``."""
+    def chi2(self, x, weights):
+        """sum w*(P_model - P)^2 at ``x``, shaped as :meth:`model` takes it."""
+        return self._total((self.model(x) - self.pout) ** 2 * weights)
+
+    def __call__(self, log10x):
+        """Squared residuals (P_model - P)^2 at each value of a 1-D sequence
+        of log10 X: a list of row blocks of ``rows`` values each, so that no
+        temporary of :meth:`model` outgrows a block."""
         xs = [10.0 ** float(g) for g in log10x]
-        out = np.empty(len(xs))
-        for a in range(0, len(xs), self.rows):
-            out[a:a + self.rows] = self.chi2(
-                np.array(xs[a:a + self.rows])[:, None], weights)
-        return out
+        return [(self.model(np.array(xs[a:a + self.rows])[:, None])
+                 - self.pout) ** 2 for a in range(0, len(xs), self.rows)]
+
+    def reduce(self, blocks, weights):
+        """:meth:`chi2` per row of the :meth:`__call__` blocks, with
+        ``weights``: the same products and sums, bit for bit."""
+        return np.concatenate([self._total(sq * weights) for sq in blocks])
 
 
 def _linecut_model(p_d, x, fp: circuit.FluxPoint, delta1: float,
@@ -283,11 +292,13 @@ def fit_x(linecuts, params: circuit.CircuitParams,
     :data:`_GRID_SIZE`-point log10 X grid of the unweighted residual gives
     X0, the weights w_i = 1/max(P_model,i(X0), F)^2 are taken from the
     model there (not from the data, which would bias the fit), and the
-    grid is run again on the weighted chi^2, then refined by Brent's
-    minimizer (:func:`_roots.brent_min`) between the grid neighbours of its
-    minimum.  ``residual`` is that chi^2 at the optimum, ``rel_noise`` the
-    estimated eps = sqrt(chi^2/dof), and ``x_sigma`` the 1-sigma of the
-    Fisher information, from the curvature of chi^2 in X.
+    same grid's squared residuals, computed once for both passes, give the
+    weighted chi^2, whose grid minimum Brent's minimizer
+    (:func:`_roots.brent_min`) refines between its grid neighbours.
+    ``residual`` is that chi^2 at the optimum, ``rel_noise`` the estimated
+    eps = sqrt(chi^2/dof), and ``x_sigma`` the 1-sigma of the Fisher
+    information, from the curvature of chi^2 in X.  ``curves`` is the
+    model along every point of each linecut at the fitted X.
     """
     linecuts = list(linecuts)
     if not linecuts:
@@ -310,8 +321,10 @@ def fit_x(linecuts, params: circuit.CircuitParams,
     grid = np.linspace(math.log10(_X_BOUNDS[0]), math.log10(_X_BOUNDS[1]),
                        _GRID_SIZE).tolist()
 
+    residuals = objective(grid)     # the grid model, once for both passes
+
     def grid_min(weights):
-        k = int(np.argmin(objective(grid, weights)))
+        k = int(np.argmin(objective.reduce(residuals, weights)))
         if k in (0, _GRID_SIZE - 1):
             raise ConvergenceError("objective minimized at the search boundary",
                                    diagnostics={"bounds": _X_BOUNDS})
@@ -330,8 +343,11 @@ def fit_x(linecuts, params: circuit.CircuitParams,
     curv = (up - 2.0 * chi + down) / h**2
     dof = max(n_points - 1, 1)
     sigma = math.sqrt(2.0 * (chi / dof) / curv) if curv > 0 else math.inf
-    curves = tuple(_linecut_model(lc.pd_w, x, by_flux[lc.flux], lc.delta1,
-                                  chain.gain_db) for lc in linecuts)
+    # every linecut's full curve from one objective, split per linecut
+    whole = _Objective([(lc.delta1, by_flux[lc.flux], lc.pd_w)
+                        for lc in linecuts], chain.gain_db)
+    full = whole.model(x)
+    curves = tuple(full[part] for part in whole.slices)
     return FitResult(x=x, x_sigma=sigma, residual=chi,
                      rel_noise=math.sqrt(chi / dof), n_points=n_points,
                      curves=curves)
@@ -421,7 +437,11 @@ def region_map(params: circuit.CircuitParams, flux: float,
     A cell supports excited states when its detuning is past threshold and
     the stiff-pump intensity falls inside the existence window; the
     boundary polyline is :func:`steady.max_drive` at the column's operating
-    point, restored to generator-plane watts through X.
+    point, restored to generator-plane watts through X.  One operating
+    point carries the per-flux constants and their checks; each row's
+    detuning, window and bound then come in one pass over the rows, and
+    at most one :class:`RegimeWarning` names the first row where the bound
+    leaves its regime.
     """
     if chain.x is None:
         raise DomainError("chain", "region_map needs the fitted chain "
@@ -436,17 +456,22 @@ def region_map(params: circuit.CircuitParams, flux: float,
         raise DomainError("pd_grid_w", "pd_grid_w must hold finite positive "
                           f"powers, got {bad} of {pd.size} outside (0, inf)")
     fp = circuit.at_flux(params, flux)
-    lo = np.full((d1.size, 1), np.nan)
-    hi = np.full((d1.size, 1), np.nan)
+    w1 = fp.mode1.omega
+    # the point at the first detuning off the model, which raises naming
+    # delta1 (NaN too), else at the first row: the per-flux constants
+    off = ~(np.abs(d1) < w1)
+    point = fp.operating_point(float(d1[int(np.argmax(off))]))
+    # each row's delta as operating_point rounds it, its window as the
+    # scalar rule gives it (which rejects a delta that is not finite)
+    delta = ((w1 + d1) - w1) / point.alpha1
+    windows = [steady.existence_window(dd, point.gamma1)
+               for dd in delta.tolist()]
+    past = np.array([w is not None for w in windows])
+    lo, hi = np.array([w or (np.nan, np.nan) for w in windows]).T[:, :, None]
     boundary = np.full(d1.size, np.nan)
-    for i, dd in enumerate(d1):
-        point = fp.operating_point(dd)      # rejects a detuning off the model
-        window = steady.existence_window(point.delta, point.gamma1)
-        if window is None:
-            continue
-        lo[i], hi[i] = window
-        b2_max = steady.max_drive(point)
-        boundary[i] = drive_power_through_x(b2_max, chain.x, fp, dd)
+    if past.any():      # max_drive, and its checks, only past threshold
+        boundary[past] = drive_power_through_x(
+            steady._drive_bound(point, delta[past]), chain.x, fp, d1[past])
     # rows without a window keep NaN bounds, so no cell of theirs compares true
     v = pump_intensity(pd[None, :], chain.x, fp, d1[:, None])
     labels = np.full((d1.size, pd.size), "I", dtype=object)

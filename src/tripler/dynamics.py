@@ -266,6 +266,13 @@ class Histogram2D:
     window: float       # demodulation window length, 1/fs
     units: str = "photon_amplitude"
 
+    def __post_init__(self):
+        # edges by the rule a histogram file is read with, so that every
+        # histogram written reads back
+        for name in ("i_edges", "q_edges"):
+            object.__setattr__(self, name, _bin_edges(getattr(self, name),
+                                                      name))
+
 
 @dataclass(frozen=True)
 class SwitchingStats:
@@ -816,16 +823,25 @@ def demodulate_histogram(traj: Trajectory, fs: float, bins=101,
     spread along lines joining the states: distinct attractors average
     together.  A gain ``scale`` (volts per photon amplitude) switches the
     axes to volts.  ``bins`` is a bin count per axis or a pair of edge
-    arrays, each checked by :func:`_bin_edges`.
+    arrays, each checked by :func:`_bin_edges`; anything else raises
+    :class:`DomainError` naming ``bins``.
     """
-    if not np.isscalar(bins):
-        i_edges, q_edges = (_bin_edges(b, "bins") for b in bins)
+    count = isinstance(bins, (int, float, np.integer, np.floating))
+    if not count:
+        try:
+            i_edges, q_edges = bins
+        except (TypeError, ValueError):
+            raise DomainError("bins", "bins must be a bin count or a pair of "
+                              "edge arrays, got a "
+                              f"{type(bins).__name__}") from None
+        i_edges = _bin_edges(i_edges, "bins")
+        q_edges = _bin_edges(q_edges, "bins")
     elif not (1 <= bins < math.inf and bins == int(bins)):
         raise domain("bins", bins, "a positive whole number")
     means = boxcar_demodulate(traj, fs, scale=scale)
     w = max(int(round(1.0 / (fs * traj.dt))), 1)
     i, q = means.real, means.imag
-    if np.isscalar(bins):
+    if count:
         lim = float(np.max(np.abs(means))) * 1.05
         lim = lim if lim > 0 else 1.0
         i_edges = q_edges = np.linspace(-lim, lim, int(bins) + 1)

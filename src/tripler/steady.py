@@ -364,15 +364,30 @@ def max_drive(point: DimensionlessPoint) -> float:
     Far-from-threshold estimate 2*Delta^2*|delta|*alpha1/(7*beta^2*gamma2_ext);
     warns when used at |delta| < 3*gamma1 where it loses accuracy.
     """
+    return _drive_bound(point, point.delta)
+
+
+def _drive_bound(point: DimensionlessPoint, delta):
+    """The bound of :func:`max_drive` and its regime rule at detuning
+    ``delta``, with the other constants of ``point``.
+
+    ``delta`` is a float or a 1-D numpy array, one bound per entry: the
+    bound takes operators only, so steady needs no numpy.  A
+    :class:`RegimeWarning` names the first |delta| < 3*gamma1, once per
+    call and at the caller's caller.
+    """
     if point.gamma2_ext <= 0:
         raise DomainError("point", "max_drive requires gamma2_ext > 0, got "
                           f"{point.gamma2_ext!r}")
-    if abs(point.delta) < 3.0 * point.gamma1:
+    adelta = abs(delta)
+    near = adelta < 3.0 * point.gamma1
+    if near is True or (near is not False and near.any()):
+        first = adelta if near is True else adelta[near][0]
         warnings.warn(
-            f"|delta|={abs(point.delta):.3g} < 3*gamma1={3 * point.gamma1:.3g}: "
+            f"|delta|={first:.3g} < 3*gamma1={3 * point.gamma1:.3g}: "
             "max-drive estimate used outside its regime", RegimeWarning,
-            stacklevel=2)
-    return (2.0 * point.Delta**2 * abs(point.delta) * point.alpha1
+            stacklevel=3)
+    return (2.0 * point.Delta**2 * adelta * point.alpha1
             / (7.0 * point.beta**2 * point.gamma2_ext))
 
 

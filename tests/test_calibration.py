@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from tripler import calibration as cal
 from tripler import circuit, steady
 from tripler._roots import brent_min
 from tripler.calibration import CalibrationChain, Linecut
-from tripler.errors import BelowThresholdError, DomainError, NoSignalError
+from tripler.errors import (BelowThresholdError, DomainError, NoSignalError,
+                            RegimeWarning)
 
 TWO_PI = 2.0 * math.pi
 HBAR = 6.62607015e-34 / TWO_PI
@@ -158,7 +161,9 @@ class TestFit:
         grid = np.linspace(8.0, 16.0, 161)
         unit = np.ones(objective.pout.size)
         # the fit's weights: the model at the unweighted grid minimum
-        x_grid = 10.0 ** float(grid[int(np.argmin(objective(grid, unit)))])
+        residuals = objective(grid)
+        x_grid = 10.0 ** float(
+            grid[int(np.argmin(objective.reduce(residuals, unit)))])
         fit_weights = objective.weights(x_grid, chain.noise_floor_w)
         assert fit_weights.tolist() == [
             1.0 / max(closed_form_output(float(p), x_grid, fp, d1,
@@ -166,7 +171,7 @@ class TestFit:
                       chain.noise_floor_w) ** 2
             for d1, fp, pd, _ in prepared for p in pd]
         for weights in (unit, fit_weights):
-            got = objective(grid, weights)
+            got = objective.reduce(residuals, weights)
             expect = []
             for g in grid:
                 x = 10.0 ** float(g)
@@ -242,6 +247,43 @@ class TestFit:
         res = cal.fit_x(cuts, params, chain)
         assert calls == [0.0, 0.25]
         assert res.x == pytest.approx(1e12, rel=0.02)
+
+    def test_grid_model_evaluated_once(self, params, chain, monkeypatch):
+        # both grid passes weight the same squared residuals, so the model
+        # sees each grid value once, then the three points of the curvature
+        # stencil; the Brent steps, the weights and the curves pass scalars
+        cuts = synthetic_linecuts(params, chain, 1e12, [-4e6, -8e6, -12e6],
+                                  noise=0.01, seed=4)
+        rows = []
+        real = cal._Objective.model
+
+        def counted(self, x):
+            if np.ndim(x) == 2:
+                rows.extend(np.ravel(x).tolist())
+            return real(self, x)
+
+        monkeypatch.setattr(cal._Objective, "model", counted)
+        res = cal.fit_x(cuts, params, chain)
+        grid = np.linspace(math.log10(cal._X_BOUNDS[0]),
+                           math.log10(cal._X_BOUNDS[1]), cal._GRID_SIZE)
+        h = 1e-4 * res.x
+        assert rows == [10.0 ** float(g) for g in grid] + [res.x, res.x + h,
+                                                           res.x - h]
+
+    def test_curves_match_the_per_linecut_model(self, params, chain):
+        # one objective over every linecut, split per linecut, gives each
+        # curve bit for bit, points below the floor included
+        cuts = (synthetic_linecuts(params, chain, 1e12, [-5e6, -11e6],
+                                   noise=0.01, seed=6)
+                + synthetic_linecuts(params, chain, 1e12, [-9e6],
+                                     noise=0.01, seed=7, flux=0.25))
+        res = cal.fit_x(cuts, params, chain)
+        assert len(res.curves) == len(cuts)
+        for lc, curve in zip(cuts, res.curves):
+            want = cal._linecut_model(lc.pd_w, res.x,
+                                      circuit.at_flux(params, lc.flux),
+                                      lc.delta1, chain.gain_db)
+            assert curve.tobytes() == want.tobytes()
 
     def test_recovery_with_noise(self, params, chain):
         x0 = 1e12
@@ -520,6 +562,71 @@ class TestRegionMap:
             with pytest.raises(ValueError, match="delta1"):
                 cal.region_map(params, 0.0, chain, np.array(d1), pd)
 
+    def test_first_detuning_off_the_model_named(self, params, chain):
+        omega1 = circuit.mode_profile(params, 0.0, 1).omega
+        d1 = np.array([-TWO_PI * 1e6, 2 * omega1, math.nan, -omega1])
+        with pytest.raises(DomainError, match=f"got {2 * omega1!r}$") as info:
+            cal.region_map(params, 0.0, chain, d1, np.geomspace(1e-9, 1e-3, 3))
+        assert info.value.name == "delta1"
+
+    # the division overflows, as it did per row on numpy scalars
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_delta_not_finite_named(self, params, chain, monkeypatch):
+        # a Kerr coefficient so small that a row's delta1/alpha1 overflows,
+        # with the other constants chosen so the first row's point is valid
+        fp = circuit.at_flux(params, 0.0)
+        tiny = replace(fp, mode1=replace(fp.mode1, alpha=1e-300, gamma=0.0),
+                       mode2=replace(fp.mode2, omega=3.0 * fp.mode1.omega,
+                                     alpha=1e-300, gamma=0.0, gamma_ext=0.0))
+        monkeypatch.setattr(circuit, "at_flux", lambda p, f: tiny)
+        with pytest.raises(DomainError, match="^delta must be finite, got "
+                                              "-inf$") as info:
+            cal.region_map(params, 0.0, chain, [0.0, -TWO_PI * 1e9],
+                           np.geomspace(1e-9, 1e-3, 3))
+        assert info.value.name == "delta"
+
+    def test_no_pump_loss_rejected_as_max_drive_does(self, params, chain,
+                                                     monkeypatch):
+        fp = circuit.at_flux(params, 0.0)
+        lossless = replace(fp, mode2=replace(fp.mode2, gamma_ext=0.0))
+        with pytest.raises(DomainError, match="gamma2_ext > 0") as single:
+            steady.max_drive(lossless.operating_point(-TWO_PI * 8e6))
+        monkeypatch.setattr(circuit, "at_flux", lambda p, f: lossless)
+        with pytest.raises(DomainError, match="gamma2_ext > 0") as info:
+            cal.region_map(params, 0.0, chain, [-TWO_PI * 8e6],
+                           np.geomspace(1e-9, 1e-3, 3))
+        assert info.value.name == single.value.name == "point"
+        # above threshold no bound is taken, so nothing is rejected
+        th = steady.THRESHOLD_FACTOR * fp.mode1.gamma
+        rmap = cal.region_map(params, 0.0, chain, [-0.5 * th],
+                              np.geomspace(1e-9, 1e-3, 3))
+        assert np.isnan(rmap.boundary_pd_w).all()
+
+    def test_regime_warning_once_naming_the_first_row(self, params, chain):
+        co = circuit.at_flux(params, 0.0)
+        g1 = co.mode1.gamma
+        # rows 1 and 3 lie in sqrt(7)*Gamma1 <= |delta1| < 3*Gamma1, row 0
+        # beyond it and row 2 above threshold
+        d1 = -g1 * np.array([5.0, 2.8, 2.0, 2.7])
+        with pytest.warns(RegimeWarning) as record:
+            cal.region_map(params, 0.0, chain, d1, np.geomspace(1e-9, 1e-3, 3))
+        with pytest.warns(RegimeWarning) as single:
+            steady.max_drive(co.operating_point(d1[1]))
+        assert [str(w.message) for w in record] == [str(single[0].message)]
+        assert record[0].filename == single[0].filename == __file__
+
+    def test_no_regime_warning_outside_the_band(self, params, chain):
+        co = circuit.at_flux(params, 0.0)
+        g1 = co.mode1.gamma
+        # above threshold (no bound) or at and beyond 3*Gamma1
+        d1 = -g1 * np.array([1.0, 2.5, 3.0 * (1 + 1e-9), 8.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rmap = cal.region_map(params, 0.0, chain, d1,
+                                  np.geomspace(1e-9, 1e-3, 3))
+        assert np.isnan(rmap.boundary_pd_w[:2]).all()
+        assert np.isfinite(rmap.boundary_pd_w[2:]).all()
+
     def test_above_threshold_all_region_one(self, params, chain):
         co = circuit.at_flux(params, 0.0)
         th = steady.THRESHOLD_FACTOR * co.mode1.gamma
@@ -596,8 +703,7 @@ class TestRegionMap:
             else:
                 b2_max = steady.max_drive(fp.operating_point(dd))
                 want = cal.drive_power_through_x(b2_max, x, fp, dd)
-                assert rmap.boundary_pd_w[i] == pytest.approx(
-                    want, rel=1e-12, abs=0.0)
+                assert rmap.boundary_pd_w[i] == want
 
     def test_requires_fitted_x(self, params):
         nochain = CalibrationChain(gain_db=66.0, noise_floor_w=1e-10)

@@ -1179,6 +1179,18 @@ class TestDemodulation:
                 dynamics.demodulate_histogram(traj, fs=1.0, bins=bins)
             assert info.value.name == "bins"
 
+    @pytest.mark.parametrize("bins", [
+        "ab", [np.linspace(-2.0, 2.0, 5)] * 3, [np.linspace(-2.0, 2.0, 5)]],
+        ids=["text", "three-edge-arrays", "one-edge-array"])
+    def test_malformed_bins_named(self, bins):
+        # unchecked, these ended in a TypeError or a ValueError of unpacking
+        traj = Trajectory(dt=0.1, a1=np.ones(10, complex),
+                          a2=np.zeros(10, complex), drive_b2=0.0,
+                          drive_phase=0.0)
+        with pytest.raises(DomainError, match="^bins must be") as info:
+            dynamics.demodulate_histogram(traj, fs=1.0, bins=bins)
+        assert info.value.name == "bins"
+
     def test_empty_trajectory(self):
         traj = Trajectory(dt=0.01, a1=np.empty(0, complex),
                           a2=np.empty(0, complex), drive_b2=0.0,

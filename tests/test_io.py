@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from tripler import io as tio
 from tripler.calibration import Linecut
 from tripler.dynamics import Histogram2D, Trajectory
-from tripler.errors import FormatError
+from tripler.errors import DomainError, FormatError
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -315,6 +315,38 @@ class TestHistogramCSV:
         assert np.allclose(back.i_edges, edges)
         assert back.fs == hist.fs
         assert back.units == "photon_amplitude"
+
+    @pytest.mark.parametrize("name", ["i_edges", "q_edges"])
+    @pytest.mark.parametrize("edges", [
+        [0.0, math.nan, 1.0], [1.0, 0.0, -1.0], [0.0]],
+        ids=["nan", "decreasing", "single"])
+    def test_bad_edges_rejected_at_construction(self, name, edges):
+        fields = dict(i_edges=[0.0, 1.0], q_edges=[0.0, 1.0],
+                      counts=np.zeros((1, 1), dtype=np.int64), fs=1e5,
+                      window=1e-5)
+        fields[name] = edges
+        with pytest.raises(DomainError, match=f"^{name} must be 1-D bin "
+                                              "edges") as info:
+            Histogram2D(**fields)
+        assert info.value.name == name
+
+    def test_writer_gets_only_edges_the_reader_takes(self, tmp_path):
+        # a histogram with a NaN edge was written, and its file refused
+        path = tmp_path / "h.csv"
+        with pytest.raises(DomainError, match="^i_edges"):
+            tio.write_histogram_csv(path, Histogram2D(
+                i_edges=[0.0, math.nan, 1.0], q_edges=[0.0, 1.0],
+                counts=np.zeros((2, 1), dtype=np.int64), fs=1e5,
+                window=1e-5))
+        assert not path.exists()
+        hist = Histogram2D(i_edges=[0, 1, 2], q_edges=[-1.5, 1.5],
+                           counts=np.ones((2, 1), dtype=np.int64), fs=1e5,
+                           window=1e-5)
+        assert hist.i_edges.dtype == float
+        tio.write_histogram_csv(path, hist)
+        back = tio.read_histogram_csv(path)
+        assert back.i_edges.tolist() == [0.0, 1.0, 2.0]
+        assert back.counts.tolist() == [[1], [1]]
 
     def test_missing_header_detected(self, tmp_path):
         path = tmp_path / "h.csv"
