@@ -12,6 +12,16 @@
  *
  *     gcc -O2 -ffp-contract=off -fno-builtin -shared -fPIC
  *
+ * RK4 steps two members at once, one in each lane of a 16-byte GCC vector
+ * of doubles (SSE2 on x86-64, NEON on aarch64, both in the base
+ * instruction set, so no flag asks for them).  The bits still hold: a
+ * vector operation is the scalar IEEE operation in each lane, the
+ * operations come in the scalar order, the flags forbid contraction in
+ * vectors as in scalars, and libm (hypot) is called once per lane.  A
+ * lone member (an odd count) rides in both lanes, and lane 1 is
+ * discarded.  ETD1 stays one member per step, its member in both lanes of
+ * the same flow, until a noisy step of weak order two replaces it.
+ *
  * Where Python raises (an infinite power, OverflowError; sin or cos of an
  * infinity, ValueError) the member stops and reports an overflow.
  */
@@ -22,6 +32,15 @@
 typedef struct {
     double re, im;
 } cplx;
+
+/* two lanes of doubles, and a lane mask (all bits set in a true lane) */
+typedef double lanes __attribute__((vector_size(16)));
+typedef int64_t mask __attribute__((vector_size(16)));
+
+/* the complex numbers of two members, lane by lane */
+typedef struct {
+    lanes re, im;
+} cplx2;
 
 /* The constants of one run, in this order (built in dynamics._run_kernel). */
 typedef struct {
@@ -46,22 +65,17 @@ static inline cplx c_sum(cplx a, cplx b)
     return r;
 }
 
-static inline cplx c_diff(cplx a, cplx b)
-{
-    cplx r = {a.re - b.re, a.im - b.im};
-    return r;
-}
-
 static inline cplx c_prod(cplx a, cplx b)
 {
     cplx r = {a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re};
     return r;
 }
 
-static inline cplx c_conj(cplx a) { cplx r = {a.re, -a.im}; return r; }
-
-/* CPython's _Py_c_quot; b is never zero here (see step_etd1) */
-static cplx c_quot(cplx a, cplx b)
+/* CPython's _Py_c_quot; b is never zero here (see step_etd1).  Inlined:
+ * out of line, its result came back in two registers that the caller
+ * stored and read back as one 16-byte vector, a failed store forwarding
+ * that took about 40% of the ETD1 step's time */
+static inline __attribute__((always_inline)) cplx c_quot(cplx a, cplx b)
 {
     cplx r;
     const double abs_breal = b.re < 0 ? -b.re : b.re;
@@ -86,8 +100,9 @@ static cplx c_quot(cplx a, cplx b)
     return r;
 }
 
-/* CPython's _Py_c_abs, without its error, which |e| <= 3 never meets */
-static double c_abs(cplx z)
+/* CPython's _Py_c_abs, without its error, which |e| <= 3 never meets;
+ * inlined as c_quot is */
+static inline __attribute__((always_inline)) double c_abs(cplx z)
 {
     if (!isfinite(z.re) || !isfinite(z.im)) {
         if (isinf(z.re))
@@ -99,62 +114,125 @@ static double c_abs(cplx z)
     return hypot(z.re, z.im);
 }
 
+/* z in both lanes, and lane l of z */
+static inline cplx2 both(cplx z)
+{
+    cplx2 r = {{z.re, z.re}, {z.im, z.im}};
+    return r;
+}
+
+static inline cplx lane(cplx2 z, int l)
+{
+    cplx r = {z.re[l], z.im[l]};
+    return r;
+}
+
+/* a where over is set, else b, lane by lane */
+static inline cplx2 keep(mask over, cplx2 a, cplx2 b)
+{
+    cplx2 r = {(lanes)(((mask)a.re & over) | ((mask)b.re & ~over)),
+               (lanes)(((mask)a.im & over) | ((mask)b.im & ~over))};
+    return r;
+}
+
+/* the complex operations of two members, lane by lane */
+static inline cplx2 c2_of(lanes x)
+{
+    cplx2 r = {x, {0.0, 0.0}};
+    return r;
+}
+
+static inline cplx2 c2_sum(cplx2 a, cplx2 b)
+{
+    cplx2 r = {a.re + b.re, a.im + b.im};
+    return r;
+}
+
+static inline cplx2 c2_diff(cplx2 a, cplx2 b)
+{
+    cplx2 r = {a.re - b.re, a.im - b.im};
+    return r;
+}
+
+static inline cplx2 c2_prod(cplx2 a, cplx2 b)
+{
+    cplx2 r = {a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re};
+    return r;
+}
+
+static inline cplx2 c2_conj(cplx2 a)
+{
+    cplx2 r = {a.re, -a.im};
+    return r;
+}
+
 /* Python's x**2 and x**3: CPython's c_powu starts from r = 1 + 0j, takes
- * r*x for the exponent's low bit and then r times x*x.  Nonzero where
- * Python raises OverflowError, that is, where a part is infinite. */
-static inline int overflowed(cplx z) { return isinf(z.re) || isinf(z.im); }
-
-static inline int c_square(cplx x, cplx *out)
+ * r*x for the exponent's low bit and then r times x*x.  The mask is set in
+ * the lanes where Python raises OverflowError, that is, where a part is
+ * infinite. */
+static inline mask infinite(cplx2 z)
 {
-    *out = c_prod(c_1, c_prod(x, x));
-    return overflowed(*out);
+    return (z.re == INFINITY) | (z.re == -INFINITY) | (z.im == INFINITY)
+           | (z.im == -INFINITY);
 }
 
-static inline int c_cube(cplx x, cplx *out)
+static inline mask c2_square(cplx2 x, cplx2 *out)
 {
-    *out = c_prod(c_prod(c_1, x), c_prod(x, x));
-    return overflowed(*out);
+    *out = c2_prod(both(c_1), c2_prod(x, x));
+    return infinite(*out);
 }
 
-/* steady._rates_and_flow; nonzero on overflow.  Inlined into each of its
- * five calls, which gcc -O2 would not do, to save a third of an RK4 step */
-static inline __attribute__((always_inline)) int
-rates_and_flow(const coefficients *k, cplx a1, cplx a2, cplx *l1, cplx *l2,
-               cplx *f1, cplx *f2)
+static inline mask c2_cube(cplx2 x, cplx2 *out)
 {
-    cplx p2, p3;
-    double n1 = a1.re * a1.re + a1.im * a1.im;
-    double n2 = a2.re * a2.re + a2.im * a2.im;
-    *l1 = c_diff(c_prod(c_i, c_of(k->d1 + k->al1 * n1 + k->ax2 * n2)),
-                 c_of(k->g1));
-    *l2 = c_diff(c_prod(c_i, c_of(k->d2 + k->al2 * n2 + k->ax2 * n1)),
-                 c_of(k->g2));
-    if (c_square(c_conj(a1), &p2) || c_cube(a1, &p3))
-        return 1;
-    *f1 = c_sum(c_prod(*l1, a1), c_prod(c_prod(k->iat, p2), a2));
-    *f2 = c_diff(c_sum(c_prod(*l2, a2), c_prod(k->iat3, p3)), k->idrive);
-    return 0;
+    *out = c2_prod(c2_prod(both(c_1), x), c2_prod(x, x));
+    return infinite(*out);
 }
 
-/* one RK4 step of dynamics._run_rk4; nonzero on overflow */
-static int step_rk4(const coefficients *k, cplx *a1, cplx *a2)
+/* steady._rates_and_flow of two members; the mask is set in the lanes that
+ * overflow, whose outputs mean nothing.  Inlined into each of its five
+ * calls, which gcc -O2 would not do, to save a third of an RK4 step */
+static inline __attribute__((always_inline)) mask
+rates_and_flow(const coefficients *k, cplx2 a1, cplx2 a2, cplx2 *l1,
+               cplx2 *l2, cplx2 *f1, cplx2 *f2)
 {
-    cplx l1, l2, k1a, k1b, k2a, k2b, k3a, k3b, k4a, k4b;
-    const cplx half = c_of(0.5 * k->dt), whole = c_of(k->dt);
-    const cplx sixth = c_of(k->dt / 6.0), two = c_of(2.0);
-    if (rates_and_flow(k, *a1, *a2, &l1, &l2, &k1a, &k1b)
-        || rates_and_flow(k, c_sum(*a1, c_prod(half, k1a)),
-                          c_sum(*a2, c_prod(half, k1b)), &l1, &l2, &k2a, &k2b)
-        || rates_and_flow(k, c_sum(*a1, c_prod(half, k2a)),
-                          c_sum(*a2, c_prod(half, k2b)), &l1, &l2, &k3a, &k3b)
-        || rates_and_flow(k, c_sum(*a1, c_prod(whole, k3a)),
-                          c_sum(*a2, c_prod(whole, k3b)), &l1, &l2, &k4a, &k4b))
-        return 1;
-    *a1 = c_sum(*a1, c_prod(sixth, c_sum(c_sum(c_sum(k1a, c_prod(two, k2a)),
-                                               c_prod(two, k3a)), k4a)));
-    *a2 = c_sum(*a2, c_prod(sixth, c_sum(c_sum(c_sum(k1b, c_prod(two, k2b)),
-                                               c_prod(two, k3b)), k4b)));
-    return 0;
+    cplx2 p2, p3;
+    const cplx2 i = both(c_i);
+    const lanes n1 = a1.re * a1.re + a1.im * a1.im;
+    const lanes n2 = a2.re * a2.re + a2.im * a2.im;
+    mask over;
+    *l1 = c2_diff(c2_prod(i, c2_of(k->d1 + k->al1 * n1 + k->ax2 * n2)),
+                  both(c_of(k->g1)));
+    *l2 = c2_diff(c2_prod(i, c2_of(k->d2 + k->al2 * n2 + k->ax2 * n1)),
+                  both(c_of(k->g2)));
+    over = c2_square(c2_conj(a1), &p2) | c2_cube(a1, &p3);
+    *f1 = c2_sum(c2_prod(*l1, a1), c2_prod(c2_prod(both(k->iat), p2), a2));
+    *f2 = c2_diff(c2_sum(c2_prod(*l2, a2), c2_prod(both(k->iat3), p3)),
+                  both(k->idrive));
+    return over;
+}
+
+/* one RK4 step of dynamics._run_rk4 of two members; the mask is set in the
+ * lanes that overflow */
+static inline mask step_rk4(const coefficients *k, cplx2 *a1, cplx2 *a2)
+{
+    cplx2 l1, l2, k1a, k1b, k2a, k2b, k3a, k3b, k4a, k4b;
+    const cplx2 half = both(c_of(0.5 * k->dt)), whole = both(c_of(k->dt));
+    const cplx2 sixth = both(c_of(k->dt / 6.0)), two = both(c_of(2.0));
+    mask over = rates_and_flow(k, *a1, *a2, &l1, &l2, &k1a, &k1b);
+    over |= rates_and_flow(k, c2_sum(*a1, c2_prod(half, k1a)),
+                           c2_sum(*a2, c2_prod(half, k1b)), &l1, &l2, &k2a,
+                           &k2b);
+    over |= rates_and_flow(k, c2_sum(*a1, c2_prod(half, k2a)),
+                           c2_sum(*a2, c2_prod(half, k2b)), &l1, &l2, &k3a,
+                           &k3b);
+    over |= rates_and_flow(k, c2_sum(*a1, c2_prod(whole, k3a)),
+                           c2_sum(*a2, c2_prod(whole, k3b)), &l1, &l2, &k4a,
+                           &k4b);
+    *a1 = c2_sum(*a1, c2_prod(sixth, c2_sum(c2_sum(c2_sum(
+        k1a, c2_prod(two, k2a)), c2_prod(two, k3a)), k4a)));
+    *a2 = c2_sum(*a2, c2_prod(sixth, c2_sum(c2_sum(c2_sum(
+        k1b, c2_prod(two, k2b)), c2_prod(two, k3b)), k4b)));
+    return over;
 }
 
 /* one ETD1 step of dynamics._run_etd1 with the normals x[0..3]; nonzero on
@@ -162,11 +240,16 @@ static int step_rk4(const coefficients *k, cplx *a1, cplx *a2)
 static int step_etd1(const coefficients *k, cplx *a1, cplx *a2,
                      const double *x)
 {
+    cplx2 l1v, l2v, f1v, f2v;
     cplx l1, l2, f1, f2, e1, e2;
     double y1, y2, h1, h2;
     const double dt = k->dt;
-    if (rates_and_flow(k, *a1, *a2, &l1, &l2, &f1, &f2))
+    if (rates_and_flow(k, both(*a1), both(*a2), &l1v, &l2v, &f1v, &f2v)[0])
         return 1;
+    l1 = lane(l1v, 0);
+    l2 = lane(l2v, 0);
+    f1 = lane(f1v, 0);
+    f2 = lane(f2v, 0);
     y1 = l1.im * dt;
     y2 = l2.im * dt;
     if (isinf(y1) || isinf(y2))         /* math.sin raises ValueError */
@@ -196,11 +279,117 @@ static int beyond(cplx a1, cplx a2, double ceiling)
     return !isfinite(t1) || !isfinite(t2) || t1 > ceiling || t2 > ceiling;
 }
 
+/* the arguments of one tripler_step call (see there) */
+typedef struct {
+    const coefficients *k;
+    int64_t m, step, todo, n_steps, check_every, store_every;
+    cplx *state, *out1, *out2;
+    const double *draws;
+    int64_t chunk;
+    double ceiling;
+    int64_t *fail;
+} call;
+
+/* RK4 of members j[0] and j[1] (j[1] == j[0] for a lone member) to the end
+ * of the call, or to the step at which either stops.  An overflowed member
+ * keeps its state from before that step and stores nothing of it, as its
+ * Python runner raises there.  Returns how many of them stopped. */
+static int64_t rk4_pair(const call *c, const int64_t j[2])
+{
+    /* a copy, which no store through out1 or out2 can alias, so that the
+     * constants are not read again after each store */
+    const coefficients k = *c->k;
+    const int n = j[1] == j[0] ? 1 : 2;
+    const cplx *s0 = c->state + 2 * j[0], *s1 = c->state + 2 * j[1];
+    cplx2 a1 = {{s0[0].re, s1[0].re}, {s0[0].im, s1[0].im}};
+    cplx2 a2 = {{s0[1].re, s1[1].re}, {s0[1].im, s1[1].im}};
+    int64_t row = c->step / c->store_every;
+    int64_t to_store = c->store_every - c->step % c->store_every;
+    int64_t to_check = c->check_every - c->step % c->check_every;
+    int64_t stopped = 0;
+    for (int64_t s = c->step + 1; s <= c->step + c->todo && !stopped; s++) {
+        cplx2 b1 = a1, b2 = a2;
+        const mask over = step_rk4(&k, &b1, &b2);
+        if (over[0] | over[1]) {
+            b1 = keep(over, a1, b1);
+            b2 = keep(over, a2, b2);
+        }
+        a1 = b1;
+        a2 = b2;
+        if (--to_store == 0) {
+            for (int l = 0; l < n; l++)
+                if (!over[l]) {
+                    c->out1[row * c->m + j[l]] = lane(a1, l);
+                    c->out2[row * c->m + j[l]] = lane(a2, l);
+                }
+            row++;
+            to_store = c->store_every;
+        }
+        if (--to_check == 0)
+            to_check = c->check_every;
+        for (int l = 0; l < n; l++) {
+            int stop = over[l] ? OVERFLOWED : RUNS;
+            if (!stop && (to_check == c->check_every || s == c->n_steps)
+                && beyond(lane(a1, l), lane(a2, l), c->ceiling))
+                stop = HIT_CEILING;
+            if (stop) {
+                c->fail[2 * j[l]] = stop;
+                c->fail[2 * j[l] + 1] = s;
+                stopped++;
+            }
+        }
+    }
+    for (int l = 0; l < n; l++) {
+        c->state[2 * j[l]] = lane(a1, l);
+        c->state[2 * j[l] + 1] = lane(a2, l);
+    }
+    return stopped;
+}
+
+/* ETD1 of member j, as rk4_pair; kept out of line, where it runs faster */
+static __attribute__((noinline)) int64_t etd1_member(const call *c,
+                                                     int64_t j)
+{
+    const coefficients k = *c->k;       /* as in rk4_pair */
+    const double *x = c->draws + 4 * c->chunk * j;
+    cplx a1 = c->state[2 * j], a2 = c->state[2 * j + 1];
+    int64_t row = c->step / c->store_every;
+    int64_t to_store = c->store_every - c->step % c->store_every;
+    int64_t to_check = c->check_every - c->step % c->check_every;
+    for (int64_t s = c->step + 1; s <= c->step + c->todo; s++) {
+        if (step_etd1(&k, &a1, &a2, x + 4 * (s - c->step - 1))) {
+            c->fail[2 * j] = OVERFLOWED;
+            /* _run_etd1 counts completed steps, _run_rk4 the current */
+            c->fail[2 * j + 1] = s - 1;
+            break;
+        }
+        if (--to_store == 0) {
+            c->out1[row * c->m + j] = a1;
+            c->out2[row * c->m + j] = a2;
+            row++;
+            to_store = c->store_every;
+        }
+        if (--to_check == 0)
+            to_check = c->check_every;
+        if ((to_check == c->check_every || s == c->n_steps)
+            && beyond(a1, a2, c->ceiling)) {
+            c->fail[2 * j] = HIT_CEILING;
+            c->fail[2 * j + 1] = s;
+            break;
+        }
+    }
+    c->state[2 * j] = a1;
+    c->state[2 * j + 1] = a2;
+    return c->fail[2 * j] != RUNS;
+}
+
 /* Steps `todo` more steps, from step `step` of `n_steps`, of every member
- * j0 <= j < j1 that has not stopped.  Every array holds all m members, so
+ * j0 <= j < j1 that has not stopped: RK4 two members at a time, in the
+ * order of j, ETD1 one at a time.  Every array holds all m members, so
  * calls on disjoint member ranges may run at once on the same arrays.
  *
- * state      (m, 2) complex: a1, a2 of each member, updated in place
+ * state      (m, 2) complex: a1, a2 of each member, updated in place to
+ *            its last completed step
  * out1, out2 (n_steps / store_every, m) complex: after step s, with s a
  *            multiple of store_every, row s / store_every - 1 takes it
  * draws      ETD1 only: (m, chunk, 4) normals, row i of member j feeding
@@ -210,8 +399,10 @@ static int beyond(cplx a1, cplx a2, double ceiling)
  *            runner reports
  *
  * The ceiling is checked after each step that is a multiple of
- * check_every, and after the last.  Returns the number of members of the
- * range that stopped in this call.
+ * check_every, and after the last.  A stop ends its RK4 pair at that step
+ * (its partner could only stop later), and both members are recorded if
+ * both stop there.  Returns the number of members that stopped in this
+ * call.
  */
 int64_t tripler_step(int64_t etd1, const coefficients *k, int64_t m,
                      int64_t j0, int64_t j1, cplx *state, int64_t step,
@@ -220,43 +411,25 @@ int64_t tripler_step(int64_t etd1, const coefficients *k, int64_t m,
                      const double *draws, int64_t chunk, double ceiling,
                      int64_t *fail)
 {
-    int64_t stopped = 0;
+    const call c = {k, m, step, todo, n_steps, check_every, store_every,
+                    state, out1, out2, draws, chunk, ceiling, fail};
+    int64_t stopped = 0, pair[2], n = 0;
     for (int64_t j = j0; j < j1; j++) {
-        cplx a1 = state[2 * j], a2 = state[2 * j + 1];
-        const double *x = etd1 ? draws + 4 * chunk * j : 0;
-        /* the next row to store, and the steps to it and to the next
-         * check, counted down in place of a division per step */
-        int64_t row = step / store_every;
-        int64_t to_store = store_every - step % store_every;
-        int64_t to_check = check_every - step % check_every;
         if (fail[2 * j] != RUNS)
             continue;
-        for (int64_t s = step + 1; s <= step + todo; s++) {
-            if (etd1 ? step_etd1(k, &a1, &a2, x + 4 * (s - step - 1))
-                     : step_rk4(k, &a1, &a2)) {
-                fail[2 * j] = OVERFLOWED;
-                /* _run_etd1 counts completed steps, _run_rk4 the current */
-                fail[2 * j + 1] = etd1 ? s - 1 : s;
-                break;
-            }
-            if (--to_store == 0) {
-                out1[row * m + j] = a1;
-                out2[row * m + j] = a2;
-                row++;
-                to_store = store_every;
-            }
-            if (--to_check == 0)
-                to_check = check_every;
-            if ((to_check == check_every || s == n_steps)
-                && beyond(a1, a2, ceiling)) {
-                fail[2 * j] = HIT_CEILING;
-                fail[2 * j + 1] = s;
-                break;
-            }
+        if (etd1) {
+            stopped += etd1_member(&c, j);
+            continue;
         }
-        state[2 * j] = a1;
-        state[2 * j + 1] = a2;
-        stopped += fail[2 * j] != RUNS;
+        pair[n++] = j;
+        if (n == 2) {
+            stopped += rk4_pair(&c, pair);
+            n = 0;
+        }
+    }
+    if (n == 1) {
+        pair[1] = pair[0];
+        stopped += rk4_pair(&c, pair);
     }
     return stopped;
 }

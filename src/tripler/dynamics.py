@@ -30,17 +30,24 @@ CPython 3.11's complex arithmetic operation for operation, so each member
 is bit for bit what the Python runners ``_run_rk4``/``_run_etd1`` give;
 they stay the definition, the tests' oracle and the fallback, which runs
 where the step cannot be built (one ``RuntimeWarning`` per process names
-why).  Each member draws from its own RNG stream spawned from the master
-seed, so results do not depend on how an ensemble is batched.  An
-ensemble of M >= 2 members is split into contiguous member blocks, one
+why).  The runners make every operand of a complex operation complex, so
+they give 3.11's bits on any Python, also where (3.14) a float meets a
+complex by other rules.  RK4 steps two members at once, one in each lane
+of a 16-byte vector (SSE2 on x86-64, NEON on aarch64); the bits hold, as
+each lane does the scalar IEEE operations in the same order, with no
+contraction into fused multiply-adds and libm called once per lane.  A
+lone member rides in both lanes, so a single RK4 trajectory costs what a
+pair does.  ETD1 steps one member at a time until a noisy step of weak
+order two replaces it.  Each member draws from its own RNG stream spawned
+from the master seed, so results do not depend on how an ensemble is
+batched.
+An ensemble of M >= 2 members is split into contiguous member blocks, one
 per usable CPU (``os.sched_getaffinity``, else ``os.cpu_count``), each
 with at least :data:`_BLOCK_MIN_S` of estimated work, and the blocks are
 stepped at once on threads; no setting changes this, and the bytes are
 the same for any split.  A single trajectory, a shorter run and the Python
 runners, which hold the GIL, stay on the calling thread.  The first run
-after ``_step.c`` changes rebuilds it under a new cache name.  Python
-3.14's mixed float-complex arithmetic gives some signed zeros
-differently, which the C would have to follow.
+after ``_step.c`` changes rebuilds it under a new cache name.
 """
 
 from __future__ import annotations
@@ -80,25 +87,29 @@ _TINY_Z = 2.0 ** -60
 _CHECK_EVERY = 64
 
 #: wall time in seconds of one step of a single trajectory, per scheme, on
-#: the compiled step: the best of 7 runs of the README ``simulate``
-#: integration (20 000 steps) on a 2-vCPU x86-64 machine, Python 3.11,
-#: numpy 2.4, gcc 12.2 (0.100 and 0.166 us), rounded up
+#: the compiled step, where an RK4 trajectory is one two-lane step: the
+#: best of 151 runs of the README ``simulate`` integration (20 000 steps)
+#: on a 2-vCPU x86-64 machine, Python 3.11, numpy 2.4, gcc 12.2, read 0.090
+#: and 0.117 us; the bounds below, set when they read 0.100 and 0.166 us,
+#: still hold
 SCALAR_STEP_S = {"rk4": 1.5e-7, "etd1": 2e-7}
 
 #: the same on the Python runners, which run where the compiled step is
-#: unavailable (measured as above before |a|^2 became re^2 + im^2)
-PYTHON_STEP_S = {"rk4": 6e-6, "etd1": 3.5e-6}
+#: unavailable: the best of 3 runs as above, 7.2 and 3.3 us since every
+#: operand of their complex operations is complex, rounded up
+PYTHON_STEP_S = {"rk4": 7.5e-6, "etd1": 3.5e-6}
 
 #: most integration steps one run may take: the largest integer that, with
 #: its successor, is exactly a float, so ``duration / dt`` names the count
 #: without ambiguity; some thousand years at ``PYTHON_STEP_S``
 MAX_STEPS = 2**53 - 1
 
-#: least estimated serial wall time in seconds (members times steps times
-#: :data:`SCALAR_STEP_S`) per member block of a compiled run, so a run below
-#: it stays on the calling thread: starting and joining a thread costs about
-#: 80 us on the machine above (2000 in a row, three times), so n blocks
-#: cost at most n*80 us / (n*1 ms) = 8% of the time the split saves
+#: least estimated serial wall time in seconds (steps times
+#: :data:`SCALAR_STEP_S` times the members, or for RK4 the member pairs)
+#: per member block of a compiled run, so a run below it stays on the
+#: calling thread: starting and joining a thread costs about 80 us on the
+#: machine above (2000 in a row, three times), so n blocks cost at most
+#: n*80 us / (n*1 ms) = 8% of the time the split saves
 _BLOCK_MIN_S = 1e-3
 
 #: how ``_step.c`` is compiled; its cached file name hashes these flags
@@ -268,10 +279,24 @@ class Histogram2D:
 
     def __post_init__(self):
         # edges by the rule a histogram file is read with, so that every
-        # histogram written reads back
+        # histogram written reads back; so are the counts, one per bin
         for name in ("i_edges", "q_edges"):
             object.__setattr__(self, name, _bin_edges(getattr(self, name),
                                                       name))
+        shape = (self.i_edges.size - 1, self.q_edges.size - 1)
+        counts = np.asarray(self.counts)
+        if counts.dtype.kind not in "iu" or counts.shape != shape:
+            raise DomainError("counts", f"counts must be integers of shape "
+                              f"{shape}, one per bin, got {counts.dtype} of "
+                              f"shape {counts.shape}")
+        if counts.min() < 0 or counts.max() > np.iinfo(np.int64).max:
+            raise DomainError("counts", "counts must be from 0 to 2**63 - 1, "
+                              f"got {counts.min()} to {counts.max()}")
+        object.__setattr__(self, "counts", counts)
+        for name in ("fs", "window"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise domain(name, value, "positive and finite")
 
 
 @dataclass(frozen=True)
@@ -581,7 +606,8 @@ def _run_kernel(kernel, c, state, dt, n_steps, store_every, out1, out2,
 
     The members are split into contiguous blocks by :func:`_member_blocks`
     (one per usable CPU, each with at least :data:`_BLOCK_MIN_S` of work
-    at :data:`SCALAR_STEP_S`; no setting changes it); the calling thread
+    at :data:`SCALAR_STEP_S` per member, or for RK4 per pair of members,
+    a lone member costing a pair; no setting changes it); the calling thread
     steps the first, a thread of its own each other.  A block is stepped
     one chunk of :data:`_NOISE_CHUNK` steps per kernel call, after the
     chunk's normals of its members are drawn as :func:`_run_etd1` draws
@@ -638,8 +664,9 @@ def _run_kernel(kernel, c, state, dt, n_steps, store_every, out1, out2,
             stop_at(0)
             errors.append(exc)
 
-    first, *rest = _member_blocks(m, m * n_steps * SCALAR_STEP_S[
-        "etd1" if etd1 else "rk4"])
+    work = m * n_steps * SCALAR_STEP_S["etd1"] if etd1 \
+        else (m + 1) // 2 * n_steps * SCALAR_STEP_S["rk4"]
+    first, *rest = _member_blocks(m, work)
     threads = []
     try:
         for block in rest:
@@ -688,17 +715,21 @@ def _run_members(c, state, dt, n_steps, store_every, out1, out2, ceiling,
 
 
 def _run_rk4(c, a1, a2, dt, n_steps, store_every, out1, out2, ceiling):
+    """The RK4 step of one trajectory on Python complex numbers, every
+    operand of a complex operation complex (see ``_rates_and_flow``)."""
     flow = _rates_and_flow      # the flow without a wrapper call per stage
+    half, whole = complex(0.5 * dt, 0.0), complex(dt, 0.0)
+    sixth, two = complex(dt / 6.0, 0.0), complex(2.0, 0.0)
     idx = 0
     step = 0
     try:
         for step in range(1, n_steps + 1):
             _, _, k1a, k1b = flow(c, a1, a2)
-            _, _, k2a, k2b = flow(c, a1 + 0.5 * dt * k1a, a2 + 0.5 * dt * k1b)
-            _, _, k3a, k3b = flow(c, a1 + 0.5 * dt * k2a, a2 + 0.5 * dt * k2b)
-            _, _, k4a, k4b = flow(c, a1 + dt * k3a, a2 + dt * k3b)
-            a1 = a1 + dt / 6.0 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-            a2 = a2 + dt / 6.0 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+            _, _, k2a, k2b = flow(c, a1 + half * k1a, a2 + half * k1b)
+            _, _, k3a, k3b = flow(c, a1 + half * k2a, a2 + half * k2b)
+            _, _, k4a, k4b = flow(c, a1 + whole * k3a, a2 + whole * k3b)
+            a1 = a1 + sixth * (k1a + two * k2a + two * k3a + k4a)
+            a2 = a2 + sixth * (k1b + two * k2b + two * k3b + k4b)
             if step % store_every == 0:
                 out1[idx], out2[idx] = a1, a2
                 idx += 1
@@ -737,27 +768,33 @@ def _etd1_constants(noise, c, dt):
 
 def _run_etd1(c, a1, a2, dt, n_steps, store_every, out1, out2, ceiling,
               noise, rng):
-    """The ETD1 step of one trajectory on Python complex numbers.
+    """The ETD1 step of one trajectory on Python complex numbers, every
+    operand of a complex operation complex (see ``_rates_and_flow``).
 
     expm1(L*dt) by the formula numpy's complex expm1 uses, with
     Re(L*dt) = -Gamma*dt fixed per mode, so its exponentials are hoisted.
     """
     s1, s2, em1, em2, ex1, ex2, near1, near2 = _etd1_constants(noise, c, dt)
+    s1, s2, whole = complex(s1, 0.0), complex(s2, 0.0), complex(dt, 0.0)
     cos, sin = math.cos, math.sin
     idx = 0
     step = 0
     try:
         while step < n_steps:
             todo = min(_NOISE_CHUNK, n_steps - step)
-            for x0, x1, x2, x3 in rng.standard_normal((todo, 4)).tolist():
+            # the normals as complex(x, 0.0), converted by numpy in one go
+            normals = rng.standard_normal((todo, 4)).astype(complex)
+            for x0, x1, x2, x3 in normals.tolist():
                 l1, l2, f1, f2 = _rates_and_flow(c, a1, a2)
                 y1, y2 = l1.imag * dt, l2.imag * dt
                 h1, h2 = sin(0.5 * y1), sin(0.5 * y2)
-                e1 = em1 * cos(y1) - 2.0 * h1 * h1 + 1j * (ex1 * sin(y1))
-                e2 = em2 * cos(y2) - 2.0 * h2 * h2 + 1j * (ex2 * sin(y2))
+                e1 = complex(em1 * cos(y1) - 2.0 * h1 * h1, 0.0) \
+                    + 1j * complex(ex1 * sin(y1), 0.0)
+                e2 = complex(em2 * cos(y2) - 2.0 * h2 * h2, 0.0) \
+                    + 1j * complex(ex2 * sin(y2), 0.0)
                 # f <- expm1(L*dt)/L * f
-                f1 *= dt if near1 and abs(e1) < _TINY_Z else e1 / l1
-                f2 *= dt if near2 and abs(e2) < _TINY_Z else e2 / l2
+                f1 *= whole if near1 and abs(e1) < _TINY_Z else e1 / l1
+                f2 *= whole if near2 and abs(e2) < _TINY_Z else e2 / l2
                 a1 = a1 + f1 + s1 * (x0 + 1j * x1)
                 a2 = a2 + f2 + s2 * (x2 + 1j * x3)
                 step += 1

@@ -249,8 +249,12 @@ def read_histogram_csv(path) -> Histogram2D:
         if not 0 <= n <= np.iinfo(np.int64).max:
             raise FormatError(f"{path}: bin ({i}, {j}) has count {n}")
         counts[i, j] = n
-    return Histogram2D(i_edges=i_edges, q_edges=q_edges, counts=counts,
-                       fs=fs, window=window, units=units)
+    try:
+        return Histogram2D(i_edges=i_edges, q_edges=q_edges, counts=counts,
+                           fs=fs, window=window, units=units)
+    except DomainError as exc:      # fs or window: the rows were checked
+        key = {"fs": "fs_hz", "window": "window_s"}.get(exc.name, exc.name)
+        raise FormatError(f"{path}: header {key!r}: {exc}") from None
 
 
 def _read_csv(path, expected_header, parse=None):

@@ -494,12 +494,24 @@ def _rates_and_flow(c: _Coefficients, a1, a2):
     scalars and arrays.  ``dynamics``' compiled step (``_step.c``) repeats
     this expression operation for operation; |a|^2 is re^2 + im^2, which
     C computes as cheaply as Python and without libm's ``hypot``/``pow``.
+
+    Every operand of a complex operation is complex: a float x enters as
+    ``complex(x, 0.0)``, the operand CPython 3.11 makes of it (an array
+    enters as it is, since numpy promotes it so already).  Python 3.14
+    adds and multiplies a float into a complex directly (C99 Annex G),
+    which gives some signed zeros otherwise; this way the Python runners
+    of ``dynamics`` give 3.11's bits, the ones ``_step.c`` gives, on any
+    version.
     """
     d1, d2, al1, al2, ax2, g1, g2, iat, iat3, idrive = c
     n1 = a1.real * a1.real + a1.imag * a1.imag
     n2 = a2.real * a2.real + a2.imag * a2.imag
-    l1 = 1j * (d1 + al1 * n1 + ax2 * n2) - g1
-    l2 = 1j * (d2 + al2 * n2 + ax2 * n1) - g2
+    w1 = d1 + al1 * n1 + ax2 * n2       # detuning plus Kerr shifts
+    w2 = d2 + al2 * n2 + ax2 * n1
+    if isinstance(w1, float):           # both scalars, as a1 and a2 are
+        w1, w2 = complex(w1, 0.0), complex(w2, 0.0)
+    l1 = 1j * w1 - complex(g1, 0.0)
+    l2 = 1j * w2 - complex(g2, 0.0)
     return (l1, l2, l1 * a1 + iat * a1.conjugate() ** 2 * a2,
             l2 * a2 + iat3 * a1**3 - idrive)
 

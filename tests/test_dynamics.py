@@ -1,6 +1,8 @@
 import contextlib
 import math
 import os
+import shutil
+import subprocess
 import sys
 import tempfile
 import threading
@@ -655,6 +657,12 @@ class TestStackedStep:
              store_every=1, noisy=True, undamped=True, seed=15, blocks=2)
     @example(shape=(2,), data=None, steps=dynamics._NOISE_CHUNK + 1,
              store_every=1, noisy=False, undamped=False, seed=16, blocks=2)
+    # RK4 pairs with a lone member beside them: blocks of 3 and 4 members,
+    # and one block of 3
+    @example(shape=(7,), data=None, steps=dynamics._NOISE_CHUNK + 77,
+             store_every=4, noisy=False, undamped=False, seed=17, blocks=2)
+    @example(shape=(3,), data=None, steps=2 * dynamics._NOISE_CHUNK + 1,
+             store_every=3, noisy=False, undamped=True, seed=18, blocks=1)
     def test_members_match_python_runners(self, region2, shape, data, steps,
                                           store_every, noisy, undamped, seed,
                                           blocks):
@@ -701,23 +709,93 @@ class TestStackedStep:
         (5.0, 0.05, None, 1e9), (50.0, 1.0, None, math.inf),
         (0.1, 0.01, 1e20, 1e9), (0.1, 0.01, 1e250, math.inf)],
         ids=["rk4-ceiling", "rk4-overflow", "etd1-ceiling", "etd1-overflow"])
-    @pytest.mark.parametrize("members, blocks", [(1, 1), (3, 1), (3, 2),
-                                                 (3, 3)],
-                             ids=["1", "3", "3-split2", "3-split3"])
+    # each start in units of ``start``, 0 for a member at 0.1 that runs on
+    # RK4; RK4 steps members 0 and 1 as a pair, member 2 alone
+    @pytest.mark.parametrize("starts, blocks", [
+        ((1,), 1), ((1, 0, 0.6), 1), ((1, 0, 0.6), 2), ((1, 0, 0.6), 3),
+        ((0, 1), 1), ((1, 0), 1), ((0, 0, 1), 1)],
+        ids=["1", "3", "3-split2", "3-split3", "lane1-stops", "lane0-stops",
+             "lone-stops"])
     def test_divergence_same_on_both_paths(self, soft_point, monkeypatch,
-                                           members, blocks, start, dt, d,
+                                           starts, blocks, start, dt, d,
                                            ceiling):
         # the earliest member to diverge is reported, with the Python
         # runner's message and time, by the compiled step in any split and
-        # by the fallback
+        # by the fallback, whichever lane of an RK4 pair it rides in
         system = TwoModeSystem.from_point(driven_soft_point(soft_point))
-        amps = np.array([start, 0.1, 0.6 * start][:members])
+        amps = np.array([f * start if f else 0.1 for f in starts])
         kw = dict(duration=50 * dt, dt=dt, ceiling=ceiling)
         if d is not None:
             kw.update(noise=NoiseConfig(d1=d, d2=d), seed=1)
         message, _ = errors_on_both_paths(system, (amps, amps), blocks,
                                           monkeypatch, **kw)
         assert ("overflowed" in message) == (ceiling == math.inf)
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["rk4", "etd1"])
+    @pytest.mark.parametrize("overflow_first", [False, True],
+                             ids=["ceiling-lane0", "overflow-lane0"])
+    def test_pair_stops_two_ways_at_one_step(self, monkeypatch, noisy,
+                                             overflow_first):
+        # one step, both members stopping in it: a1 = 1e103 overflows a1**3,
+        # a2 = 1300 is past the ceiling at the only check.  RK4 reports both
+        # at t = 1, the lower member first; ETD1 reports the overflow at
+        # t = 0, as _run_etd1 counts completed steps.  The overflowed
+        # member is not checked against the ceiling, which its state from
+        # before the step exceeds
+        a1, a2 = np.array([0.0, 1e103]), np.array([1300.0, 0.0])
+        if overflow_first:
+            a1, a2 = a1[::-1].copy(), a2[::-1].copy()
+        kw = dict(duration=1.0, dt=1.0, ceiling=1200.0)
+        if noisy:
+            kw.update(noise=NoiseConfig(d1=0.0, d2=0.0), seed=2)
+        message, t = errors_on_both_paths(linear_pump(), (a1, a2), 1,
+                                          monkeypatch, **kw)
+        assert ("overflowed" in message) == (overflow_first or noisy)
+        assert t == (0.0 if noisy else 1.0)
+
+    @pytest.mark.parametrize("starts", [(1e100, 1.0), (1.0, 1e100),
+                                        (1.0, 1.0, 1e100)],
+                             ids=["lane0", "lane1", "lone"])
+    def test_stopped_pair_keeps_the_python_runners_states(self, starts):
+        # RK4 at delta1*dt = 3, past its stability bound, grows |a1| about
+        # 1.5 times a step, so the member from 1e100 overflows at step s >
+        # 1.  It keeps its state of step s - 1, its partner that of step s,
+        # and both stored every completed step, as the Python runners do
+        system = TwoModeSystem(delta1=3.0, delta2=0.5, alpha1=0.0,
+                               alpha2=0.0, Gamma1=0.0, Gamma2=0.0,
+                               Gamma2_ext=0.0)
+        c, n = system._coefficients(), 40
+        state = np.stack((np.array(starts, dtype=complex),
+                          np.full(len(starts), 0.5 + 0.5j)), axis=1)
+        runs = {}
+        for name, kernel in (("compiled", dynamics._kernel()),
+                             ("python", None)):
+            out1 = np.full((n, len(starts)), complex(math.nan, 0.0))
+            out2 = out1.copy()
+            after = state.copy()
+            with pytest.raises(DivergenceError, match="overflowed") as info:
+                if kernel is None:
+                    dynamics._run_members(c, after, 1.0, n, 1, out1, out2,
+                                          math.inf, None, None)
+                else:
+                    dynamics._run_kernel(kernel, c, after, 1.0, n, 1, out1,
+                                         out2, math.inf, None, None)
+            runs[name] = (info.value.t, after, out1, out2)
+        t, after, out1, out2 = runs["compiled"]
+        python_t, _, want1, want2 = runs["python"]
+        stop = int(t)
+        assert t == python_t and 1 < stop < n
+        # the last completed step of the overflowed member and of its
+        # partner, which the lone member has not
+        big = starts.index(1e100)
+        last = {big: stop - 1}
+        if big ^ 1 < len(starts):
+            last[big ^ 1] = stop
+        for j, s in last.items():
+            assert same_bits(out1[:s, j], want1[:s, j])
+            assert same_bits(out2[:s, j], want2[:s, j])
+            assert same_bits(after[j], np.array([out1[s - 1, j],
+                                                 out2[s - 1, j]]))
 
     def test_nan_amplitude_is_not_finite(self, soft_point, monkeypatch):
         # from this start the step reaches NaN at t = 3.2 with no amplitude
@@ -756,6 +834,27 @@ class TestStackedStep:
         assert t == (1024.0 if noisy else 704.0)
         assert "exceeded ceiling" in message
         assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["rk4", "etd1"])
+    @pytest.mark.parametrize("blocks", [1, 2])
+    @pytest.mark.parametrize("a2", [(0.0, 1000.0), (1000.0, 0.0),
+                                    (0.0, 0.0, 1000.0), (0.0, 1000.0, 1000.0)],
+                             ids=["lane1", "lane0", "lone", "lane1-and-lone"])
+    def test_earliest_stop_in_either_lane(self, monkeypatch, noisy, blocks,
+                                          a2):
+        # |a2| = |x - i*t| passes the ceiling 1200 at t = 663 from x = 1000,
+        # checked at step 704 (RK4) or 1024 (ETD1), and at t = 1200 from
+        # x = 0: the stop of either member of an RK4 pair, or of a lone
+        # member, ends the run there, its partner still running
+        kw = dict(duration=2000.0, dt=1.0, ceiling=1200.0)
+        if noisy:
+            kw.update(noise=NoiseConfig(d1=0.0, d2=0.0), seed=2)
+        a2 = np.array(a2)
+        message, t = errors_on_both_paths(linear_pump(),
+                                          (np.zeros_like(a2), a2), blocks,
+                                          monkeypatch, **kw)
+        assert t == (1024.0 if noisy else 704.0)
+        assert "exceeded ceiling" in message
 
     @staticmethod
     def blocks_seen(region2, blocks, m, kernel=None):
@@ -930,6 +1029,18 @@ class TestStackedStep:
         monkeypatch.setattr(dynamics, "_KERNEL", [None])
         assert dynamics.step_seconds("etd1") \
             == dynamics.PYTHON_STEP_S["etd1"]
+
+    def test_step_compiles_without_warnings(self):
+        # as it is built, with every warning an error: a vector-ABI
+        # (-Wpsabi) or unused-variable warning fails here
+        gcc = shutil.which("gcc")
+        if gcc is None:
+            pytest.skip("gcc not found on PATH")
+        source = Path(dynamics.__file__).with_name("_step.c")
+        proc = subprocess.run([gcc, *dynamics._CFLAGS, "-Wall", "-Wextra",
+                               "-Werror", "-fsyntax-only", str(source)],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
 
     def test_cache_name_follows_the_source(self):
         source = Path(dynamics.__file__).with_name("_step.c").read_bytes()

@@ -222,10 +222,12 @@ HEADED_TABLES = {
     ("histogram", "i_edges", "[2.0, 1.0, 0.0]"),
     ("histogram", "fs_hz", "null"),
     ("histogram", "window_s", '"w"'),
+    ("histogram", "fs_hz", "NaN"),
+    ("histogram", "window_s", "-1.0"),
 ], ids=["seed-text", "seed-list", "seed-fraction", "dt-text", "drive-null",
         "phase-object", "i-edges-text", "q-edges-ragged", "i-edges-scalar",
         "q-edges-single", "i-edges-nan", "i-edges-decreasing", "fs-null",
-        "window-text"])
+        "window-text", "fs-nan", "window-negative"])
 def test_malformed_header_comment_is_a_format_error(tmp_path, kind, key,
                                                     value):
     reader, table = HEADED_TABLES[kind]
@@ -329,6 +331,33 @@ class TestHistogramCSV:
                                               "edges") as info:
             Histogram2D(**fields)
         assert info.value.name == name
+
+    @pytest.mark.parametrize("changes, name, needle", [
+        # a histogram once written, and its file refused or read as given
+        (dict(counts=np.ones((3, 3), dtype=np.int64)), "counts",
+         r"of shape \(2, 1\), one per bin, got int64 of shape \(3, 3\)"),
+        (dict(fs=math.nan, window=-1.0), "fs",
+         "fs must be positive and finite, got nan"),
+        (dict(window=-1.0), "window",
+         "window must be positive and finite, got -1.0"),
+        (dict(counts=np.ones((2, 1))), "counts", "got float64 of shape"),
+        (dict(counts=np.array([[0], [-1]])), "counts",
+         r"from 0 to 2\*\*63 - 1, got -1 to 0"),
+        (dict(counts=np.full((2, 1), 2**63, dtype=np.uint64)), "counts",
+         "got 9223372036854775808 to 9223372036854775808"),
+    ], ids=["counts-3x3-on-2x1", "fs-nan-window-negative", "window-negative",
+            "counts-float", "counts-negative", "counts-past-int64"])
+    def test_bad_counts_or_rates_rejected_at_construction(self, changes,
+                                                          name, needle):
+        fields = dict(i_edges=[0, 1, 2], q_edges=[0, 1],
+                      counts=np.ones((2, 1), dtype=np.int64), fs=1e5,
+                      window=1e-5)
+        with pytest.raises(DomainError, match=needle) as info:
+            Histogram2D(**dict(fields, **changes))
+        assert info.value.name == name
+        # counts given as nested lists are taken as an integer array
+        listed = Histogram2D(**dict(fields, counts=[[0], [3]]))
+        assert listed.counts.dtype.kind == "i"
 
     def test_writer_gets_only_edges_the_reader_takes(self, tmp_path):
         # a histogram with a NaN edge was written, and its file refused

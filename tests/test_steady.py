@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tripler import circuit, steady
+from tripler import circuit, dynamics, steady
 from tripler.errors import (
     BelowThresholdError,
     ConvergenceError,
@@ -664,6 +664,71 @@ class TestFlow:
             for g, w in zip(got, want):
                 assert np.all(np.abs(w) > 1e-3)     # not a stationary point
                 assert np.all(np.abs(g - w) <= 1e-13 * np.abs(w))
+
+
+def flow_by_rule(c, a1, a2, rule):
+    """``steady._rates_and_flow`` written out on (re, im) pairs of floats.
+
+    A float operand x of complex arithmetic becomes (x, 0.0) under the
+    "3.11" rule; under "annex-g" (Python 3.14, C99 Annex G) it meets each
+    part directly.  x**n is CPython's c_powu.
+    """
+    def add(a, b):
+        return (a[0] + b[0], a[1] + b[1])
+
+    def sub(a, b):
+        return (a[0] - b[0], a[1] - b[1])
+
+    def mul(a, b):
+        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+    def times_real(a, x):
+        return mul(a, (x, 0.0)) if rule == "3.11" else (a[0] * x, a[1] * x)
+
+    def minus_real(a, x):
+        return sub(a, (x, 0.0)) if rule == "3.11" else (a[0] - x, a[1])
+
+    def power(x, n):
+        r, p, bit = (1.0, 0.0), x, 1
+        while bit <= n:
+            if n & bit:
+                r = mul(r, p)
+            bit <<= 1
+            p = mul(p, p)
+        return r
+
+    d1, d2, al1, al2, ax2, g1, g2, iat, iat3, idrive = (
+        (z.real, z.imag) if isinstance(z, complex) else z for z in c)
+    i, u1, u2 = (0.0, 1.0), (a1.real, a1.imag), (a2.real, a2.imag)
+    n1 = u1[0] * u1[0] + u1[1] * u1[1]
+    n2 = u2[0] * u2[0] + u2[1] * u2[1]
+    l1 = minus_real(times_real(i, d1 + al1 * n1 + ax2 * n2), g1)
+    l2 = minus_real(times_real(i, d2 + al2 * n2 + ax2 * n1), g2)
+    f1 = add(mul(l1, u1), mul(mul(iat, power((u1[0], -u1[1]), 2)), u2))
+    f2 = sub(add(mul(l2, u2), mul(iat3, power(u1, 3))), idrive)
+    return l1, l2, f1, f2
+
+
+def float_bits(parts):
+    return [x.hex() for z in parts for x in z]
+
+
+@pytest.mark.parametrize("a1, a2", [(0j, 0j),
+                                    (complex(-0.0, 0.0), complex(0.0, -0.0)),
+                                    (complex(0.5, -0.0), complex(-0.0, 0.25))])
+def test_flow_is_the_311_rule_at_signed_zeros(a1, a2):
+    # alpha1 = delta1 = -0.0, which validation admits, make mode 1's Kerr
+    # phase -0.0 (2*alpha_x = 2*sqrt(-0.0*alpha2) is -0.0 too), where
+    # i*(-0.0) differs between the two rules: the flow must give 3.11's
+    # bits on any Python, as _step.c does
+    system = dynamics.TwoModeSystem(delta1=-0.0, delta2=0.5, alpha1=-0.0,
+                                    alpha2=1.0, Gamma1=0.0, Gamma2=1.0,
+                                    Gamma2_ext=0.5, drive_b2=1.0)
+    c = system._coefficients()
+    got = [(z.real, z.imag) for z in steady._rates_and_flow(c, a1, a2)]
+    want = flow_by_rule(c, a1, a2, "3.11")
+    assert float_bits(got) == float_bits(want)
+    assert float_bits(flow_by_rule(c, a1, a2, "annex-g")) != float_bits(want)
 
 
 def oracle_jacobian(pt, u1, u2, h=1e-6):
