@@ -12,15 +12,14 @@
  *
  *     gcc -O2 -ffp-contract=off -fno-builtin -shared -fPIC
  *
- * RK4 steps two members at once, one in each lane of a 16-byte GCC vector
- * of doubles (SSE2 on x86-64, NEON on aarch64, both in the base
+ * Both schemes step two members at once, one in each lane of a 16-byte
+ * GCC vector of doubles (SSE2 on x86-64, NEON on aarch64, both in the base
  * instruction set, so no flag asks for them).  The bits still hold: a
  * vector operation is the scalar IEEE operation in each lane, the
- * operations come in the scalar order, the flags forbid contraction in
- * vectors as in scalars, and libm (hypot) is called once per lane.  A
- * lone member (an odd count) rides in both lanes, and lane 1 is
- * discarded.  ETD1 stays one member per step, its member in both lanes of
- * the same flow, until a noisy step of weak order two replaces it.
+ * operations come in the scalar order, and the flags forbid contraction in
+ * vectors as in scalars.  Only libm (sin, cos, hypot) and CPython's
+ * branching complex quotient run lane by lane, over the lanes in use.  A
+ * lone member (an odd count) rides in both lanes, and lane 1 is discarded.
  *
  * Where Python raises (an infinite power, OverflowError; sin or cos of an
  * infinity, ValueError) the member stops and reports an overflow.
@@ -59,19 +58,7 @@ static const cplx c_i = {0.0, 1.0};    /* 1j */
 /* a float operand of complex arithmetic */
 static inline cplx c_of(double x) { cplx r = {x, 0.0}; return r; }
 
-static inline cplx c_sum(cplx a, cplx b)
-{
-    cplx r = {a.re + b.re, a.im + b.im};
-    return r;
-}
-
-static inline cplx c_prod(cplx a, cplx b)
-{
-    cplx r = {a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re};
-    return r;
-}
-
-/* CPython's _Py_c_quot; b is never zero here (see step_etd1).  Inlined:
+/* CPython's _Py_c_quot; b is never zero here (see etd1_factor).  Inlined:
  * out of line, its result came back in two registers that the caller
  * stored and read back as one 16-byte vector, a failed store forwarding
  * that took about 40% of the ETD1 step's time */
@@ -235,41 +222,52 @@ static inline mask step_rk4(const coefficients *k, cplx2 *a1, cplx2 *a2)
     return over;
 }
 
-/* one ETD1 step of dynamics._run_etd1 with the normals x[0..3]; nonzero on
- * overflow */
-static int step_etd1(const coefficients *k, cplx *a1, cplx *a2,
-                     const double *x)
+/* expm1(L*dt)/L of one mode in one lane, from y = Im(L)*dt, as
+ * dynamics._run_etd1 forms it.  Inlined, as c_quot is: out of line, it
+ * made the step of a lone member about 8% slower */
+static inline __attribute__((always_inline)) cplx
+etd1_factor(const coefficients *k, cplx l, double y, double em, double ex,
+            double near)
 {
-    cplx2 l1v, l2v, f1v, f2v;
-    cplx l1, l2, f1, f2, e1, e2;
-    double y1, y2, h1, h2;
-    const double dt = k->dt;
-    if (rates_and_flow(k, both(*a1), both(*a2), &l1v, &l2v, &f1v, &f2v)[0])
-        return 1;
-    l1 = lane(l1v, 0);
-    l2 = lane(l2v, 0);
-    f1 = lane(f1v, 0);
-    f2 = lane(f2v, 0);
-    y1 = l1.im * dt;
-    y2 = l2.im * dt;
-    if (isinf(y1) || isinf(y2))         /* math.sin raises ValueError */
-        return 1;
-    h1 = sin(0.5 * y1);
-    h2 = sin(0.5 * y2);
-    e1 = c_sum(c_of(k->em1 * cos(y1) - 2.0 * h1 * h1),
-               c_prod(c_i, c_of(k->ex1 * sin(y1))));
-    e2 = c_sum(c_of(k->em2 * cos(y2) - 2.0 * h2 * h2),
-               c_prod(c_i, c_of(k->ex2 * sin(y2))));
+    const double h = sin(0.5 * y), re = em * cos(y) - 2.0 * h * h;
+    const double im = ex * sin(y);
+    /* complex(re, 0.0) + 1j * complex(im, 0.0): CPython's product and sum,
+     * its exact 1.0*im and 1.0*0.0 written as im and 0.0 */
+    const cplx e = {re + (0.0 * im - 0.0), 0.0 + (0.0 * 0.0 + im)};
     /* L = 0 needs Gamma = 0, where near is set and e = 0 takes dt */
-    f1 = c_prod(f1, k->near1 != 0.0 && c_abs(e1) < k->tiny ? c_of(dt)
-                                                           : c_quot(e1, l1));
-    f2 = c_prod(f2, k->near2 != 0.0 && c_abs(e2) < k->tiny ? c_of(dt)
-                                                           : c_quot(e2, l2));
-    *a1 = c_sum(c_sum(*a1, f1),
-                c_prod(c_of(k->s1), c_sum(c_of(x[0]), c_prod(c_i, c_of(x[1])))));
-    *a2 = c_sum(c_sum(*a2, f2),
-                c_prod(c_of(k->s2), c_sum(c_of(x[2]), c_prod(c_i, c_of(x[3])))));
-    return 0;
+    return near != 0.0 && c_abs(e) < k->tiny ? c_of(k->dt) : c_quot(e, l);
+}
+
+/* one ETD1 step of dynamics._run_etd1 of two members, n of them in use,
+ * with the normals x[l][0..3] of lane l; the mask is set in the lanes that
+ * overflow, where the flow does or the rate is infinite (math.sin raises
+ * ValueError) */
+static inline mask step_etd1(const coefficients *k, int n, cplx2 *a1,
+                             cplx2 *a2, const double *const x[2])
+{
+    cplx2 l1, l2, f1, f2;
+    mask over = rates_and_flow(k, *a1, *a2, &l1, &l2, &f1, &f2);
+    /* the rates of both modes as one cplx2, so `infinite` tests both */
+    const cplx2 y = {l1.im * k->dt, l2.im * k->dt};
+    const cplx2 i = both(c_i);
+    const lanes x0 = {x[0][0], x[1][0]}, x1 = {x[0][1], x[1][1]};
+    const lanes x2 = {x[0][2], x[1][2]}, x3 = {x[0][3], x[1][3]};
+    /* the factors of the lanes in use, 0 in a lone member's lane 1 */
+    cplx g1[2] = {{0.0, 0.0}, {0.0, 0.0}}, g2[2] = {{0.0, 0.0}, {0.0, 0.0}};
+    over |= infinite(y);
+    for (int l = 0; l < n; l++) {
+        g1[l] = etd1_factor(k, lane(l1, l), y.re[l], k->em1, k->ex1,
+                            k->near1);
+        g2[l] = etd1_factor(k, lane(l2, l), y.im[l], k->em2, k->ex2,
+                            k->near2);
+    }
+    f1 = c2_prod(f1, (cplx2){{g1[0].re, g1[1].re}, {g1[0].im, g1[1].im}});
+    f2 = c2_prod(f2, (cplx2){{g2[0].re, g2[1].re}, {g2[0].im, g2[1].im}});
+    *a1 = c2_sum(c2_sum(*a1, f1), c2_prod(both(c_of(k->s1)),
+                 c2_sum(c2_of(x0), c2_prod(i, c2_of(x1)))));
+    *a2 = c2_sum(c2_sum(*a2, f2), c2_prod(both(c_of(k->s2)),
+                 c2_sum(c2_of(x2), c2_prod(i, c2_of(x3)))));
+    return over;
 }
 
 /* dynamics._check_finite of one member */
@@ -290,11 +288,14 @@ typedef struct {
     int64_t *fail;
 } call;
 
-/* RK4 of members j[0] and j[1] (j[1] == j[0] for a lone member) to the end
- * of the call, or to the step at which either stops.  An overflowed member
- * keeps its state from before that step and stores nothing of it, as its
- * Python runner raises there.  Returns how many of them stopped. */
-static int64_t rk4_pair(const call *c, const int64_t j[2])
+/* ETD1 (etd1 nonzero) or RK4 of members j[0] and j[1] (j[1] == j[0] for
+ * a lone member) to the end of the call, or to the step at which either
+ * stops.  An overflowed member keeps its state from before that step and
+ * stores nothing of it, as its Python runner raises there.  Returns how
+ * many of them stopped.  Inlined into one copy per scheme, where etd1 is a
+ * constant, so RK4's loop does not test it. */
+static inline __attribute__((always_inline)) int64_t
+run_pair(const call *c, const int64_t j[2], const int etd1)
 {
     /* a copy, which no store through out1 or out2 can alias, so that the
      * constants are not read again after each store */
@@ -309,7 +310,15 @@ static int64_t rk4_pair(const call *c, const int64_t j[2])
     int64_t stopped = 0;
     for (int64_t s = c->step + 1; s <= c->step + c->todo && !stopped; s++) {
         cplx2 b1 = a1, b2 = a2;
-        const mask over = step_rk4(&k, &b1, &b2);
+        mask over;
+        if (etd1) {
+            const int64_t i = s - c->step - 1;    /* the draws' row */
+            const double *const x[2] = {c->draws + 4 * (c->chunk * j[0] + i),
+                                        c->draws + 4 * (c->chunk * j[1] + i)};
+            over = step_etd1(&k, n, &b1, &b2, x);
+        } else {
+            over = step_rk4(&k, &b1, &b2);
+        }
         if (over[0] | over[1]) {
             b1 = keep(over, a1, b1);
             b2 = keep(over, a2, b2);
@@ -334,7 +343,8 @@ static int64_t rk4_pair(const call *c, const int64_t j[2])
                 stop = HIT_CEILING;
             if (stop) {
                 c->fail[2 * j[l]] = stop;
-                c->fail[2 * j[l] + 1] = s;
+                /* _run_etd1 counts completed steps, _run_rk4 the current */
+                c->fail[2 * j[l] + 1] = etd1 && over[l] ? s - 1 : s;
                 stopped++;
             }
         }
@@ -346,47 +356,21 @@ static int64_t rk4_pair(const call *c, const int64_t j[2])
     return stopped;
 }
 
-/* ETD1 of member j, as rk4_pair; kept out of line, where it runs faster */
-static __attribute__((noinline)) int64_t etd1_member(const call *c,
-                                                     int64_t j)
+static int64_t rk4_pair(const call *c, const int64_t j[2])
 {
-    const coefficients k = *c->k;       /* as in rk4_pair */
-    const double *x = c->draws + 4 * c->chunk * j;
-    cplx a1 = c->state[2 * j], a2 = c->state[2 * j + 1];
-    int64_t row = c->step / c->store_every;
-    int64_t to_store = c->store_every - c->step % c->store_every;
-    int64_t to_check = c->check_every - c->step % c->check_every;
-    for (int64_t s = c->step + 1; s <= c->step + c->todo; s++) {
-        if (step_etd1(&k, &a1, &a2, x + 4 * (s - c->step - 1))) {
-            c->fail[2 * j] = OVERFLOWED;
-            /* _run_etd1 counts completed steps, _run_rk4 the current */
-            c->fail[2 * j + 1] = s - 1;
-            break;
-        }
-        if (--to_store == 0) {
-            c->out1[row * c->m + j] = a1;
-            c->out2[row * c->m + j] = a2;
-            row++;
-            to_store = c->store_every;
-        }
-        if (--to_check == 0)
-            to_check = c->check_every;
-        if ((to_check == c->check_every || s == c->n_steps)
-            && beyond(a1, a2, c->ceiling)) {
-            c->fail[2 * j] = HIT_CEILING;
-            c->fail[2 * j + 1] = s;
-            break;
-        }
-    }
-    c->state[2 * j] = a1;
-    c->state[2 * j + 1] = a2;
-    return c->fail[2 * j] != RUNS;
+    return run_pair(c, j, 0);
+}
+
+static int64_t etd1_pair(const call *c, const int64_t j[2])
+{
+    return run_pair(c, j, 1);
 }
 
 /* Steps `todo` more steps, from step `step` of `n_steps`, of every member
- * j0 <= j < j1 that has not stopped: RK4 two members at a time, in the
- * order of j, ETD1 one at a time.  Every array holds all m members, so
- * calls on disjoint member ranges may run at once on the same arrays.
+ * j0 <= j < j1 that has not stopped, two members at a time in the order of
+ * j, by ETD1 if etd1 is nonzero, else by RK4.  Every array holds all m
+ * members, so calls on disjoint member ranges may run at once on the same
+ * arrays.
  *
  * state      (m, 2) complex: a1, a2 of each member, updated in place to
  *            its last completed step
@@ -399,10 +383,12 @@ static __attribute__((noinline)) int64_t etd1_member(const call *c,
  *            runner reports
  *
  * The ceiling is checked after each step that is a multiple of
- * check_every, and after the last.  A stop ends its RK4 pair at that step
- * (its partner could only stop later), and both members are recorded if
- * both stop there.  Returns the number of members that stopped in this
- * call.
+ * check_every, and after the last.  A stop ends its pair at that step
+ * (its partner could only stop later: an ETD1 overflow at the next step,
+ * recorded at this one, would tie only a ceiling stop, and dynamics
+ * checks the ETD1 ceiling only at a call's last step), and both members
+ * are recorded if both stop there.  Returns the number of members that
+ * stopped in this call.
  */
 int64_t tripler_step(int64_t etd1, const coefficients *k, int64_t m,
                      int64_t j0, int64_t j1, cplx *state, int64_t step,
@@ -413,23 +399,21 @@ int64_t tripler_step(int64_t etd1, const coefficients *k, int64_t m,
 {
     const call c = {k, m, step, todo, n_steps, check_every, store_every,
                     state, out1, out2, draws, chunk, ceiling, fail};
+    int64_t (*const run)(const call *, const int64_t *) =
+        etd1 ? etd1_pair : rk4_pair;
     int64_t stopped = 0, pair[2], n = 0;
     for (int64_t j = j0; j < j1; j++) {
         if (fail[2 * j] != RUNS)
             continue;
-        if (etd1) {
-            stopped += etd1_member(&c, j);
-            continue;
-        }
         pair[n++] = j;
         if (n == 2) {
-            stopped += rk4_pair(&c, pair);
+            stopped += run(&c, pair);
             n = 0;
         }
     }
     if (n == 1) {
         pair[1] = pair[0];
-        stopped += rk4_pair(&c, pair);
+        stopped += run(&c, pair);
     }
     return stopped;
 }

@@ -32,15 +32,14 @@ they stay the definition, the tests' oracle and the fallback, which runs
 where the step cannot be built (one ``RuntimeWarning`` per process names
 why).  The runners make every operand of a complex operation complex, so
 they give 3.11's bits on any Python, also where (3.14) a float meets a
-complex by other rules.  RK4 steps two members at once, one in each lane
-of a 16-byte vector (SSE2 on x86-64, NEON on aarch64); the bits hold, as
-each lane does the scalar IEEE operations in the same order, with no
-contraction into fused multiply-adds and libm called once per lane.  A
-lone member rides in both lanes, so a single RK4 trajectory costs what a
-pair does.  ETD1 steps one member at a time until a noisy step of weak
-order two replaces it.  Each member draws from its own RNG stream spawned
-from the master seed, so results do not depend on how an ensemble is
-batched.
+complex by other rules.  Both schemes step two members at once, one in
+each lane of a 16-byte vector (SSE2 on x86-64, NEON on aarch64); the bits
+hold, as each lane does the scalar IEEE operations in the same order,
+with no contraction into fused multiply-adds.  Only libm and CPython's
+complex quotient run lane by lane, over the lanes in use.  A lone member
+rides in both lanes; the second is discarded, and the per-lane code skips
+it.  Each member draws from its own RNG stream spawned from the master
+seed, so results do not depend on how an ensemble is batched.
 An ensemble of M >= 2 members is split into contiguous member blocks, one
 per usable CPU (``os.sched_getaffinity``, else ``os.cpu_count``), each
 with at least :data:`_BLOCK_MIN_S` of estimated work, and the blocks are
@@ -87,11 +86,11 @@ _TINY_Z = 2.0 ** -60
 _CHECK_EVERY = 64
 
 #: wall time in seconds of one step of a single trajectory, per scheme, on
-#: the compiled step, where an RK4 trajectory is one two-lane step: the
-#: best of 151 runs of the README ``simulate`` integration (20 000 steps)
-#: on a 2-vCPU x86-64 machine, Python 3.11, numpy 2.4, gcc 12.2, read 0.090
-#: and 0.117 us; the bounds below, set when they read 0.100 and 0.166 us,
-#: still hold
+#: the compiled step, where a trajectory of either scheme is one two-lane
+#: step: the best of 151 runs of the README ``simulate`` integration
+#: (20 000 steps) on a 2-vCPU x86-64 machine, Python 3.11, numpy 2.4, gcc
+#: 12.2, read 0.088 us for RK4 and 0.123 us for ETD1; the bounds below, set
+#: when they read 0.100 and 0.166 us, still hold
 SCALAR_STEP_S = {"rk4": 1.5e-7, "etd1": 2e-7}
 
 #: the same on the Python runners, which run where the compiled step is
@@ -105,11 +104,11 @@ PYTHON_STEP_S = {"rk4": 7.5e-6, "etd1": 3.5e-6}
 MAX_STEPS = 2**53 - 1
 
 #: least estimated serial wall time in seconds (steps times
-#: :data:`SCALAR_STEP_S` times the members, or for RK4 the member pairs)
-#: per member block of a compiled run, so a run below it stays on the
-#: calling thread: starting and joining a thread costs about 80 us on the
-#: machine above (2000 in a row, three times), so n blocks cost at most
-#: n*80 us / (n*1 ms) = 8% of the time the split saves
+#: :data:`SCALAR_STEP_S` times the member pairs) per member block of a
+#: compiled run, so a run below it stays on the calling thread: starting
+#: and joining a thread costs about 80 us on the machine above (2000 in a
+#: row, three times), so n blocks cost at most n*80 us / (n*1 ms) = 8% of
+#: the time the split saves
 _BLOCK_MIN_S = 1e-3
 
 #: how ``_step.c`` is compiled; its cached file name hashes these flags
@@ -462,6 +461,8 @@ def step_seconds(scheme: str) -> float:
     :data:`SCALAR_STEP_S` with the compiled step, :data:`PYTHON_STEP_S`
     where it is unavailable (loading it if no run has yet).
     """
+    if scheme not in ("rk4", "etd1"):
+        raise domain("scheme", scheme, "'rk4' or 'etd1'")
     return (PYTHON_STEP_S if _kernel() is None else SCALAR_STEP_S)[scheme]
 
 
@@ -604,22 +605,23 @@ def _run_kernel(kernel, c, state, dt, n_steps, store_every, out1, out2,
                 ceiling, noise, rngs):
     """The compiled step over every member of ``state``, (M, 2) complex.
 
-    The members are split into contiguous blocks by :func:`_member_blocks`
-    (one per usable CPU, each with at least :data:`_BLOCK_MIN_S` of work
-    at :data:`SCALAR_STEP_S` per member, or for RK4 per pair of members,
-    a lone member costing a pair; no setting changes it); the calling thread
-    steps the first, a thread of its own each other.  A block is stepped
-    one chunk of :data:`_NOISE_CHUNK` steps per kernel call, after the
-    chunk's normals of its members are drawn as :func:`_run_etd1` draws
-    them; the kernel and numpy's draws release the GIL, so the blocks run
-    at once.  Each block writes only its members' parts of the shared
-    arrays, so the bytes do not depend on the split.  A member that
-    diverges stops.  Its block ends with the chunk, and every other block
-    ends after that chunk too, which is as far as the earliest stop can
-    lie; it is raised as :func:`_run_members` would.  An error in any block
-    (an interrupt in the first) ends the others after their current chunk
-    and is raised once every thread is joined, so a long run stays
-    interruptible.
+    The kernel steps the members in pairs, by either scheme, so the serial
+    work is estimated as pairs times steps times the scheme's
+    :data:`SCALAR_STEP_S`, a lone member costing a pair.  The members are
+    split into contiguous blocks by :func:`_member_blocks` (one per usable
+    CPU, each with at least :data:`_BLOCK_MIN_S` of that work; no setting
+    changes it); the calling thread steps the first, a thread of its own
+    each other.  A block is stepped one chunk of :data:`_NOISE_CHUNK` steps
+    per kernel call, after the chunk's normals of its members are drawn as
+    :func:`_run_etd1` draws them; the kernel and numpy's draws release the
+    GIL, so the blocks run at once.  Each block writes only its members'
+    parts of the shared arrays, so the bytes do not depend on the split.  A
+    member that diverges stops.  Its block ends with the chunk, and every
+    other block ends after that chunk too, which is as far as the earliest
+    stop can lie; it is raised as :func:`_run_members` would.  An error in
+    any block (an interrupt in the first) ends the others after their
+    current chunk and is raised once every thread is joined, so a long run
+    stays interruptible.
     """
     m = len(state)
     chunk = min(_NOISE_CHUNK, n_steps)
@@ -664,8 +666,7 @@ def _run_kernel(kernel, c, state, dt, n_steps, store_every, out1, out2,
             stop_at(0)
             errors.append(exc)
 
-    work = m * n_steps * SCALAR_STEP_S["etd1"] if etd1 \
-        else (m + 1) // 2 * n_steps * SCALAR_STEP_S["rk4"]
+    work = (m + 1) // 2 * n_steps * SCALAR_STEP_S["etd1" if etd1 else "rk4"]
     first, *rest = _member_blocks(m, work)
     threads = []
     try:
@@ -894,6 +895,9 @@ def classify_samples(samples: np.ndarray, refs, radius: float) -> np.ndarray:
     if not 0.0 <= radius < math.inf:
         raise domain("radius", radius, "non-negative and finite")
     refs = np.asarray(refs, dtype=complex)
+    if refs.size == 0:
+        raise DomainError("refs", "refs must hold at least one reference "
+                          "state, got none")
     if len(refs) >= 2:
         sep = min(abs(x - y) for k, x in enumerate(refs) for y in refs[k + 1:])
         if radius >= 0.5 * sep:

@@ -663,6 +663,14 @@ class TestStackedStep:
              store_every=4, noisy=False, undamped=False, seed=17, blocks=2)
     @example(shape=(3,), data=None, steps=2 * dynamics._NOISE_CHUNK + 1,
              store_every=3, noisy=False, undamped=True, seed=18, blocks=1)
+    # the same for ETD1, and an undamped ETD1 pair, whose lanes both test
+    # |e| against the undamped limit
+    @example(shape=(7,), data=None, steps=dynamics._NOISE_CHUNK + 77,
+             store_every=4, noisy=True, undamped=False, seed=19, blocks=2)
+    @example(shape=(3,), data=None, steps=2 * dynamics._NOISE_CHUNK + 1,
+             store_every=3, noisy=True, undamped=False, seed=20, blocks=1)
+    @example(shape=(2,), data=None, steps=dynamics._NOISE_CHUNK + 1,
+             store_every=1, noisy=True, undamped=True, seed=21, blocks=1)
     def test_members_match_python_runners(self, region2, shape, data, steps,
                                           store_every, noisy, undamped, seed,
                                           blocks):
@@ -753,18 +761,26 @@ class TestStackedStep:
         assert ("overflowed" in message) == (overflow_first or noisy)
         assert t == (0.0 if noisy else 1.0)
 
-    @pytest.mark.parametrize("starts", [(1e100, 1.0), (1.0, 1e100),
-                                        (1.0, 1.0, 1e100)],
-                             ids=["lane0", "lane1", "lone"])
-    def test_stopped_pair_keeps_the_python_runners_states(self, starts):
+    @pytest.mark.parametrize("starts, noisy", [
+        ((1e100, 1.0), False), ((1.0, 1e100), False),
+        ((1.0, 1.0, 1e100), False), ((5.5e102, 1.0), True),
+        ((1.0, 5.5e102), True), ((1.0, 1.0, 5.5e102), True)],
+        ids=["lane0", "lane1", "lone", "etd1-lane0", "etd1-lane1",
+             "etd1-lone"])
+    def test_stopped_pair_keeps_the_python_runners_states(self, starts,
+                                                          noisy):
         # RK4 at delta1*dt = 3, past its stability bound, grows |a1| about
         # 1.5 times a step, so the member from 1e100 overflows at step s >
-        # 1.  It keeps its state of step s - 1, its partner that of step s,
-        # and both stored every completed step, as the Python runners do
+        # 1.  ETD1 turns a1 exactly, and kicks of about 1e101 (D1 = 1e202)
+        # walk the member from 5.5e102 to where a1**3 overflows, at step
+        # s = 9, 26 or 15 on seed 2, reported as s - 1.  The member keeps
+        # its state of step s - 1, its partner that of step s, and both
+        # stored every completed step, as the Python runners do
         system = TwoModeSystem(delta1=3.0, delta2=0.5, alpha1=0.0,
                                alpha2=0.0, Gamma1=0.0, Gamma2=0.0,
                                Gamma2_ext=0.0)
         c, n = system._coefficients(), 40
+        noise = NoiseConfig(d1=1e202, d2=0.0) if noisy else None
         state = np.stack((np.array(starts, dtype=complex),
                           np.full(len(starts), 0.5 + 0.5j)), axis=1)
         runs = {}
@@ -773,13 +789,14 @@ class TestStackedStep:
             out1 = np.full((n, len(starts)), complex(math.nan, 0.0))
             out2 = out1.copy()
             after = state.copy()
+            rngs = dynamics._member_rngs(2, len(starts)) if noisy else None
             with pytest.raises(DivergenceError, match="overflowed") as info:
                 if kernel is None:
                     dynamics._run_members(c, after, 1.0, n, 1, out1, out2,
-                                          math.inf, None, None)
+                                          math.inf, noise, rngs)
                 else:
                     dynamics._run_kernel(kernel, c, after, 1.0, n, 1, out1,
-                                         out2, math.inf, None, None)
+                                         out2, math.inf, noise, rngs)
             runs[name] = (info.value.t, after, out1, out2)
         t, after, out1, out2 = runs["compiled"]
         python_t, _, want1, want2 = runs["python"]
@@ -787,15 +804,16 @@ class TestStackedStep:
         assert t == python_t and 1 < stop < n
         # the last completed step of the overflowed member and of its
         # partner, which the lone member has not
-        big = starts.index(1e100)
-        last = {big: stop - 1}
+        big = starts.index(max(starts))
+        last = {big: stop if noisy else stop - 1}
         if big ^ 1 < len(starts):
-            last[big ^ 1] = stop
+            last[big ^ 1] = last[big] + 1
         for j, s in last.items():
             assert same_bits(out1[:s, j], want1[:s, j])
             assert same_bits(out2[:s, j], want2[:s, j])
             assert same_bits(after[j], np.array([out1[s - 1, j],
                                                  out2[s - 1, j]]))
+        assert np.isnan(out1[last[big]:, big].real).all()
 
     def test_nan_amplitude_is_not_finite(self, soft_point, monkeypatch):
         # from this start the step reaches NaN at t = 3.2 with no amplitude
@@ -1029,6 +1047,11 @@ class TestStackedStep:
         monkeypatch.setattr(dynamics, "_KERNEL", [None])
         assert dynamics.step_seconds("etd1") \
             == dynamics.PYTHON_STEP_S["etd1"]
+        # an unknown scheme used to end in a bare KeyError
+        with pytest.raises(DomainError, match="^scheme must be 'rk4' or "
+                                              "'etd1', got 'euler'$") as info:
+            dynamics.step_seconds("euler")
+        assert info.value.name == "scheme"
 
     def test_step_compiles_without_warnings(self):
         # as it is built, with every warning an error: a vector-ABI
@@ -1384,6 +1407,12 @@ class TestSwitching:
         assert stats.n_transit == 3
         assert stats.transitions[0, 1] == 1
         assert stats.occupancy.tolist() == [5, 5]
+
+    def test_empty_refs_rejected(self):
+        # this ended in numpy's "attempt to get argmin of an empty sequence"
+        with pytest.raises(DomainError, match="^refs must hold") as info:
+            dynamics.classify_samples(np.array([0.0, 3.0]), [], 1.0)
+        assert info.value.name == "refs"
 
 
 def metapotential(system, a1, a2):
